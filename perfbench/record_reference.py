@@ -4,7 +4,7 @@
     python3 perfbench/record_reference.py [--workload sweep ...]
 
 Runs every cell that a run with --seed 0 can visit at up to --seconds 60,
-plus the warm-up cell, and stores each cell's status and CSV text in
+plus the warm-up cell, with BLAS on one thread as in run.py, and stores each cell's status and CSV text in
 perfbench/reference/<workload>.json, keyed by the cell's spec.  The
 benchmark compares the default seed's cells against these entries (see
 checks.py).  Re-record only for a change that is meant to alter the
@@ -20,7 +20,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
-from run import import_gpgd  # noqa: E402
+from run import import_gpgd, single_thread_blas  # noqa: E402
 from workloads import WORKLOADS, passes_for, study, warmup_cell  # noqa: E402
 
 MAX_SECONDS = 60
@@ -53,6 +53,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     args = parser.parse_args()
+    single_thread_blas()
     experiments = import_gpgd().experiments
     with tempfile.TemporaryDirectory(dir=HERE.parent) as tmp:
         for workload in args.workload or WORKLOADS:

@@ -6,7 +6,7 @@ another; each cell is one call to a runner of `gpgd.experiments.RUNNERS`
 with a one-cell grid, followed by `write_outputs`.  Every cell's outputs are
 checked (see checks.py) after its timing stops.
 
-    python3 perfbench/run.py --workload sweep --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload sweep --seed 1 --seconds 16 --trace 0
 
 --trace 0 prints the end-to-end metrics (setup_s, study_s, cell_p50_ms,
 peak_rss_mb); --trace 1 runs each pass untraced and then traced and prints
@@ -40,6 +40,19 @@ SETUPS = 3
 
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+# BLAS runs on one thread unless the caller set a count.  The operators are
+# at most 150x450, too small for threads to pay off, and a threaded product
+# waits for the slower of the two cores of a shared host.
+BLAS_THREADS = "1"
+
+
+def single_thread_blas():
+    """Set the BLAS thread variables to BLAS_THREADS where the caller has
+    not; takes effect only before numpy is first imported."""
+    for name in BLAS_THREAD_VARS:
+        os.environ.setdefault(name, BLAS_THREADS)
+
 
 END_TO_END_UNITS = {"setup_s": "s", "study_s": "s", "cell_p50_ms": "ms", "peak_rss_mb": "MB"}
 
@@ -108,16 +121,35 @@ class Outcome:
     problems: list
     identical: bool = None
     rows: int = 0
+    ref_seconds: float = None
+
+
+class WallClock:
+    """Times a cell in wall seconds only: the clock of an unmetered Bench."""
+
+    def start(self):
+        self._t0 = time.perf_counter()
+
+    def stop(self):
+        seconds = time.perf_counter() - self._t0
+        return seconds, seconds
 
 
 @dataclass
 class Bench:
-    """Runs and checks cells of one workload, writing under out_dir."""
+    """Runs and checks cells of one workload, writing under out_dir.
+
+    With a meter (speed.Meter), each untraced cell's time is also rescaled
+    to reference seconds.  Traced cells are timed by the wall clock alone,
+    so that no kernel reading runs inside a span; their two times are
+    equal, as are those of every cell of an unmetered Bench.
+    """
 
     out_dir: Path
     reference: dict
     gpgd: object
     failures: list = field(default_factory=list)
+    meter: object = None
 
     def run_cell(self, cell, name, tracer=None):
         from checks import against_reference, structural
@@ -125,7 +157,8 @@ class Bench:
         exp = self.gpgd.experiments
         spec = exp.default_spec(cell.experiment, output_path=str(self.out_dir / name), **cell.overrides)
         runner = exp.RUNNERS[cell.experiment]
-        t0 = time.perf_counter()
+        clock = self.meter if self.meter is not None and tracer is None else WallClock()
+        clock.start()
         try:
             if tracer is None:
                 result = runner(spec)
@@ -134,9 +167,10 @@ class Bench:
                 result = tracer.call("experiments.runner", runner, spec)
                 paths = tracer.call("experiments.write_outputs", exp.write_outputs, spec, result)
         except Exception as exc:  # noqa: BLE001 - a raising runner is a failed cell
-            outcome = Outcome(time.perf_counter() - t0, [f"raised {type(exc).__name__}: {exc}"])
+            seconds, ref_seconds = clock.stop()
+            outcome = Outcome(seconds, [f"raised {type(exc).__name__}: {exc}"], ref_seconds=ref_seconds)
         else:
-            seconds = time.perf_counter() - t0
+            seconds, ref_seconds = clock.stop()
             table = Path(paths["table"]).read_text()
             trace = Path(paths["trace"]).read_text() if "trace" in paths else None
             status = result["status"]
@@ -149,7 +183,7 @@ class Bench:
                     problems += more
             except (ValueError, KeyError) as exc:
                 problems = [f"malformed output: {type(exc).__name__}: {exc}"]
-            outcome = Outcome(seconds, problems, identical, len(result["rows"]))
+            outcome = Outcome(seconds, problems, identical, len(result["rows"]), ref_seconds)
         if tracer is not None:
             tracer.end_cell()
         if outcome.problems:
@@ -208,18 +242,19 @@ def timed_passes(bench, passes, tracer):
     """Run every pass; with a tracer, each pass again under it.
 
     Returns per-pass cell outcomes (untraced), traced cell outcomes and the
-    process CPU seconds and wall seconds spent in untraced cells.
+    process CPU seconds and wall seconds spent running untraced cells, their
+    checks and kernel readings included.
     """
     untraced, traced = [], []
     cpu = wall = 0.0
     for i, cells in enumerate(passes):
         outcomes = []
         for j, cell in enumerate(cells):
-            r0 = resource.getrusage(resource.RUSAGE_SELF)
+            t0, r0 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
             outcomes.append(bench.run_cell(cell, f"p{i}_c{j}"))
             r1 = resource.getrusage(resource.RUSAGE_SELF)
             cpu += (r1.ru_utime + r1.ru_stime) - (r0.ru_utime + r0.ru_stime)
-            wall += outcomes[-1].seconds
+            wall += time.perf_counter() - t0
         untraced.append(outcomes)
         if tracer is not None:
             tracer.install()
@@ -235,26 +270,27 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=("sweep", "robust", "bound", "prior"))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=int, default=20)
+    parser.add_argument("--seconds", type=int, default=16)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--smoke", action="store_true",
                         help="one shrunken cell of each kind, one set-up: a quick self-test")
     parser.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
+    single_thread_blas()
     sys.path.insert(0, str(HERE))
     gpgd = import_gpgd()
+    import speed
+
     if not args.setup_probe:
         shutil.rmtree(OUT_DIR / args.workload, ignore_errors=True)
     bench, passes, warm = set_up(args, gpgd)
-    setup_main = process_age_s()
+    setup_s = process_age_s()
+    bench.meter = speed.Meter()
+    setup_main = {"raw_s": setup_s, "kernel_s": bench.meter.readings[0]}
     if args.setup_probe:
-        print(json.dumps({"setup_s": setup_main, "problems": warm.problems, "identical": warm.identical}))
+        print(json.dumps({"setup": setup_main, "problems": warm.problems, "identical": warm.identical}))
         return 0
-
-    probes = [] if (args.smoke or args.trace) else probe_setups(args, SETUPS - 1)
-    setup_samples = [setup_main] + [p["setup_s"] for p in probes]
-    warm_checks = [(warm.problems, warm.identical)] + [(p["problems"], p["identical"]) for p in probes]
 
     tracer = None
     if args.trace:
@@ -262,6 +298,13 @@ def main(argv=None):
 
         tracer = Tracer()
     untraced, traced, cpu, wall = timed_passes(bench, passes, tracer)
+
+    # The fresh-process set-ups run after the study, so that the study
+    # starts straight after this process's own warm-up cell.
+    probes = [] if (args.smoke or args.trace) else probe_setups(args, SETUPS - 1)
+    setup_runs = [setup_main] + [p["setup"] for p in probes]
+    setup_samples = [speed.rescale(r["raw_s"], [r["kernel_s"]]) for r in setup_runs]
+    warm_checks = [(warm.problems, warm.identical)] + [(p["problems"], p["identical"]) for p in probes]
 
     cells = [o for outcomes in untraced for o in outcomes]
     traced_cells = [o for outcomes in traced for o in outcomes]
@@ -271,8 +314,9 @@ def main(argv=None):
     correct = (failed == 0 and not any(o.problems for o in traced_cells)
                and not any(problems for problems, _ in warm_checks))
 
-    study_samples = [sum(o.seconds for o in outcomes) for outcomes in untraced]
-    cell_ms = [o.seconds * 1e3 for o in cells]
+    study_samples = [sum(o.ref_seconds for o in outcomes) for outcomes in untraced]
+    cell_ms = [o.ref_seconds * 1e3 for o in cells]
+    wall_study = [sum(o.seconds for o in outcomes) for outcomes in untraced]
     report = {
         "workload": args.workload,
         "seed": args.seed,
@@ -283,6 +327,11 @@ def main(argv=None):
         "cell_ms": [round(ms, 1) for ms in cell_ms],
         "study_samples": [round(s, 4) for s in study_samples],
         "setup_samples": [round(s, 4) for s in setup_samples],
+        "wall_cell_ms": [round(o.seconds * 1e3, 1) for o in cells],
+        "wall_study_samples": [round(s, 4) for s in wall_study],
+        "wall_setup_samples": [round(r["raw_s"], 4) for r in setup_runs],
+        "kernel_ms_min_median_max": [round(f(bench.meter.readings) * 1e3, 3)
+                                     for f in (min, statistics.median, max)],
         "warmup_problems": [problems for problems, _ in warm_checks if problems],
         "reference_checked": len(identical),
         "reference_identical": sum(identical),
@@ -297,7 +346,7 @@ def main(argv=None):
                        for o, cell in zip(outcomes, pass_cells) if cell.experiment == "theorem")
         extra = {
             "process.cpu_util": cpu / wall if wall else 0.0,
-            "trace.overhead_frac": sum(traced_s) / sum(study_samples) - 1.0,
+            "trace.overhead_frac": sum(traced_s) / sum(wall_study) - 1.0,
             "outputs.csv_identical_frac": sum(identical) / len(identical) if identical else 0.0,
         }
         metrics = layer_metrics(tracer, len(traced), accepted, extra)
@@ -308,7 +357,9 @@ def main(argv=None):
     else:
         values = {
             "setup_s": statistics.median(setup_samples),
-            "study_s": statistics.median(study_samples),
+            # The run's whole study time per pass: passes differ in their
+            # cells by design, so a median would pick one pass's cells.
+            "study_s": statistics.fmean(study_samples),
             "cell_p50_ms": statistics.median(cell_ms),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         }

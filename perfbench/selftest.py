@@ -8,8 +8,10 @@ they run the benchmark in subprocesses and take about half a minute.
 
 import json
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ sys.path.insert(0, str(HERE))
 import checks  # noqa: E402
 import run  # noqa: E402
 import spans  # noqa: E402
+import speed  # noqa: E402
 import workloads  # noqa: E402
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -151,3 +154,22 @@ def test_repeated_solve_counts_as_rerun():
     tracer.end_cell()
     assert tracer.counts["descent.rerun_iters"] == 600
     assert tracer.counts["descent.early_stops"] == 1
+
+
+def test_rescaled_time_follows_the_kernel():
+    assert speed.rescale(2.0, [2 * speed.REFERENCE_S]) == pytest.approx(1.0)
+    assert speed.rescale(1.0, [speed.REFERENCE_S, 9.0, speed.REFERENCE_S]) == pytest.approx(1.0)
+
+
+def test_meter_reads_during_a_cell_and_leaves_no_timer():
+    meter = speed.Meter()
+    meter.start()
+    t_end = time.perf_counter() + 3 * speed.PERIOD_S
+    while time.perf_counter() < t_end:
+        pass
+    wall, ref = meter.stop()
+    # The reading before, at least two during, and the one after.
+    assert len(meter.readings) >= 4
+    assert 0 < wall < 3 * speed.PERIOD_S and ref > 0
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGALRM) == signal.SIG_DFL

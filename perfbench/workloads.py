@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 
 WORKLOADS = ("sweep", "robust", "bound", "prior")
 
-# Wall seconds of one pass on a 2-core Xeon with numpy 2.4 and OpenBLAS 0.3
-# (the machine the bounds in BENCHMARK.json were set on).  They fix how many
-# passes a run of --seconds makes, so that the two sides of a comparison
-# time the same cells even when one of them is faster.
-NOMINAL_PASS_S = {"sweep": 6.6, "robust": 4.4, "bound": 15.5, "prior": 17.5}
+# Reference seconds (speed.py) of one pass on a 2-core Xeon with numpy 2.4
+# and OpenBLAS 0.3 (the machine the bounds in BENCHMARK.json were set on).
+# They fix how many passes a run of --seconds makes, so that the two sides
+# of a comparison time the same cells even when one of them is faster.
+NOMINAL_PASS_S = {"sweep": 4.1, "robust": 3.2, "bound": 17.0, "prior": 5.3}
 
 # The cell kind each workload warms up on before timing: its cheapest kind.
 WARMUP_KIND = {"sweep": "stepsize", "robust": "joint", "bound": "theorem_m64", "prior": "nipr"}
@@ -33,8 +33,11 @@ WARMUP_KIND = {"sweep": "stepsize", "robust": "joint", "bound": "theorem_m64", "
 OUTLIER_HALVES = ((0, 20, 30, 60, 70, 100, 110), (5, 10, 45, 149, 80, 90, 125))
 OUTLIER_KS = (4, 8, 12)
 M8_CELLS_PER_PASS = 1
-M64_CELLS_PER_PASS = 12
-NIPR_PAIRS_PER_PASS = 5
+# One m=8 cell (about 8 reference seconds) and enough m=64 cells (0.2
+# each) to give the two halves of a pass similar weight.
+M64_CELLS_PER_PASS = 40
+# Short prior passes, so that a run holds several of them.
+NIPR_PAIRS_PER_PASS = 2
 
 
 @dataclass(frozen=True)
