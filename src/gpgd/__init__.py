@@ -18,10 +18,8 @@ from .projections import (
     ProductProjection,
     hard_threshold,
     model_distance,
-    p_alpha_project,
-    product_project,
 )
-from .descent import GpgdConfig, RecoveryTrace, gpgd_run, gpgd_step, i_min_oracle
+from .descent import GpgdConfig, RecoveryTrace, gpgd_run, i_min_oracle
 from .constants import (
     TheoremBound,
     exact_ric_sparse,
@@ -37,13 +35,11 @@ from .prior import (
     ToyPrior,
     TrainConfig,
     TrainResult,
-    load_prior,
     loss_gradient,
     make_manifold_dataset,
     nipr_penalty,
     prior_apply,
     random_prior,
-    save_prior,
     train,
     training_loss,
 )

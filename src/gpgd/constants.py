@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .projections import sparse_signal
+
 __all__ = [
     "ENUMERATION_GUARD",
     "exact_ric_sparse",
     "null_space_ric_floor",
     "mc_ric",
     "mc_beta",
-    "sparse_model_sampler",
     "operator_norm",
     "TheoremBound",
     "theorem_bound_eval",
@@ -29,13 +30,27 @@ __all__ = [
 # the Monte-Carlo estimate beyond it.
 ENUMERATION_GUARD = 10**6
 
+# Supports are enumerated in blocks of at most this many, which bounds the
+# stacked submatrices held at once.
+SUPPORT_CHUNK = 4096
 
-def _check_enumeration_guard(n, t):
+
+def _support_chunks(n, t):
+    """Every size-t support of range(n), in lexicographic order, as integer
+    arrays of shape (<= SUPPORT_CHUNK, t).  Needs t >= 1."""
     if math.comb(n, t) > ENUMERATION_GUARD:
         raise ValueError(
             f"C({n}, {t}) = {math.comb(n, t)} supports exceed the enumeration "
             f"guard ({ENUMERATION_GUARD}); use mc_ric instead"
         )
+    combos = itertools.combinations(range(n), t)
+    while True:
+        chunk = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(combos, SUPPORT_CHUNK)), dtype=np.intp
+        )
+        if chunk.size == 0:
+            return
+        yield chunk.reshape(-1, t)
 
 
 def exact_ric_sparse(B, k):
@@ -57,13 +72,11 @@ def exact_ric_sparse(B, k):
     t = min(2 * k, n)
     if t == 0:
         return 0.0
-    _check_enumeration_guard(n, t)
     D = B - np.eye(n)
     best = 0.0
-    for support in itertools.combinations(range(n), t):
-        s = np.linalg.svd(D[:, support], compute_uv=False)[0]
-        if s > best:
-            best = float(s)
+    for supports in _support_chunks(n, t):
+        columns = np.moveaxis(D[:, supports], 1, 0)
+        best = max(best, float(np.linalg.svd(columns, compute_uv=False)[:, 0].max()))
     return best
 
 
@@ -89,29 +102,19 @@ def null_space_ric_floor(A, k):
     t = min(2 * k, n)
     if t == 0 or m >= n:
         return 0.0
-    _check_enumeration_guard(n, t)
     null_basis = np.linalg.svd(A)[2][m:]
     P = null_basis.T @ null_basis
-    supports = np.array(list(itertools.combinations(range(n), t)))
-    blocks = P[supports[:, :, None], supports[:, None, :]]
-    return float(np.sqrt(max(np.linalg.eigvalsh(blocks)[:, -1].max(), 0.0)))
-
-
-def _random_sparse_unit(n, t, rng):
-    """Unit-norm vector with t nonzeros on a uniform random support."""
-    v = np.zeros(n)
-    support = rng.choice(n, size=t, replace=False)
-    vals = rng.standard_normal(t)
-    while np.linalg.norm(vals) == 0.0:
-        vals = rng.standard_normal(t)
-    v[support] = vals / np.linalg.norm(vals)
-    return v
+    lam = 0.0
+    for supports in _support_chunks(n, t):
+        blocks = P[supports[:, :, None], supports[:, None, :]]
+        lam = max(lam, float(np.linalg.eigvalsh(blocks)[:, -1].max()))
+    return float(np.sqrt(lam))
 
 
 def mc_ric(B, k, trials, seed):
     """Monte-Carlo lower bound on the restricted isometry constant.
 
-    Samples 2k-sparse unit vectors and takes the max of ||(B - I)v||.
+    Samples random 2k-sparse v and takes the max of ||(B - I)v|| / ||v||.
     Always a lower bound on the exact constant; nondecreasing under nested
     sampling (the first t draws of a longer run are the same).
     """
@@ -126,50 +129,36 @@ def mc_ric(B, k, trials, seed):
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(int(trials)):
-        v = _random_sparse_unit(n, t, rng)
-        val = float(np.linalg.norm(D @ v))
+        v = sparse_signal(n, t, rng)
+        val = float(np.linalg.norm(D @ v) / np.linalg.norm(v))
         if val > best:
             best = val
     return best
 
 
-def sparse_model_sampler(n, k):
-    """Sampler for random k-sparse points (standard normal nonzeros)."""
-
-    def draw(rng):
-        x = np.zeros(n)
-        if k > 0:
-            support = rng.choice(n, size=k, replace=False)
-            x[support] = rng.standard_normal(k)
-        return x
-
-    return draw
-
-
-def mc_beta(projection, k, n, trials, seed, model_sampler=None):
+def mc_beta(projection, k, n, trials, seed):
     """Monte-Carlo lower bound on the restricted Lipschitz constant.
 
-    Samples pairs (z ambient, x in the model set) and takes the max of
-    ||P(z) - x|| / ||z - x||.  Half the draws place z near the model set
-    (a model point plus a small perturbation) to probe the regime where
-    projections expand; the other half draw z fully ambient.  Degenerate
-    z == x draws are discarded and redrawn.  A lower bound on the true
-    constant, deterministic given the seed, nondecreasing under nested
-    sampling.
+    Samples pairs (z ambient, x a k-sparse model point from sparse_signal)
+    and takes the max of ||P(z) - x|| / ||z - x||.  Half the draws place z
+    near the model set (a model point plus a small perturbation) to probe
+    the regime where projections expand; the other half draw z fully
+    ambient.  Degenerate z == x draws are discarded and redrawn.  A lower
+    bound on the true constant, deterministic given the seed, nondecreasing
+    under nested sampling.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if model_sampler is None:
-        model_sampler = sparse_model_sampler(n, int(k))
+    k = int(k)
     rng = np.random.default_rng(seed)
     best = 0.0
     for trial in range(int(trials)):
-        x = model_sampler(rng)
+        x = sparse_signal(n, k, rng)
         while True:
             if trial % 2 == 0:
                 z = rng.standard_normal(n)
             else:
-                z = model_sampler(rng) + 0.1 * rng.standard_normal(n)
+                z = sparse_signal(n, k, rng) + 0.1 * rng.standard_normal(n)
             if np.linalg.norm(z - x) > 0.0:
                 break
         ratio = float(np.linalg.norm(np.asarray(projection(z), dtype=float) - x) / np.linalg.norm(z - x))

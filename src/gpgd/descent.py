@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GpgdConfig", "RecoveryTrace", "gpgd_step", "gpgd_run", "i_min_oracle"]
+__all__ = ["GpgdConfig", "RecoveryTrace", "gpgd_run", "i_min_oracle"]
 
 # Floor for relative-change denominators; avoids 0/0 on the zero iterate.
 REL_CHANGE_FLOOR = float(np.finfo(float).tiny)
@@ -61,24 +61,9 @@ class RecoveryTrace:
     iterates: list = None
     diverged: bool = False
 
-    def to_csv(self, path):
-        """One row per iterate: iter, error_to_truth, residual_norm, rel_change."""
-        with open(path, "w") as fh:
-            fh.write("iter,error_to_truth,residual_norm,rel_change\n")
-            for i in range(self.iterations_run + 1):
-                err = self.errors_to_truth[i] if self.errors_to_truth is not None else float("nan")
-                fh.write(f"{i},{repr(float(err))},{repr(float(self.residual_norms[i]))},{repr(float(self.rel_changes[i]))}\n")
-
-
-def gpgd_step(x, projection, back_projection, op, y, mu):
-    """One iteration: P(x) - mu * L(A P(x) - y)."""
-    px = np.asarray(projection(x), dtype=float)
-    residual = op.apply(px) - y
-    return px - mu * back_projection.apply(residual)
-
 
 def gpgd_run(x0, projection, back_projection, op, y, cfg, truth=None):
-    """Iterate gpgd_step from x0, recording diagnostics.
+    """Iterate P(x) - mu * L(A P(x) - y) from x0, recording diagnostics.
 
     Stops at cfg.max_iters, or earlier when the relative iterate change
     drops below cfg.rel_change_tol (if positive).  A non-finite iterate

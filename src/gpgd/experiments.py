@@ -12,7 +12,6 @@ arms (step sizes, projection variants, back-projection methods), so the
 arms are compared on identical data.
 """
 
-import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, field
@@ -22,6 +21,7 @@ import numpy as np
 from . import __version__
 from .constants import (
     TheoremBound,
+    _support_chunks,
     exact_ric_sparse,
     null_space_ric_floor,
     operator_norm,
@@ -38,7 +38,14 @@ from .prior import (
     random_prior,
     train,
 )
-from .projections import HARD_THRESHOLD_BETA, HardThreshold, PAlpha, ProductProjection, hard_threshold
+from .projections import (
+    HARD_THRESHOLD_BETA,
+    HardThreshold,
+    PAlpha,
+    ProductProjection,
+    hard_threshold,
+    sparse_signal,
+)
 
 __all__ = [
     "ExperimentSpec",
@@ -79,8 +86,8 @@ FLOOR_REJECT_MARGIN = 1e-9
 class ExperimentSpec:
     """Flat, JSON-mirrorable description of one experiment run.
 
-    gaussian_sigma <= 0 selects the relative default
-    0.01 * ||A x|| / sqrt(m) per instance; outlier_amplitude <= 0 selects
+    gaussian_sigma < 0 selects the relative default 0.01 * ||A x|| / sqrt(m)
+    per instance, and 0 selects no noise; outlier_amplitude <= 0 selects
     100x the effective noise scale.  operator_gain multiplies the
     unit-column Gaussian ensemble (the step-size study runs hotter so the
     fixed step grid straddles the stability boundary).
@@ -122,6 +129,12 @@ class ExperimentSpec:
             raise ValueError(f"mu must be > 0, got {self.mu}")
         if not self.operator_gain > 0:
             raise ValueError(f"operator_gain must be > 0, got {self.operator_gain}")
+        if self.rel_change_tol < 0:
+            raise ValueError(f"rel_change_tol must be >= 0, got {self.rel_change_tol}")
+        if self.nipr_weight < 0:
+            raise ValueError(f"nipr_weight must be >= 0, got {self.nipr_weight}")
+        if self.resample_budget < 1:
+            raise ValueError(f"resample_budget must be >= 1, got {self.resample_budget}")
         grids = {
             "phase_alpha": ("sparsity_grid", "alpha_grid"),
             "outliers": ("sparsity_grid", "outlier_grid"),
@@ -135,6 +148,8 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be nonempty for experiment {self.experiment!r}")
         if any(k < 0 or k > self.n_ambient for k in self.sparsity_grid):
             raise ValueError("sparsity_grid entries must lie in [0, n_ambient]")
+        if self.experiment == "theorem" and len(self.sparsity_grid) != 1:
+            raise ValueError("the theorem check takes exactly one sparsity_grid entry")
         if self.experiment in ("outliers", "joint"):
             if any(s < 0 or s >= self.m for s in self.outlier_grid):
                 raise ValueError(f"outlier counts must lie in [0, m), m={self.m}")
@@ -188,24 +203,6 @@ def trial_rng(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=tuple(int(i) for i in key)))
 
 
-def sparse_signal(n, k, rng):
-    """k-sparse signal, standard-normal nonzeros rescaled to norm sqrt(k).
-
-    The rescale fixes the signal energy per sparsity level so error
-    thresholds measure the (k, noise) phase boundary instead of the luck of
-    the signal scale draw.
-    """
-    x = np.zeros(n)
-    if k == 0:
-        return x
-    support = rng.choice(n, size=k, replace=False)
-    vals = rng.standard_normal(k)
-    while np.linalg.norm(vals) == 0.0:
-        vals = rng.standard_normal(k)
-    x[support] = vals * (np.sqrt(k) / np.linalg.norm(vals))
-    return x
-
-
 def _draw_operator(spec, rng):
     matrix = spec.operator_gain * rng.standard_normal((spec.m, spec.n_ambient)) / np.sqrt(spec.m)
     return MeasurementOperator(matrix, kind="gaussian")
@@ -222,12 +219,22 @@ def _effective_sigma(spec, y_clean):
     return 0.01 * norm / np.sqrt(len(y_clean))
 
 
-def _descent_cfg(spec, record=False, tol=None, iters=None):
+def _draw_instance(spec, rng, k):
+    """Operator, k-sparse signal and noisy measurements of one trial, drawn
+    in that order; also returns the noise level used."""
+    op = _draw_operator(spec, rng)
+    x = sparse_signal(spec.n_ambient, k, rng)
+    y_clean = op.apply(x)
+    sigma = _effective_sigma(spec, y_clean)
+    y = y_clean + sigma * rng.standard_normal(spec.m)
+    return op, x, y, sigma
+
+
+def _descent_cfg(spec, mu=None, tol=None):
     return GpgdConfig(
-        mu=spec.mu,
-        max_iters=spec.iterations if iters is None else iters,
+        mu=spec.mu if mu is None else mu,
+        max_iters=spec.iterations,
         rel_change_tol=spec.rel_change_tol if tol is None else tol,
-        record_iterates=record,
     )
 
 
@@ -245,6 +252,37 @@ def _trace_rows(trace, label):
     return rows
 
 
+def _arm_sweep(spec, tag, arms):
+    """Solve every (sparsity, trial) instance once per treatment arm.
+
+    `arms` lists (key, projection factory of k, step size) triples; every
+    arm runs from zero with the adjoint back-projection on the shared
+    instance.  Returns the per-(key, k) lists of (error of the k-sparse
+    estimate, error of the raw iterate), and one (key, trace) per arm on
+    the trial-0 instance at k_trace (if in the grid), run without early
+    stopping and with the truth recorded.
+    """
+    grid = list(spec.sparsity_grid)
+    errors = {(key, k): [] for key, _, _ in arms for k in grid}
+    trace_ki = grid.index(spec.k_trace) if spec.k_trace in grid else None
+    traces = []
+    for ki, k in enumerate(grid):
+        for t in range(spec.trials):
+            op, x, y, _ = _draw_instance(spec, trial_rng(spec.seed, tag, ki, t), k)
+            bp = BackProjection.adjoint(op)
+            for key, make_projection, mu in arms:
+                trace = gpgd_run(np.zeros(spec.n_ambient), make_projection(k), bp, op, y,
+                                 _descent_cfg(spec, mu))
+                errors[(key, k)].append((normalized_error(hard_threshold(trace.final, k), x),
+                                         normalized_error(trace.final, x)))
+            if ki == trace_ki and t == 0:
+                for key, make_projection, mu in arms:
+                    trace = gpgd_run(np.zeros(spec.n_ambient), make_projection(k), bp, op, y,
+                                     _descent_cfg(spec, mu, tol=0.0), truth=x)
+                    traces.append((key, trace))
+    return errors, traces
+
+
 # ---------------------------------------------------------------------------
 # phase transition over the projection deterioration knob
 # ---------------------------------------------------------------------------
@@ -254,27 +292,13 @@ def run_phase_transition_alpha(spec):
     """Centile recovery error over (sparsity, alpha) cells, plus convergence
     traces per alpha at the designated sparsity."""
     spec.validate()
-    tag = _TAGS["phase_alpha"]
     alphas = [float(a) for a in spec.alpha_grid]
-    errors = {(k, a): [] for k in spec.sparsity_grid for a in alphas}
-    for ki, k in enumerate(spec.sparsity_grid):
-        for t in range(spec.trials):
-            rng = trial_rng(spec.seed, tag, ki, t)
-            op = _draw_operator(spec, rng)
-            x = sparse_signal(spec.n_ambient, k, rng)
-            y_clean = op.apply(x)
-            sigma = _effective_sigma(spec, y_clean)
-            y = y_clean + sigma * rng.standard_normal(spec.m)
-            bp = BackProjection.adjoint(op)
-            for a in alphas:
-                trace = gpgd_run(np.zeros(spec.n_ambient), PAlpha(k, a), bp, op, y,
-                                 _descent_cfg(spec))
-                estimate = hard_threshold(trace.final, k)
-                errors[(k, a)].append(normalized_error(estimate, x))
+    arms = [(a, lambda k, a=a: PAlpha(k, a), spec.mu) for a in alphas]
+    errors, arm_traces = _arm_sweep(spec, _TAGS["phase_alpha"], arms)
     rows = []
     for k in spec.sparsity_grid:
         for a in alphas:
-            errs = errors[(k, a)]
+            errs = [err for err, _ in errors[(a, k)]]
             rows.append({
                 "k": k,
                 "alpha": a,
@@ -285,19 +309,8 @@ def run_phase_transition_alpha(spec):
                 "success_rate": float(np.mean([e < SUCCESS_THRESHOLD for e in errs])),
             })
     traces = []
-    if spec.k_trace in spec.sparsity_grid:
-        ki = list(spec.sparsity_grid).index(spec.k_trace)
-        for a in alphas:
-            rng = trial_rng(spec.seed, tag, ki, 0)
-            op = _draw_operator(spec, rng)
-            x = sparse_signal(spec.n_ambient, spec.k_trace, rng)
-            y_clean = op.apply(x)
-            sigma = _effective_sigma(spec, y_clean)
-            y = y_clean + sigma * rng.standard_normal(spec.m)
-            trace = gpgd_run(np.zeros(spec.n_ambient), PAlpha(spec.k_trace, a),
-                             BackProjection.adjoint(op), op, y,
-                             _descent_cfg(spec, tol=0.0), truth=x)
-            traces.extend(_trace_rows(trace, {"alpha": a, "k": spec.k_trace}))
+    for a, trace in arm_traces:
+        traces.extend(_trace_rows(trace, {"alpha": a, "k": spec.k_trace}))
     return {
         "rows": rows,
         "fieldnames": ["k", "alpha", "trials", "centile", "centile_error", "mean_error", "success_rate"],
@@ -325,12 +338,8 @@ def run_outlier_tradeoff(spec):
             errs = {meth: [] for meth in methods}
             for t in range(spec.trials):
                 rng = trial_rng(spec.seed, tag, ki, si, t)
-                op = _draw_operator(spec, rng)
-                x = sparse_signal(spec.n_ambient, k, rng)
-                y_clean = op.apply(x)
-                sigma = _effective_sigma(spec, y_clean)
+                op, x, y, sigma = _draw_instance(spec, rng, k)
                 amp = spec.outlier_amplitude if spec.outlier_amplitude > 0 else 100.0 * sigma
-                y = y_clean + sigma * rng.standard_normal(spec.m)
                 positions = rng.choice(spec.m, size=s, replace=False)
                 signs = rng.choice(np.array([-1.0, 1.0]), size=s)
                 y[positions] += amp * signs
@@ -371,31 +380,13 @@ def run_stepsize_study(spec):
     """Centile error vs sparsity per step size, plus convergence traces at the
     designated sparsity.  Step sizes run on identical instances."""
     spec.validate()
-    tag = _TAGS["stepsize"]
     mus = [float(mu) for mu in spec.mu_grid]
-    errors = {(mu, k): [] for mu in mus for k in spec.sparsity_grid}
-    raw_errors = {(mu, k): [] for mu in mus for k in spec.sparsity_grid}
-    for ki, k in enumerate(spec.sparsity_grid):
-        for t in range(spec.trials):
-            rng = trial_rng(spec.seed, tag, ki, t)
-            op = _draw_operator(spec, rng)
-            x = sparse_signal(spec.n_ambient, k, rng)
-            y_clean = op.apply(x)
-            y = y_clean + _effective_sigma(spec, y_clean) * rng.standard_normal(spec.m)
-            bp = BackProjection.adjoint(op)
-            for mu in mus:
-                cfg = GpgdConfig(mu=mu, max_iters=spec.iterations,
-                                 rel_change_tol=spec.rel_change_tol)
-                trace = gpgd_run(np.zeros(spec.n_ambient), HardThreshold(k), bp, op, y, cfg)
-                errors[(mu, k)].append(normalized_error(hard_threshold(trace.final, k), x))
-                # Plateau level of the iterate-error convergence curve: the
-                # raw iterate carries the mu-scaled back-projected noise, so
-                # this is where the step size trades noise stability.
-                raw_errors[(mu, k)].append(normalized_error(trace.final, x))
+    arms = [(mu, HardThreshold, mu) for mu in mus]
+    errors, arm_traces = _arm_sweep(spec, _TAGS["stepsize"], arms)
     rows = []
     for mu in mus:
         for k in spec.sparsity_grid:
-            errs = errors[(mu, k)]
+            errs = [err for err, _ in errors[(mu, k)]]
             rows.append({
                 "mu": mu,
                 "k": k,
@@ -403,21 +394,14 @@ def run_stepsize_study(spec):
                 "centile": spec.centile,
                 "centile_error": centile_curve(errs, spec.centile),
                 "mean_error": float(np.mean(errs)),
-                "mean_plateau_error": float(np.mean(raw_errors[(mu, k)])),
+                # Plateau level of the iterate-error convergence curve: the
+                # raw iterate carries the mu-scaled back-projected noise, so
+                # this is where the step size trades noise stability.
+                "mean_plateau_error": float(np.mean([raw for _, raw in errors[(mu, k)]])),
             })
     traces = []
-    if spec.k_trace in spec.sparsity_grid:
-        ki = list(spec.sparsity_grid).index(spec.k_trace)
-        for mu in mus:
-            rng = trial_rng(spec.seed, tag, ki, 0)
-            op = _draw_operator(spec, rng)
-            x = sparse_signal(spec.n_ambient, spec.k_trace, rng)
-            y_clean = op.apply(x)
-            y = y_clean + _effective_sigma(spec, y_clean) * rng.standard_normal(spec.m)
-            cfg = GpgdConfig(mu=mu, max_iters=spec.iterations, rel_change_tol=0.0)
-            trace = gpgd_run(np.zeros(spec.n_ambient), HardThreshold(spec.k_trace),
-                             BackProjection.adjoint(op), op, y, cfg, truth=x)
-            traces.extend(_trace_rows(trace, {"mu": mu, "k": spec.k_trace}))
+    for mu, trace in arm_traces:
+        traces.extend(_trace_rows(trace, {"mu": mu, "k": spec.k_trace}))
     return {
         "rows": rows,
         "fieldnames": ["mu", "k", "trials", "centile", "centile_error", "mean_error",
@@ -448,8 +432,10 @@ def run_joint_model(spec):
                 base = _draw_operator(spec, rng)
                 x = sparse_signal(spec.n_ambient, k, rng)
                 y_clean = base.apply(x)
-                sigma = spec.gaussian_sigma if spec.gaussian_sigma > 0 else 0.0
-                amp = spec.outlier_amplitude if spec.outlier_amplitude > 0 else 2.0
+                # The corruption is drawn before the dense noise, unlike in
+                # _draw_instance; the order is part of this experiment's streams.
+                sigma = _effective_sigma(spec, y_clean)
+                amp = spec.outlier_amplitude if spec.outlier_amplitude > 0 else 100.0 * sigma
                 e = np.zeros(spec.m)
                 positions = rng.choice(spec.m, size=s, replace=False)
                 e[positions] = amp * rng.choice(np.array([-1.0, 1.0]), size=s)
@@ -648,9 +634,13 @@ def _tuned_mu_delta(B, k, mu_grid):
     """
     n = B.shape[0]
     t = min(2 * int(k), n)
-    supports = list(itertools.combinations(range(n), t))
-    grams = np.stack([B[:, T].T @ B[:, T] for T in supports])
-    blocks = np.stack([(B[np.ix_(T, T)] + B[np.ix_(T, T)].T) / 2.0 for T in supports])
+    grams, blocks = [], []
+    for supports in _support_chunks(n, t):
+        columns = np.moveaxis(B[:, supports], 1, 0)
+        grams.append(np.swapaxes(columns, 1, 2) @ columns)
+        block = B[supports[:, :, None], supports[:, None, :]]
+        blocks.append((block + np.swapaxes(block, 1, 2)) / 2.0)
+    grams, blocks = np.concatenate(grams), np.concatenate(blocks)
     eye = np.eye(t)
     best = (np.inf, None)
     for mu in mu_grid:

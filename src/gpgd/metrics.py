@@ -116,14 +116,6 @@ class StabilityReport:
     sm2_at: dict
     offsets: tuple = (10, 50, 100)
 
-    CSV_HEADER = "i_min,sm1_10,sm1_50,sm1_100,sm2_10,sm2_50,sm2_100"
-
-    def to_csv_row(self):
-        parts = [str(int(self.i_min))]
-        parts += [repr(float(self.sm1_at[n])) for n in self.offsets]
-        parts += [repr(float(self.sm2_at[n])) for n in self.offsets]
-        return ",".join(parts)
-
 
 def stability_report(trace, truth=None, offsets=(10, 50, 100)):
     """Bundle SM1/SM2 at each offset into a StabilityReport."""

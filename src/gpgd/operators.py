@@ -63,37 +63,6 @@ class MeasurementOperator:
     def __repr__(self):
         return f"{type(self).__name__}(m={self.m}, n={self.n_ambient}, kind={self.kind!r})"
 
-    def save_csv(self, path):
-        """Dump to CSV: a 'm,n,seed,kind' header, a values line, then the rows.
-
-        Entries are written with repr (shortest round-trip), so a reload is
-        bit-identical.
-        """
-        with open(path, "w") as fh:
-            fh.write("m,n,seed,kind\n")
-            seed = "" if self.seed is None else str(self.seed)
-            fh.write(f"{self.m},{self.n_ambient},{seed},{self.kind}\n")
-            for row in self.matrix:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-    @classmethod
-    def load_csv(cls, path):
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "m,n,seed,kind":
-                raise ValueError(f"unrecognized operator dump header: {header!r}")
-            m_s, n_s, seed_s, kind = fh.readline().strip().split(",")
-            m, n = int(m_s), int(n_s)
-            seed = int(seed_s) if seed_s else None
-            rows = [
-                np.array([float(tok) for tok in fh.readline().split(",")])
-                for _ in range(m)
-            ]
-        matrix = np.vstack(rows)
-        if matrix.shape != (m, n):
-            raise ValueError(f"dump announced {m}x{n} but contained {matrix.shape}")
-        return cls(matrix, seed=seed, kind=kind)
-
 
 def gaussian_operator(m, n, seed):
     """Random Gaussian measurement ensemble with i.i.d. N(0, 1/m) entries.
@@ -194,9 +163,6 @@ class JointOperator(MeasurementOperator):
         matrix = np.hstack([base.matrix, np.eye(base.m)])
         super().__init__(matrix, seed=base.seed, kind="joint")
         self.base = base
-
-    def stack(self, x, e):
-        return np.concatenate([np.asarray(x, dtype=float), np.asarray(e, dtype=float)])
 
     def split(self, stacked):
         stacked = np.asarray(stacked, dtype=float)

@@ -30,8 +30,6 @@ __all__ = [
     "make_manifold_dataset",
     "LearnedProjection",
     "random_prior",
-    "save_prior",
-    "load_prior",
 ]
 
 NONLINEARITIES = ("linear", "tanh")
@@ -45,7 +43,7 @@ PROJECTED_NORM_FLOOR = 1e-12
 class ToyPrior:
     """Autoencoder prior with encoder (d_latent x n) and decoder (n x d_latent).
 
-    seed records the initialization draw, for the serialized header only.
+    seed records the initialization draw; random_prior sets it.
     """
 
     encoder_weights: np.ndarray
@@ -224,14 +222,20 @@ def _backprop_squared(prior, X_in, target, weight, g_enc, g_dec):
     g_enc += d_H.T @ X_in
 
 
-def _backprop_nipr(prior, X, weight, g_enc, g_dec):
-    """Accumulate gradients of weight * sum_rows ||P(P(x)) - P(x)|| / ||P(x)||.
+def _backprop_nipr(prior, X, nipr_weight, g_enc, g_dec):
+    """Accumulate gradients of the penalty term of training_loss, that is
+    nipr_weight times the mean of ||P(P(x)) - P(x)|| / ||P(x)|| over the
+    rows above the norm floor.
 
     Rows below the norm floor are skipped, and exactly-idempotent rows
     (zero defect) contribute nothing: the term is zero and flat there.
     """
     H1, A1, Q = _forward_batch(prior, X)
     qn = np.linalg.norm(Q, axis=1)
+    n_used = int((qn > PROJECTED_NORM_FLOOR).sum())
+    if n_used == 0:
+        raise ValueError("all batch elements had ||P(x)|| below the norm floor")
+    weight = nipr_weight / n_used
     H2, A2, PQ = _forward_batch(prior, Q)
     G = PQ - Q
     gn = np.linalg.norm(G, axis=1)
@@ -273,11 +277,7 @@ def loss_gradient(prior, batch, cfg, noise=None):
     else:
         _backprop_squared(prior, batch, batch, 1.0, g_enc, g_dec)
     if cfg.nipr_weight > 0:
-        _, used = _nipr_terms(prior, batch)
-        n_used = int(used.sum())
-        if n_used == 0:
-            raise ValueError("all batch elements had ||P(x)|| below the norm floor")
-        _backprop_nipr(prior, batch, cfg.nipr_weight / n_used, g_enc, g_dec)
+        _backprop_nipr(prior, batch, cfg.nipr_weight, g_enc, g_dec)
     return g_enc, g_dec
 
 
@@ -365,27 +365,3 @@ class LearnedProjection:
 
     def __repr__(self):
         return f"LearnedProjection(n={self.prior.n_ambient}, d={self.prior.d_latent})"
-
-
-def save_prior(prior, path):
-    """Serialize weights plus a (n, d_latent, nonlinearity, seed) header to .npz."""
-    np.savez(
-        path,
-        encoder_weights=prior.encoder_weights,
-        decoder_weights=prior.decoder_weights,
-        nonlinearity=np.array(prior.nonlinearity),
-        n_ambient=np.array(prior.n_ambient),
-        d_latent=np.array(prior.d_latent),
-        seed=np.array(-1 if prior.seed is None else int(prior.seed)),
-    )
-
-
-def load_prior(path):
-    with np.load(path) as blob:
-        seed = int(blob["seed"])
-        return ToyPrior(
-            blob["encoder_weights"],
-            blob["decoder_weights"],
-            str(blob["nonlinearity"]),
-            seed=None if seed == -1 else seed,
-        )

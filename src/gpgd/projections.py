@@ -1,8 +1,9 @@
 """Projections onto low-dimensional model sets.
 
-Hard thresholding onto k-sparse vectors, a rescaled variant that inflates
-its restricted Lipschitz constant by a tunable amount, block-wise product
-projections, and the projection-induced distance to the model set.
+Hard thresholding onto k-sparse vectors and random points of that set, a
+rescaled variant that inflates its restricted Lipschitz constant by a
+tunable amount, block-wise product projections, and the projection-induced
+distance to the model set.
 """
 
 import numpy as np
@@ -10,8 +11,7 @@ import numpy as np
 __all__ = [
     "HARD_THRESHOLD_BETA",
     "hard_threshold",
-    "p_alpha_project",
-    "product_project",
+    "sparse_signal",
     "model_distance",
     "HardThreshold",
     "PAlpha",
@@ -46,40 +46,23 @@ def hard_threshold(z, k):
     return out
 
 
-def p_alpha_project(z, k, alpha):
-    """Hard threshold rescaled by 1 + alpha * ||z - P(z)|| / ||P(z)||.
+def sparse_signal(n, k, rng):
+    """Random point of the k-sparse model set: standard-normal nonzeros on a
+    uniform support, rescaled to norm sqrt(k).
 
-    The rescaling inflates the restricted Lipschitz constant by at most
-    alpha while keeping the output k-sparse; alpha = 0 reduces exactly to
-    hard thresholding.  A zero hard threshold maps to the zero vector.
+    The rescale fixes the signal energy per sparsity level so error
+    thresholds measure the (k, noise) phase boundary instead of the luck of
+    the signal scale draw.  k = 0 gives the zero vector and draws nothing.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    base = hard_threshold(z, k)
-    base_norm = np.linalg.norm(base)
-    if base_norm == 0.0:
-        return base
-    z = np.asarray(z, dtype=float)
-    factor = 1.0 + alpha * np.linalg.norm(z - base) / base_norm
-    return factor * base
-
-
-def product_project(z, components):
-    """Apply component projections to consecutive blocks and concatenate.
-
-    ``components`` is a sequence of (projection, block_dim) pairs whose
-    dims must sum to len(z).
-    """
-    z = np.asarray(z, dtype=float)
-    dims = [int(d) for _, d in components]
-    if sum(dims) != z.size:
-        raise ValueError(f"block dims {dims} do not sum to len(z) = {z.size}")
-    blocks = []
-    offset = 0
-    for (proj, dim) in components:
-        blocks.append(np.asarray(proj(z[offset : offset + int(dim)]), dtype=float))
-        offset += int(dim)
-    return np.concatenate(blocks)
+    x = np.zeros(n)
+    if k == 0:
+        return x
+    support = rng.choice(n, size=k, replace=False)
+    vals = rng.standard_normal(k)
+    while np.linalg.norm(vals) == 0.0:
+        vals = rng.standard_normal(k)
+    x[support] = vals * (np.sqrt(k) / np.linalg.norm(vals))
+    return x
 
 
 def model_distance(x, projection):
@@ -103,7 +86,12 @@ class HardThreshold:
 
 
 class PAlpha:
-    """Hard threshold with its restricted Lipschitz constant inflated by alpha."""
+    """Hard threshold rescaled by 1 + alpha * ||z - P(z)|| / ||P(z)||.
+
+    The rescaling inflates the restricted Lipschitz constant by at most
+    alpha while keeping the output k-sparse; alpha = 0 reduces exactly to
+    hard thresholding.  A zero hard threshold maps to the zero vector.
+    """
 
     def __init__(self, k, alpha):
         if alpha < 0:
@@ -113,7 +101,13 @@ class PAlpha:
         self.beta_bound = HARD_THRESHOLD_BETA + self.alpha
 
     def __call__(self, z):
-        return p_alpha_project(z, self.k, self.alpha)
+        base = hard_threshold(z, self.k)
+        base_norm = np.linalg.norm(base)
+        if base_norm == 0.0:
+            return base
+        z = np.asarray(z, dtype=float)
+        factor = 1.0 + self.alpha * np.linalg.norm(z - base) / base_norm
+        return factor * base
 
     def __repr__(self):
         return f"PAlpha(k={self.k}, alpha={self.alpha})"
@@ -122,7 +116,9 @@ class PAlpha:
 class ProductProjection:
     """Concatenation of per-block projections over a product model set.
 
-    The restricted Lipschitz constant of the concatenation is the max of
+    ``components`` is a sequence of (projection, block_dim) pairs; each
+    projection acts on its block of consecutive coordinates, and the dims
+    must sum to the length of the input.  The restricted Lipschitz constant of the concatenation is the max of
     the per-block constants, so ``beta_bound`` is the max of the component
     bounds when they are all known.
     """
@@ -133,7 +129,16 @@ class ProductProjection:
         self.beta_bound = max(bounds) if bounds and all(b is not None for b in bounds) else None
 
     def __call__(self, z):
-        return product_project(z, self.components)
+        z = np.asarray(z, dtype=float)
+        dims = [dim for _, dim in self.components]
+        if sum(dims) != z.size:
+            raise ValueError(f"block dims {dims} do not sum to len(z) = {z.size}")
+        blocks = []
+        offset = 0
+        for proj, dim in self.components:
+            blocks.append(np.asarray(proj(z[offset : offset + dim]), dtype=float))
+            offset += dim
+        return np.concatenate(blocks)
 
     def __repr__(self):
         return f"ProductProjection({self.components!r})"

@@ -134,6 +134,13 @@ def test_joint_zero_noise_block_reduces_to_sparse_recovery():
     assert row["centile_e_error"] == 0.0  # zero block recovered exactly
 
 
+def test_joint_default_amplitude_is_100x_noise_scale():
+    # outlier_amplitude <= 0 selects 100x the noise scale, as in outliers.
+    kw = dict(sparsity_grid=[4], outlier_grid=[5], trials=2, iterations=60, gaussian_sigma=0.01)
+    rows = run_joint_model(default_spec("joint", outlier_amplitude=-1.0, **kw))["rows"]
+    assert rows == run_joint_model(default_spec("joint", outlier_amplitude=1.0, **kw))["rows"]
+
+
 def test_joint_documented_success_configuration():
     spec = default_spec("joint")
     r = run_joint_model(spec)
@@ -269,9 +276,19 @@ def test_cli_invalid_config_exit_code(tmp_path):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"experiment": "outliers"}))
     assert main(["phase-alpha", "--config", str(wrong)]) == 1
-    zero = tmp_path / "zero.json"
-    zero.write_text(json.dumps({"trials": 0}))
-    assert main(["phase-alpha", "--config", str(zero)]) == 1
+    # Out-of-range values are rejected before any work, so nothing is written.
+    for command, config in (
+        ("phase-alpha", {"trials": 0}),
+        ("nipr", {"nipr_weight": -1}),
+        ("phase-alpha", {"rel_change_tol": -1}),
+        ("theorem", {"resample_budget": 0}),
+        ("theorem", {"sparsity_grid": [1, 2]}),
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1, config
+        assert not list(tmp_path.glob("out*")), config
 
 
 def test_cli_inconclusive_exit_code(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gpgd.descent import RecoveryTrace
-from gpgd.metrics import StabilityReport, centile_curve, normalized_error, sm1, sm2, stability_report
+from gpgd.metrics import centile_curve, normalized_error, sm1, sm2, stability_report
 
 
 def _trace(errors=None, iterates=None):
@@ -139,7 +139,3 @@ def test_stability_report_matches_direct_recomputation():
     for n in (10, 50, 100):
         assert report.sm1_at[n] == sm1(t, n=n)
         assert report.sm2_at[n] == sm2(t, n=n)
-    row = report.to_csv_row()
-    assert row.startswith("5,")
-    assert len(row.split(",")) == 7
-    assert StabilityReport.CSV_HEADER.count(",") == 6

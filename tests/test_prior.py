@@ -5,13 +5,11 @@ from gpgd.prior import (
     LearnedProjection,
     ToyPrior,
     TrainConfig,
-    load_prior,
     loss_gradient,
     make_manifold_dataset,
     nipr_penalty,
     prior_apply,
     random_prior,
-    save_prior,
     train,
     training_loss,
 )
@@ -256,14 +254,3 @@ def test_learned_projection_wraps_prior():
     proj = LearnedProjection(p)
     x = np.random.default_rng(26).standard_normal(6)
     assert np.array_equal(proj(x), prior_apply(p, x))
-
-
-def test_save_load_round_trip(tmp_path):
-    p = random_prior(7, 3, seed=27, nonlinearity="tanh")
-    path = tmp_path / "prior.npz"
-    save_prior(p, path)
-    loaded = load_prior(path)
-    assert np.array_equal(loaded.encoder_weights, p.encoder_weights)
-    assert np.array_equal(loaded.decoder_weights, p.decoder_weights)
-    assert loaded.nonlinearity == "tanh"
-    assert loaded.seed == 27

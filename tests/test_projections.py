@@ -10,8 +10,6 @@ from gpgd.projections import (
     ProductProjection,
     hard_threshold,
     model_distance,
-    p_alpha_project,
-    product_project,
 )
 
 
@@ -50,21 +48,21 @@ def test_p_alpha_zero_alpha_is_hard_threshold():
     for _ in range(20):
         z = rng.standard_normal(9)
         k = int(rng.integers(1, 9))
-        assert np.array_equal(p_alpha_project(z, k, 0.0), hard_threshold(z, k))
+        assert np.array_equal(PAlpha(k, 0.0)(z), hard_threshold(z, k))
 
 
 def test_p_alpha_zero_input():
-    assert np.array_equal(p_alpha_project(np.zeros(4), 2, 1.0), np.zeros(4))
+    assert np.array_equal(PAlpha(2, 1.0)(np.zeros(4)), np.zeros(4))
 
 
 def test_p_alpha_hand_case():
     # z=[4,3], k=1: base [4,0], residual norm 3, factor 1 + 1*(3/4) = 1.75.
-    assert np.array_equal(p_alpha_project([4.0, 3.0], 1, 1.0), [7.0, 0.0])
+    assert np.array_equal(PAlpha(1, 1.0)([4.0, 3.0]), [7.0, 0.0])
 
 
 def test_p_alpha_rejects_negative_alpha():
     with pytest.raises(ValueError):
-        p_alpha_project([1.0, 2.0], 1, -0.5)
+        PAlpha(1, -0.5)
 
 
 def test_p_alpha_is_idempotent():
@@ -78,21 +76,18 @@ def test_p_alpha_is_idempotent():
         z = rng.standard_normal(10)
         k = int(rng.integers(1, 10))
         alpha = float(rng.uniform(0.1, 2.0))
-        once = p_alpha_project(z, k, alpha)
-        assert np.array_equal(p_alpha_project(once, k, alpha), once)
+        once = PAlpha(k, alpha)(z)
+        assert np.array_equal(PAlpha(k, alpha)(once), once)
 
 
 def test_product_of_identities_is_identity():
     z = np.array([1.0, -2.0, 3.0, 0.5])
-    out = product_project(z, [(IdentityProjection(), 2), (IdentityProjection(), 2)])
+    out = ProductProjection([(IdentityProjection(), 2), (IdentityProjection(), 2)])(z)
     assert np.array_equal(out, z)
 
 
 def test_product_hand_case():
-    out = product_project(
-        [3.0, -1.0, 0.0, 5.0],
-        [(HardThreshold(1), 2), (HardThreshold(1), 2)],
-    )
+    out = ProductProjection([(HardThreshold(1), 2), (HardThreshold(1), 2)])([3.0, -1.0, 0.0, 5.0])
     assert np.array_equal(out, [3.0, 0.0, 0.0, 5.0])
 
 
@@ -100,13 +95,13 @@ def test_product_single_component_matches_component():
     rng = np.random.default_rng(3)
     z = rng.standard_normal(7)
     assert np.array_equal(
-        product_project(z, [(HardThreshold(3), 7)]), hard_threshold(z, 3)
+        ProductProjection([(HardThreshold(3), 7)])(z), hard_threshold(z, 3)
     )
 
 
 def test_product_dimension_mismatch():
     with pytest.raises(ValueError):
-        product_project(np.zeros(5), [(IdentityProjection(), 2), (IdentityProjection(), 2)])
+        ProductProjection([(IdentityProjection(), 2), (IdentityProjection(), 2)])(np.zeros(5))
 
 
 def test_model_distance_on_model_point_is_zero():
