@@ -10,9 +10,12 @@ more common presentation of projected gradient descent).  The run loop
 records per-iteration diagnostics into a RecoveryTrace.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .projections import _norm
 
 __all__ = ["GpgdConfig", "RecoveryTrace", "gpgd_run", "i_min_oracle"]
 
@@ -65,56 +68,71 @@ class RecoveryTrace:
 def gpgd_run(x0, projection, back_projection, op, y, cfg, truth=None):
     """Iterate P(x) - mu * L(A P(x) - y) from x0, recording diagnostics.
 
-    Stops at cfg.max_iters, or earlier when the relative iterate change
-    drops below cfg.rel_change_tol (if positive).  A non-finite iterate
-    truncates the trace at the last finite one and sets the diverged flag;
-    post-divergence behavior is a measured phenomenon for unstable learned
-    priors, so this is not an error.
+    Inputs are validated here, once: x0 (and truth, if given) must have
+    shape (op.n_ambient,) and y shape (op.m,), and x0 and y must be finite,
+    else ValueError.  Stops at cfg.max_iters, or earlier when the relative
+    iterate change drops below cfg.rel_change_tol (if positive).  A
+    non-finite iterate truncates the trace at the last finite one and sets
+    the diverged flag; post-divergence behavior is a measured phenomenon for
+    unstable learned priors, so this is not an error.
     """
-    y = np.asarray(y, dtype=float)
     x = np.array(x0, dtype=float)
     if x.shape != (op.n_ambient,):
         raise ValueError(f"x0 must have length {op.n_ambient}, got shape {x.shape}")
+    y = np.asarray(y, dtype=float)
+    if y.shape != (op.m,):
+        raise ValueError(f"y must have length {op.m}, got shape {y.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be finite")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite")
 
     truth_arr = None if truth is None else np.asarray(truth, dtype=float)
+    if truth_arr is not None and truth_arr.shape != x.shape:
+        raise ValueError(f"truth must have length {op.n_ambient}, got shape {truth_arr.shape}")
+    mu, tol = cfg.mu, cfg.rel_change_tol
     residual_norms = []
     rel_changes = [float("nan")]
-    errors = None if truth_arr is None else [float(np.linalg.norm(x - truth_arr))]
+    errors = None if truth_arr is None else [_norm(x - truth_arr)]
     iterates = [x.copy()] if cfg.record_iterates else None
     diverged = False
 
     iterations_run = 0
-    for _ in range(cfg.max_iters):
-        # Diverging runs overflow on their way to the non-finite iterate that
-        # stops them; those float warnings are expected, not actionable.
-        with np.errstate(over="ignore", invalid="ignore"):
+    # Diverging runs overflow on their way to the non-finite iterate that
+    # stops them; those float warnings are expected, not actionable.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_norm = _norm(x)
+        for _ in range(cfg.max_iters):
             px = np.asarray(projection(x), dtype=float)
             residual = op.apply(px) - y
-            residual_norms.append(float(np.linalg.norm(residual)))
-            x_next = px - cfg.mu * back_projection.apply(residual)
-        if not np.all(np.isfinite(x_next)):
-            diverged = True
-            break
-        # The floor makes the first step from a zero iterate come out as a
-        # huge relative change (possibly inf), and near-overflow iterates can
-        # give inf/inf = nan; neither can early-stop, which is the intent.
-        with np.errstate(over="ignore", invalid="ignore"):
-            rel = float(np.linalg.norm(x_next - x) / max(np.linalg.norm(x), REL_CHANGE_FLOOR))
-        rel_changes.append(rel)
-        if errors is not None:
-            errors.append(float(np.linalg.norm(x_next - truth_arr)))
-        if iterates is not None:
-            iterates.append(x_next.copy())
-        x = x_next
-        iterations_run += 1
-        if cfg.rel_change_tol > 0 and rel < cfg.rel_change_tol:
-            break
+            residual_norms.append(_norm(residual))
+            x_next = px - mu * back_projection.apply(residual)
+            # A finite sum of squares means every entry is finite; only an
+            # overflowing one needs the entry-wise check.
+            sq = x_next.dot(x_next)
+            if not math.isfinite(sq) and not np.all(np.isfinite(x_next)):
+                diverged = True
+                break
+            # The floor makes the first step from a zero iterate come out as
+            # a huge relative change (possibly inf), and near-overflow
+            # iterates can give inf/inf = nan; neither can early-stop, which
+            # is the intent.
+            rel = _norm(x_next - x) / max(x_norm, REL_CHANGE_FLOOR)
+            rel_changes.append(rel)
+            if errors is not None:
+                errors.append(_norm(x_next - truth_arr))
+            if iterates is not None:
+                iterates.append(x_next.copy())
+            x, x_norm = x_next, math.sqrt(sq)
+            iterations_run += 1
+            if tol > 0 and rel < tol:
+                break
 
-    if len(residual_norms) == iterations_run:
-        # Loop ended without a divergence break: the final iterate's residual
-        # has not been evaluated yet.
-        px = np.asarray(projection(x), dtype=float)
-        residual_norms.append(float(np.linalg.norm(op.apply(px) - y)))
+        if len(residual_norms) == iterations_run:
+            # Loop ended without a divergence break: the final iterate's
+            # residual has not been evaluated yet.
+            px = np.asarray(projection(x), dtype=float)
+            residual_norms.append(_norm(op.apply(px) - y))
 
     return RecoveryTrace(
         residual_norms=residual_norms,

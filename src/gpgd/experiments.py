@@ -260,7 +260,8 @@ def _arm_sweep(spec, tag, arms):
     instance.  Returns the per-(key, k) lists of (error of the k-sparse
     estimate, error of the raw iterate), and one (key, trace) per arm on
     the trial-0 instance at k_trace (if in the grid), run without early
-    stopping and with the truth recorded.
+    stopping and with the truth recorded.  When the arms already run
+    without early stopping, that trace solve is the arm's main solve.
     """
     grid = list(spec.sparsity_grid)
     errors = {(key, k): [] for key, _, _ in arms for k in grid}
@@ -270,12 +271,16 @@ def _arm_sweep(spec, tag, arms):
         for t in range(spec.trials):
             op, x, y, _ = _draw_instance(spec, trial_rng(spec.seed, tag, ki, t), k)
             bp = BackProjection.adjoint(op)
+            traced = ki == trace_ki and t == 0
+            shared = traced and spec.rel_change_tol == 0
             for key, make_projection, mu in arms:
                 trace = gpgd_run(np.zeros(spec.n_ambient), make_projection(k), bp, op, y,
-                                 _descent_cfg(spec, mu))
+                                 _descent_cfg(spec, mu), truth=x if shared else None)
                 errors[(key, k)].append((normalized_error(hard_threshold(trace.final, k), x),
                                          normalized_error(trace.final, x)))
-            if ki == trace_ki and t == 0:
+                if shared:
+                    traces.append((key, trace))
+            if traced and not shared:
                 for key, make_projection, mu in arms:
                     trace = gpgd_run(np.zeros(spec.n_ambient), make_projection(k), bp, op, y,
                                      _descent_cfg(spec, mu, tol=0.0), truth=x)
@@ -630,10 +635,13 @@ def _tuned_mu_delta(B, k, mu_grid):
     Uses ||(mu B - I)[:, T]||^2 = lambda_max(mu^2 B_T' B_T - 2 mu sym(B_TT) + I)
     per support T, with the Gram blocks precomputed once.  The winning mu is
     re-checked against exact_ric_sparse so the returned delta is the
-    enumeration oracle's own value.
+    enumeration oracle's own value.  At k = 0 there is no support: delta is
+    0 at every mu, and the first grid value wins as the first minimum.
     """
     n = B.shape[0]
     t = min(2 * int(k), n)
+    if t == 0:
+        return 0.0, float(mu_grid[0])
     grams, blocks = [], []
     for supports in _support_chunks(n, t):
         columns = np.moveaxis(B[:, supports], 1, 0)

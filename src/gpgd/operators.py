@@ -8,6 +8,8 @@ operator (A, I) acting on a stacked signal/noise vector.
 
 import numpy as np
 
+from .projections import _smallest
+
 __all__ = [
     "MeasurementOperator",
     "BackProjection",
@@ -133,14 +135,10 @@ class BackProjection:
             return self.op.adjoint(residual)
         if self.kind == "masked":
             return self.op.adjoint(self.mask * residual)
-        # residual_threshold: keep the `keep` smallest-magnitude entries.
-        # Ascending stable sort puts lower indices first among ties, so the
-        # kept set prefers lower indices.
-        order = np.argsort(np.abs(residual), kind="stable")
-        kept = order[: self.keep]
-        selected = np.zeros_like(residual)
-        selected[kept] = residual[kept]
-        return self.op.adjoint(selected)
+        # residual_threshold: keep the `keep` smallest-magnitude entries;
+        # ties keep the lower index, and NaN ranks as the largest magnitude.
+        kept = _smallest(np.abs(residual), self.keep)
+        return self.op.adjoint(np.where(kept, residual, 0.0))
 
     def __repr__(self):
         extra = ""

@@ -6,6 +6,8 @@ tunable amount, block-wise product projections, and the projection-induced
 distance to the model set.
 """
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -24,12 +26,48 @@ __all__ = [
 HARD_THRESHOLD_BETA = float(np.sqrt((3.0 + np.sqrt(5.0)) / 2.0))
 
 
+def _norm(v):
+    """Euclidean norm of a contiguous 1-d float vector as a Python float.
+
+    Bit-identical to np.linalg.norm, which computes sqrt(v.dot(v)) for
+    such vectors, without its dispatch overhead.
+    """
+    return math.sqrt(v.dot(v))
+
+
+def _smallest(values, count):
+    """Boolean mask of the `count` smallest entries of a 1-d float array.
+
+    Selects what a stable ascending argsort would put first: ties keep the
+    lower index and NaN ranks above every number.  The cut is found by
+    partition; ties that straddle it are trimmed from the highest index.
+    """
+    if count == 0:
+        return np.zeros(values.shape, dtype=bool)
+    part = values.copy()
+    part.partition(count - 1)
+    cut = part[count - 1]
+    if math.isnan(cut):
+        # NaN cut: fewer than `count` numbers, so NaNs are selected too, and
+        # among NaNs only the sort order says which.
+        mask = np.zeros(values.shape, dtype=bool)
+        mask[np.argsort(values, kind="stable")[:count]] = True
+        return mask
+    mask = values <= cut
+    excess = np.count_nonzero(mask) - count
+    if excess:
+        ties = np.flatnonzero(values == cut)
+        mask[ties[ties.size - excess :]] = False
+    return mask
+
+
 def hard_threshold(z, k):
     """Keep the k largest-magnitude entries of z, zero the rest.
 
-    Ties keep the lower index; k = 0 gives the zero vector.  The arg-min
-    over k-sparse vectors is set-valued at ties, so a deterministic
-    selection rule is part of the contract.
+    Ties keep the lower index and NaN ranks as the smallest magnitude;
+    k = 0 gives the zero vector.  The arg-min over k-sparse vectors is
+    set-valued at ties, so a deterministic selection rule is part of the
+    contract.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
@@ -37,13 +75,7 @@ def hard_threshold(z, k):
     k = int(k)
     if k < 0 or k > z.size:
         raise ValueError(f"sparsity k must lie in [0, {z.size}], got {k}")
-    out = np.zeros_like(z)
-    if k == 0:
-        return out
-    # Descending stable sort: among equal magnitudes, lower indices first.
-    kept = np.argsort(-np.abs(z), kind="stable")[:k]
-    out[kept] = z[kept]
-    return out
+    return np.where(_smallest(-np.abs(z), k), z, 0.0)
 
 
 def sparse_signal(n, k, rng):
@@ -101,12 +133,12 @@ class PAlpha:
         self.beta_bound = HARD_THRESHOLD_BETA + self.alpha
 
     def __call__(self, z):
+        z = np.asarray(z, dtype=float)
         base = hard_threshold(z, self.k)
-        base_norm = np.linalg.norm(base)
+        base_norm = _norm(base)
         if base_norm == 0.0:
             return base
-        z = np.asarray(z, dtype=float)
-        factor = 1.0 + self.alpha * np.linalg.norm(z - base) / base_norm
+        factor = 1.0 + self.alpha * _norm(z - base) / base_norm
         return factor * base
 
     def __repr__(self):

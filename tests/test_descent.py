@@ -4,8 +4,14 @@ import pytest
 from gpgd.constants import exact_ric_sparse
 from gpgd.descent import GpgdConfig, gpgd_run, i_min_oracle
 from gpgd.experiments import _trace_rows, _write_csv
-from gpgd.operators import BackProjection, MeasurementOperator, gaussian_operator
-from gpgd.projections import HARD_THRESHOLD_BETA, HardThreshold, IdentityProjection
+from gpgd.operators import BackProjection, MeasurementOperator, gaussian_operator, joint_operator
+from gpgd.projections import (
+    HARD_THRESHOLD_BETA,
+    HardThreshold,
+    IdentityProjection,
+    PAlpha,
+    ProductProjection,
+)
 
 
 def _identity_setup(n):
@@ -185,3 +191,123 @@ def test_trace_csv_export(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0"
     assert first[3] == "nan"
+
+
+def test_run_rejects_bad_input_at_entry():
+    op = gaussian_operator(6, 10, 1)
+    bp = BackProjection.adjoint(op)
+    cfg = GpgdConfig(max_iters=5)
+    y = np.ones(6)
+    bad_y = [np.full(6, np.nan), np.r_[np.ones(5), np.inf], y[:, None]]
+    for yy in bad_y:
+        with pytest.raises(ValueError):
+            gpgd_run(np.zeros(10), HardThreshold(2), bp, op, yy, cfg)
+    for x0 in (np.r_[np.zeros(9), np.nan], np.r_[np.zeros(9), -np.inf], np.zeros(9)):
+        with pytest.raises(ValueError):
+            gpgd_run(x0, HardThreshold(2), bp, op, y, cfg)
+    with pytest.raises(ValueError):
+        gpgd_run(np.zeros(10), HardThreshold(2), bp, op, y, cfg, truth=np.zeros((10, 1)))
+
+
+# Textbook reference: the GPGD loop and its projections written plainly, with
+# stable sorts, np.linalg.norm and an entry-wise finiteness test on every
+# step.  gpgd_run does the same arithmetic with fewer numpy calls, so it must
+# match bit for bit.
+
+
+def _ht_ref(z, k):
+    kept = np.argsort(-np.abs(z), kind="stable")[:k]
+    out = np.zeros_like(z)
+    out[kept] = z[kept]
+    return out
+
+
+def _p_alpha_ref(z, k, alpha):
+    base = _ht_ref(z, k)
+    base_norm = np.linalg.norm(base)
+    return base if base_norm == 0.0 else (1.0 + alpha * np.linalg.norm(z - base) / base_norm) * base
+
+
+def _textbook_gpgd(x0, project, back, A, y, mu, iters, tol=0.0, truth=None):
+    x = np.array(x0, dtype=float)
+    residuals, rels, iterates, diverged = [], [np.nan], [x], False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iters):
+            px = project(x)
+            r = A @ px - y
+            residuals.append(np.linalg.norm(r))
+            x_next = px - mu * back(r)
+            if not np.all(np.isfinite(x_next)):
+                diverged = True
+                break
+            rel = np.linalg.norm(x_next - x) / max(np.linalg.norm(x), np.finfo(float).tiny)
+            rels.append(rel)
+            iterates.append(x_next)
+            x = x_next
+            if tol > 0 and rel < tol:
+                break
+        if not diverged:
+            residuals.append(np.linalg.norm(A @ project(x) - y))
+    errors = None if truth is None else [np.linalg.norm(v - truth) for v in iterates]
+    return residuals, rels, errors, iterates, diverged
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _reference_cases():
+    rng = np.random.default_rng(42)
+    op = gaussian_operator(30, 60, 7)
+    A = op.matrix
+    truth = np.zeros(60)
+    truth[rng.choice(60, 4, replace=False)] = rng.standard_normal(4)
+    y = op.apply(truth) + 0.01 * rng.standard_normal(30)
+    adj = BackProjection.adjoint(op)
+    y_out = y.copy()
+    y_out[:3] += 5.0
+
+    def rt_ref(r):
+        kept = np.argsort(np.abs(r), kind="stable")[:26]
+        selected = np.zeros_like(r)
+        selected[kept] = r[kept]
+        return A.T @ selected
+
+    jop = joint_operator(op)
+    joint_truth = np.concatenate([truth, np.zeros(30)])
+    joint_truth[60:62] = 3.0
+    return {
+        "hard_threshold": (HardThreshold(4), lambda z: _ht_ref(z, 4), adj, lambda r: A.T @ r,
+                           op, y, 0.8, 60, 0.0, truth),
+        "p_alpha_early_stop": (PAlpha(4, 0.3), lambda z: _p_alpha_ref(z, 4, 0.3), adj,
+                               lambda r: A.T @ r, op, y, 0.6, 500, 1e-12, truth),
+        "product": (ProductProjection([(HardThreshold(4), 60), (HardThreshold(2), 30)]),
+                    lambda z: np.concatenate([_ht_ref(z[:60], 4), _ht_ref(z[60:], 2)]),
+                    BackProjection.adjoint(jop), lambda r: jop.matrix.T @ r,
+                    jop, jop.apply(joint_truth), 0.7, 80, 1e-12, joint_truth),
+        "residual_threshold": (HardThreshold(4), lambda z: _ht_ref(z, 4),
+                               BackProjection.residual_threshold(op, keep=26), rt_ref,
+                               op, y_out, 0.8, 100, 1e-12, truth),
+        "divergence": (IdentityProjection(), lambda z: z, adj, lambda r: A.T @ r,
+                       op, y, 1e160, 50, 0.0, None),
+    }
+
+
+@pytest.mark.parametrize("case", list(_reference_cases()))
+def test_run_matches_textbook_loop_bit_for_bit(case):
+    proj, proj_ref, bp, back_ref, op, y, mu, iters, tol, truth = _reference_cases()[case]
+    cfg = GpgdConfig(mu=mu, max_iters=iters, rel_change_tol=tol, record_iterates=True)
+    trace = gpgd_run(np.zeros(op.n_ambient), proj, bp, op, y, cfg, truth=truth)
+    residuals, rels, errors, iterates, diverged = _textbook_gpgd(
+        np.zeros(op.n_ambient), proj_ref, back_ref, op.matrix, y, mu, iters, tol, truth)
+    assert trace.diverged == diverged == (case == "divergence")
+    if case == "p_alpha_early_stop":
+        assert trace.iterations_run < iters
+    assert trace.iterations_run == len(iterates) - 1
+    assert _bits(trace.residual_norms) == _bits(residuals)
+    assert _bits(trace.rel_changes) == _bits(rels)
+    assert _bits(trace.iterates) == _bits(iterates)
+    assert _bits(trace.final) == _bits(iterates[-1])
+    assert (trace.errors_to_truth is None) == (errors is None)
+    if errors is not None:
+        assert _bits(trace.errors_to_truth) == _bits(errors)

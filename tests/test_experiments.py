@@ -5,6 +5,7 @@ import pytest
 
 from gpgd.cli import main
 from gpgd.constants import exact_ric_sparse, null_space_ric_floor
+from gpgd.descent import gpgd_run
 from gpgd.experiments import (
     THEOREM_MU_GRID,
     _draw_operator,
@@ -123,6 +124,27 @@ def test_stepsize_rows_and_traces():
     assert mus == [0.3, 0.6]
     iters = [row["iter"] for row in r["traces"] if row["mu"] == 0.3]
     assert iters == list(range(len(iters)))
+
+
+def test_stepsize_trace_reuses_the_main_solve(monkeypatch):
+    # Without early stopping the k_trace solve on trial 0 is the arm's main
+    # solve, so a cell makes one solve per (trial, arm) and no more.
+    import gpgd.experiments as experiments
+
+    calls = []
+
+    def counting_run(*args, **kwargs):
+        calls.append(kwargs.get("truth") is not None)
+        return gpgd_run(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "gpgd_run", counting_run)
+    spec = default_spec("stepsize", sparsity_grid=[3], mu_grid=[0.3, 0.6], trials=3,
+                        iterations=20, k_trace=3)
+    r = run_stepsize_study(spec)
+    assert len(calls) == 3 * 2
+    assert sum(calls) == 2
+    assert sorted({row["mu"] for row in r["traces"]}) == [0.3, 0.6]
+    assert len(r["traces"]) == 2 * (20 + 1)
 
 
 def test_joint_zero_noise_block_reduces_to_sparse_recovery():
@@ -296,6 +318,19 @@ def test_cli_inconclusive_exit_code(tmp_path):
     cfg.write_text(json.dumps({"m": 8, "n_ambient": 12, "trials": 1, "resample_budget": 10}))
     code = main(["theorem", "--config", str(cfg), "--out", str(tmp_path / "t")])
     assert code == 3
+
+
+@pytest.mark.parametrize("m", [64, 8])
+def test_cli_theorem_at_zero_sparsity(tmp_path, m):
+    # k = 0: the model set is {0}, delta is 0 at every mu, and the tuner
+    # returns the first grid value, so every seed qualifies.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": m, "sparsity_grid": [0], "trials": 2, "resample_budget": 4}))
+    code = main(["theorem", "--config", str(cfg), "--out", str(tmp_path / "t")])
+    assert code == 0
+    lines = (tmp_path / "t.csv").read_text().strip().splitlines()
+    assert len(lines) == 1 + 2 * 4
+    assert all(line.endswith(",1") for line in lines[1:])
 
 
 def test_cli_component_error_exit_code(tmp_path):

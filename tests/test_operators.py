@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpgd.operators import BackProjection, MeasurementOperator, gaussian_operator, joint_operator
 
@@ -117,6 +119,35 @@ def test_residual_threshold_tie_keeps_lower_index():
     bp = BackProjection.residual_threshold(op, keep=2)
     # magnitudes [3, 3, 1]: one entry must go; the tie keeps index 0.
     assert np.array_equal(bp.apply([3.0, 3.0, 1.0]), [3.0, 0.0, 1.0])
+
+
+class _EchoOperator:
+    """Stands in for A with A.T r = r, so a back-projection returns its
+    selected residual, NaN and inf entries included."""
+
+    def __init__(self, m):
+        self.m = m
+
+    def adjoint(self, r):
+        return r
+
+
+# Small integers make ties common; NaN, +-inf and -0.0 probe the ordering.
+_ENTRIES = st.one_of(st.integers(-3, 3).map(float), st.sampled_from([np.nan, np.inf, -np.inf, -0.0]))
+
+
+@settings(max_examples=300)
+@given(st.lists(_ENTRIES, min_size=1, max_size=12), st.data())
+def test_residual_threshold_matches_stable_sort(values, data):
+    # The kept entries are what an ascending stable sort of magnitudes puts
+    # first: ties go to the lower index, NaN ranks as the largest magnitude.
+    r = np.array(values, dtype=float)
+    keep = data.draw(st.integers(0, r.size))
+    bp = BackProjection.residual_threshold(_EchoOperator(r.size), keep)
+    kept = np.argsort(np.abs(r), kind="stable")[:keep]
+    expected = np.zeros_like(r)
+    expected[kept] = r[kept]
+    assert bp.apply(r).tobytes() == expected.tobytes()
 
 
 def test_residual_threshold_keep_bounds():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpgd.constants import mc_beta
 from gpgd.projections import (
@@ -32,6 +34,23 @@ def test_hard_threshold_k_zero_and_bounds():
         hard_threshold([1.0, 2.0], 3)
     with pytest.raises(ValueError):
         hard_threshold([1.0, 2.0], -1)
+
+
+# Small integers make ties common; NaN, +-inf and -0.0 probe the ordering.
+_ENTRIES = st.one_of(st.integers(-3, 3).map(float), st.sampled_from([np.nan, np.inf, -np.inf, -0.0]))
+
+
+@settings(max_examples=300)
+@given(st.lists(_ENTRIES, max_size=12), st.data())
+def test_hard_threshold_matches_stable_sort(values, data):
+    # The selection is what a descending stable sort of magnitudes keeps:
+    # ties go to the lower index, NaN ranks as the smallest magnitude.
+    z = np.array(values, dtype=float)
+    k = data.draw(st.integers(0, z.size))
+    kept = np.argsort(-np.abs(z), kind="stable")[:k]
+    expected = np.zeros_like(z)
+    expected[kept] = z[kept]
+    assert hard_threshold(z, k).tobytes() == expected.tobytes()
 
 
 def test_hard_threshold_idempotent_exactly():
