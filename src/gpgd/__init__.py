@@ -9,7 +9,7 @@ regularization, and reproducible experiment drivers.
 
 __version__ = "0.1.0"
 
-from .operators import BackProjection, JointOperator, MeasurementOperator, gaussian_operator, joint_operator
+from .operators import BackProjection, JointOperator, MeasurementOperator, gaussian_operator
 from .projections import (
     HARD_THRESHOLD_BETA,
     HardThreshold,

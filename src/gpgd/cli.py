@@ -10,16 +10,9 @@ import argparse
 import json
 import sys
 
-from .experiments import RUNNERS, ExperimentSpec, default_spec, write_outputs
+from .experiments import EXPERIMENTS, RUNNERS, ExperimentSpec, default_spec, write_outputs
 
-_COMMANDS = {
-    "phase-alpha": "phase_alpha",
-    "outliers": "outliers",
-    "stepsize": "stepsize",
-    "joint": "joint",
-    "nipr": "nipr",
-    "theorem": "theorem",
-}
+_COMMANDS = {name.replace("_", "-"): name for name in EXPERIMENTS}
 
 _HELP = {
     "phase-alpha": "recovery error over (sparsity, alpha) with deteriorated projections",

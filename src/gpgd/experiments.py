@@ -27,9 +27,9 @@ from .constants import (
     operator_norm,
     theorem_bound_eval,
 )
-from .descent import GpgdConfig, gpgd_run
+from .descent import GpgdConfig, gpgd_run, i_min_oracle
 from .metrics import centile_curve, normalized_error, stability_report
-from .operators import BackProjection, MeasurementOperator, joint_operator
+from .operators import BackProjection, JointOperator, gaussian_operator
 from .prior import (
     LearnedProjection,
     TrainConfig,
@@ -44,6 +44,7 @@ from .projections import (
     PAlpha,
     ProductProjection,
     hard_threshold,
+    model_distance,
     sparse_signal,
 )
 
@@ -88,9 +89,7 @@ class ExperimentSpec:
 
     gaussian_sigma < 0 selects the relative default 0.01 * ||A x|| / sqrt(m)
     per instance, and 0 selects no noise; outlier_amplitude <= 0 selects
-    100x the effective noise scale.  operator_gain multiplies the
-    unit-column Gaussian ensemble (the step-size study runs hotter so the
-    fixed step grid straddles the stability boundary).
+    100x the effective noise scale.
     """
 
     experiment: str = "phase_alpha"
@@ -108,7 +107,6 @@ class ExperimentSpec:
     seed: int = 0
     mu: float = 0.8
     k_trace: int = 9
-    operator_gain: float = 1.0
     rel_change_tol: float = 0.0
     resample_budget: int = 400
     nipr_weight: float = 0.005
@@ -127,8 +125,6 @@ class ExperimentSpec:
             raise ValueError(f"centile must lie in (0, 1], got {self.centile}")
         if not self.mu > 0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
-        if not self.operator_gain > 0:
-            raise ValueError(f"operator_gain must be > 0, got {self.operator_gain}")
         if self.rel_change_tol < 0:
             raise ValueError(f"rel_change_tol must be >= 0, got {self.rel_change_tol}")
         if self.nipr_weight < 0:
@@ -203,11 +199,6 @@ def trial_rng(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=tuple(int(i) for i in key)))
 
 
-def _draw_operator(spec, rng):
-    matrix = spec.operator_gain * rng.standard_normal((spec.m, spec.n_ambient)) / np.sqrt(spec.m)
-    return MeasurementOperator(matrix, kind="gaussian")
-
-
 def _effective_sigma(spec, y_clean):
     """Per-entry noise level: absolute if positive, exactly zero if zero,
     otherwise the relative default 0.01 * ||A x|| / sqrt(m)."""
@@ -219,14 +210,30 @@ def _effective_sigma(spec, y_clean):
     return 0.01 * norm / np.sqrt(len(y_clean))
 
 
+def _measure(spec, rng, op, x):
+    """Noisy measurements of x and the noise level used; the noise vector is
+    drawn even at level 0, so every instance consumes the same stream."""
+    y_clean = op.apply(x)
+    sigma = _effective_sigma(spec, y_clean)
+    return y_clean + sigma * rng.standard_normal(spec.m), sigma
+
+
+def _corruption(spec, rng, s, sigma):
+    """Sparse corruption of s measurements: positions, then signs, scaled by
+    outlier_amplitude or, if that is <= 0, by 100x the noise level."""
+    amp = spec.outlier_amplitude if spec.outlier_amplitude > 0 else 100.0 * sigma
+    e = np.zeros(spec.m)
+    positions = rng.choice(spec.m, size=s, replace=False)
+    e[positions] = amp * rng.choice(np.array([-1.0, 1.0]), size=s)
+    return e
+
+
 def _draw_instance(spec, rng, k):
     """Operator, k-sparse signal and noisy measurements of one trial, drawn
     in that order; also returns the noise level used."""
-    op = _draw_operator(spec, rng)
+    op = gaussian_operator(spec.m, spec.n_ambient, rng)
     x = sparse_signal(spec.n_ambient, k, rng)
-    y_clean = op.apply(x)
-    sigma = _effective_sigma(spec, y_clean)
-    y = y_clean + sigma * rng.standard_normal(spec.m)
+    y, sigma = _measure(spec, rng, op, x)
     return op, x, y, sigma
 
 
@@ -344,10 +351,7 @@ def run_outlier_tradeoff(spec):
             for t in range(spec.trials):
                 rng = trial_rng(spec.seed, tag, ki, si, t)
                 op, x, y, sigma = _draw_instance(spec, rng, k)
-                amp = spec.outlier_amplitude if spec.outlier_amplitude > 0 else 100.0 * sigma
-                positions = rng.choice(spec.m, size=s, replace=False)
-                signs = rng.choice(np.array([-1.0, 1.0]), size=s)
-                y[positions] += amp * signs
+                y = y + _corruption(spec, rng, s, sigma)
                 proj = HardThreshold(k)
                 for meth in methods:
                     if meth == "residual_threshold":
@@ -434,20 +438,18 @@ def run_joint_model(spec):
             x_errs, e_errs = [], []
             for t in range(spec.trials):
                 rng = trial_rng(spec.seed, tag, ki, si, t)
-                base = _draw_operator(spec, rng)
+                base = gaussian_operator(spec.m, spec.n_ambient, rng)
                 x = sparse_signal(spec.n_ambient, k, rng)
                 y_clean = base.apply(x)
                 # The corruption is drawn before the dense noise, unlike in
-                # _draw_instance; the order is part of this experiment's streams.
+                # outliers, and the noise only when its level is positive;
+                # the order is part of this experiment's streams.
                 sigma = _effective_sigma(spec, y_clean)
-                amp = spec.outlier_amplitude if spec.outlier_amplitude > 0 else 100.0 * sigma
-                e = np.zeros(spec.m)
-                positions = rng.choice(spec.m, size=s, replace=False)
-                e[positions] = amp * rng.choice(np.array([-1.0, 1.0]), size=s)
+                e = _corruption(spec, rng, s, sigma)
                 y = y_clean + e
                 if sigma > 0:
                     y = y + sigma * rng.standard_normal(spec.m)
-                jop = joint_operator(base)
+                jop = JointOperator(base)
                 proj = ProductProjection([
                     (HardThreshold(k), spec.n_ambient),
                     (HardThreshold(s), spec.m),
@@ -487,7 +489,6 @@ def run_joint_model(spec):
 NIPR_MANIFOLD_DIM = 3
 NIPR_PRIOR_LATENT = 6
 NIPR_DATASET_SIZE = 300
-NIPR_DATA_SCALE = 1.0
 NIPR_TRAIN = dict(noise_sigma=0.02, learning_rate=0.1, epochs=1000, batch_size=32,
                   loss_kind="pnp")
 NIPR_AMBIENT_NOISE = 0.01
@@ -508,7 +509,7 @@ def _run_with_window(x0, proj, bp, op, y, mu, start_iters, window, truth):
     while True:
         cfg = GpgdConfig(mu=mu, max_iters=iters, rel_change_tol=0.0, record_iterates=True)
         trace = gpgd_run(x0, proj, bp, op, y, cfg, truth=truth)
-        i_min = int(np.argmin(trace.errors_to_truth))
+        i_min = i_min_oracle(trace)
         if trace.diverged or i_min + window + 1 <= trace.iterations_run or iters >= NIPR_MAX_ITERS:
             return trace
         iters = min(2 * iters, NIPR_MAX_ITERS)
@@ -524,19 +525,15 @@ def run_nipr_stability(spec):
     for pair in range(spec.trials):
         rng = trial_rng(spec.seed, tag, pair)
         data_seed, prior_seed, train_seed = (int(v) for v in rng.integers(2**31, size=3))
-        points = NIPR_DATA_SCALE * make_manifold_dataset(
+        points = make_manifold_dataset(
             NIPR_DATASET_SIZE + 1, spec.n_ambient, NIPR_MANIFOLD_DIM,
             seed=data_seed, curvature="tanh", ambient_noise=0.0)
-        truth = points[-1]
-        dataset = points[:-1]
-        if NIPR_AMBIENT_NOISE > 0:
-            noise_rng = np.random.default_rng(data_seed + 1)
-            dataset = dataset + (NIPR_AMBIENT_NOISE * NIPR_DATA_SCALE) * noise_rng.standard_normal(dataset.shape)
+        truth, dataset = points[-1], points[:-1]
+        noise_rng = np.random.default_rng(data_seed + 1)
+        dataset = dataset + NIPR_AMBIENT_NOISE * noise_rng.standard_normal(dataset.shape)
         p0 = random_prior(spec.n_ambient, NIPR_PRIOR_LATENT, seed=prior_seed, nonlinearity="tanh")
-        op = _draw_operator(spec, rng)
-        y_clean = op.apply(truth)
-        sigma = _effective_sigma(spec, y_clean)
-        y = y_clean + sigma * rng.standard_normal(spec.m)
+        op = gaussian_operator(spec.m, spec.n_ambient, rng)
+        y, _ = _measure(spec, rng, op, truth)
         bp = BackProjection.adjoint(op)
         for weight in (0.0, spec.nipr_weight):
             cfg = TrainConfig(nipr_weight=weight, seed=train_seed, **NIPR_TRAIN)
@@ -557,13 +554,12 @@ def run_nipr_stability(spec):
             proj = LearnedProjection(result.prior)
             trace = _run_with_window(np.zeros(spec.n_ambient), proj, bp, op, y,
                                      spec.mu, spec.iterations, window, truth)
-            errors = trace.errors_to_truth
-            i_min = int(np.argmin(errors))
+            i_min = i_min_oracle(trace)
             row["i_min"] = i_min
             row["best_error"] = normalized_error(trace.iterates[i_min], truth)
             row["final_error"] = normalized_error(trace.final, truth)
             if i_min + window + 1 <= trace.iterations_run:
-                report = stability_report(trace, truth=truth, offsets=NIPR_OFFSETS)
+                report = stability_report(trace, offsets=NIPR_OFFSETS)
                 for n in NIPR_OFFSETS:
                     row[f"sm1_{n}"] = report.sm1_at[n]
                     row[f"sm2_{n}"] = report.sm2_at[n]
@@ -687,7 +683,7 @@ def run_theorem_check(spec):
             if found >= spec.trials:
                 break
             rng = trial_rng(spec.seed, tag, vi, attempt)
-            op = _draw_operator(spec, rng)
+            op = gaussian_operator(spec.m, n, rng)
             if null_space_ric_floor(op.matrix, k) * HARD_THRESHOLD_BETA >= 1.0 + FLOOR_REJECT_MARGIN:
                 continue
             B = op.matrix.T @ op.matrix
@@ -695,13 +691,13 @@ def run_theorem_check(spec):
             if delta * HARD_THRESHOLD_BETA >= 1.0:
                 continue
             found += 1
-            x_model = sparse_signal(n, k, rng)
-            truth = x_model.copy()
+            truth = sparse_signal(n, k, rng)
+            if variant == "model_error":
+                truth = truth + 0.05 * rng.standard_normal(n)
+            y_clean = op.apply(truth)
             e = np.zeros(spec.m)
             if variant == "noisy":
-                e = spec.gaussian_sigma * rng.standard_normal(spec.m)
-            if variant == "model_error":
-                truth = x_model + 0.05 * rng.standard_normal(n)
+                e = _effective_sigma(spec, y_clean) * rng.standard_normal(spec.m)
             if variant == "proj_error":
                 proj = PerturbedProjection(k, eta, seed=int(rng.integers(2**31)))
                 eta_used = eta
@@ -709,7 +705,7 @@ def run_theorem_check(spec):
                 proj = HardThreshold(k)
                 eta_used = 0.0
             projected_truth = hard_threshold(truth, k)
-            y = op.apply(truth) + e
+            y = y_clean + e
             cfg = GpgdConfig(mu=mu, max_iters=spec.iterations, rel_change_tol=0.0,
                              record_iterates=True)
             trace = gpgd_run(np.zeros(n), proj, BackProjection.adjoint(op), op, y,
@@ -724,7 +720,7 @@ def run_theorem_check(spec):
                 beta=HARD_THRESHOLD_BETA,
                 mu=mu,
                 noise_term=float(np.linalg.norm(mu * op.adjoint(e))),
-                model_error=float(np.linalg.norm(projected_truth - truth)),
+                model_error=model_distance(truth, HardThreshold(k)),
                 proj_error_eta=eta_used,
                 op_norm_muLA=operator_norm(mu * B, seed=attempt),
                 op_norm_I_minus_muLA=operator_norm(np.eye(n) - mu * B, seed=attempt),
@@ -797,14 +793,14 @@ def _write_csv(path, fieldnames, rows):
             fh.write(",".join(_format_value(row[f]) for f in fieldnames) + "\n")
 
 
-def write_outputs(spec, result, out_base=None):
+def write_outputs(spec, result):
     """Write `<base>.csv`, optional `<base>_trace.csv`, and `<base>.meta.json`.
 
     The CSV files are a pure function of (spec, seed); the metadata file
     carries the spec echo, version and wall-clock and is the only output
     that varies between identical runs.
     """
-    base = spec.output_path if out_base is None else out_base
+    base = spec.output_path
     paths = {"table": f"{base}.csv"}
     _write_csv(paths["table"], result["fieldnames"], result["rows"])
     if result.get("traces"):

@@ -50,27 +50,19 @@ def centile_curve(errors, centile):
     return float(min(value, 1.0))
 
 
-def _errors_from_trace(trace, truth):
-    if trace.errors_to_truth is not None:
-        return trace.errors_to_truth
-    if truth is not None and trace.iterates is not None:
-        truth = np.asarray(truth, dtype=float)
-        return [float(np.linalg.norm(x - truth)) for x in trace.iterates]
-    raise ValueError("trace has no errors_to_truth and no iterates to recompute them from")
-
-
-def sm1(trace, truth=None, n=10):
+def sm1(trace, n=10):
     """Worst post-optimum relative error inflation over an n-iteration window.
 
     max over i in [i_min+1, i_min+n] of errors[i] / errors[i_min] - 1,
-    where i_min is the oracle-best index.  Nonnegative by construction of
-    i_min.  Errors if the trace is too short or the best error is exactly
+    where errors are the trace's recorded errors_to_truth and i_min is the
+    oracle-best index.  Nonnegative by construction of i_min.  Errors if the
+    trace recorded no errors, is too short, or the best error is exactly
     zero (the ratio is then undefined).
     """
     if n < 1:
         raise ValueError(f"offset n must be >= 1, got {n}")
-    errors = _errors_from_trace(trace, truth)
-    i_min = int(np.argmin(errors))
+    i_min = i_min_oracle(trace)
+    errors = trace.errors_to_truth
     if i_min + n >= len(errors):
         raise ValueError(
             f"trace too short for sm1: need errors through {i_min + n}, have {len(errors) - 1}"
@@ -114,19 +106,15 @@ class StabilityReport:
     i_min: int
     sm1_at: dict
     sm2_at: dict
-    offsets: tuple = (10, 50, 100)
 
 
-def stability_report(trace, truth=None, offsets=(10, 50, 100)):
+def stability_report(trace, offsets=(10, 50, 100)):
     """Bundle SM1/SM2 at each offset into a StabilityReport."""
     offsets = tuple(int(n) for n in offsets)
     if any(n < 1 for n in offsets):
         raise ValueError(f"offsets must be positive, got {offsets}")
-    errors = _errors_from_trace(trace, truth)
-    report = StabilityReport(
-        i_min=int(np.argmin(errors)),
-        sm1_at={n: sm1(trace, truth, n) for n in offsets},
+    return StabilityReport(
+        i_min=i_min_oracle(trace),
+        sm1_at={n: sm1(trace, n) for n in offsets},
         sm2_at={n: sm2(trace, n) for n in offsets},
-        offsets=offsets,
     )
-    return report

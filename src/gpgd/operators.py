@@ -15,7 +15,6 @@ __all__ = [
     "BackProjection",
     "JointOperator",
     "gaussian_operator",
-    "joint_operator",
 ]
 
 
@@ -27,7 +26,7 @@ class MeasurementOperator:
     not worth the indirection.
     """
 
-    def __init__(self, matrix, seed=None, kind="dense"):
+    def __init__(self, matrix, kind="dense"):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
             raise ValueError(f"operator matrix must be 2-d, got shape {matrix.shape}")
@@ -37,7 +36,6 @@ class MeasurementOperator:
         if not np.all(np.isfinite(matrix)):
             raise ValueError("operator entries must all be finite")
         self.matrix = matrix
-        self.seed = seed
         self.kind = kind
 
     @property
@@ -71,13 +69,15 @@ def gaussian_operator(m, n, seed):
 
     The 1/m variance makes A.T A close to the identity on low-dimensional
     sets (columns have unit expected norm), so a unit step size is a sane
-    default for projected descent.  Deterministic given the seed.
+    default for projected descent.  `seed` is anything np.random.default_rng
+    takes: a seed gives the same matrix every time, and a Generator is drawn
+    from in place (the experiments pass their per-trial streams).
     """
     if m < 1 or n < 1:
         raise ValueError(f"operator dimensions must be >= 1, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
     matrix = rng.standard_normal((m, n)) / np.sqrt(m)
-    return MeasurementOperator(matrix, seed=seed, kind="gaussian")
+    return MeasurementOperator(matrix, kind="gaussian")
 
 
 class BackProjection:
@@ -159,15 +159,10 @@ class JointOperator(MeasurementOperator):
 
     def __init__(self, base):
         matrix = np.hstack([base.matrix, np.eye(base.m)])
-        super().__init__(matrix, seed=base.seed, kind="joint")
+        super().__init__(matrix, kind="joint")
         self.base = base
 
     def split(self, stacked):
         stacked = np.asarray(stacked, dtype=float)
         n = self.base.n_ambient
         return stacked[:n], stacked[n:]
-
-
-def joint_operator(base):
-    """Build the augmented (A, I) operator over stacked (signal, noise)."""
-    return JointOperator(base)

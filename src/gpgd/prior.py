@@ -41,15 +41,11 @@ PROJECTED_NORM_FLOOR = 1e-12
 
 @dataclass
 class ToyPrior:
-    """Autoencoder prior with encoder (d_latent x n) and decoder (n x d_latent).
-
-    seed records the initialization draw; random_prior sets it.
-    """
+    """Autoencoder prior with encoder (d_latent x n) and decoder (n x d_latent)."""
 
     encoder_weights: np.ndarray
     decoder_weights: np.ndarray
     nonlinearity: str = "linear"
-    seed: int = None
 
     def __post_init__(self):
         self.encoder_weights = np.asarray(self.encoder_weights, dtype=float)
@@ -77,7 +73,7 @@ class ToyPrior:
 
     def copy(self):
         return ToyPrior(self.encoder_weights.copy(), self.decoder_weights.copy(),
-                        self.nonlinearity, self.seed)
+                        self.nonlinearity)
 
 
 def random_prior(n, d_latent, seed, nonlinearity="tanh", scale=None):
@@ -87,7 +83,7 @@ def random_prior(n, d_latent, seed, nonlinearity="tanh", scale=None):
         scale = 1.0 / np.sqrt(n)
     enc = scale * rng.standard_normal((d_latent, n))
     dec = scale * rng.standard_normal((n, d_latent))
-    return ToyPrior(enc, dec, nonlinearity, seed=seed)
+    return ToyPrior(enc, dec, nonlinearity)
 
 
 def _activate(h, kind):
@@ -333,10 +329,10 @@ def train(prior0, dataset, cfg):
 
 
 def make_manifold_dataset(n_points, n_ambient, latent_dim, seed, curvature="tanh",
-                          ambient_noise=0.0, latent_scale=1.0):
+                          ambient_noise=0.0):
     """Points on a low-dimensional manifold in R^n plus optional ambient noise.
 
-    The manifold is the image of latent draws t ~ N(0, latent_scale^2 I)
+    The manifold is the image of latent draws t ~ N(0, I)
     under a random orthonormal frame, either linearly (a subspace) or after
     a coordinate-wise tanh (a mildly curved sheet).
     """
@@ -344,7 +340,7 @@ def make_manifold_dataset(n_points, n_ambient, latent_dim, seed, curvature="tanh
         raise ValueError(f"curvature must be 'linear' or 'tanh', got {curvature!r}")
     rng = np.random.default_rng(seed)
     frame = np.linalg.qr(rng.standard_normal((n_ambient, latent_dim)))[0]
-    t = latent_scale * rng.standard_normal((n_points, latent_dim))
+    t = rng.standard_normal((n_points, latent_dim))
     coords = np.tanh(t) if curvature == "tanh" else t
     points = coords @ frame.T
     if ambient_noise > 0:

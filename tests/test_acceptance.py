@@ -15,7 +15,6 @@ from gpgd.constants import mc_beta
 from gpgd.descent import GpgdConfig, gpgd_run
 from gpgd.experiments import (
     SM1_NUMERICAL_FLOOR,
-    _draw_operator,
     default_spec,
     run_nipr_stability,
     run_outlier_tradeoff,
@@ -26,7 +25,7 @@ from gpgd.experiments import (
     trial_rng,
 )
 from gpgd.metrics import normalized_error
-from gpgd.operators import BackProjection, MeasurementOperator
+from gpgd.operators import BackProjection, MeasurementOperator, gaussian_operator
 from gpgd.prior import TrainConfig, loss_gradient, random_prior, training_loss
 from gpgd.projections import HARD_THRESHOLD_BETA, HardThreshold, PAlpha
 
@@ -67,7 +66,7 @@ def test_criterion_02_noiseless_recovery_at_reference_dimensions():
     successes = 0
     for t in range(50):
         rng = trial_rng(spec.seed, 1, ki, t)
-        op = _draw_operator(spec, rng)
+        op = gaussian_operator(spec.m, spec.n_ambient, rng)
         x = sparse_signal(spec.n_ambient, k, rng)
         cfg = GpgdConfig(mu=spec.mu, max_iters=500)
         trace = gpgd_run(np.zeros(spec.n_ambient), HardThreshold(k),

@@ -4,7 +4,7 @@ import pytest
 from gpgd.constants import exact_ric_sparse
 from gpgd.descent import GpgdConfig, gpgd_run, i_min_oracle
 from gpgd.experiments import _trace_rows, _write_csv
-from gpgd.operators import BackProjection, MeasurementOperator, gaussian_operator, joint_operator
+from gpgd.operators import BackProjection, JointOperator, MeasurementOperator, gaussian_operator
 from gpgd.projections import (
     HARD_THRESHOLD_BETA,
     HardThreshold,
@@ -273,7 +273,7 @@ def _reference_cases():
         selected[kept] = r[kept]
         return A.T @ selected
 
-    jop = joint_operator(op)
+    jop = JointOperator(op)
     joint_truth = np.concatenate([truth, np.zeros(30)])
     joint_truth[60:62] = 3.0
     return {

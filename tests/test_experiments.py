@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,8 +8,9 @@ from gpgd.cli import main
 from gpgd.constants import exact_ric_sparse, null_space_ric_floor
 from gpgd.descent import gpgd_run
 from gpgd.experiments import (
+    _TAGS,
     THEOREM_MU_GRID,
-    _draw_operator,
+    THEOREM_VARIANTS,
     default_spec,
     run_joint_model,
     run_outlier_tradeoff,
@@ -19,6 +21,7 @@ from gpgd.experiments import (
     trial_rng,
     write_outputs,
 )
+from gpgd.operators import gaussian_operator
 
 
 def _tiny_phase_spec(**kw):
@@ -218,14 +221,30 @@ def test_theorem_check_inconclusive_at_hopeless_dims():
     assert r["summary"]["inconclusive_variants"]
 
 
+def test_theorem_noisy_variant_follows_the_noise_rule():
+    # gaussian_sigma < 0 selects 0.01 ||A x|| / sqrt(m).  Rebuild the noisy
+    # row's instance from its trial stream and recompute its noise term.
+    spec = default_spec("theorem", gaussian_sigma=-1.0, trials=1, resample_budget=20, seed=3)
+    rows = run_theorem_check(spec)["rows"]
+    row = next(r for r in rows if r["variant"] == "noisy")
+    rng = trial_rng(3, _TAGS["theorem"], THEOREM_VARIANTS.index("noisy"), row["attempt"])
+    op = gaussian_operator(spec.m, spec.n_ambient, rng)
+    y_clean = op.apply(sparse_signal(spec.n_ambient, 1, rng))
+    e = 0.01 * np.linalg.norm(y_clean) / np.sqrt(spec.m) * rng.standard_normal(spec.m)
+    assert row["noise_term"] == pytest.approx(np.linalg.norm(row["mu"] * op.adjoint(e)), rel=1e-12)
+    # The rule touches only the noisy variant.
+    absolute = run_theorem_check(dataclasses.replace(spec, gaussian_sigma=0.02))["rows"]
+    assert ([r for r in rows if r["variant"] != "noisy"]
+            == [r for r in absolute if r["variant"] != "noisy"])
+
+
 @pytest.mark.parametrize("m,k", [(8, 1), (8, 2), (10, 1), (10, 2)])
 def test_null_space_floor_never_exceeds_delta_on_mu_grid(m, k):
     # The theorem check rejects a seed on the floor before tuning mu, which
     # is sound only if no mu the tuner could pick beats the floor.  The
     # 1e-12 allows for rounding in the two computations.
-    spec = default_spec("theorem", m=m, n_ambient=12)
     for seed in range(3):
-        A = _draw_operator(spec, trial_rng(seed, m, k)).matrix
+        A = gaussian_operator(m, 12, trial_rng(seed, m, k)).matrix
         floor = null_space_ric_floor(A, k)
         assert floor > 0.0
         B = A.T @ A
@@ -235,7 +254,7 @@ def test_null_space_floor_never_exceeds_delta_on_mu_grid(m, k):
 
 def test_null_space_floor_is_zero_without_null_space():
     for m in (12, 16):
-        A = _draw_operator(default_spec("theorem", m=m, n_ambient=12), trial_rng(0, m)).matrix
+        A = gaussian_operator(m, 12, trial_rng(0, m)).matrix
         for k in (0, 1, 2):
             assert null_space_ric_floor(A, k) == 0.0
 
@@ -243,15 +262,16 @@ def test_null_space_floor_is_zero_without_null_space():
 def test_null_space_floor_over_full_support_is_one():
     # One support covering every coordinate: lambda_max of the whole
     # null-space projector is 1.
-    A = _draw_operator(default_spec("theorem", m=4, n_ambient=6), trial_rng(0)).matrix
+    A = gaussian_operator(4, 6, trial_rng(0)).matrix
     assert null_space_ric_floor(A, 3) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_write_outputs_byte_identical(tmp_path):
     spec = _tiny_phase_spec()
     result = run_phase_transition_alpha(spec)
-    p1 = write_outputs(spec, result, out_base=str(tmp_path / "a"))
-    p2 = write_outputs(spec, run_phase_transition_alpha(spec), out_base=str(tmp_path / "b"))
+    p1 = write_outputs(dataclasses.replace(spec, output_path=str(tmp_path / "a")), result)
+    p2 = write_outputs(dataclasses.replace(spec, output_path=str(tmp_path / "b")),
+                       run_phase_transition_alpha(spec))
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a_trace.csv").read_bytes() == (tmp_path / "b_trace.csv").read_bytes()
     meta = json.loads((tmp_path / "a.meta.json").read_text())
@@ -286,6 +306,27 @@ def test_cli_rerun_byte_identical(tmp_path):
     assert main(["outliers", "--config", str(cfg_path), "--out", str(a)]) == 0
     assert main(["outliers", "--config", str(cfg_path), "--out", str(b)]) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("phase-alpha", {"sparsity_grid": [0, 2], "alpha_grid": [0.0, 0.3], "trials": 2,
+                     "iterations": 30}),
+    ("stepsize", {"sparsity_grid": [1, 2], "mu_grid": [0.3, 0.6], "trials": 2,
+                  "iterations": 25}),
+])
+def test_cli_k_trace_outside_grid_writes_the_table_only(tmp_path, command, config):
+    # A k_trace outside sparsity_grid is not an error: nothing is traced, no
+    # _trace.csv is written, and the table is that of the in-grid run.
+    for k_trace in (2, 7):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**config, "k_trace": k_trace}))
+        out = tmp_path / f"k{k_trace}"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 0
+    assert (tmp_path / "k2_trace.csv").exists()
+    assert not (tmp_path / "k7_trace.csv").exists()
+    assert (tmp_path / "k2.csv").read_bytes() == (tmp_path / "k7.csv").read_bytes()
+    meta = json.loads((tmp_path / "k7.meta.json").read_text())
+    assert meta["outputs"] == [str(tmp_path / "k7.csv")]
 
 
 def test_cli_invalid_config_exit_code(tmp_path):

@@ -38,6 +38,9 @@ def test_sm1_errors():
         sm1(_trace(errors=[2.0, 1.0, 3.0]), n=5)
     with pytest.raises(ValueError, match="undefined"):
         sm1(_trace(errors=[1.0, 0.0, 2.0]), n=1)
+    # SM1 reads the recorded errors only; iterates alone do not suffice.
+    with pytest.raises(ValueError, match="errors_to_truth"):
+        sm1(_trace(iterates=[np.ones(2), np.zeros(2), np.ones(2)]), n=1)
 
 
 def test_sm1_nonnegative_on_random_traces():

@@ -3,13 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpgd.operators import BackProjection, MeasurementOperator, gaussian_operator, joint_operator
+from gpgd.operators import BackProjection, JointOperator, MeasurementOperator, gaussian_operator
 
 
 def test_gaussian_deterministic_given_seed():
     a = gaussian_operator(4, 8, 7)
     b = gaussian_operator(4, 8, 7)
     assert np.array_equal(a.matrix, b.matrix)
+    # A Generator gives the seed's matrix and is drawn from in place, so a
+    # caller's later draws continue the same stream.
+    rng = np.random.default_rng(7)
+    c = gaussian_operator(4, 8, rng)
+    assert np.array_equal(c.matrix, a.matrix)
+    follow = np.random.default_rng(7)
+    follow.standard_normal((4, 8))
+    assert rng.standard_normal() == follow.standard_normal()
 
 
 def test_gaussian_paper_dimensions():
@@ -187,7 +195,7 @@ def test_residual_threshold_positive_scale_equivariant():
 def test_joint_operator_on_pure_blocks():
     rng = np.random.default_rng(31)
     base = gaussian_operator(6, 10, 12)
-    jop = joint_operator(base)
+    jop = JointOperator(base)
     e = rng.standard_normal(6)
     x = rng.standard_normal(10)
     assert np.array_equal(jop.apply(np.concatenate([np.zeros(10), e])), e)
@@ -197,7 +205,7 @@ def test_joint_operator_on_pure_blocks():
 def test_joint_operator_matches_sum():
     rng = np.random.default_rng(32)
     base = gaussian_operator(6, 10, 13)
-    jop = joint_operator(base)
+    jop = JointOperator(base)
     x = rng.standard_normal(10)
     e = rng.standard_normal(6)
     out = jop.apply(np.concatenate([x, e]))
@@ -207,7 +215,7 @@ def test_joint_operator_matches_sum():
 def test_joint_adjoint_stacks_adjoint_and_identity():
     # Hand check on a 2x3 matrix.
     base = MeasurementOperator([[1.0, 0.0, 2.0], [0.0, 3.0, 1.0]])
-    jop = joint_operator(base)
+    jop = JointOperator(base)
     r = np.array([2.0, -1.0])
     expected = np.concatenate([base.matrix.T @ r, r])
     assert np.array_equal(jop.adjoint(r), expected)
