@@ -13,7 +13,6 @@ from .operators import BackProjection, JointOperator, MeasurementOperator, gauss
 from .projections import (
     HARD_THRESHOLD_BETA,
     HardThreshold,
-    IdentityProjection,
     PAlpha,
     ProductProjection,
     hard_threshold,
@@ -24,7 +23,6 @@ from .constants import (
     TheoremBound,
     exact_ric_sparse,
     mc_beta,
-    mc_ric,
     null_space_ric_floor,
     operator_norm,
     theorem_bound_eval,

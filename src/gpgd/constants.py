@@ -2,9 +2,10 @@
 convergence bound they imply.
 
 Exact restricted isometry constants are computed by support enumeration on
-small instances; Monte-Carlo estimates (always lower bounds) cover the
-rest.  The stability/robustness constants combine into a per-iteration
-error bound sequence that observed runs can be checked against.
+small instances, and restricted Lipschitz constants of projections are
+estimated by Monte Carlo (always a lower bound).  The stability/robustness
+constants combine into a per-iteration error bound sequence that observed
+runs can be checked against.
 """
 
 import itertools
@@ -19,15 +20,13 @@ __all__ = [
     "ENUMERATION_GUARD",
     "exact_ric_sparse",
     "null_space_ric_floor",
-    "mc_ric",
     "mc_beta",
     "operator_norm",
     "TheoremBound",
     "theorem_bound_eval",
 ]
 
-# Refuse to enumerate more supports than this; callers should fall back to
-# the Monte-Carlo estimate beyond it.
+# Refuse to enumerate more supports than this.
 ENUMERATION_GUARD = 10**6
 
 # Supports are enumerated in blocks of at most this many, which bounds the
@@ -41,7 +40,7 @@ def _support_chunks(n, t):
     if math.comb(n, t) > ENUMERATION_GUARD:
         raise ValueError(
             f"C({n}, {t}) = {math.comb(n, t)} supports exceed the enumeration "
-            f"guard ({ENUMERATION_GUARD}); use mc_ric instead"
+            f"guard ({ENUMERATION_GUARD})"
         )
     combos = itertools.combinations(range(n), t)
     while True:
@@ -109,31 +108,6 @@ def null_space_ric_floor(A, k):
         blocks = P[supports[:, :, None], supports[:, None, :]]
         lam = max(lam, float(np.linalg.eigvalsh(blocks)[:, -1].max()))
     return float(np.sqrt(lam))
-
-
-def mc_ric(B, k, trials, seed):
-    """Monte-Carlo lower bound on the restricted isometry constant.
-
-    Samples random 2k-sparse v and takes the max of ||(B - I)v|| / ||v||.
-    Always a lower bound on the exact constant; nondecreasing under nested
-    sampling (the first t draws of a longer run are the same).
-    """
-    B = np.asarray(B, dtype=float)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    n = B.shape[0]
-    t = min(2 * int(k), n)
-    if t == 0:
-        return 0.0
-    D = B - np.eye(n)
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(int(trials)):
-        v = sparse_signal(n, t, rng)
-        val = float(np.linalg.norm(D @ v) / np.linalg.norm(v))
-        if val > best:
-            best = val
-    return best
 
 
 def mc_beta(projection, k, n, trials, seed):

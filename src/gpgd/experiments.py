@@ -12,9 +12,11 @@ arms (step sizes, projection variants, back-projection methods), so the
 arms are compared on identical data.
 """
 
+import copy
 import json
+import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,115 +85,152 @@ THEOREM_MU_GRID = np.linspace(0.05, 2.5, 80)
 FLOOR_REJECT_MARGIN = 1e-9
 
 
+# Keys every experiment reads: the master seed and the output base path.
+_COMMON = dict(seed=0, output_path="results")
+
+# Every key each experiment's runner reads, with its default.  A table is
+# the only source of its experiment's defaults, of the keys a config may
+# set, and of each key's type: an int default takes ints, a float default
+# finite numbers, a list default a nonempty list of such entries, and bools
+# pass as neither.
+_DEFAULTS = {
+    "phase_alpha": dict(
+        m=150, n_ambient=300, sparsity_grid=list(range(2, 31)), alpha_grid=[0.0, 0.3, 0.6],
+        gaussian_sigma=-1.0, trials=50, iterations=500, centile=0.95, mu=0.6, k_trace=9,
+        rel_change_tol=1e-12, **_COMMON,
+    ),
+    "outliers": dict(
+        m=150, n_ambient=300, sparsity_grid=[4, 8, 12],
+        outlier_grid=[0, 5, 10, 20, 30, 45, 60, 70, 80, 90, 100, 110, 125, 149],
+        gaussian_sigma=0.02, outlier_amplitude=-1.0, trials=30, iterations=500, centile=0.9,
+        mu=0.8, rel_change_tol=1e-12, **_COMMON,
+    ),
+    "stepsize": dict(
+        m=150, n_ambient=300, sparsity_grid=list(range(1, 16)), mu_grid=[0.3, 0.6],
+        gaussian_sigma=0.018, trials=50, iterations=30, centile=0.9, k_trace=4,
+        rel_change_tol=0.0, **_COMMON,
+    ),
+    "joint": dict(
+        m=150, n_ambient=300, sparsity_grid=[8], outlier_grid=[10], gaussian_sigma=0.0,
+        outlier_amplitude=2.0, trials=10, iterations=800, centile=0.9, mu=0.7,
+        rel_change_tol=1e-12, **_COMMON,
+    ),
+    "nipr": dict(
+        m=20, n_ambient=32, gaussian_sigma=0.02, trials=10, iterations=600, mu=0.7,
+        nipr_weight=0.005, **_COMMON,
+    ),
+    "theorem": dict(
+        m=64, n_ambient=12, sparsity_grid=[1], gaussian_sigma=0.02, trials=5, iterations=60,
+        resample_budget=400, **_COMMON,
+    ),
+}
+
+# The allowed range of each key's value (of each entry, for a list key),
+# checked once every value has its table's type.
+_RANGES = {
+    "m": (">= 1", lambda v, spec: v >= 1),
+    "n_ambient": (">= 1", lambda v, spec: v >= 1),
+    "sparsity_grid": ("in [0, n_ambient]", lambda v, spec: 0 <= v <= spec.n_ambient),
+    "alpha_grid": (">= 0", lambda v, spec: v >= 0),
+    "mu_grid": ("> 0", lambda v, spec: v > 0),
+    "outlier_grid": ("in [0, m)", lambda v, spec: 0 <= v < spec.m),
+    "trials": (">= 1", lambda v, spec: v >= 1),
+    "iterations": (">= 1", lambda v, spec: v >= 1),
+    "centile": ("in (0, 1]", lambda v, spec: 0 < v <= 1),
+    "seed": (">= 0", lambda v, spec: v >= 0),
+    "mu": ("> 0", lambda v, spec: v > 0),
+    "rel_change_tol": (">= 0", lambda v, spec: v >= 0),
+    "resample_budget": (">= 1", lambda v, spec: v >= 1),
+    "nipr_weight": (">= 0", lambda v, spec: v >= 0),
+}
+
+
+def _has_type_of(value, default):
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, str):
+        return isinstance(value, str)
+    if isinstance(default, int):
+        return isinstance(value, int)
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
 @dataclass
 class ExperimentSpec:
     """Flat, JSON-mirrorable description of one experiment run.
+
+    The keys of the experiment's _DEFAULTS table are its fields; every other
+    field holds None.  Construction validates the spec (ValueError), so
+    runners never check it again; default_spec builds one from the table.
 
     gaussian_sigma < 0 selects the relative default 0.01 * ||A x|| / sqrt(m)
     per instance, and 0 selects no noise; outlier_amplitude <= 0 selects
     100x the effective noise scale.
     """
 
-    experiment: str = "phase_alpha"
-    m: int = 150
-    n_ambient: int = 300
-    sparsity_grid: list = field(default_factory=lambda: list(range(2, 31)))
-    alpha_grid: list = field(default_factory=lambda: [0.0, 0.3, 0.6])
-    mu_grid: list = field(default_factory=lambda: [0.3, 0.6])
-    outlier_grid: list = field(default_factory=lambda: [0, 5, 10, 20, 30, 45, 60, 70, 80, 90, 100, 110, 125, 149])
-    gaussian_sigma: float = -1.0
-    outlier_amplitude: float = -1.0
-    trials: int = 50
-    iterations: int = 500
-    centile: float = 0.95
-    seed: int = 0
-    mu: float = 0.8
-    k_trace: int = 9
-    rel_change_tol: float = 0.0
-    resample_budget: int = 400
-    nipr_weight: float = 0.005
-    output_path: str = "results"
+    experiment: str
+    m: int
+    n_ambient: int
+    sparsity_grid: list
+    alpha_grid: list
+    mu_grid: list
+    outlier_grid: list
+    gaussian_sigma: float
+    outlier_amplitude: float
+    trials: int
+    iterations: int
+    centile: float
+    seed: int
+    mu: float
+    k_trace: int
+    rel_change_tol: float
+    resample_budget: int
+    nipr_weight: float
+    output_path: str
 
-    def validate(self):
-        if self.experiment not in EXPERIMENTS:
+    def __post_init__(self):
+        if self.experiment not in _DEFAULTS:
             raise ValueError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
-        if self.m < 1 or self.n_ambient < 1:
-            raise ValueError(f"dimensions must be >= 1, got m={self.m}, n={self.n_ambient}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if not 0.0 < self.centile <= 1.0:
-            raise ValueError(f"centile must lie in (0, 1], got {self.centile}")
-        if not self.mu > 0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
-        if self.rel_change_tol < 0:
-            raise ValueError(f"rel_change_tol must be >= 0, got {self.rel_change_tol}")
-        if self.nipr_weight < 0:
-            raise ValueError(f"nipr_weight must be >= 0, got {self.nipr_weight}")
-        if self.resample_budget < 1:
-            raise ValueError(f"resample_budget must be >= 1, got {self.resample_budget}")
-        grids = {
-            "phase_alpha": ("sparsity_grid", "alpha_grid"),
-            "outliers": ("sparsity_grid", "outlier_grid"),
-            "stepsize": ("sparsity_grid", "mu_grid"),
-            "joint": ("sparsity_grid", "outlier_grid"),
-            "nipr": (),
-            "theorem": ("sparsity_grid",),
-        }[self.experiment]
-        for name in grids:
-            if not list(getattr(self, name)):
-                raise ValueError(f"{name} must be nonempty for experiment {self.experiment!r}")
-        if any(k < 0 or k > self.n_ambient for k in self.sparsity_grid):
-            raise ValueError("sparsity_grid entries must lie in [0, n_ambient]")
+        table = _DEFAULTS[self.experiment]
+        for f in fields(self)[1:]:  # every field after `experiment`
+            value = getattr(self, f.name)
+            if f.name not in table:
+                if value is not None:
+                    raise ValueError(f"{self.experiment} does not read {f.name!r}")
+                continue
+            default = table[f.name]
+            if isinstance(default, list):
+                if not (isinstance(value, list) and value
+                        and all(_has_type_of(v, default[0]) for v in value)):
+                    raise ValueError(f"{f.name} must be a nonempty list of "
+                                     f"{type(default[0]).__name__}, got {value!r}")
+            elif not _has_type_of(value, default):
+                raise ValueError(f"{f.name} must be a {type(default).__name__}, got {value!r}")
+        for name, (rule, ok) in _RANGES.items():
+            if name in table:
+                value = getattr(self, name)
+                if not all(ok(v, self) for v in (value if isinstance(value, list) else [value])):
+                    raise ValueError(f"{name} must be {rule}, got {value!r}")
         if self.experiment == "theorem" and len(self.sparsity_grid) != 1:
             raise ValueError("the theorem check takes exactly one sparsity_grid entry")
-        if self.experiment in ("outliers", "joint"):
-            if any(s < 0 or s >= self.m for s in self.outlier_grid):
-                raise ValueError(f"outlier counts must lie in [0, m), m={self.m}")
-        if any(a < 0 for a in self.alpha_grid):
-            raise ValueError("alpha_grid entries must be >= 0")
-        if any(mu <= 0 for mu in self.mu_grid):
-            raise ValueError("mu_grid entries must be > 0")
-        return self
-
-
-_DEFAULTS = {
-    "phase_alpha": dict(
-        experiment="phase_alpha", centile=0.95, trials=50, iterations=500, mu=0.6,
-        k_trace=9, rel_change_tol=1e-12,
-    ),
-    "outliers": dict(
-        experiment="outliers", sparsity_grid=[4, 8, 12], centile=0.9, trials=30,
-        iterations=500, mu=0.8, gaussian_sigma=0.02, rel_change_tol=1e-12,
-    ),
-    "stepsize": dict(
-        experiment="stepsize", sparsity_grid=list(range(1, 16)), centile=0.9, trials=50,
-        iterations=30, gaussian_sigma=0.018, k_trace=4,
-    ),
-    "joint": dict(
-        experiment="joint", m=150, n_ambient=300, sparsity_grid=[8], outlier_grid=[10],
-        trials=10, iterations=800, mu=0.7, gaussian_sigma=0.0, outlier_amplitude=2.0,
-        centile=0.9, rel_change_tol=1e-12,
-    ),
-    "nipr": dict(
-        experiment="nipr", m=20, n_ambient=32, trials=10, iterations=600, mu=0.7,
-        gaussian_sigma=0.02, centile=0.9,
-    ),
-    "theorem": dict(
-        experiment="theorem", m=64, n_ambient=12, sparsity_grid=[1], trials=5,
-        iterations=60, centile=0.9, gaussian_sigma=0.02,
-    ),
-}
+        if (self.outlier_amplitude is not None and self.gaussian_sigma == 0
+                and self.outlier_amplitude <= 0 and max(self.outlier_grid) > 0):
+            raise ValueError("outlier_amplitude <= 0 scales outliers by gaussian_sigma, which "
+                             "is 0: set outlier_amplitude > 0 or outlier_grid to [0]")
 
 
 def default_spec(experiment, **overrides):
-    """Tuned per-experiment defaults, with keyword overrides on top."""
+    """The experiment's defaults with keyword overrides on top; a key its
+    runner does not read is rejected."""
     if experiment not in _DEFAULTS:
         raise ValueError(f"unknown experiment {experiment!r}; pick from {EXPERIMENTS}")
-    params = dict(_DEFAULTS[experiment])
-    params.update(overrides)
-    return ExperimentSpec(**params).validate()
+    table = _DEFAULTS[experiment]
+    unknown = sorted(set(overrides) - set(table))
+    if unknown:
+        raise ValueError(f"{experiment} does not read {unknown}; its keys are {sorted(table)}")
+    params = dict.fromkeys(f.name for f in fields(ExperimentSpec))
+    params.update(copy.deepcopy(table), **overrides, experiment=experiment)
+    return ExperimentSpec(**params)
 
 
 def trial_rng(seed, *key):
@@ -303,7 +342,6 @@ def _arm_sweep(spec, tag, arms):
 def run_phase_transition_alpha(spec):
     """Centile recovery error over (sparsity, alpha) cells, plus convergence
     traces per alpha at the designated sparsity."""
-    spec.validate()
     alphas = [float(a) for a in spec.alpha_grid]
     arms = [(a, lambda k, a=a: PAlpha(k, a), spec.mu) for a in alphas]
     errors, arm_traces = _arm_sweep(spec, _TAGS["phase_alpha"], arms)
@@ -341,7 +379,6 @@ def run_phase_transition_alpha(spec):
 def run_outlier_tradeoff(spec):
     """Centile error over (sparsity, outlier count) for the residual-threshold
     back-projection and the unadapted adjoint baseline on identical data."""
-    spec.validate()
     tag = _TAGS["outliers"]
     methods = ("residual_threshold", "adjoint")
     rows = []
@@ -388,7 +425,6 @@ def run_outlier_tradeoff(spec):
 def run_stepsize_study(spec):
     """Centile error vs sparsity per step size, plus convergence traces at the
     designated sparsity.  Step sizes run on identical instances."""
-    spec.validate()
     mus = [float(mu) for mu in spec.mu_grid]
     arms = [(mu, HardThreshold, mu) for mu in mus]
     errors, arm_traces = _arm_sweep(spec, _TAGS["stepsize"], arms)
@@ -430,7 +466,6 @@ def run_stepsize_study(spec):
 def run_joint_model(spec):
     """Recover signal and sparse corruption jointly with the (A, I) operator
     and a product projection; reports block-wise errors."""
-    spec.validate()
     tag = _TAGS["joint"]
     rows = []
     for ki, k in enumerate(spec.sparsity_grid):
@@ -518,7 +553,6 @@ def _run_with_window(x0, proj, bp, op, y, mu, start_iters, window, truth):
 def run_nipr_stability(spec):
     """Train paired priors (regularized and not) per seed, solve the same
     compressed-sensing instances with each, and report SM1/SM2 and errors."""
-    spec.validate()
     tag = _TAGS["nipr"]
     window = max(NIPR_OFFSETS)
     rows = []
@@ -670,7 +704,6 @@ def run_theorem_check(spec):
     Reports the worst (observed - bound) margin per run for both the
     projected-truth and truth variants of the bound.
     """
-    spec.validate()
     tag = _TAGS["theorem"]
     k = int(spec.sparsity_grid[0])
     n = spec.n_ambient
@@ -807,7 +840,9 @@ def write_outputs(spec, result):
         paths["trace"] = f"{base}_trace.csv"
         _write_csv(paths["trace"], result["trace_fieldnames"], result["traces"])
     meta = {
-        "spec": asdict(spec),
+        # The experiment and its keys only, so the echo is a valid config.
+        "spec": {"experiment": spec.experiment,
+                 **{name: getattr(spec, name) for name in _DEFAULTS[spec.experiment]}},
         "version": f"gpgd-{__version__}",
         "wall_clock_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "status": result["status"],

@@ -1,7 +1,7 @@
 """Measurement operators and back-projections.
 
 Dense linear maps from signal space R^n to measurement space R^m, plus the
-back-projections (adjoint, masked adjoint, residual-thresholded adjoint) used
+back-projections (adjoint, residual-thresholded adjoint) used
 to send measurement residuals back to signal space, and the augmented
 operator (A, I) acting on a stacked signal/noise vector.
 """
@@ -26,7 +26,7 @@ class MeasurementOperator:
     not worth the indirection.
     """
 
-    def __init__(self, matrix, kind="dense"):
+    def __init__(self, matrix):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
             raise ValueError(f"operator matrix must be 2-d, got shape {matrix.shape}")
@@ -36,7 +36,6 @@ class MeasurementOperator:
         if not np.all(np.isfinite(matrix)):
             raise ValueError("operator entries must all be finite")
         self.matrix = matrix
-        self.kind = kind
 
     @property
     def m(self):
@@ -61,7 +60,7 @@ class MeasurementOperator:
         return self.matrix.T @ r
 
     def __repr__(self):
-        return f"{type(self).__name__}(m={self.m}, n={self.n_ambient}, kind={self.kind!r})"
+        return f"{type(self).__name__}(m={self.m}, n={self.n_ambient})"
 
 
 def gaussian_operator(m, n, seed):
@@ -77,39 +76,29 @@ def gaussian_operator(m, n, seed):
         raise ValueError(f"operator dimensions must be >= 1, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
     matrix = rng.standard_normal((m, n)) / np.sqrt(m)
-    return MeasurementOperator(matrix, kind="gaussian")
+    return MeasurementOperator(matrix)
 
 
 class BackProjection:
     """Map a measurement residual back to signal space.
 
-    Three kinds:
+    Two kinds:
 
     - ``adjoint``: plain A.T r.
-    - ``masked``: A.T (mask * r) with a fixed binary mask chosen at
-      construction (known corrupted-measurement support).
     - ``residual_threshold``: A.T (S r) where S zeroes the (m - keep)
       largest-magnitude entries of the residual, recomputed on every call.
       Ties keep the lower index.
     """
 
-    KINDS = ("adjoint", "masked", "residual_threshold")
+    KINDS = ("adjoint", "residual_threshold")
 
-    def __init__(self, op, kind="adjoint", mask=None, keep=None):
+    def __init__(self, op, kind="adjoint", keep=None):
         if kind not in self.KINDS:
             raise ValueError(f"kind must be one of {self.KINDS}, got {kind!r}")
         self.op = op
         self.kind = kind
-        self.mask = None
         self.keep = None
-        if kind == "masked":
-            mask = np.asarray(mask, dtype=float)
-            if mask.shape != (op.m,):
-                raise ValueError(f"mask must have length {op.m}, got shape {mask.shape}")
-            if not np.all((mask == 0.0) | (mask == 1.0)):
-                raise ValueError("mask entries must be 0 or 1")
-            self.mask = mask
-        elif kind == "residual_threshold":
+        if kind == "residual_threshold":
             keep = int(keep)
             if not 0 <= keep <= op.m:
                 raise ValueError(f"keep must lie in [0, {op.m}], got {keep}")
@@ -118,10 +107,6 @@ class BackProjection:
     @classmethod
     def adjoint(cls, op):
         return cls(op, kind="adjoint")
-
-    @classmethod
-    def masked(cls, op, mask):
-        return cls(op, kind="masked", mask=mask)
 
     @classmethod
     def residual_threshold(cls, op, keep):
@@ -133,19 +118,13 @@ class BackProjection:
             raise ValueError(f"expected residual of length {self.op.m}, got shape {residual.shape}")
         if self.kind == "adjoint":
             return self.op.adjoint(residual)
-        if self.kind == "masked":
-            return self.op.adjoint(self.mask * residual)
         # residual_threshold: keep the `keep` smallest-magnitude entries;
         # ties keep the lower index, and NaN ranks as the largest magnitude.
         kept = _smallest(np.abs(residual), self.keep)
         return self.op.adjoint(np.where(kept, residual, 0.0))
 
     def __repr__(self):
-        extra = ""
-        if self.kind == "masked":
-            extra = f", kept={int(self.mask.sum())}/{self.op.m}"
-        elif self.kind == "residual_threshold":
-            extra = f", keep={self.keep}"
+        extra = f", keep={self.keep}" if self.kind == "residual_threshold" else ""
         return f"BackProjection(kind={self.kind!r}{extra})"
 
 
@@ -159,7 +138,7 @@ class JointOperator(MeasurementOperator):
 
     def __init__(self, base):
         matrix = np.hstack([base.matrix, np.eye(base.m)])
-        super().__init__(matrix, kind="joint")
+        super().__init__(matrix)
         self.base = base
 
     def split(self, stacked):

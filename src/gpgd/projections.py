@@ -18,7 +18,6 @@ __all__ = [
     "HardThreshold",
     "PAlpha",
     "ProductProjection",
-    "IdentityProjection",
 ]
 
 # Analytic restricted-Lipschitz bound for hard thresholding onto k-sparse
@@ -108,7 +107,6 @@ class HardThreshold:
 
     def __init__(self, k):
         self.k = int(k)
-        self.beta_bound = HARD_THRESHOLD_BETA
 
     def __call__(self, z):
         return hard_threshold(z, self.k)
@@ -130,7 +128,6 @@ class PAlpha:
             raise ValueError(f"alpha must be >= 0, got {alpha}")
         self.k = int(k)
         self.alpha = float(alpha)
-        self.beta_bound = HARD_THRESHOLD_BETA + self.alpha
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
@@ -150,15 +147,12 @@ class ProductProjection:
 
     ``components`` is a sequence of (projection, block_dim) pairs; each
     projection acts on its block of consecutive coordinates, and the dims
-    must sum to the length of the input.  The restricted Lipschitz constant of the concatenation is the max of
-    the per-block constants, so ``beta_bound`` is the max of the component
-    bounds when they are all known.
+    must sum to the length of the input.  The restricted Lipschitz constant
+    of the concatenation is the max of the per-block constants.
     """
 
     def __init__(self, components):
         self.components = [(proj, int(dim)) for proj, dim in components]
-        bounds = [getattr(proj, "beta_bound", None) for proj, _ in self.components]
-        self.beta_bound = max(bounds) if bounds and all(b is not None for b in bounds) else None
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
@@ -174,15 +168,3 @@ class ProductProjection:
 
     def __repr__(self):
         return f"ProductProjection({self.components!r})"
-
-
-class IdentityProjection:
-    """Projection onto the whole space (model set = everything)."""
-
-    beta_bound = 1.0
-
-    def __call__(self, z):
-        return np.asarray(z, dtype=float)
-
-    def __repr__(self):
-        return "IdentityProjection()"

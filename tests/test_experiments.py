@@ -1,16 +1,20 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gpgd.cli import main
+from gpgd.cli import load_spec, main
 from gpgd.constants import exact_ric_sparse, null_space_ric_floor
 from gpgd.descent import gpgd_run
 from gpgd.experiments import (
+    _DEFAULTS,
     _TAGS,
+    EXPERIMENTS,
     THEOREM_MU_GRID,
     THEOREM_VARIANTS,
+    ExperimentSpec,
     default_spec,
     run_joint_model,
     run_outlier_tradeoff,
@@ -22,6 +26,8 @@ from gpgd.experiments import (
     write_outputs,
 )
 from gpgd.operators import gaussian_operator
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _tiny_phase_spec(**kw):
@@ -378,16 +384,80 @@ def test_cli_component_error_exit_code(tmp_path):
     # Passes spec validation but the prior construction fails at run time
     # (the ambient dimension is below the protocol's latent size).
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"m": 3, "n_ambient": 4, "trials": 1, "sparsity_grid": [1]}))
+    cfg.write_text(json.dumps({"m": 3, "n_ambient": 4, "trials": 1}))
     code = main(["nipr", "--config", str(cfg), "--out", str(tmp_path / "n")])
     assert code == 2
 
 
 def test_spec_round_trips_through_config(tmp_path):
-    spec = default_spec("stepsize", trials=2, iterations=10, sparsity_grid=[1, 2])
-    from dataclasses import asdict
+    # The meta.json spec echo lists the experiment's keys only, so it loads
+    # back as a config and rebuilds the spec.
+    spec = default_spec("stepsize", trials=2, iterations=10, sparsity_grid=[1, 2],
+                        output_path=str(tmp_path / "s"))
+    write_outputs(spec, run_stepsize_study(spec))
+    echo = json.loads((tmp_path / "s.meta.json").read_text())["spec"]
+    assert sorted(echo) == sorted(["experiment", *_DEFAULTS["stepsize"]])
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps(asdict(spec)))
-    from gpgd.cli import load_spec
-    loaded = load_spec("stepsize", str(cfg))
-    assert loaded == spec
+    cfg.write_text(json.dumps(echo))
+    assert load_spec("stepsize", str(cfg)) == spec
+
+
+def test_shipped_configs_are_the_defaults():
+    for path in sorted(CONFIGS.glob("*.json")):
+        loaded = load_spec(path.stem, str(path))
+        assert dataclasses.replace(loaded, output_path="results") == default_spec(path.stem), path.name
+
+
+def _unread_pairs():
+    keys = [f.name for f in dataclasses.fields(ExperimentSpec)
+            if f.name not in ("experiment", "seed", "output_path")]
+    return [(experiment, key) for experiment in EXPERIMENTS for key in keys
+            if key not in _DEFAULTS[experiment]]
+
+
+def _cli(tmp_path, command, config, out="out"):
+    cfg = tmp_path / f"cfg_{out}.json"
+    cfg.write_text(json.dumps(config))
+    return main([command, "--config", str(cfg), "--out", str(tmp_path / out)])
+
+
+def _exits_1_and_writes_nothing(tmp_path, command, config):
+    assert _cli(tmp_path, command, config) == 1, config
+    assert not list(tmp_path.glob("out*")), config
+
+
+@pytest.mark.parametrize("experiment, key", _unread_pairs())
+def test_cli_rejects_a_key_the_experiment_does_not_read(tmp_path, experiment, key):
+    # The value is the key's default in an experiment that reads it.
+    value = next(table[key] for table in _DEFAULTS.values() if key in table)
+    _exits_1_and_writes_nothing(tmp_path, experiment.replace("_", "-"), {key: value})
+
+
+@pytest.mark.parametrize("config", [
+    {"trials": 1.5},
+    {"iterations": 5.5},
+    {"m": 20.0},
+    {"sparsity_grid": [2.5]},
+    {"k_trace": True},
+    {"alpha_grid": [0.0, False]},
+    {"mu": "0.6"},
+    {"gaussian_sigma": float("nan")},
+    {"alpha_grid": 0.3},
+])
+def test_cli_rejects_values_of_the_wrong_type(tmp_path, config):
+    _exits_1_and_writes_nothing(tmp_path, "phase-alpha", config)
+
+
+@pytest.mark.parametrize("command, grids", [
+    ("outliers", {"sparsity_grid": [3], "outlier_grid": [0, 5]}),
+    ("joint", {"sparsity_grid": [4], "outlier_grid": [5]}),
+])
+def test_cli_rejects_zero_amplitude_outliers(tmp_path, command, grids):
+    # With no dense noise, outlier_amplitude <= 0 (100x the noise level)
+    # would draw outliers of amplitude 0.
+    config = {**grids, "gaussian_sigma": 0, "outlier_amplitude": -1.0, "trials": 2,
+              "iterations": 20}
+    _exits_1_and_writes_nothing(tmp_path, command, config)
+    # Without outliers, or with an absolute amplitude, the run is valid.
+    assert _cli(tmp_path, command, {**config, "outlier_grid": [0]}, "s0") == 0
+    assert _cli(tmp_path, command, {**config, "outlier_amplitude": 1.0}, "a1") == 0

@@ -89,24 +89,6 @@ def test_back_project_adjoint_is_exact_transpose():
     assert np.array_equal(BackProjection.adjoint(op).apply(r), op.matrix.T @ r)
 
 
-def test_masked_annihilates_known_support():
-    rng = np.random.default_rng(4)
-    op = gaussian_operator(10, 20, 1)
-    e = np.zeros(10)
-    support = [2, 5, 9]
-    e[support] = rng.standard_normal(3) * 100.0
-    mask = np.ones(10)
-    mask[support] = 0.0
-    bp = BackProjection.masked(op, mask)
-    assert np.linalg.norm(bp.apply(e)) == 0.0
-
-
-def test_masked_requires_binary_mask():
-    op = gaussian_operator(4, 6, 0)
-    with pytest.raises(ValueError):
-        BackProjection.masked(op, np.full(4, 0.5))
-
-
 def test_residual_threshold_keep_all_equals_adjoint():
     rng = np.random.default_rng(8)
     op = gaussian_operator(6, 10, 3)
@@ -169,15 +151,14 @@ def test_residual_threshold_keep_bounds():
 def test_fixed_mask_kinds_are_linear():
     rng = np.random.default_rng(14)
     op = gaussian_operator(9, 15, 2)
-    mask = (rng.random(9) > 0.4).astype(float)
-    for bp in (BackProjection.adjoint(op), BackProjection.masked(op, mask)):
-        for _ in range(10):
-            r1 = rng.standard_normal(9)
-            r2 = rng.standard_normal(9)
-            a = rng.standard_normal()
-            lhs = bp.apply(a * r1 + r2)
-            rhs = a * bp.apply(r1) + bp.apply(r2)
-            assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(np.linalg.norm(rhs), 1.0)
+    bp = BackProjection.adjoint(op)
+    for _ in range(10):
+        r1 = rng.standard_normal(9)
+        r2 = rng.standard_normal(9)
+        a = rng.standard_normal()
+        lhs = bp.apply(a * r1 + r2)
+        rhs = a * bp.apply(r1) + bp.apply(r2)
+        assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(np.linalg.norm(rhs), 1.0)
 
 
 def test_residual_threshold_positive_scale_equivariant():
