@@ -125,6 +125,27 @@ _DEFAULTS = {
     ),
 }
 
+# Column order of each experiment's table, and of the trace file of the two
+# experiments that write one.  write_outputs takes every header from here.
+_COLUMNS = {
+    "phase_alpha": ["k", "alpha", "trials", "centile", "centile_error", "mean_error",
+                    "success_rate"],
+    "outliers": ["method", "k", "s", "trials", "centile", "centile_error", "mean_error"],
+    "stepsize": ["mu", "k", "trials", "centile", "centile_error", "mean_error",
+                 "mean_plateau_error"],
+    "joint": ["k", "s", "trials", "centile", "centile_x_error", "centile_e_error",
+              "mean_x_error", "mean_e_error"],
+    "nipr": ["pair", "nipr_weight", "train_diverged", "i_min",
+             "sm1_10", "sm1_50", "sm1_100", "sm2_10", "sm2_50", "sm2_100",
+             "best_error", "final_error", "final_penalty"],
+    "theorem": ["variant", "attempt", "mu", "delta", "delta_beta", "noise_term",
+                "model_error", "eta", "margin_projection", "margin_truth", "verified"],
+}
+_TRACE_COLUMNS = {
+    "phase_alpha": ["alpha", "k", "iter", "error_to_truth", "residual_norm", "rel_change"],
+    "stepsize": ["mu", "k", "iter", "error_to_truth", "residual_norm", "rel_change"],
+}
+
 # The allowed range of each key's value (of each entry, for a list key),
 # checked once every value has its table's type.
 _RANGES = {
@@ -213,10 +234,14 @@ class ExperimentSpec:
                     raise ValueError(f"{name} must be {rule}, got {value!r}")
         if self.experiment == "theorem" and len(self.sparsity_grid) != 1:
             raise ValueError("the theorem check takes exactly one sparsity_grid entry")
-        if (self.outlier_amplitude is not None and self.gaussian_sigma == 0
+        # The relative noise level 0.01 ||A x|| / sqrt(m) is 0 at k = 0.
+        zero_noise = self.gaussian_sigma == 0 or (self.gaussian_sigma < 0
+                                                  and 0 in self.sparsity_grid)
+        if (self.outlier_amplitude is not None and zero_noise
                 and self.outlier_amplitude <= 0 and max(self.outlier_grid) > 0):
-            raise ValueError("outlier_amplitude <= 0 scales outliers by gaussian_sigma, which "
-                             "is 0: set outlier_amplitude > 0 or outlier_grid to [0]")
+            raise ValueError("outlier_amplitude <= 0 scales outliers by the noise level, which "
+                             "is 0 at gaussian_sigma 0 and, for gaussian_sigma < 0, at k = 0: "
+                             "set outlier_amplitude > 0 or outlier_grid to [0]")
 
 
 def default_spec(experiment, **overrides):
@@ -276,38 +301,46 @@ def _draw_instance(spec, rng, k):
     return op, x, y, sigma
 
 
-def _descent_cfg(spec, mu=None, tol=None):
+def _descent_cfg(spec, mu=None):
     return GpgdConfig(
         mu=spec.mu if mu is None else mu,
         max_iters=spec.iterations,
-        rel_change_tol=spec.rel_change_tol if tol is None else tol,
+        rel_change_tol=spec.rel_change_tol,
     )
 
 
 def _trace_rows(trace, label):
-    rows = []
-    for i in range(trace.iterations_run + 1):
-        err = float("nan") if trace.errors_to_truth is None else trace.errors_to_truth[i]
-        rows.append({
-            **label,
-            "iter": i,
-            "error_to_truth": err,
-            "residual_norm": trace.residual_norms[i],
-            "rel_change": trace.rel_changes[i],
-        })
-    return rows
+    return [{
+        **label,
+        "iter": i,
+        "error_to_truth": trace.errors_to_truth[i],
+        "residual_norm": trace.residual_norms[i],
+        "rel_change": trace.rel_changes[i],
+    } for i in range(trace.iterations_run + 1)]
 
 
-def _arm_sweep(spec, tag, arms):
+def _stats(spec, errs, name="error"):
+    """The trials, centile, centile_<name> and mean_<name> cells of a cell's
+    per-trial errors."""
+    return {
+        "trials": spec.trials,
+        "centile": spec.centile,
+        f"centile_{name}": centile_curve(errs, spec.centile),
+        f"mean_{name}": float(np.mean(errs)),
+    }
+
+
+def _arm_sweep(spec, tag, arms, arm_column):
     """Solve every (sparsity, trial) instance once per treatment arm.
 
     `arms` lists (key, projection factory of k, step size) triples; every
     arm runs from zero with the adjoint back-projection on the shared
     instance.  Returns the per-(key, k) lists of (error of the k-sparse
-    estimate, error of the raw iterate), and one (key, trace) per arm on
-    the trial-0 instance at k_trace (if in the grid), run without early
-    stopping and with the truth recorded.  When the arms already run
-    without early stopping, that trace solve is the arm's main solve.
+    estimate, error of the raw iterate), and the trace rows, labelled
+    {arm_column: key, "k": k}, of each arm's solve on the trial-0 instance
+    at k_trace (if in the grid).  That solve runs without early stopping
+    and with the truth recorded, and its estimate is the iterate at which
+    early stopping would have ended it.
     """
     grid = list(spec.sparsity_grid)
     errors = {(key, k): [] for key, _, _ in arms for k in grid}
@@ -318,19 +351,20 @@ def _arm_sweep(spec, tag, arms):
             op, x, y, _ = _draw_instance(spec, trial_rng(spec.seed, tag, ki, t), k)
             bp = BackProjection.adjoint(op)
             traced = ki == trace_ki and t == 0
-            shared = traced and spec.rel_change_tol == 0
             for key, make_projection, mu in arms:
-                trace = gpgd_run(np.zeros(spec.n_ambient), make_projection(k), bp, op, y,
-                                 _descent_cfg(spec, mu), truth=x if shared else None)
-                errors[(key, k)].append((normalized_error(hard_threshold(trace.final, k), x),
-                                         normalized_error(trace.final, x)))
-                if shared:
-                    traces.append((key, trace))
-            if traced and not shared:
-                for key, make_projection, mu in arms:
-                    trace = gpgd_run(np.zeros(spec.n_ambient), make_projection(k), bp, op, y,
-                                     _descent_cfg(spec, mu, tol=0.0), truth=x)
-                    traces.append((key, trace))
+                x0, proj = np.zeros(spec.n_ambient), make_projection(k)
+                if traced:
+                    cfg = GpgdConfig(mu=mu, max_iters=spec.iterations, record_iterates=True)
+                    trace = gpgd_run(x0, proj, bp, op, y, cfg, truth=x)
+                    # gpgd_run stops right after the first iterate whose
+                    # relative change is below a positive rel_change_tol.
+                    estimate = next((trace.iterates[j] for j, rel in enumerate(trace.rel_changes)
+                                     if rel < spec.rel_change_tol), trace.final)
+                    traces.extend(_trace_rows(trace, {arm_column: key, "k": k}))
+                else:
+                    estimate = gpgd_run(x0, proj, bp, op, y, _descent_cfg(spec, mu)).final
+                errors[(key, k)].append((normalized_error(hard_threshold(estimate, k), x),
+                                         normalized_error(estimate, x)))
     return errors, traces
 
 
@@ -344,7 +378,7 @@ def run_phase_transition_alpha(spec):
     traces per alpha at the designated sparsity."""
     alphas = [float(a) for a in spec.alpha_grid]
     arms = [(a, lambda k, a=a: PAlpha(k, a), spec.mu) for a in alphas]
-    errors, arm_traces = _arm_sweep(spec, _TAGS["phase_alpha"], arms)
+    errors, traces = _arm_sweep(spec, _TAGS["phase_alpha"], arms, "alpha")
     rows = []
     for k in spec.sparsity_grid:
         for a in alphas:
@@ -352,23 +386,10 @@ def run_phase_transition_alpha(spec):
             rows.append({
                 "k": k,
                 "alpha": a,
-                "trials": spec.trials,
-                "centile": spec.centile,
-                "centile_error": centile_curve(errs, spec.centile),
-                "mean_error": float(np.mean(errs)),
+                **_stats(spec, errs),
                 "success_rate": float(np.mean([e < SUCCESS_THRESHOLD for e in errs])),
             })
-    traces = []
-    for a, trace in arm_traces:
-        traces.extend(_trace_rows(trace, {"alpha": a, "k": spec.k_trace}))
-    return {
-        "rows": rows,
-        "fieldnames": ["k", "alpha", "trials", "centile", "centile_error", "mean_error", "success_rate"],
-        "traces": traces,
-        "trace_fieldnames": ["alpha", "k", "iter", "error_to_truth", "residual_norm", "rel_change"],
-        "status": 0,
-        "summary": {},
-    }
+    return {"rows": rows, "traces": traces, "status": 0, "summary": {}}
 
 
 # ---------------------------------------------------------------------------
@@ -391,30 +412,12 @@ def run_outlier_tradeoff(spec):
                 y = y + _corruption(spec, rng, s, sigma)
                 proj = HardThreshold(k)
                 for meth in methods:
-                    if meth == "residual_threshold":
-                        bp = BackProjection.residual_threshold(op, keep=spec.m - s)
-                    else:
-                        bp = BackProjection.adjoint(op)
+                    bp = BackProjection(op, meth, keep=spec.m - s)
                     trace = gpgd_run(np.zeros(spec.n_ambient), proj, bp, op, y, _descent_cfg(spec))
                     errs[meth].append(normalized_error(hard_threshold(trace.final, k), x))
             for meth in methods:
-                rows.append({
-                    "method": meth,
-                    "k": k,
-                    "s": s,
-                    "trials": spec.trials,
-                    "centile": spec.centile,
-                    "centile_error": centile_curve(errs[meth], spec.centile),
-                    "mean_error": float(np.mean(errs[meth])),
-                })
-    return {
-        "rows": rows,
-        "fieldnames": ["method", "k", "s", "trials", "centile", "centile_error", "mean_error"],
-        "traces": None,
-        "trace_fieldnames": None,
-        "status": 0,
-        "summary": {},
-    }
+                rows.append({"method": meth, "k": k, "s": s, **_stats(spec, errs[meth])})
+    return {"rows": rows, "traces": None, "status": 0, "summary": {}}
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +430,7 @@ def run_stepsize_study(spec):
     designated sparsity.  Step sizes run on identical instances."""
     mus = [float(mu) for mu in spec.mu_grid]
     arms = [(mu, HardThreshold, mu) for mu in mus]
-    errors, arm_traces = _arm_sweep(spec, _TAGS["stepsize"], arms)
+    errors, traces = _arm_sweep(spec, _TAGS["stepsize"], arms, "mu")
     rows = []
     for mu in mus:
         for k in spec.sparsity_grid:
@@ -435,27 +438,13 @@ def run_stepsize_study(spec):
             rows.append({
                 "mu": mu,
                 "k": k,
-                "trials": spec.trials,
-                "centile": spec.centile,
-                "centile_error": centile_curve(errs, spec.centile),
-                "mean_error": float(np.mean(errs)),
+                **_stats(spec, errs),
                 # Plateau level of the iterate-error convergence curve: the
                 # raw iterate carries the mu-scaled back-projected noise, so
                 # this is where the step size trades noise stability.
                 "mean_plateau_error": float(np.mean([raw for _, raw in errors[(mu, k)]])),
             })
-    traces = []
-    for mu, trace in arm_traces:
-        traces.extend(_trace_rows(trace, {"mu": mu, "k": spec.k_trace}))
-    return {
-        "rows": rows,
-        "fieldnames": ["mu", "k", "trials", "centile", "centile_error", "mean_error",
-                       "mean_plateau_error"],
-        "traces": traces,
-        "trace_fieldnames": ["mu", "k", "iter", "error_to_truth", "residual_norm", "rel_change"],
-        "status": 0,
-        "summary": {},
-    }
+    return {"rows": rows, "traces": traces, "status": 0, "summary": {}}
 
 
 # ---------------------------------------------------------------------------
@@ -494,25 +483,9 @@ def run_joint_model(spec):
                 x_est, e_est = jop.split(proj(trace.final))
                 x_errs.append(normalized_error(x_est, x))
                 e_errs.append(normalized_error(e_est, e))
-            rows.append({
-                "k": k,
-                "s": s,
-                "trials": spec.trials,
-                "centile": spec.centile,
-                "centile_x_error": centile_curve(x_errs, spec.centile),
-                "centile_e_error": centile_curve(e_errs, spec.centile),
-                "mean_x_error": float(np.mean(x_errs)),
-                "mean_e_error": float(np.mean(e_errs)),
-            })
-    return {
-        "rows": rows,
-        "fieldnames": ["k", "s", "trials", "centile", "centile_x_error", "centile_e_error",
-                       "mean_x_error", "mean_e_error"],
-        "traces": None,
-        "trace_fieldnames": None,
-        "status": 0,
-        "summary": {},
-    }
+            rows.append({"k": k, "s": s, **_stats(spec, x_errs, "x_error"),
+                         **_stats(spec, e_errs, "e_error")})
+    return {"rows": rows, "traces": None, "status": 0, "summary": {}}
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +501,8 @@ NIPR_TRAIN = dict(noise_sigma=0.02, learning_rate=0.1, epochs=1000, batch_size=3
                   loss_kind="pnp")
 NIPR_AMBIENT_NOISE = 0.01
 NIPR_OFFSETS = (10, 50, 100)
+# The stability cells of a nipr row, SM1 and SM2 at every offset.
+_NIPR_SM_CELLS = [f"sm{j}_{n}" for j in (1, 2) for n in NIPR_OFFSETS]
 NIPR_MAX_ITERS = 4000
 
 # Post-convergence traces never go exactly still: rounding keeps the
@@ -579,10 +554,8 @@ def run_nipr_stability(spec):
                 "final_penalty": nipr_penalty(result.prior, dataset) / len(dataset),
             }
             if result.diverged:
-                row.update({"i_min": -1, "best_error": float("nan"), "final_error": float("nan")})
-                for n in NIPR_OFFSETS:
-                    row[f"sm1_{n}"] = float("nan")
-                    row[f"sm2_{n}"] = float("nan")
+                row.update({"i_min": -1, "best_error": float("nan"), "final_error": float("nan"),
+                            **dict.fromkeys(_NIPR_SM_CELLS, float("nan"))})
                 rows.append(row)
                 continue
             proj = LearnedProjection(result.prior)
@@ -599,17 +572,12 @@ def run_nipr_stability(spec):
                     row[f"sm2_{n}"] = report.sm2_at[n]
             elif trace.diverged:
                 # Blew up before the window fit: maximally unstable.
-                for n in NIPR_OFFSETS:
-                    row[f"sm1_{n}"] = float("inf")
-                    row[f"sm2_{n}"] = float("inf")
+                row.update(dict.fromkeys(_NIPR_SM_CELLS, float("inf")))
             else:
                 raise RuntimeError(
                     f"post-optimum window never fit within {NIPR_MAX_ITERS} iterations"
                 )
             rows.append(row)
-    fieldnames = ["pair", "nipr_weight", "train_diverged", "i_min",
-                  "sm1_10", "sm1_50", "sm1_100", "sm2_10", "sm2_50", "sm2_100",
-                  "best_error", "final_error", "final_penalty"]
     by_pair = {}
     for row in rows:
         by_pair.setdefault(row["pair"], {})[row["nipr_weight"] > 0] = row
@@ -622,14 +590,7 @@ def run_nipr_stability(spec):
         if len(pair) == 2 and _floored(pair[True]["sm1_50"]) <= _floored(pair[False]["sm1_50"])
     )
     summary = {"sm1_50_wins": wins, "pairs": len(by_pair)}
-    return {
-        "rows": rows,
-        "fieldnames": fieldnames,
-        "traces": None,
-        "trace_fieldnames": None,
-        "status": 0,
-        "summary": summary,
-    }
+    return {"rows": rows, "traces": None, "status": 0, "summary": summary}
 
 
 # ---------------------------------------------------------------------------
@@ -784,17 +745,13 @@ def run_theorem_check(spec):
         "verified_runs": sum(r["verified"] for r in rows),
         "total_runs": len(rows),
     }
-    return {
-        "rows": rows,
-        "fieldnames": ["variant", "attempt", "mu", "delta", "delta_beta", "noise_term",
-                       "model_error", "eta", "margin_projection", "margin_truth", "verified"],
-        "traces": None,
-        "trace_fieldnames": None,
-        "status": status,
-        "summary": summary,
-    }
+    return {"rows": rows, "traces": None, "status": status, "summary": summary}
 
 
+# Every runner returns {"rows", "traces", "status", "summary"}: the table's
+# rows and the trace rows (None for experiments that write no trace file) as
+# dicts keyed by _COLUMNS and _TRACE_COLUMNS, the exit status, and the
+# summary echoed into meta.json.
 RUNNERS = {
     "phase_alpha": run_phase_transition_alpha,
     "outliers": run_outlier_tradeoff,
@@ -829,16 +786,17 @@ def _write_csv(path, fieldnames, rows):
 def write_outputs(spec, result):
     """Write `<base>.csv`, optional `<base>_trace.csv`, and `<base>.meta.json`.
 
-    The CSV files are a pure function of (spec, seed); the metadata file
-    carries the spec echo, version and wall-clock and is the only output
-    that varies between identical runs.
+    Each CSV's header is its experiment's _COLUMNS (or _TRACE_COLUMNS) entry,
+    written even when there are no rows.  The CSV files are a pure function
+    of (spec, seed); the metadata file carries the spec echo, version and
+    wall-clock and is the only output that varies between identical runs.
     """
     base = spec.output_path
     paths = {"table": f"{base}.csv"}
-    _write_csv(paths["table"], result["fieldnames"], result["rows"])
-    if result.get("traces"):
+    _write_csv(paths["table"], _COLUMNS[spec.experiment], result["rows"])
+    if result["traces"]:
         paths["trace"] = f"{base}_trace.csv"
-        _write_csv(paths["trace"], result["trace_fieldnames"], result["traces"])
+        _write_csv(paths["trace"], _TRACE_COLUMNS[spec.experiment], result["traces"])
     meta = {
         # The experiment and its keys only, so the echo is a valid config.
         "spec": {"experiment": spec.experiment,

@@ -90,18 +90,11 @@ def _activate(h, kind):
     return np.tanh(h) if kind == "tanh" else h
 
 
-def _activate_deriv(h, kind):
+def _activate_deriv(a, kind):
+    """sigma'(h), given the activation a = sigma(h)."""
     if kind == "tanh":
-        t = np.tanh(h)
-        return 1.0 - t * t
-    return np.ones_like(h)
-
-
-def _forward(prior, x):
-    """Single forward pass; returns (pre-activation, activation, output)."""
-    h = prior.encoder_weights @ x
-    a = _activate(h, prior.nonlinearity)
-    return h, a, prior.decoder_weights @ a
+        return 1.0 - a * a
+    return np.ones_like(a)
 
 
 def prior_apply(prior, x):
@@ -109,23 +102,22 @@ def prior_apply(prior, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (prior.n_ambient,):
         raise ValueError(f"expected vector of length {prior.n_ambient}, got shape {x.shape}")
-    return _forward(prior, x)[2]
+    return prior.decoder_weights @ _activate(prior.encoder_weights @ x, prior.nonlinearity)
 
 
 def _forward_batch(prior, X):
-    """Batched forward pass over rows of X."""
-    H = X @ prior.encoder_weights.T
-    A = _activate(H, prior.nonlinearity)
-    return H, A, A @ prior.decoder_weights.T
+    """Batched forward pass over rows of X; returns (activation, output)."""
+    A = _activate(X @ prior.encoder_weights.T, prior.nonlinearity)
+    return A, A @ prior.decoder_weights.T
 
 
 def _nipr_terms(prior, batch):
     """Per-element penalty values and usability mask (norm-floor guard)."""
     X = _as_batch(batch)
-    Q = _forward_batch(prior, X)[2]
+    Q = _forward_batch(prior, X)[1]
     qn = np.linalg.norm(Q, axis=1)
     used = qn > PROJECTED_NORM_FLOOR
-    PQ = _forward_batch(prior, Q)[2]
+    PQ = _forward_batch(prior, Q)[1]
     gn = np.linalg.norm(PQ - Q, axis=1)
     values = np.where(used, gn / np.where(used, qn, 1.0), 0.0)
     return values, used
@@ -195,10 +187,10 @@ def training_loss(prior, batch, cfg, noise=None):
     if cfg.loss_kind == "pnp":
         if noise is None:
             noise = np.zeros_like(batch)
-        out = _forward_batch(prior, batch + noise)[2]
+        out = _forward_batch(prior, batch + noise)[1]
         data = float(np.sum((out - batch) ** 2)) / len(batch)
     else:
-        out = _forward_batch(prior, batch)[2]
+        out = _forward_batch(prior, batch)[1]
         data = float(np.sum((out - batch) ** 2))
     if cfg.nipr_weight > 0:
         values, used = _nipr_terms(prior, batch)
@@ -211,10 +203,10 @@ def training_loss(prior, batch, cfg, noise=None):
 
 def _backprop_squared(prior, X_in, target, weight, g_enc, g_dec):
     """Accumulate gradients of weight * sum_rows ||P(x_in) - target||^2."""
-    H, A, out = _forward_batch(prior, X_in)
+    A, out = _forward_batch(prior, X_in)
     d_out = 2.0 * weight * (out - target)
     g_dec += d_out.T @ A
-    d_H = (d_out @ prior.decoder_weights) * _activate_deriv(H, prior.nonlinearity)
+    d_H = (d_out @ prior.decoder_weights) * _activate_deriv(A, prior.nonlinearity)
     g_enc += d_H.T @ X_in
 
 
@@ -226,13 +218,13 @@ def _backprop_nipr(prior, X, nipr_weight, g_enc, g_dec):
     Rows below the norm floor are skipped, and exactly-idempotent rows
     (zero defect) contribute nothing: the term is zero and flat there.
     """
-    H1, A1, Q = _forward_batch(prior, X)
+    A1, Q = _forward_batch(prior, X)
     qn = np.linalg.norm(Q, axis=1)
     n_used = int((qn > PROJECTED_NORM_FLOOR).sum())
     if n_used == 0:
         raise ValueError("all batch elements had ||P(x)|| below the norm floor")
     weight = nipr_weight / n_used
-    H2, A2, PQ = _forward_batch(prior, Q)
+    A2, PQ = _forward_batch(prior, Q)
     G = PQ - Q
     gn = np.linalg.norm(G, axis=1)
     active = (qn > PROJECTED_NORM_FLOOR) & (gn > 0.0)
@@ -244,7 +236,7 @@ def _backprop_nipr(prior, X, nipr_weight, g_enc, g_dec):
     U = scale[:, None] * G
     # Second pass: parameters see U directly.
     g_dec += U.T @ A2
-    T2 = (U @ prior.decoder_weights) * _activate_deriv(H2, prior.nonlinearity)
+    T2 = (U @ prior.decoder_weights) * _activate_deriv(A2, prior.nonlinearity)
     g_enc += T2.T @ Q
     # Gradient flowing into Q: through the second pass, the -Q inside the
     # defect, and the 1/||Q|| normalization.
@@ -252,7 +244,7 @@ def _backprop_nipr(prior, X, nipr_weight, g_enc, g_dec):
     DQ = T2 @ prior.encoder_weights - U - norm_pull[:, None] * Q
     # First pass.
     g_dec += DQ.T @ A1
-    T1 = (DQ @ prior.decoder_weights) * _activate_deriv(H1, prior.nonlinearity)
+    T1 = (DQ @ prior.decoder_weights) * _activate_deriv(A1, prior.nonlinearity)
     g_enc += T1.T @ X
 
 

@@ -9,9 +9,12 @@ from gpgd.cli import load_spec, main
 from gpgd.constants import exact_ric_sparse, null_space_ric_floor
 from gpgd.descent import gpgd_run
 from gpgd.experiments import (
+    _COLUMNS,
     _DEFAULTS,
     _TAGS,
+    _TRACE_COLUMNS,
     EXPERIMENTS,
+    RUNNERS,
     THEOREM_MU_GRID,
     THEOREM_VARIANTS,
     ExperimentSpec,
@@ -26,6 +29,7 @@ from gpgd.experiments import (
     write_outputs,
 )
 from gpgd.operators import gaussian_operator
+from gpgd.projections import PAlpha
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -135,25 +139,68 @@ def test_stepsize_rows_and_traces():
     assert iters == list(range(len(iters)))
 
 
-def test_stepsize_trace_reuses_the_main_solve(monkeypatch):
-    # Without early stopping the k_trace solve on trial 0 is the arm's main
-    # solve, so a cell makes one solve per (trial, arm) and no more.
+@pytest.mark.parametrize("experiment, key, arms, iterations", [
+    ("stepsize", "mu", [0.3, 0.6], 20),
+    ("phase_alpha", "alpha", [0.0, 0.3], 200),
+], ids=["stepsize", "phase_alpha"])
+def test_trace_reuses_the_main_solve(monkeypatch, experiment, key, arms, iterations):
+    # The k_trace solve on trial 0 runs without early stopping and records
+    # the truth, and it is also the arm's main solve, so a cell makes one
+    # solve per (trial, arm) and no more.
     import gpgd.experiments as experiments
 
-    calls = []
+    traced = []
 
     def counting_run(*args, **kwargs):
-        calls.append(kwargs.get("truth") is not None)
-        return gpgd_run(*args, **kwargs)
+        trace = gpgd_run(*args, **kwargs)
+        traced.append((args, trace) if kwargs.get("truth") is not None else None)
+        return trace
 
     monkeypatch.setattr(experiments, "gpgd_run", counting_run)
-    spec = default_spec("stepsize", sparsity_grid=[3], mu_grid=[0.3, 0.6], trials=3,
-                        iterations=20, k_trace=3)
-    r = run_stepsize_study(spec)
-    assert len(calls) == 3 * 2
-    assert sum(calls) == 2
-    assert sorted({row["mu"] for row in r["traces"]}) == [0.3, 0.6]
-    assert len(r["traces"]) == 2 * (20 + 1)
+    spec = default_spec(experiment, sparsity_grid=[3], trials=3, iterations=iterations,
+                        k_trace=3, **{f"{key}_grid": arms})
+    r = RUNNERS[experiment](spec)
+    assert len(traced) == 3 * 2
+    traced = [call for call in traced if call is not None]
+    assert len(traced) == 2
+    assert sorted({row[key] for row in r["traces"]}) == arms
+    assert len(r["traces"]) == 2 * (iterations + 1)
+    if experiment == "phase_alpha":
+        # The estimate read from the trace at the first relative change
+        # below the tolerance is, bit for bit, what an early-stopped run of
+        # PAlpha returns.
+        for (x0, proj, bp, op, y, cfg), trace in traced:
+            assert isinstance(proj, PAlpha)
+            early = gpgd_run(x0, proj, bp, op, y,
+                             dataclasses.replace(cfg, rel_change_tol=1e-12, record_iterates=False))
+            j = next(j for j, rel in enumerate(trace.rel_changes) if rel < 1e-12)
+            assert j == early.iterations_run < iterations
+            assert np.array_equal(trace.iterates[j], early.final)
+
+
+@pytest.mark.parametrize("experiment, overrides", [
+    ("phase_alpha", dict(alpha_grid=[0.0, 0.3], k_trace=2)),
+    ("outliers", dict(outlier_grid=[0, 3])),
+    ("stepsize", dict(mu_grid=[0.3], k_trace=2)),
+    ("joint", dict(outlier_grid=[3])),
+    ("theorem", dict(m=64, n_ambient=12, sparsity_grid=[1], resample_budget=20)),
+], ids=["phase_alpha", "outliers", "stepsize", "joint", "theorem"])
+def test_rows_hold_exactly_their_columns(experiment, overrides):
+    # A runner's row dicts must carry exactly the columns write_outputs
+    # writes for its experiment, no more and no fewer.
+    tiny = dict(m=20, n_ambient=30, sparsity_grid=[2], trials=1, iterations=10)
+    spec = default_spec(experiment, **{**tiny, **overrides})
+    r = RUNNERS[experiment](spec)
+    assert sorted(r) == ["rows", "status", "summary", "traces"]
+    assert r["rows"]
+    for row in r["rows"]:
+        assert sorted(row) == sorted(_COLUMNS[experiment])
+    if experiment in _TRACE_COLUMNS:
+        assert r["traces"]
+        for row in r["traces"]:
+            assert sorted(row) == sorted(_TRACE_COLUMNS[experiment])
+    else:
+        assert r["traces"] is None
 
 
 def test_joint_zero_noise_block_reduces_to_sparse_recovery():
@@ -206,6 +253,7 @@ def test_nipr_identical_weights_give_identical_reports():
     finally:
         ex.NIPR_TRAIN = saved
     a, b = r["rows"]
+    assert sorted(a) == sorted(b) == sorted(_COLUMNS["nipr"])
     for key in ("i_min", "sm1_10", "sm1_50", "sm1_100", "sm2_10", "sm2_50", "sm2_100",
                 "best_error", "final_error", "final_penalty"):
         assert a[key] == b[key]
@@ -365,6 +413,10 @@ def test_cli_inconclusive_exit_code(tmp_path):
     cfg.write_text(json.dumps({"m": 8, "n_ambient": 12, "trials": 1, "resample_budget": 10}))
     code = main(["theorem", "--config", str(cfg), "--out", str(tmp_path / "t")])
     assert code == 3
+    # No variant found a seed, so the table is its header alone.
+    assert (tmp_path / "t.csv").read_text() == (
+        "variant,attempt,mu,delta,delta_beta,noise_term,model_error,eta,"
+        "margin_projection,margin_truth,verified\n")
 
 
 @pytest.mark.parametrize("m", [64, 8])
@@ -451,12 +503,15 @@ def test_cli_rejects_values_of_the_wrong_type(tmp_path, config):
 @pytest.mark.parametrize("command, grids", [
     ("outliers", {"sparsity_grid": [3], "outlier_grid": [0, 5]}),
     ("joint", {"sparsity_grid": [4], "outlier_grid": [5]}),
+    # The relative noise level (gaussian_sigma < 0) is 0 at k = 0.
+    ("outliers", {"sparsity_grid": [0], "outlier_grid": [0, 5], "gaussian_sigma": -1.0}),
+    ("joint", {"sparsity_grid": [0], "outlier_grid": [5], "gaussian_sigma": -1.0}),
 ])
 def test_cli_rejects_zero_amplitude_outliers(tmp_path, command, grids):
     # With no dense noise, outlier_amplitude <= 0 (100x the noise level)
     # would draw outliers of amplitude 0.
-    config = {**grids, "gaussian_sigma": 0, "outlier_amplitude": -1.0, "trials": 2,
-              "iterations": 20}
+    config = {"gaussian_sigma": 0, "outlier_amplitude": -1.0, "trials": 2, "iterations": 20,
+              **grids}
     _exits_1_and_writes_nothing(tmp_path, command, config)
     # Without outliers, or with an absolute amplitude, the run is valid.
     assert _cli(tmp_path, command, {**config, "outlier_grid": [0]}, "s0") == 0
