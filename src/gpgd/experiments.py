@@ -16,7 +16,7 @@ import copy
 import json
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -235,10 +235,10 @@ class ExperimentSpec:
         if self.experiment == "theorem" and len(self.sparsity_grid) != 1:
             raise ValueError("the theorem check takes exactly one sparsity_grid entry")
         # The relative noise level 0.01 ||A x|| / sqrt(m) is 0 at k = 0.
-        zero_noise = self.gaussian_sigma == 0 or (self.gaussian_sigma < 0
-                                                  and 0 in self.sparsity_grid)
-        if (self.outlier_amplitude is not None and zero_noise
-                and self.outlier_amplitude <= 0 and max(self.outlier_grid) > 0):
+        if (self.outlier_amplitude is not None and self.outlier_amplitude <= 0
+                and max(self.outlier_grid) > 0
+                and (self.gaussian_sigma == 0
+                     or (self.gaussian_sigma < 0 and 0 in self.sparsity_grid))):
             raise ValueError("outlier_amplitude <= 0 scales outliers by the noise level, which "
                              "is 0 at gaussian_sigma 0 and, for gaussian_sigma < 0, at k = 0: "
                              "set outlier_amplitude > 0 or outlier_grid to [0]")
@@ -354,10 +354,12 @@ def _arm_sweep(spec, tag, arms, arm_column):
             for key, make_projection, mu in arms:
                 x0, proj = np.zeros(spec.n_ambient), make_projection(k)
                 if traced:
-                    cfg = GpgdConfig(mu=mu, max_iters=spec.iterations, record_iterates=True)
+                    cfg = replace(_descent_cfg(spec, mu), rel_change_tol=0.0,
+                                  record_iterates=spec.rel_change_tol > 0)
                     trace = gpgd_run(x0, proj, bp, op, y, cfg, truth=x)
                     # gpgd_run stops right after the first iterate whose
-                    # relative change is below a positive rel_change_tol.
+                    # relative change is below a positive rel_change_tol;
+                    # at tol 0 it runs to the end and needs no iterates.
                     estimate = next((trace.iterates[j] for j, rel in enumerate(trace.rel_changes)
                                      if rel < spec.rel_change_tol), trace.final)
                     traces.extend(_trace_rows(trace, {arm_column: key, "k": k}))

@@ -500,6 +500,16 @@ def test_cli_rejects_values_of_the_wrong_type(tmp_path, config):
     _exits_1_and_writes_nothing(tmp_path, "phase-alpha", config)
 
 
+@pytest.mark.parametrize("experiment, overrides", [
+    ("nipr", {}),  # reads gaussian_sigma, but no outliers and no sparsity grid
+    ("phase_alpha", {"sparsity_grid": [0]}),
+    ("outliers", {"sparsity_grid": [0], "outlier_grid": [0]}),
+])
+def test_relative_noise_without_outliers_builds_a_spec(experiment, overrides):
+    spec = default_spec(experiment, gaussian_sigma=-1.0, **overrides)
+    assert spec.gaussian_sigma == -1.0
+
+
 @pytest.mark.parametrize("command, grids", [
     ("outliers", {"sparsity_grid": [3], "outlier_grid": [0, 5]}),
     ("joint", {"sparsity_grid": [4], "outlier_grid": [5]}),
