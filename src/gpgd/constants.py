@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projections import sparse_signal
+from .projections import _norm, sparse_signal
 
 __all__ = [
     "ENUMERATION_GUARD",
@@ -147,22 +147,26 @@ def operator_norm(M, iters=200, seed=0, tol=1e-10):
     Stops after `iters` rounds or when the Rayleigh-quotient estimate
     changes by less than `tol` relative.  The estimate approaches the true
     norm from below; cross-check against an SVD on small matrices when an
-    upper bound matters.
+    upper bound matters.  Each round's estimate ||M v|| keeps its product
+    M v, which is the next round's inner product: one gemv per half-step,
+    on the same v, so the bits are those of recomputing it.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError(f"M must be 2-d, got shape {M.shape}")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(M.shape[1])
-    v /= np.linalg.norm(v)
+    v /= _norm(v)
+    Mv = M @ v
     estimate = 0.0
     for _ in range(int(iters)):
-        w = M.T @ (M @ v)
-        norm_w = np.linalg.norm(w)
+        w = M.T @ Mv
+        norm_w = _norm(w)
         if norm_w == 0.0:
             return 0.0
         v = w / norm_w
-        new_estimate = float(np.linalg.norm(M @ v))
+        Mv = M @ v
+        new_estimate = _norm(Mv)
         if abs(new_estimate - estimate) <= tol * max(new_estimate, 1.0):
             return new_estimate
         estimate = new_estimate

@@ -22,6 +22,8 @@ import numpy as np
 
 from . import __version__
 from .constants import (
+    ENUMERATION_GUARD,
+    SUPPORT_CHUNK,
     TheoremBound,
     _support_chunks,
     exact_ric_sparse,
@@ -45,6 +47,7 @@ from .projections import (
     HardThreshold,
     PAlpha,
     ProductProjection,
+    _norm,
     hard_threshold,
     model_distance,
     sparse_signal,
@@ -83,6 +86,11 @@ THEOREM_MU_GRID = np.linspace(0.05, 2.5, 80)
 # contraction by this much; closer calls go through the tuner, so rounding
 # in the floor never decides a seed.
 FLOOR_REJECT_MARGIN = 1e-9
+
+# The mu tuner's closed-form 2x2 screen keeps every grid mu whose screened
+# lambda_max lies within this much (relative, floor 1) of the smallest, and
+# confirms only those with eigvalsh.
+MU_SCREEN_TOL = 1e-9
 
 
 # Keys every experiment reads: the master seed and the output base path.
@@ -232,8 +240,15 @@ class ExperimentSpec:
                 value = getattr(self, name)
                 if not all(ok(v, self) for v in (value if isinstance(value, list) else [value])):
                     raise ValueError(f"{name} must be {rule}, got {value!r}")
-        if self.experiment == "theorem" and len(self.sparsity_grid) != 1:
-            raise ValueError("the theorem check takes exactly one sparsity_grid entry")
+        if self.experiment == "theorem":
+            if len(self.sparsity_grid) != 1:
+                raise ValueError("the theorem check takes exactly one sparsity_grid entry")
+            t = min(2 * self.sparsity_grid[0], self.n_ambient)
+            if math.comb(self.n_ambient, t) > ENUMERATION_GUARD:
+                raise ValueError(
+                    f"the theorem check enumerates C({self.n_ambient}, {t}) = "
+                    f"{math.comb(self.n_ambient, t)} supports, above the enumeration "
+                    f"guard ({ENUMERATION_GUARD})")
         # The relative noise level 0.01 ||A x|| / sqrt(m) is 0 at k = 0.
         if (self.outlier_amplitude is not None and self.outlier_amplitude <= 0
                 and max(self.outlier_grid) > 0
@@ -615,10 +630,10 @@ class PerturbedProjection:
     def __call__(self, z):
         base = hard_threshold(z, self.k)
         direction = self._rng.standard_normal(base.size)
-        norm = np.linalg.norm(direction)
+        norm = _norm(direction)
         while norm == 0.0:
             direction = self._rng.standard_normal(base.size)
-            norm = np.linalg.norm(direction)
+            norm = _norm(direction)
         return base + self.eta * direction / norm
 
 
@@ -626,10 +641,22 @@ def _tuned_mu_delta(B, k, mu_grid):
     """(delta, mu) minimizing the exact restricted isometry constant of mu*B.
 
     Uses ||(mu B - I)[:, T]||^2 = lambda_max(mu^2 B_T' B_T - 2 mu sym(B_TT) + I)
-    per support T, with the Gram blocks precomputed once.  The winning mu is
-    re-checked against exact_ric_sparse so the returned delta is the
-    enumeration oracle's own value.  At k = 0 there is no support: delta is
-    0 at every mu, and the first grid value wins as the first minimum.
+    per support T, with the Gram blocks precomputed once, and keeps the
+    first grid mu of smallest sqrt(max_T lambda_max) as computed by eigvalsh.
+    The winning mu is re-checked against exact_ric_sparse so the returned
+    delta is the enumeration oracle's own value.  At k = 0 there is no
+    support: delta is 0 at every mu, and the first grid value wins as the
+    first minimum.
+
+    At support size 2 a screen over the whole grid comes first: lambda_max
+    of a symmetric 2x2 block [[a, b], [b, c]] is (a+c)/2 + sqrt(((a-c)/2)^2
+    + b^2).  Only grid values within MU_SCREEN_TOL (relative, floor 1) of
+    the screen's minimum go on to eigvalsh, in grid order and by the same
+    strict-< first-minimum rule.  The two computations of one lambda_max
+    agree to about 1e-14, far inside the screen's tolerance, so the
+    eigvalsh winner always passes the screen, every value ahead of it that
+    passes is strictly worse, and the chosen mu is the one the full eigvalsh
+    scan chooses, bit for bit.  At other support sizes every mu goes on.
     """
     n = B.shape[0]
     t = min(2 * int(k), n)
@@ -643,8 +670,24 @@ def _tuned_mu_delta(B, k, mu_grid):
         blocks.append((block + np.swapaxes(block, 1, 2)) / 2.0)
     grams, blocks = np.concatenate(grams), np.concatenate(blocks)
     eye = np.eye(t)
+    candidates = range(len(mu_grid))
+    if t == 2:
+        # A few grid values at a time, so the (mu, support) blocks held at
+        # once stay near len(mu_grid) * SUPPORT_CHUNK.
+        mus = np.asarray(mu_grid, dtype=float)[:, None]
+        step = max(1, len(mus) * SUPPORT_CHUNK // len(grams))
+        screen = []
+        for lo in range(0, len(mus), step):
+            mu = mus[lo:lo + step]
+            a, b, c = (mu * mu * grams[:, i, j] - 2.0 * mu * blocks[:, i, j] + eye[i, j]
+                       for i, j in ((0, 0), (0, 1), (1, 1)))
+            screen.append(((a + c) / 2.0 + np.sqrt(((a - c) / 2.0) ** 2 + b * b)).max(axis=1))
+        screen = np.concatenate(screen)
+        least = screen.min()
+        candidates = np.flatnonzero(screen <= least + MU_SCREEN_TOL * max(abs(least), 1.0))
     best = (np.inf, None)
-    for mu in mu_grid:
+    for i in candidates:
+        mu = mu_grid[i]
         quad = mu * mu * grams - 2.0 * mu * blocks + eye
         lam = float(np.linalg.eigvalsh(quad)[:, -1].max())
         delta = np.sqrt(max(lam, 0.0))
@@ -709,7 +752,7 @@ def run_theorem_check(spec):
             # Both bound displays checked on the same trajectory.
             errors_to_truth = np.array(trace.errors_to_truth)
             errors_to_projection = np.array(
-                [np.linalg.norm(x_i - projected_truth) for x_i in trace.iterates]
+                [_norm(x_i - projected_truth) for x_i in trace.iterates]
             )
             tb = TheoremBound(
                 delta=delta,

@@ -68,6 +68,39 @@ def test_operator_norm_matches_svd():
         assert abs(estimate - exact) <= 1e-8 * exact
 
 
+def _textbook_power_iteration(M, iters=200, seed=0, tol=1e-10):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(M.shape[1])
+    v /= np.linalg.norm(v)
+    estimate = 0.0
+    for _ in range(iters):
+        w = M.T @ (M @ v)
+        norm_w = np.linalg.norm(w)
+        if norm_w == 0.0:
+            return 0.0
+        v = w / norm_w
+        new_estimate = float(np.linalg.norm(M @ v))
+        if abs(new_estimate - estimate) <= tol * max(new_estimate, 1.0):
+            return new_estimate
+        estimate = new_estimate
+    return estimate
+
+
+def test_operator_norm_is_the_textbook_loop_bit_for_bit():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((64, 12)) / 8.0
+    B = A.T @ A
+    matrices = [rng.standard_normal(shape) for shape in ((8, 8), (64, 40), (33, 64), (1, 5))]
+    matrices += [np.zeros((5, 4)), A]
+    for mu in (0.05, 0.9, 2.5):
+        matrices += [mu * B, np.eye(12) - mu * B]
+    for M in matrices:
+        for seed in range(3):
+            for iters, tol in ((200, 1e-10), (7, 0.0)):
+                expected = _textbook_power_iteration(M, iters, seed, tol)
+                assert operator_norm(M, iters, seed, tol) == expected, (M.shape, seed, iters)
+
+
 def test_operator_norm_zero_matrix():
     assert operator_norm(np.zeros((5, 4))) == 0.0
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from gpgd.experiments import (
     THEOREM_MU_GRID,
     THEOREM_VARIANTS,
     ExperimentSpec,
+    _tuned_mu_delta,
     default_spec,
     run_joint_model,
     run_outlier_tradeoff,
@@ -292,6 +294,74 @@ def test_theorem_noisy_variant_follows_the_noise_rule():
             == [r for r in absolute if r["variant"] != "noisy"])
 
 
+def _full_eigvalsh_scan(B, k, mu_grid):
+    # The tuner without its screen: one stacked eigvalsh over every support
+    # per grid mu, and the first mu of smallest delta wins.
+    n = B.shape[0]
+    t = min(2 * k, n)
+    if t == 0:
+        return 0.0, float(mu_grid[0])
+    supports = np.array(list(itertools.combinations(range(n), t)))
+    columns = np.moveaxis(B[:, supports], 1, 0)
+    grams = np.swapaxes(columns, 1, 2) @ columns
+    block = B[supports[:, :, None], supports[:, None, :]]
+    blocks = (block + np.swapaxes(block, 1, 2)) / 2.0
+    best = (np.inf, None)
+    for mu in mu_grid:
+        quad = mu * mu * grams - 2.0 * mu * blocks + np.eye(t)
+        delta = np.sqrt(max(float(np.linalg.eigvalsh(quad)[:, -1].max()), 0.0))
+        if delta < best[0]:
+            best = (delta, float(mu))
+    return exact_ric_sparse(best[1] * B, k), best[1]
+
+
+@pytest.mark.parametrize("m", [8, 16, 32, 64, 128])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_tuner_matches_the_full_eigvalsh_scan(m, k):
+    for seed in range(6 if k < 2 else 2):
+        A = gaussian_operator(m, 12, trial_rng(seed, m, k)).matrix
+        B = A.T @ A
+        assert _tuned_mu_delta(B, k, THEOREM_MU_GRID) == _full_eigvalsh_scan(B, k, THEOREM_MU_GRID)
+
+
+def test_tuner_screens_many_supports_in_blocks():
+    # C(100, 2) = 4950 supports: the screen takes the grid in two blocks.
+    A = gaussian_operator(80, 100, trial_rng(0, 80)).matrix
+    B = A.T @ A
+    assert _tuned_mu_delta(B, 1, THEOREM_MU_GRID) == _full_eigvalsh_scan(B, 1, THEOREM_MU_GRID)
+
+
+@pytest.mark.parametrize("k, n", [(1, 12), (2, 6)])
+def test_tuner_breaks_exact_ties_like_the_full_scan(k, n):
+    # B = c I with c = 2 / (mu_i + mu_j) puts mu_i and mu_j at the same
+    # distance |mu c - 1| from 1, so the two neighbours tie for the minimum
+    # (exactly, or up to the last bit).
+    grid = THEOREM_MU_GRID
+    for i in range(len(grid) - 1):
+        B = 2.0 / (grid[i] + grid[i + 1]) * np.eye(n)
+        assert _tuned_mu_delta(B, k, grid) == _full_eigvalsh_scan(B, k, grid), i
+
+
+def test_tuner_breaks_ties_of_rotated_blocks_like_the_full_scan():
+    # Two 2x2 diagonal blocks with eigenvalues (lo, mid) and (hi, mid): near
+    # its minimum delta(mu) is max(1 - mu lo, mu hi - 1), and hi is chosen so
+    # that delta ties at mu_i and mu_{i+1}.  Random rotations of the blocks
+    # give them off-diagonal entries, so the closed form and eigvalsh round
+    # the two tied values differently: a screen without its tolerance picks
+    # the other neighbour on a few of these.
+    grid = THEOREM_MU_GRID
+    rng = np.random.default_rng(3)
+    for i in range(len(grid) - 1):
+        lo = 1.8 / (grid[i] + grid[i + 1])
+        hi = (2.0 - grid[i] * lo) / grid[i + 1]
+        for _ in range(4):
+            B = np.zeros((4, 4))
+            for start, s in ((0, lo), (2, hi)):
+                R = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+                B[start:start + 2, start:start + 2] = R @ np.diag([s, (lo + hi) / 2]) @ R.T
+            assert _tuned_mu_delta(B, 1, grid) == _full_eigvalsh_scan(B, 1, grid), i
+
+
 @pytest.mark.parametrize("m,k", [(8, 1), (8, 2), (10, 1), (10, 2)])
 def test_null_space_floor_never_exceeds_delta_on_mu_grid(m, k):
     # The theorem check rejects a seed on the floor before tuning mu, which
@@ -430,6 +500,12 @@ def test_cli_theorem_at_zero_sparsity(tmp_path, m):
     lines = (tmp_path / "t.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 2 * 4
     assert all(line.endswith(",1") for line in lines[1:])
+
+
+def test_cli_theorem_rejects_supports_past_the_enumeration_guard(tmp_path):
+    # C(40, 20) supports is known from the spec alone: exit 1, before any draw.
+    _exits_1_and_writes_nothing(tmp_path, "theorem",
+                                {"m": 64, "n_ambient": 40, "sparsity_grid": [10]})
 
 
 def test_cli_component_error_exit_code(tmp_path):
