@@ -13,6 +13,7 @@ are hand-derived backprop and verified against finite differences in the
 test suite.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -90,13 +91,6 @@ def _activate(h, kind):
     return np.tanh(h) if kind == "tanh" else h
 
 
-def _activate_deriv(a, kind):
-    """sigma'(h), given the activation a = sigma(h)."""
-    if kind == "tanh":
-        return 1.0 - a * a
-    return np.ones_like(a)
-
-
 def prior_apply(prior, x):
     """P(x) = W_dec sigma(W_enc x)."""
     x = np.asarray(x, dtype=float)
@@ -111,14 +105,18 @@ def _forward_batch(prior, X):
     return A, A @ prior.decoder_weights.T
 
 
-def _nipr_terms(prior, batch):
-    """Per-element penalty values and usability mask (norm-floor guard)."""
-    X = _as_batch(batch)
+def _row_norms(M):
+    """Row norms: what np.linalg.norm(M, axis=1) runs, without its dispatch."""
+    return np.sqrt(np.add.reduce(M * M, axis=1))
+
+
+def _nipr_terms(prior, X):
+    """Per-row penalty values and usability mask (norm-floor guard)."""
     Q = _forward_batch(prior, X)[1]
-    qn = np.linalg.norm(Q, axis=1)
+    qn = _row_norms(Q)
     used = qn > PROJECTED_NORM_FLOOR
     PQ = _forward_batch(prior, Q)[1]
-    gn = np.linalg.norm(PQ - Q, axis=1)
+    gn = _row_norms(PQ - Q)
     values = np.where(used, gn / np.where(used, qn, 1.0), 0.0)
     return values, used
 
@@ -130,12 +128,12 @@ def nipr_penalty(prior, batch):
     warning); if every element is skipped there is nothing to normalize
     and a ValueError is raised.
     """
-    batch = list(batch)
-    if not batch:
+    X = _as_batch(batch)
+    if not X.size:
         raise ValueError("batch must be nonempty")
-    values, used = _nipr_terms(prior, batch)
+    values, used = _nipr_terms(prior, X)
     n_skipped = int((~used).sum())
-    if n_skipped == len(batch):
+    if n_skipped == len(X):
         raise ValueError("all batch elements had ||P(x)|| below the norm floor")
     if n_skipped:
         warnings.warn(f"nipr_penalty skipped {n_skipped} batch element(s) with ~zero projection")
@@ -155,14 +153,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.nipr_weight < 0:
-            raise ValueError(f"nipr_weight must be >= 0, got {self.nipr_weight}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (math.isfinite(self.nipr_weight) and self.nipr_weight >= 0):
+            raise ValueError(f"nipr_weight must be finite and >= 0, got {self.nipr_weight}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for name, least in (("epochs", 0), ("batch_size", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.loss_kind not in ("ae", "pnp"):
             raise ValueError(f"loss_kind must be 'ae' or 'pnp', got {self.loss_kind!r}")
 
@@ -201,13 +201,14 @@ def training_loss(prior, batch, cfg, noise=None):
     return data
 
 
-def _backprop_squared(prior, X_in, target, weight, g_enc, g_dec):
-    """Accumulate gradients of weight * sum_rows ||P(x_in) - target||^2."""
+def _backprop_squared(prior, X_in, target, weight):
+    """Gradients (encoder, decoder) of weight * sum_rows ||P(x_in) - target||^2."""
     A, out = _forward_batch(prior, X_in)
     d_out = 2.0 * weight * (out - target)
-    g_dec += d_out.T @ A
-    d_H = (d_out @ prior.decoder_weights) * _activate_deriv(A, prior.nonlinearity)
-    g_enc += d_H.T @ X_in
+    d_H = d_out @ prior.decoder_weights
+    if prior.nonlinearity == "tanh":
+        d_H *= 1.0 - A * A
+    return d_H.T @ X_in, d_out.T @ A
 
 
 def _backprop_nipr(prior, X, nipr_weight, g_enc, g_dec):
@@ -218,17 +219,19 @@ def _backprop_nipr(prior, X, nipr_weight, g_enc, g_dec):
     Rows below the norm floor are skipped, and exactly-idempotent rows
     (zero defect) contribute nothing: the term is zero and flat there.
     """
+    W_enc, W_dec = prior.encoder_weights, prior.decoder_weights
     A1, Q = _forward_batch(prior, X)
-    qn = np.linalg.norm(Q, axis=1)
-    n_used = int((qn > PROJECTED_NORM_FLOOR).sum())
+    qn = _row_norms(Q)
+    used = qn > PROJECTED_NORM_FLOOR
+    n_used = np.count_nonzero(used)
     if n_used == 0:
         raise ValueError("all batch elements had ||P(x)|| below the norm floor")
     weight = nipr_weight / n_used
     A2, PQ = _forward_batch(prior, Q)
     G = PQ - Q
-    gn = np.linalg.norm(G, axis=1)
-    active = (qn > PROJECTED_NORM_FLOOR) & (gn > 0.0)
-    if not np.any(active):
+    gn = _row_norms(G)
+    active = used & (gn > 0.0)
+    if not active.any():
         return
     safe_qn = np.where(active, qn, 1.0)
     safe_gn = np.where(active, gn, 1.0)
@@ -236,15 +239,19 @@ def _backprop_nipr(prior, X, nipr_weight, g_enc, g_dec):
     U = scale[:, None] * G
     # Second pass: parameters see U directly.
     g_dec += U.T @ A2
-    T2 = (U @ prior.decoder_weights) * _activate_deriv(A2, prior.nonlinearity)
+    T2 = U @ W_dec
+    if prior.nonlinearity == "tanh":
+        T2 *= 1.0 - A2 * A2
     g_enc += T2.T @ Q
     # Gradient flowing into Q: through the second pass, the -Q inside the
     # defect, and the 1/||Q|| normalization.
     norm_pull = np.where(active, weight * safe_gn / safe_qn**3, 0.0)
-    DQ = T2 @ prior.encoder_weights - U - norm_pull[:, None] * Q
+    DQ = T2 @ W_enc - U - norm_pull[:, None] * Q
     # First pass.
     g_dec += DQ.T @ A1
-    T1 = (DQ @ prior.decoder_weights) * _activate_deriv(A1, prior.nonlinearity)
+    T1 = DQ @ W_dec
+    if prior.nonlinearity == "tanh":
+        T1 *= 1.0 - A1 * A1
     g_enc += T1.T @ X
 
 
@@ -256,14 +263,12 @@ def loss_gradient(prior, batch, cfg, noise=None):
     skipped here too.
     """
     batch = _as_batch(batch)
-    g_enc = np.zeros_like(prior.encoder_weights)
-    g_dec = np.zeros_like(prior.decoder_weights)
     if cfg.loss_kind == "pnp":
         if noise is None:
             noise = np.zeros_like(batch)
-        _backprop_squared(prior, batch + noise, batch, 1.0 / len(batch), g_enc, g_dec)
+        g_enc, g_dec = _backprop_squared(prior, batch + noise, batch, 1.0 / len(batch))
     else:
-        _backprop_squared(prior, batch, batch, 1.0, g_enc, g_dec)
+        g_enc, g_dec = _backprop_squared(prior, batch, batch, 1.0)
     if cfg.nipr_weight > 0:
         _backprop_nipr(prior, batch, cfg.nipr_weight, g_enc, g_dec)
     return g_enc, g_dec
@@ -295,27 +300,32 @@ def train(prior0, dataset, cfg):
         eval_noise = cfg.noise_sigma * rng.standard_normal(dataset.shape)
     losses = [training_loss(prior, dataset, cfg, noise=eval_noise)]
     for _ in range(cfg.epochs):
-        epoch_start = prior.copy()
-        order = rng.permutation(len(dataset))
+        # Updates rebind the weights and never write into them, so the
+        # epoch's starting arrays are its rollback point.
+        epoch_start = prior.encoder_weights, prior.decoder_weights
+        shuffled = dataset[rng.permutation(len(dataset))]
+        # Each batch's denoising draw is its rows of one draw per epoch.
+        noise = cfg.noise_sigma * rng.standard_normal(dataset.shape) if cfg.loss_kind == "pnp" else None
         finite = True
         # Diverging parameters overflow before the non-finite check catches
         # them; those float warnings are expected.
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, len(dataset), cfg.batch_size):
-                idx = order[lo : lo + cfg.batch_size]
-                batch = dataset[idx]
-                noise = None
-                if cfg.loss_kind == "pnp":
-                    noise = cfg.noise_sigma * rng.standard_normal(batch.shape)
-                g_enc, g_dec = loss_gradient(prior, batch, cfg, noise=noise)
-                prior.encoder_weights = prior.encoder_weights - cfg.learning_rate * g_enc
-                prior.decoder_weights = prior.decoder_weights - cfg.learning_rate * g_dec
-                if not (np.all(np.isfinite(prior.encoder_weights)) and np.all(np.isfinite(prior.decoder_weights))):
+                rows = slice(lo, lo + cfg.batch_size)
+                g_enc, g_dec = loss_gradient(prior, shuffled[rows], cfg,
+                                             noise=None if noise is None else noise[rows])
+                enc = prior.encoder_weights = prior.encoder_weights - cfg.learning_rate * g_enc
+                dec = prior.decoder_weights = prior.decoder_weights - cfg.learning_rate * g_dec
+                # A finite sum of squares means every entry is finite; only an
+                # overflowing one needs the entry-wise check.
+                if (not math.isfinite(np.vdot(enc, enc) + np.vdot(dec, dec))
+                        and not (np.isfinite(enc).all() and np.isfinite(dec).all())):
                     finite = False
                     break
             loss = training_loss(prior, dataset, cfg, noise=eval_noise) if finite else float("nan")
-        if not np.isfinite(loss):
-            return TrainResult(prior=epoch_start, losses=losses, diverged=True)
+        if not math.isfinite(loss):
+            prior.encoder_weights, prior.decoder_weights = epoch_start
+            return TrainResult(prior=prior, losses=losses, diverged=True)
         losses.append(loss)
     return TrainResult(prior=prior, losses=losses, diverged=False)
 

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from gpgd.prior import (
+    PROJECTED_NORM_FLOOR,
     LearnedProjection,
     ToyPrior,
     TrainConfig,
@@ -75,6 +78,19 @@ def test_nipr_penalty_skips_zero_projection():
         nipr_penalty(p, [np.array([0.0, 5.0])])
 
 
+def test_nipr_penalty_validates_the_batch_once():
+    # P(x) = [2 x_0, 0], so every row with x_0 != 0 has penalty 1.
+    p = ToyPrior(np.array([[1.0, 0.0]]), np.array([[2.0], [0.0]]), "linear")
+    for empty in ([], np.zeros((0, 2))):
+        with pytest.raises(ValueError, match="nonempty"):
+            nipr_penalty(p, empty)
+    # A bare vector is one row, so its zero projection skips every row.
+    with pytest.raises(ValueError, match="norm floor"):
+        nipr_penalty(p, np.array([0.0, 5.0]))
+    rows = [np.array([3.0, 7.0]), np.array([-2.0, 1.0])]
+    assert nipr_penalty(p, rows) == nipr_penalty(p, np.stack(rows)) == 2.0
+
+
 def test_unnormalized_defect_vanishes_with_scale_but_penalty_does_not():
     # For the scaled family alpha*P, the raw idempotence defect
     # ||(aP)(aP)x - aP x|| = a * ||a P(P(x)) - P(x)|| shrinks to zero with
@@ -138,6 +154,33 @@ def test_pnp_with_zero_noise_matches_ae_over_batch_size():
 
 def test_default_penalty_weight():
     assert TrainConfig().nipr_weight == 0.005
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nipr_weight", float("nan")),
+    ("nipr_weight", float("inf")),
+    ("noise_sigma", float("nan")),
+    ("noise_sigma", float("inf")),
+    ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")),
+    ("epochs", -3),
+    ("epochs", 2.5),
+    ("batch_size", 0),
+    ("batch_size", 8.0),
+    ("batch_size", True),
+])
+def test_train_config_rejects(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_zero_epochs_and_numpy_integers():
+    cfg = TrainConfig(epochs=0, batch_size=np.int64(4))
+    data = make_manifold_dataset(8, 5, 2, seed=0)
+    p0 = random_prior(5, 2, seed=1)
+    result = train(p0, data, cfg)
+    assert len(result.losses) == 1 and not result.diverged
+    assert np.array_equal(result.prior.encoder_weights, p0.encoder_weights)
 
 
 def _fd_gradient(p, batch, cfg, noise, step=1e-5):
@@ -254,3 +297,146 @@ def test_learned_projection_wraps_prior():
     proj = LearnedProjection(p)
     x = np.random.default_rng(26).standard_normal(6)
     assert np.array_equal(proj(x), prior_apply(p, x))
+
+
+# The training loop as first written: norms by np.linalg.norm, gradients
+# accumulated into zero-filled arrays, a copy of the weights every epoch and
+# an entry-wise finiteness check after every step.
+def _textbook_forward(enc, dec, kind, X):
+    H = X @ enc.T
+    A = np.tanh(H) if kind == "tanh" else H
+    return A, A @ dec.T
+
+
+def _textbook_deriv(A, kind):
+    return 1.0 - A * A if kind == "tanh" else np.ones_like(A)
+
+
+def _textbook_loss(enc, dec, kind, X, cfg, noise):
+    if cfg.loss_kind == "pnp":
+        data = float(np.sum((_textbook_forward(enc, dec, kind, X + noise)[1] - X) ** 2)) / len(X)
+    else:
+        data = float(np.sum((_textbook_forward(enc, dec, kind, X)[1] - X) ** 2))
+    if cfg.nipr_weight > 0:
+        Q = _textbook_forward(enc, dec, kind, X)[1]
+        qn = np.linalg.norm(Q, axis=1)
+        used = qn > PROJECTED_NORM_FLOOR
+        gn = np.linalg.norm(_textbook_forward(enc, dec, kind, Q)[1] - Q, axis=1)
+        values = np.where(used, gn / np.where(used, qn, 1.0), 0.0)
+        data += cfg.nipr_weight * float(values.sum()) / int(used.sum())
+    return data
+
+
+def _textbook_gradient(enc, dec, kind, X, cfg, noise):
+    g_enc, g_dec = np.zeros_like(enc), np.zeros_like(dec)
+    X_in, weight = (X + noise, 1.0 / len(X)) if cfg.loss_kind == "pnp" else (X, 1.0)
+    A, out = _textbook_forward(enc, dec, kind, X_in)
+    d_out = 2.0 * weight * (out - X)
+    g_dec += d_out.T @ A
+    g_enc += ((d_out @ dec) * _textbook_deriv(A, kind)).T @ X_in
+    if cfg.nipr_weight == 0:
+        return g_enc, g_dec
+    A1, Q = _textbook_forward(enc, dec, kind, X)
+    qn = np.linalg.norm(Q, axis=1)
+    weight = cfg.nipr_weight / int((qn > PROJECTED_NORM_FLOOR).sum())
+    A2, PQ = _textbook_forward(enc, dec, kind, Q)
+    G = PQ - Q
+    gn = np.linalg.norm(G, axis=1)
+    active = (qn > PROJECTED_NORM_FLOOR) & (gn > 0.0)
+    if not np.any(active):
+        return g_enc, g_dec
+    safe_qn = np.where(active, qn, 1.0)
+    safe_gn = np.where(active, gn, 1.0)
+    U = np.where(active, weight / (safe_gn * safe_qn), 0.0)[:, None] * G
+    g_dec += U.T @ A2
+    T2 = (U @ dec) * _textbook_deriv(A2, kind)
+    g_enc += T2.T @ Q
+    norm_pull = np.where(active, weight * safe_gn / safe_qn**3, 0.0)
+    DQ = T2 @ enc - U - norm_pull[:, None] * Q
+    g_dec += DQ.T @ A1
+    g_enc += ((DQ @ dec) * _textbook_deriv(A1, kind)).T @ X
+    return g_enc, g_dec
+
+
+def _textbook_train(prior0, data, cfg):
+    enc, dec, kind = prior0.encoder_weights.copy(), prior0.decoder_weights.copy(), prior0.nonlinearity
+    rng = np.random.default_rng(cfg.seed)
+    eval_noise = cfg.noise_sigma * rng.standard_normal(data.shape) if cfg.loss_kind == "pnp" else None
+    losses = [_textbook_loss(enc, dec, kind, data, cfg, eval_noise)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            start = enc.copy(), dec.copy()
+            order = rng.permutation(len(data))
+            finite = True
+            for lo in range(0, len(data), cfg.batch_size):
+                batch = data[order[lo : lo + cfg.batch_size]]
+                noise = cfg.noise_sigma * rng.standard_normal(batch.shape) if cfg.loss_kind == "pnp" else None
+                g_enc, g_dec = _textbook_gradient(enc, dec, kind, batch, cfg, noise)
+                enc = enc - cfg.learning_rate * g_enc
+                dec = dec - cfg.learning_rate * g_dec
+                if not (np.all(np.isfinite(enc)) and np.all(np.isfinite(dec))):
+                    finite = False
+                    break
+            loss = _textbook_loss(enc, dec, kind, data, cfg, eval_noise) if finite else float("nan")
+            if not np.isfinite(loss):
+                return start, losses, True
+            losses.append(loss)
+    return (enc, dec), losses, False
+
+
+def _coordinate_projector(n, d):
+    # P keeps the first d coordinates; every product is exact, so P(P(x))
+    # equals P(x) bit for bit.  The zero weights are -0.0, which a zero
+    # gradient must leave as it is.
+    enc = -np.zeros((d, n))
+    enc[:, :d] = np.eye(d)
+    return ToyPrior(enc, enc.T.copy(), "linear")
+
+
+def _bit_case(name):
+    data = make_manifold_dataset(45, 8, 2, seed=30, curvature="tanh", ambient_noise=0.05)
+    cfg = dict(nipr_weight=0.005, loss_kind="ae", noise_sigma=0.05, learning_rate=0.05,
+               epochs=12, batch_size=8, seed=31)
+    if name.startswith("plain"):
+        _, loss_kind, weight, kind = name.split("-")
+        cfg.update(loss_kind=loss_kind, nipr_weight=float(weight))
+        return random_prior(8, 3, seed=32, nonlinearity=kind), data, cfg
+    if name == "below_floor":
+        data[::5] = 0.0
+        return random_prior(8, 3, seed=32), data, dict(cfg, loss_kind="pnp")
+    if name == "idempotent":
+        data[:, 3:] = 0.0
+        return _coordinate_projector(8, 3), data, cfg
+    if name == "diverging":
+        return random_prior(8, 3, seed=33, scale=1.0), data, dict(cfg, learning_rate=1.0, epochs=40)
+    assert name == "overflowing_sum"
+    p = random_prior(8, 3, seed=34)
+    return ToyPrior(1e155 * p.encoder_weights, p.decoder_weights, "tanh"), data, cfg
+
+
+@pytest.mark.parametrize("case", [
+    *(f"plain-{loss}-{weight}-{kind}" for loss in ("ae", "pnp") for weight in ("0", "0.005")
+      for kind in ("tanh", "linear")),
+    "below_floor", "idempotent", "diverging", "overflowing_sum",
+])
+def test_train_matches_textbook_loop_bit_for_bit(case):
+    p0, data, cfg = _bit_case(case)
+    cfg = TrainConfig(**cfg)
+    before = p0.encoder_weights.tobytes(), p0.decoder_weights.tobytes()
+    result = train(p0, data, cfg)
+    (enc, dec), losses, diverged = _textbook_train(p0, data, cfg)
+    assert (p0.encoder_weights.tobytes(), p0.decoder_weights.tobytes()) == before
+    assert result.diverged == diverged == (case == "diverging")
+    assert result.losses == losses
+    if case == "diverging":
+        assert 2 < len(losses) < cfg.epochs + 1  # rolls back to a trained epoch
+    else:
+        assert len(losses) == cfg.epochs + 1
+    assert np.array_equal(result.prior.encoder_weights, enc)
+    assert result.prior.encoder_weights.tobytes() == enc.tobytes()
+    assert result.prior.decoder_weights.tobytes() == dec.tobytes()
+    if case == "idempotent":
+        assert np.signbit(enc).sum() == 3 * 5
+    if case == "overflowing_sum":
+        assert np.all(np.isfinite(enc))
+        assert not math.isfinite(np.vdot(enc, enc))
