@@ -92,6 +92,9 @@ FLOOR_REJECT_MARGIN = 1e-9
 # confirms only those with eigvalsh.
 MU_SCREEN_TOL = 1e-9
 
+# Hidden units of the nipr prior, which must be fewer than n_ambient.
+NIPR_PRIOR_LATENT = 6
+
 
 # Keys every experiment reads: the master seed and the output base path.
 _COMMON = dict(seed=0, output_path="results")
@@ -158,7 +161,8 @@ _TRACE_COLUMNS = {
 # checked once every value has its table's type.
 _RANGES = {
     "m": (">= 1", lambda v, spec: v >= 1),
-    "n_ambient": (">= 1", lambda v, spec: v >= 1),
+    "n_ambient": (f">= 1 (> NIPR_PRIOR_LATENT = {NIPR_PRIOR_LATENT} for nipr)",
+                  lambda v, spec: v > (NIPR_PRIOR_LATENT if spec.experiment == "nipr" else 0)),
     "sparsity_grid": ("in [0, n_ambient]", lambda v, spec: 0 <= v <= spec.n_ambient),
     "alpha_grid": (">= 0", lambda v, spec: v >= 0),
     "mu_grid": ("> 0", lambda v, spec: v > 0),
@@ -512,7 +516,6 @@ def run_joint_model(spec):
 # Protocol constants for the synthetic-manifold task (they shape the
 # testbed, not the experiment's contract).
 NIPR_MANIFOLD_DIM = 3
-NIPR_PRIOR_LATENT = 6
 NIPR_DATASET_SIZE = 300
 NIPR_TRAIN = dict(noise_sigma=0.02, learning_rate=0.1, epochs=1000, batch_size=32,
                   loss_kind="pnp")
@@ -548,12 +551,13 @@ def run_nipr_stability(spec):
     tag = _TAGS["nipr"]
     window = max(NIPR_OFFSETS)
     rows = []
+    wins = 0
     for pair in range(spec.trials):
         rng = trial_rng(spec.seed, tag, pair)
         data_seed, prior_seed, train_seed = (int(v) for v in rng.integers(2**31, size=3))
         points = make_manifold_dataset(
             NIPR_DATASET_SIZE + 1, spec.n_ambient, NIPR_MANIFOLD_DIM,
-            seed=data_seed, curvature="tanh", ambient_noise=0.0)
+            seed=data_seed, curvature="tanh")
         truth, dataset = points[-1], points[:-1]
         noise_rng = np.random.default_rng(data_seed + 1)
         dataset = dataset + NIPR_AMBIENT_NOISE * noise_rng.standard_normal(dataset.shape)
@@ -595,18 +599,11 @@ def run_nipr_stability(spec):
                     f"post-optimum window never fit within {NIPR_MAX_ITERS} iterations"
                 )
             rows.append(row)
-    by_pair = {}
-    for row in rows:
-        by_pair.setdefault(row["pair"], {})[row["nipr_weight"] > 0] = row
-
-    def _floored(value):
-        return 0.0 if value < SM1_NUMERICAL_FLOOR else value
-
-    wins = sum(
-        1 for pair in by_pair.values()
-        if len(pair) == 2 and _floored(pair[True]["sm1_50"]) <= _floored(pair[False]["sm1_50"])
-    )
-    summary = {"sm1_50_wins": wins, "pairs": len(by_pair)}
+        # A win: the regularized prior is at least as stable as the plain one.
+        plain, regularized = (0.0 if row["sm1_50"] < SM1_NUMERICAL_FLOOR else row["sm1_50"]
+                              for row in rows[-2:])
+        wins += int(regularized <= plain)
+    summary = {"sm1_50_wins": wins, "pairs": spec.trials}
     return {"rows": rows, "traces": None, "status": 0, "summary": summary}
 
 

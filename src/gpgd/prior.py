@@ -110,15 +110,27 @@ def _row_norms(M):
     return np.sqrt(np.add.reduce(M * M, axis=1))
 
 
-def _nipr_terms(prior, X):
-    """Per-row penalty values and usability mask (norm-floor guard)."""
-    Q = _forward_batch(prior, X)[1]
+def _nipr_forward(prior, X):
+    """Both passes of the penalty, (A1, Q, |Q|, used, A2, G, |G|), with
+    Q = P(X), G = P(Q) - Q and `used` the rows above the norm floor.
+
+    Raises ValueError when no row clears the floor: there is nothing to
+    normalize.
+    """
+    A1, Q = _forward_batch(prior, X)
     qn = _row_norms(Q)
     used = qn > PROJECTED_NORM_FLOOR
-    PQ = _forward_batch(prior, Q)[1]
-    gn = _row_norms(PQ - Q)
-    values = np.where(used, gn / np.where(used, qn, 1.0), 0.0)
-    return values, used
+    if not used.any():
+        raise ValueError("all batch elements had ||P(x)|| below the norm floor")
+    A2, PQ = _forward_batch(prior, Q)
+    G = PQ - Q
+    return A1, Q, qn, used, A2, G, _row_norms(G)
+
+
+def _nipr_terms(prior, X):
+    """Per-row penalty values (0 below the norm floor) and the usability mask."""
+    _, _, qn, used, _, _, gn = _nipr_forward(prior, X)
+    return np.where(used, gn / np.where(used, qn, 1.0), 0.0), used
 
 
 def nipr_penalty(prior, batch):
@@ -132,9 +144,7 @@ def nipr_penalty(prior, batch):
     if not X.size:
         raise ValueError("batch must be nonempty")
     values, used = _nipr_terms(prior, X)
-    n_skipped = int((~used).sum())
-    if n_skipped == len(X):
-        raise ValueError("all batch elements had ||P(x)|| below the norm floor")
+    n_skipped = len(X) - np.count_nonzero(used)
     if n_skipped:
         warnings.warn(f"nipr_penalty skipped {n_skipped} batch element(s) with ~zero projection")
     return float(values.sum())
@@ -159,7 +169,7 @@ class TrainConfig:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        for name, least in (("epochs", 0), ("batch_size", 1)):
+        for name, least in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -174,6 +184,15 @@ def _as_batch(batch):
     return batch
 
 
+def _data_inputs(batch, cfg, noise):
+    """Inputs of the data term and the count it is divided by: the clean
+    batch and 1 for 'ae' (a sum), the noisy batch and its length for 'pnp'
+    (a mean).  The targets are the clean batch either way."""
+    if cfg.loss_kind == "ae":
+        return batch, 1
+    return batch + (0.0 if noise is None else noise), len(batch)
+
+
 def training_loss(prior, batch, cfg, noise=None):
     """Data-fit loss plus the weighted idempotence penalty.
 
@@ -184,31 +203,22 @@ def training_loss(prior, batch, cfg, noise=None):
     evaluates P on the clean inputs.
     """
     batch = _as_batch(batch)
-    if cfg.loss_kind == "pnp":
-        if noise is None:
-            noise = np.zeros_like(batch)
-        out = _forward_batch(prior, batch + noise)[1]
-        data = float(np.sum((out - batch) ** 2)) / len(batch)
-    else:
-        out = _forward_batch(prior, batch)[1]
-        data = float(np.sum((out - batch) ** 2))
+    inputs, count = _data_inputs(batch, cfg, noise)
+    loss = float(np.sum((_forward_batch(prior, inputs)[1] - batch) ** 2)) / count
     if cfg.nipr_weight > 0:
         values, used = _nipr_terms(prior, batch)
-        n_used = int(used.sum())
-        if n_used == 0:
-            raise ValueError("all batch elements had ||P(x)|| below the norm floor")
-        data += cfg.nipr_weight * float(values.sum()) / n_used
-    return data
+        loss += cfg.nipr_weight * float(values.sum()) / np.count_nonzero(used)
+    return loss
 
 
-def _backprop_squared(prior, X_in, target, weight):
-    """Gradients (encoder, decoder) of weight * sum_rows ||P(x_in) - target||^2."""
-    A, out = _forward_batch(prior, X_in)
-    d_out = 2.0 * weight * (out - target)
-    d_H = d_out @ prior.decoder_weights
+def _backprop(prior, X, A, D):
+    """Pull the output gradient D back through P at inputs X, whose hidden
+    activation is A: returns (encoder gradient, decoder gradient, d_H), with
+    d_H the gradient at the encoder's pre-activation."""
+    d_H = D @ prior.decoder_weights
     if prior.nonlinearity == "tanh":
         d_H *= 1.0 - A * A
-    return d_H.T @ X_in, d_out.T @ A
+    return d_H.T @ X, D.T @ A, d_H
 
 
 def _backprop_nipr(prior, X, nipr_weight, g_enc, g_dec):
@@ -219,40 +229,26 @@ def _backprop_nipr(prior, X, nipr_weight, g_enc, g_dec):
     Rows below the norm floor are skipped, and exactly-idempotent rows
     (zero defect) contribute nothing: the term is zero and flat there.
     """
-    W_enc, W_dec = prior.encoder_weights, prior.decoder_weights
-    A1, Q = _forward_batch(prior, X)
-    qn = _row_norms(Q)
-    used = qn > PROJECTED_NORM_FLOOR
-    n_used = np.count_nonzero(used)
-    if n_used == 0:
-        raise ValueError("all batch elements had ||P(x)|| below the norm floor")
-    weight = nipr_weight / n_used
-    A2, PQ = _forward_batch(prior, Q)
-    G = PQ - Q
-    gn = _row_norms(G)
+    A1, Q, qn, used, A2, G, gn = _nipr_forward(prior, X)
+    weight = nipr_weight / np.count_nonzero(used)
     active = used & (gn > 0.0)
     if not active.any():
         return
     safe_qn = np.where(active, qn, 1.0)
     safe_gn = np.where(active, gn, 1.0)
-    scale = np.where(active, weight / (safe_gn * safe_qn), 0.0)
-    U = scale[:, None] * G
+    U = np.where(active, weight / (safe_gn * safe_qn), 0.0)[:, None] * G
     # Second pass: parameters see U directly.
-    g_dec += U.T @ A2
-    T2 = U @ W_dec
-    if prior.nonlinearity == "tanh":
-        T2 *= 1.0 - A2 * A2
-    g_enc += T2.T @ Q
+    enc, dec, T2 = _backprop(prior, Q, A2, U)
+    g_enc += enc
+    g_dec += dec
     # Gradient flowing into Q: through the second pass, the -Q inside the
     # defect, and the 1/||Q|| normalization.
     norm_pull = np.where(active, weight * safe_gn / safe_qn**3, 0.0)
-    DQ = T2 @ W_enc - U - norm_pull[:, None] * Q
+    DQ = T2 @ prior.encoder_weights - U - norm_pull[:, None] * Q
     # First pass.
-    g_dec += DQ.T @ A1
-    T1 = DQ @ W_dec
-    if prior.nonlinearity == "tanh":
-        T1 *= 1.0 - A1 * A1
-    g_enc += T1.T @ X
+    enc, dec, _ = _backprop(prior, X, A1, DQ)
+    g_enc += enc
+    g_dec += dec
 
 
 def loss_gradient(prior, batch, cfg, noise=None):
@@ -263,12 +259,9 @@ def loss_gradient(prior, batch, cfg, noise=None):
     skipped here too.
     """
     batch = _as_batch(batch)
-    if cfg.loss_kind == "pnp":
-        if noise is None:
-            noise = np.zeros_like(batch)
-        g_enc, g_dec = _backprop_squared(prior, batch + noise, batch, 1.0 / len(batch))
-    else:
-        g_enc, g_dec = _backprop_squared(prior, batch, batch, 1.0)
+    inputs, count = _data_inputs(batch, cfg, noise)
+    A, out = _forward_batch(prior, inputs)
+    g_enc, g_dec, _ = _backprop(prior, inputs, A, 2.0 / count * (out - batch))
     if cfg.nipr_weight > 0:
         _backprop_nipr(prior, batch, cfg.nipr_weight, g_enc, g_dec)
     return g_enc, g_dec
@@ -330,9 +323,8 @@ def train(prior0, dataset, cfg):
     return TrainResult(prior=prior, losses=losses, diverged=False)
 
 
-def make_manifold_dataset(n_points, n_ambient, latent_dim, seed, curvature="tanh",
-                          ambient_noise=0.0):
-    """Points on a low-dimensional manifold in R^n plus optional ambient noise.
+def make_manifold_dataset(n_points, n_ambient, latent_dim, seed, curvature="tanh"):
+    """Points on a low-dimensional manifold in R^n.
 
     The manifold is the image of latent draws t ~ N(0, I)
     under a random orthonormal frame, either linearly (a subspace) or after
@@ -344,10 +336,7 @@ def make_manifold_dataset(n_points, n_ambient, latent_dim, seed, curvature="tanh
     frame = np.linalg.qr(rng.standard_normal((n_ambient, latent_dim)))[0]
     t = rng.standard_normal((n_points, latent_dim))
     coords = np.tanh(t) if curvature == "tanh" else t
-    points = coords @ frame.T
-    if ambient_noise > 0:
-        points = points + ambient_noise * rng.standard_normal(points.shape)
-    return points
+    return coords @ frame.T
 
 
 class LearnedProjection:

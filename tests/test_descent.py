@@ -56,6 +56,23 @@ def test_config_rejects_zero_iterations():
         GpgdConfig(max_iters=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_iters", 2.5),
+    ("max_iters", 3.0),
+    ("max_iters", True),
+    ("mu", float("inf")),
+    ("rel_change_tol", float("nan")),
+    ("rel_change_tol", float("inf")),
+])
+def test_config_rejects(field, value):
+    with pytest.raises(ValueError, match=field):
+        GpgdConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    assert GpgdConfig(max_iters=np.int64(4)).max_iters == 4
+
+
 def test_run_single_iteration_contract():
     op, bp = _identity_setup(4)
     truth = np.array([1.0, 0.0, 0.0, 0.0])

@@ -259,6 +259,8 @@ def test_nipr_identical_weights_give_identical_reports():
     for key in ("i_min", "sm1_10", "sm1_50", "sm1_100", "sm2_10", "sm2_50", "sm2_100",
                 "best_error", "final_error", "final_penalty"):
         assert a[key] == b[key]
+    # Identical priors tie, and a tie counts as a win for the regularized one.
+    assert r["summary"] == {"sm1_50_wins": 1, "pairs": 1}
 
 
 def test_theorem_check_verifies_at_feasible_dims():
@@ -508,13 +510,20 @@ def test_cli_theorem_rejects_supports_past_the_enumeration_guard(tmp_path):
                                 {"m": 64, "n_ambient": 40, "sparsity_grid": [10]})
 
 
-def test_cli_component_error_exit_code(tmp_path):
-    # Passes spec validation but the prior construction fails at run time
-    # (the ambient dimension is below the protocol's latent size).
+def test_cli_component_error_exit_code(tmp_path, monkeypatch):
+    # A valid spec whose run fails inside a component exits 2.  Validation
+    # rejects every config known to fail late, so the failure is injected.
+    import gpgd.experiments as ex
+
+    def failing_train(prior0, dataset, cfg):
+        raise FloatingPointError("training failed")
+
+    monkeypatch.setattr(ex, "train", failing_train)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"m": 3, "n_ambient": 4, "trials": 1}))
+    cfg.write_text(json.dumps({"m": 3, "n_ambient": 7, "trials": 1}))
     code = main(["nipr", "--config", str(cfg), "--out", str(tmp_path / "n")])
     assert code == 2
+    assert not list(tmp_path.glob("n*"))
 
 
 def test_spec_round_trips_through_config(tmp_path):

@@ -168,6 +168,9 @@ def test_default_penalty_weight():
     ("batch_size", 0),
     ("batch_size", 8.0),
     ("batch_size", True),
+    ("seed", -1),
+    ("seed", 1.5),
+    ("seed", True),
 ])
 def test_train_config_rejects(field, value):
     with pytest.raises(ValueError, match=field):
@@ -261,7 +264,8 @@ def test_train_loss_nonincreasing_linear_prior():
 
 
 def test_regularized_run_ends_more_idempotent():
-    data = make_manifold_dataset(96, 10, 3, seed=20, curvature="tanh", ambient_noise=0.02)
+    data = make_manifold_dataset(96, 10, 3, seed=20, curvature="tanh")
+    data = data + 0.02 * np.random.default_rng(27).standard_normal(data.shape)
     p0 = random_prior(10, 4, seed=21, nonlinearity="tanh")
     base_cfg = dict(loss_kind="ae", learning_rate=0.01, epochs=120, batch_size=32, seed=2)
     plain = train(p0, data, TrainConfig(nipr_weight=0.0, **base_cfg))
@@ -394,7 +398,8 @@ def _coordinate_projector(n, d):
 
 
 def _bit_case(name):
-    data = make_manifold_dataset(45, 8, 2, seed=30, curvature="tanh", ambient_noise=0.05)
+    data = make_manifold_dataset(45, 8, 2, seed=30, curvature="tanh")
+    data = data + 0.05 * np.random.default_rng(35).standard_normal(data.shape)
     cfg = dict(nipr_weight=0.005, loss_kind="ae", noise_sigma=0.05, learning_rate=0.05,
                epochs=12, batch_size=8, seed=31)
     if name.startswith("plain"):
