@@ -184,7 +184,10 @@ class TheoremBound:
     refers to the unscaled ||L e||_2 and is equivalent).  model_error is
     the projection-induced distance of the truth to the model set, and
     proj_error_eta bounds the per-call deviation of the actual projection
-    from a restricted-Lipschitz one.
+    from a restricted-Lipschitz one.  op_norm_muLA enters the bound only as
+    C_rob * model_error and op_norm_I_minus_muLA only as C_proj * eta, so a
+    norm left at 0.0 is exact when its error term is 0.  Every field must
+    be finite and >= 0.
     """
 
     delta: float
@@ -199,8 +202,9 @@ class TheoremBound:
     def __post_init__(self):
         for name in ("delta", "beta", "mu", "noise_term", "model_error",
                      "proj_error_eta", "op_norm_muLA", "op_norm_I_minus_muLA"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     @property
     def contraction(self):
@@ -238,8 +242,8 @@ def theorem_bound_eval(tb, n_iters, initial_error, variant="projection"):
     """
     if variant not in ("projection", "truth"):
         raise ValueError(f"variant must be 'projection' or 'truth', got {variant!r}")
-    if initial_error < 0:
-        raise ValueError(f"initial_error must be >= 0, got {initial_error}")
+    if not (math.isfinite(initial_error) and initial_error >= 0):
+        raise ValueError(f"initial_error must be finite and >= 0, got {initial_error}")
     if n_iters < 0:
         raise ValueError(f"n_iters must be >= 0, got {n_iters}")
     rate = tb.contraction

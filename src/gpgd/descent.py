@@ -38,13 +38,15 @@ class GpgdConfig:
     record_iterates: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and self.mu > 0):
-            raise ValueError(f"step size mu must be finite and > 0, got {self.mu}")
+        if isinstance(self.mu, bool) or not (math.isfinite(self.mu) and self.mu > 0):
+            raise ValueError(f"step size mu must be a finite number > 0, got {self.mu!r}")
         if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer))
                 or self.max_iters < 1):
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not (math.isfinite(self.rel_change_tol) and self.rel_change_tol >= 0):
-            raise ValueError(f"rel_change_tol must be finite and >= 0, got {self.rel_change_tol}")
+        if (isinstance(self.rel_change_tol, bool)
+                or not (math.isfinite(self.rel_change_tol) and self.rel_change_tol >= 0)):
+            raise ValueError(
+                f"rel_change_tol must be a finite number >= 0, got {self.rel_change_tol!r}")
 
 
 @dataclass

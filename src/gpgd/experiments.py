@@ -751,15 +751,19 @@ def run_theorem_check(spec):
             errors_to_projection = np.array(
                 [_norm(x_i - projected_truth) for x_i in trace.iterates]
             )
+            # Each norm multiplies one error term; where that term is 0 the
+            # norm stays at 0.0, which leaves the bound's bits unchanged.
+            model_error = model_distance(truth, HardThreshold(k))
             tb = TheoremBound(
                 delta=delta,
                 beta=HARD_THRESHOLD_BETA,
                 mu=mu,
                 noise_term=float(np.linalg.norm(mu * op.adjoint(e))),
-                model_error=model_distance(truth, HardThreshold(k)),
+                model_error=model_error,
                 proj_error_eta=eta_used,
-                op_norm_muLA=operator_norm(mu * B, seed=attempt),
-                op_norm_I_minus_muLA=operator_norm(np.eye(n) - mu * B, seed=attempt),
+                op_norm_muLA=operator_norm(mu * B, seed=attempt) if model_error > 0 else 0.0,
+                op_norm_I_minus_muLA=(operator_norm(np.eye(n) - mu * B, seed=attempt)
+                                      if eta_used > 0 else 0.0),
             )
             initial_error = float(np.linalg.norm(projected_truth))
             bound_proj = theorem_bound_eval(tb, trace.iterations_run, initial_error, "projection")

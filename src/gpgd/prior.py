@@ -163,12 +163,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.nipr_weight) and self.nipr_weight >= 0):
-            raise ValueError(f"nipr_weight must be finite and >= 0, got {self.nipr_weight}")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for name, positive in (("nipr_weight", False), ("noise_sigma", False),
+                               ("learning_rate", True)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not math.isfinite(value)
+                    or value < 0 or (positive and value == 0)):
+                raise ValueError(
+                    f"{name} must be a finite number {'>' if positive else '>='} 0, got {value!r}")
         for name, least in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:

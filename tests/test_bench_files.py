@@ -49,3 +49,6 @@ def test_bench_pair_is_comparable_and_correct(parent):
         assert report["trace"] == int(parent.name.endswith("_traced.json"))
         assert report["failures"] == []
         assert report["reference_identical"] == report["reference_checked"]
+        if report["trace"]:
+            # A span whose entry point is gone would drop its layer's metrics.
+            assert report["absent_spans"] == []

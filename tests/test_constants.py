@@ -129,6 +129,40 @@ def test_bound_requires_contraction():
         theorem_bound_eval(tb, 3, 1.0)
 
 
+@pytest.mark.parametrize("field", [
+    "delta", "beta", "mu", "noise_term", "model_error", "proj_error_eta",
+    "op_norm_muLA", "op_norm_I_minus_muLA",
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_bound_rejects_non_finite_constants(field, value):
+    fields = dict(delta=0.3, beta=1.0, mu=1.0)
+    fields[field] = value
+    with pytest.raises(ValueError, match=field):
+        TheoremBound(**fields)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_bound_rejects_non_finite_initial_error(value):
+    tb = TheoremBound(delta=0.3, beta=1.0, mu=1.0)
+    with pytest.raises(ValueError, match="initial_error"):
+        theorem_bound_eval(tb, 2, value)
+
+
+@pytest.mark.parametrize("variant", ["projection", "truth"])
+def test_bound_ignores_op_norms_when_their_errors_are_zero(variant):
+    # The theorem check leaves an operator norm at 0.0 when its error term
+    # is 0; the bound must be the same bits as with the norm computed.
+    bounds = [
+        theorem_bound_eval(
+            TheoremBound(delta=0.4, beta=1.5, mu=0.9, noise_term=0.013,
+                         op_norm_muLA=norm, op_norm_I_minus_muLA=norm),
+            6, 1.7, variant)
+        for norm in (0.0, 0.7, 3.1)
+    ]
+    for bound in bounds[1:]:
+        assert bound.tobytes() == bounds[0].tobytes()
+
+
 def test_bound_truth_variant_uses_crob_prime():
     tb = TheoremBound(delta=0.2, beta=1.5, mu=1.0, model_error=1.0, op_norm_muLA=0.8)
     proj = theorem_bound_eval(tb, 0, 0.0, variant="projection")[0]

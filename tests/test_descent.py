@@ -61,8 +61,10 @@ def test_config_rejects_zero_iterations():
     ("max_iters", 3.0),
     ("max_iters", True),
     ("mu", float("inf")),
+    ("mu", True),
     ("rel_change_tol", float("nan")),
     ("rel_change_tol", float("inf")),
+    ("rel_change_tol", False),
 ])
 def test_config_rejects(field, value):
     with pytest.raises(ValueError, match=field):

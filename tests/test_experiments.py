@@ -271,6 +271,25 @@ def test_theorem_check_verifies_at_feasible_dims():
     assert {row["variant"] for row in r["rows"]} == {"noiseless", "noisy", "model_error", "proj_error"}
 
 
+def test_theorem_check_computes_each_op_norm_only_for_a_nonzero_error(monkeypatch):
+    # C_rob multiplies model_error and C_proj multiplies eta, so each
+    # operator norm is computed only on the rows where its factor is > 0.
+    import gpgd.experiments as experiments
+
+    calls = []
+    operator_norm = experiments.operator_norm
+
+    def counting_norm(*args, **kwargs):
+        calls.append(args)
+        return operator_norm(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "operator_norm", counting_norm)
+    rows = run_theorem_check(default_spec("theorem", trials=2))["rows"]
+    expected = (sum(row["model_error"] > 0 for row in rows)
+                + sum(row["eta"] > 0 for row in rows))
+    assert len(calls) == expected == 4
+
+
 def test_theorem_check_inconclusive_at_hopeless_dims():
     # Far too few measurements for the contraction hypothesis to ever hold.
     spec = default_spec("theorem", m=8, n_ambient=12, trials=2, resample_budget=25)

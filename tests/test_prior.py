@@ -163,6 +163,9 @@ def test_default_penalty_weight():
     ("noise_sigma", float("inf")),
     ("learning_rate", float("nan")),
     ("learning_rate", float("inf")),
+    ("nipr_weight", True),
+    ("noise_sigma", False),
+    ("learning_rate", True),
     ("epochs", -3),
     ("epochs", 2.5),
     ("batch_size", 0),
