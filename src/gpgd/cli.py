@@ -8,6 +8,7 @@ overriding on top of it.  Exit codes: 0 success, 1 invalid configuration,
 
 import argparse
 import json
+import os
 import sys
 
 from .experiments import EXPERIMENTS, RUNNERS, default_spec, write_outputs
@@ -45,7 +46,10 @@ def load_spec(experiment, config_path=None, seed=None, out=None, trials=None):
         overrides["output_path"] = out
     if trials is not None:
         overrides["trials"] = trials
-    return default_spec(experiment, **overrides)
+    spec = default_spec(experiment, **overrides)
+    if not os.path.isdir(os.path.dirname(spec.output_path) or "."):
+        raise ValueError(f"output_path {spec.output_path!r} is not in an existing directory")
+    return spec
 
 
 def main(argv=None):

@@ -10,11 +10,11 @@ runs can be checked against.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .projections import _norm, sparse_signal
+from .projections import _count, _norm, _real, sparse_signal
 
 __all__ = [
     "ENUMERATION_GUARD",
@@ -65,10 +65,7 @@ def exact_ric_sparse(B, k):
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ValueError(f"B must be square, got shape {B.shape}")
     n = B.shape[0]
-    k = int(k)
-    if k < 0:
-        raise ValueError(f"sparsity k must be >= 0, got {k}")
-    t = min(2 * k, n)
+    t = min(2 * _count("k", k), n)
     if t == 0:
         return 0.0
     D = B - np.eye(n)
@@ -95,10 +92,7 @@ def null_space_ric_floor(A, k):
     if A.ndim != 2:
         raise ValueError(f"A must be 2-d, got shape {A.shape}")
     m, n = A.shape
-    k = int(k)
-    if k < 0:
-        raise ValueError(f"sparsity k must be >= 0, got {k}")
-    t = min(2 * k, n)
+    t = min(2 * _count("k", k), n)
     if t == 0 or m >= n:
         return 0.0
     null_basis = np.linalg.svd(A)[2][m:]
@@ -121,12 +115,10 @@ def mc_beta(projection, k, n, trials, seed):
     bound on the true constant, deterministic given the seed, nondecreasing
     under nested sampling.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    k = int(k)
+    trials, k = _count("trials", trials, 1), _count("k", k)
     rng = np.random.default_rng(seed)
     best = 0.0
-    for trial in range(int(trials)):
+    for trial in range(trials):
         x = sparse_signal(n, k, rng)
         while True:
             if trial % 2 == 0:
@@ -154,12 +146,13 @@ def operator_norm(M, iters=200, seed=0, tol=1e-10):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError(f"M must be 2-d, got shape {M.shape}")
+    iters, tol = _count("iters", iters, 1), _real("tol", tol)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(M.shape[1])
     v /= _norm(v)
     Mv = M @ v
     estimate = 0.0
-    for _ in range(int(iters)):
+    for _ in range(iters):
         w = M.T @ Mv
         norm_w = _norm(w)
         if norm_w == 0.0:
@@ -200,11 +193,8 @@ class TheoremBound:
     op_norm_I_minus_muLA: float = 0.0
 
     def __post_init__(self):
-        for name in ("delta", "beta", "mu", "noise_term", "model_error",
-                     "proj_error_eta", "op_norm_muLA", "op_norm_I_minus_muLA"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        for f in fields(self):
+            _real(f.name, getattr(self, f.name))
 
     @property
     def contraction(self):
@@ -242,10 +232,8 @@ def theorem_bound_eval(tb, n_iters, initial_error, variant="projection"):
     """
     if variant not in ("projection", "truth"):
         raise ValueError(f"variant must be 'projection' or 'truth', got {variant!r}")
-    if not (math.isfinite(initial_error) and initial_error >= 0):
-        raise ValueError(f"initial_error must be finite and >= 0, got {initial_error}")
-    if n_iters < 0:
-        raise ValueError(f"n_iters must be >= 0, got {n_iters}")
+    _real("initial_error", initial_error)
+    n_iters = _count("n_iters", n_iters)
     rate = tb.contraction
     if rate >= 1.0:
         raise ValueError(f"bound requires delta*beta < 1, got {rate}")

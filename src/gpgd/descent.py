@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projections import _norm
+from .projections import _count, _norm, _real
 
 __all__ = ["GpgdConfig", "RecoveryTrace", "gpgd_run", "i_min_oracle"]
 
@@ -38,15 +38,11 @@ class GpgdConfig:
     record_iterates: bool = False
 
     def __post_init__(self):
-        if isinstance(self.mu, bool) or not (math.isfinite(self.mu) and self.mu > 0):
-            raise ValueError(f"step size mu must be a finite number > 0, got {self.mu!r}")
-        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer))
-                or self.max_iters < 1):
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if (isinstance(self.rel_change_tol, bool)
-                or not (math.isfinite(self.rel_change_tol) and self.rel_change_tol >= 0)):
-            raise ValueError(
-                f"rel_change_tol must be a finite number >= 0, got {self.rel_change_tol!r}")
+        _real("mu", self.mu, positive=True)
+        _count("max_iters", self.max_iters, 1)
+        _real("rel_change_tol", self.rel_change_tol)
+        if not isinstance(self.record_iterates, bool):
+            raise ValueError(f"record_iterates must be a bool, got {self.record_iterates!r}")
 
 
 @dataclass
@@ -93,7 +89,7 @@ def gpgd_run(x0, projection, back_projection, op, y, cfg, truth=None):
     truth_arr = None if truth is None else np.asarray(truth, dtype=float)
     if truth_arr is not None and truth_arr.shape != x.shape:
         raise ValueError(f"truth must have length {op.n_ambient}, got shape {truth_arr.shape}")
-    mu, tol = cfg.mu, cfg.rel_change_tol
+    mu, tol, max_iters = cfg.mu, cfg.rel_change_tol, cfg.max_iters
     residual_norms = []
     rel_changes = [float("nan")]
     errors = None if truth_arr is None else [_norm(x - truth_arr)]
@@ -105,10 +101,12 @@ def gpgd_run(x0, projection, back_projection, op, y, cfg, truth=None):
     # stops them; those float warnings are expected, not actionable.
     with np.errstate(over="ignore", invalid="ignore"):
         x_norm = _norm(x)
-        for _ in range(cfg.max_iters):
+        while True:
             px = np.asarray(projection(x), dtype=float)
             residual = op.apply(px) - y
             residual_norms.append(_norm(residual))
+            if iterations_run == max_iters or (tol > 0 and rel_changes[-1] < tol):
+                break
             x_next = px - mu * back_projection.apply(residual)
             # A finite sum of squares means every entry is finite; only an
             # overflowing one needs the entry-wise check.
@@ -128,14 +126,6 @@ def gpgd_run(x0, projection, back_projection, op, y, cfg, truth=None):
                 iterates.append(x_next.copy())
             x, x_norm = x_next, math.sqrt(sq)
             iterations_run += 1
-            if tol > 0 and rel < tol:
-                break
-
-        if len(residual_norms) == iterations_run:
-            # Loop ended without a divergence break: the final iterate's
-            # residual has not been evaluated yet.
-            px = np.asarray(projection(x), dtype=float)
-            residual_norms.append(_norm(op.apply(px) - y))
 
     return RecoveryTrace(
         residual_norms=residual_norms,

@@ -47,7 +47,9 @@ from .projections import (
     HardThreshold,
     PAlpha,
     ProductProjection,
+    _count,
     _norm,
+    _real,
     hard_threshold,
     model_distance,
     sparse_signal,
@@ -234,8 +236,9 @@ class ExperimentSpec:
             default = table[f.name]
             if isinstance(default, list):
                 if not (isinstance(value, list) and value
-                        and all(_has_type_of(v, default[0]) for v in value)):
-                    raise ValueError(f"{f.name} must be a nonempty list of "
+                        and all(_has_type_of(v, default[0]) for v in value)
+                        and len(set(value)) == len(value)):
+                    raise ValueError(f"{f.name} must be a nonempty list of distinct "
                                      f"{type(default[0]).__name__}, got {value!r}")
             elif not _has_type_of(value, default):
                 raise ValueError(f"{f.name} must be a {type(default).__name__}, got {value!r}")
@@ -620,8 +623,8 @@ class PerturbedProjection:
     """
 
     def __init__(self, k, eta, seed):
-        self.k = int(k)
-        self.eta = float(eta)
+        self.k = _count("k", k)
+        self.eta = _real("eta", eta)
         self._rng = np.random.default_rng(seed)
 
     def __call__(self, z):
@@ -656,7 +659,7 @@ def _tuned_mu_delta(B, k, mu_grid):
     scan chooses, bit for bit.  At other support sizes every mu goes on.
     """
     n = B.shape[0]
-    t = min(2 * int(k), n)
+    t = min(2 * _count("k", k), n)
     if t == 0:
         return 0.0, float(mu_grid[0])
     grams, blocks = [], []

@@ -12,6 +12,7 @@ from math import ceil
 import numpy as np
 
 from .descent import i_min_oracle
+from .projections import _count, _real
 
 __all__ = [
     "normalized_error",
@@ -43,7 +44,7 @@ def centile_curve(errors, centile):
     errors = list(errors)
     if not errors:
         raise ValueError("errors must be nonempty")
-    if not 0.0 < centile <= 1.0:
+    if _real("centile", centile, positive=True) > 1.0:
         raise ValueError(f"centile must lie in (0, 1], got {centile}")
     rank = ceil(centile * len(errors))
     value = sorted(errors)[rank - 1]
@@ -59,8 +60,7 @@ def sm1(trace, n=10):
     trace recorded no errors, is too short, or the best error is exactly
     zero (the ratio is then undefined).
     """
-    if n < 1:
-        raise ValueError(f"offset n must be >= 1, got {n}")
+    n = _count("n", n, 1)
     i_min = i_min_oracle(trace)
     errors = trace.errors_to_truth
     if i_min + n >= len(errors):
@@ -80,8 +80,7 @@ def sm2(trace, n=10):
     sum over i in [i_min+1, i_min+n] of ||x_{i+1} - x_i|| / ||x_i||.
     Needs recorded iterates through i_min + n + 1.
     """
-    if n < 1:
-        raise ValueError(f"offset n must be >= 1, got {n}")
+    n = _count("n", n, 1)
     if trace.iterates is None:
         raise ValueError("sm2 needs recorded iterates; run with record_iterates=True")
     i_min = i_min_oracle(trace)
@@ -110,9 +109,7 @@ class StabilityReport:
 
 def stability_report(trace, offsets=(10, 50, 100)):
     """Bundle SM1/SM2 at each offset into a StabilityReport."""
-    offsets = tuple(int(n) for n in offsets)
-    if any(n < 1 for n in offsets):
-        raise ValueError(f"offsets must be positive, got {offsets}")
+    offsets = [_count("offsets", n, 1) for n in offsets]
     return StabilityReport(
         i_min=i_min_oracle(trace),
         sm1_at={n: sm1(trace, n) for n in offsets},

@@ -8,7 +8,7 @@ operator (A, I) acting on a stacked signal/noise vector.
 
 import numpy as np
 
-from .projections import _smallest
+from .projections import _count, _smallest
 
 __all__ = [
     "MeasurementOperator",
@@ -72,8 +72,7 @@ def gaussian_operator(m, n, seed):
     takes: a seed gives the same matrix every time, and a Generator is drawn
     from in place (the experiments pass their per-trial streams).
     """
-    if m < 1 or n < 1:
-        raise ValueError(f"operator dimensions must be >= 1, got m={m}, n={n}")
+    m, n = _count("m", m, 1), _count("n", n, 1)
     rng = np.random.default_rng(seed)
     matrix = rng.standard_normal((m, n)) / np.sqrt(m)
     return MeasurementOperator(matrix)
@@ -99,10 +98,9 @@ class BackProjection:
         self.kind = kind
         self.keep = None
         if kind == "residual_threshold":
-            keep = int(keep)
-            if not 0 <= keep <= op.m:
+            self.keep = _count("keep", keep)
+            if self.keep > op.m:
                 raise ValueError(f"keep must lie in [0, {op.m}], got {keep}")
-            self.keep = keep
 
     @classmethod
     def adjoint(cls, op):
@@ -113,13 +111,14 @@ class BackProjection:
         return cls(op, kind="residual_threshold", keep=keep)
 
     def apply(self, residual):
-        residual = np.asarray(residual, dtype=float)
-        if residual.shape != (self.op.m,):
-            raise ValueError(f"expected residual of length {self.op.m}, got shape {residual.shape}")
         if self.kind == "adjoint":
             return self.op.adjoint(residual)
         # residual_threshold: keep the `keep` smallest-magnitude entries;
         # ties keep the lower index, and NaN ranks as the largest magnitude.
+        # Checked before _smallest, which fails on a non-vector with TypeError.
+        residual = np.asarray(residual, dtype=float)
+        if residual.shape != (self.op.m,):
+            raise ValueError(f"expected residual of length {self.op.m}, got shape {residual.shape}")
         kept = _smallest(np.abs(residual), self.keep)
         return self.op.adjoint(np.where(kept, residual, 0.0))
 

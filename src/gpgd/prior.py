@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .projections import _count, _real
+
 __all__ = [
     "ToyPrior",
     "TrainConfig",
@@ -163,17 +165,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, positive in (("nipr_weight", False), ("noise_sigma", False),
-                               ("learning_rate", True)):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not math.isfinite(value)
-                    or value < 0 or (positive and value == 0)):
-                raise ValueError(
-                    f"{name} must be a finite number {'>' if positive else '>='} 0, got {value!r}")
-        for name, least in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        _real("nipr_weight", self.nipr_weight)
+        _real("noise_sigma", self.noise_sigma)
+        _real("learning_rate", self.learning_rate, positive=True)
+        _count("epochs", self.epochs)
+        _count("batch_size", self.batch_size, 1)
+        _count("seed", self.seed)
         if self.loss_kind not in ("ae", "pnp"):
             raise ValueError(f"loss_kind must be 'ae' or 'pnp', got {self.loss_kind!r}")
 

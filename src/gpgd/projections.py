@@ -34,6 +34,22 @@ def _norm(v):
     return math.sqrt(v.dot(v))
 
 
+def _count(name, value, least=0):
+    """`value` as an int; ValueError naming `name` unless an integer >= `least`, not a bool."""
+    if type(value) is int and value >= least:
+        return value
+    if isinstance(value, np.integer) and value >= least:
+        return int(value)
+    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _real(name, value, positive=False):
+    """`value` as a float; ValueError naming `name` unless finite and >= 0 (> 0 if `positive`)."""
+    if isinstance(value, bool) or not math.isfinite(value) or value < 0 or positive and value == 0:
+        raise ValueError(f"{name} must be a finite number {'>' if positive else '>='} 0, got {value!r}")
+    return float(value)
+
+
 def _smallest(values, count):
     """Boolean mask of the `count` smallest entries of a 1-d float array.
 
@@ -71,8 +87,7 @@ def hard_threshold(z, k):
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         raise ValueError(f"expected a vector, got shape {z.shape}")
-    k = int(k)
-    if k < 0 or k > z.size:
+    if _count("k", k) > z.size:
         raise ValueError(f"sparsity k must lie in [0, {z.size}], got {k}")
     return np.where(_smallest(-np.abs(z), k), z, 0.0)
 
@@ -106,7 +121,7 @@ class HardThreshold:
     """Orthogonal projection onto k-sparse vectors."""
 
     def __init__(self, k):
-        self.k = int(k)
+        self.k = _count("k", k)
 
     def __call__(self, z):
         return hard_threshold(z, self.k)
@@ -124,10 +139,8 @@ class PAlpha:
     """
 
     def __init__(self, k, alpha):
-        if alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {alpha}")
-        self.k = int(k)
-        self.alpha = float(alpha)
+        self.k = _count("k", k)
+        self.alpha = _real("alpha", alpha)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
@@ -152,7 +165,7 @@ class ProductProjection:
     """
 
     def __init__(self, components):
-        self.components = [(proj, int(dim)) for proj, dim in components]
+        self.components = [(proj, _count("block dim", dim)) for proj, dim in components]
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)

@@ -5,6 +5,7 @@ from gpgd.constants import (
     TheoremBound,
     exact_ric_sparse,
     mc_beta,
+    null_space_ric_floor,
     operator_norm,
     theorem_bound_eval,
 )
@@ -39,6 +40,21 @@ def test_exact_ric_dominates_monte_carlo():
 def test_exact_ric_enumeration_guard():
     with pytest.raises(ValueError, match="enumeration guard"):
         exact_ric_sparse(np.eye(200), 10)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: exact_ric_sparse(np.eye(4), 1.5), "k"),
+    (lambda: null_space_ric_floor(np.ones((2, 4)), True), "k"),
+    (lambda: mc_beta(HardThreshold(1), k=1, n=4, trials=True, seed=0), "trials"),
+    (lambda: mc_beta(HardThreshold(1), k=1.5, n=4, trials=2, seed=0), "k"),
+    (lambda: operator_norm(np.eye(3), iters=2.5), "iters"),
+    (lambda: operator_norm(np.eye(3), iters=0), "iters"),
+    (lambda: operator_norm(np.eye(3), tol=float("nan")), "tol"),
+], ids=["exact_ric_sparse", "null_space_ric_floor", "mc_beta-trials", "mc_beta-k",
+        "operator_norm-iters", "operator_norm-iters0", "operator_norm-tol"])
+def test_constants_reject_non_integer_counts_and_non_finite_reals(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()
 
 
 def test_mc_beta_hard_threshold_brackets():
@@ -133,7 +149,7 @@ def test_bound_requires_contraction():
     "delta", "beta", "mu", "noise_term", "model_error", "proj_error_eta",
     "op_norm_muLA", "op_norm_I_minus_muLA",
 ])
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True])
 def test_bound_rejects_non_finite_constants(field, value):
     fields = dict(delta=0.3, beta=1.0, mu=1.0)
     fields[field] = value
@@ -141,11 +157,15 @@ def test_bound_rejects_non_finite_constants(field, value):
         TheoremBound(**fields)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True])
 def test_bound_rejects_non_finite_initial_error(value):
     tb = TheoremBound(delta=0.3, beta=1.0, mu=1.0)
     with pytest.raises(ValueError, match="initial_error"):
         theorem_bound_eval(tb, 2, value)
+    # Nor is any of them, or 2.5, an iteration count.
+    for n_iters in (value, 2.5):
+        with pytest.raises(ValueError, match="n_iters"):
+            theorem_bound_eval(tb, n_iters, 1.0)
 
 
 @pytest.mark.parametrize("variant", ["projection", "truth"])

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -65,10 +67,20 @@ def test_config_rejects_zero_iterations():
     ("rel_change_tol", float("nan")),
     ("rel_change_tol", float("inf")),
     ("rel_change_tol", False),
+    ("record_iterates", "no"),
+    ("record_iterates", 1),
 ])
 def test_config_rejects(field, value):
     with pytest.raises(ValueError, match=field):
         GpgdConfig(**{field: value})
+
+
+def test_readme_library_example_recovers_exactly():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(example, namespace)
+    assert namespace["trace"].errors_to_truth[-1] < 1e-10
 
 
 def test_config_accepts_numpy_integers():

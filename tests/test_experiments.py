@@ -630,3 +630,28 @@ def test_cli_rejects_zero_amplitude_outliers(tmp_path, command, grids):
     # Without outliers, or with an absolute amplitude, the run is valid.
     assert _cli(tmp_path, command, {**config, "outlier_grid": [0]}, "s0") == 0
     assert _cli(tmp_path, command, {**config, "outlier_amplitude": 1.0}, "a1") == 0
+
+
+@pytest.mark.parametrize("command, config", [
+    ("stepsize", {"sparsity_grid": [3, 3], "mu_grid": [0.3, 0.3], "k_trace": 3}),
+    ("stepsize", {"sparsity_grid": [3], "mu_grid": [0.3, 0.6, 0.3], "k_trace": 3}),
+    ("phase-alpha", {"sparsity_grid": [3, 3], "k_trace": 3}),
+    ("phase-alpha", {"sparsity_grid": [2], "alpha_grid": [0, 0.0]}),
+    ("outliers", {"sparsity_grid": [2], "outlier_grid": [5, 5]}),
+    ("joint", {"sparsity_grid": [2, 2], "outlier_grid": [1]}),
+])
+def test_cli_rejects_repeated_grid_entries(tmp_path, command, config):
+    # Grid entries key the cells, so a repeated entry would merge the trials
+    # of two cells into each of its rows.
+    config = {"m": 12, "n_ambient": 20, "trials": 2, "iterations": 5, **config}
+    _exits_1_and_writes_nothing(tmp_path, command, config)
+
+
+def test_cli_rejects_an_output_path_outside_an_existing_directory(tmp_path):
+    # Checked before the study runs, not at the write after it.
+    (tmp_path / "file").write_text("")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 1, "iterations": 5}))
+    for out in (tmp_path / "no" / "such" / "x", tmp_path / "file" / "x"):
+        assert main(["theorem", "--config", str(cfg), "--out", str(out)]) == 1, out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"]

@@ -41,6 +41,15 @@ def test_sm1_errors():
     # SM1 reads the recorded errors only; iterates alone do not suffice.
     with pytest.raises(ValueError, match="errors_to_truth"):
         sm1(_trace(iterates=[np.ones(2), np.zeros(2), np.ones(2)]), n=1)
+    # An offset is an integer of at least 1, also in sm2 and the report.
+    t = _trace(errors=[2.0, 1.0, 3.0, 4.0], iterates=[np.ones(2)] * 4)
+    for n in (1.5, True, 0):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            sm1(t, n=n)
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            sm2(t, n=n)
+        with pytest.raises(ValueError, match="^offsets must be an integer"):
+            stability_report(t, offsets=(1, n))
 
 
 def test_sm1_nonnegative_on_random_traces():
@@ -124,6 +133,9 @@ def test_centile_validation():
         centile_curve([], 0.9)
     with pytest.raises(ValueError):
         centile_curve([0.1], 0.0)
+    for centile in (True, float("nan")):
+        with pytest.raises(ValueError, match="centile"):
+            centile_curve([0.1], centile)
 
 
 def test_normalized_error_zero_truth():

@@ -41,6 +41,10 @@ def test_gaussian_rejects_zero_dimensions():
         gaussian_operator(0, 5, 1)
     with pytest.raises(ValueError):
         gaussian_operator(5, 0, 1)
+    with pytest.raises(ValueError, match="m must be an integer"):
+        gaussian_operator(2.5, 5, 1)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        gaussian_operator(5, True, 1)
 
 
 def test_operator_rejects_nonfinite_entries():
@@ -68,6 +72,10 @@ def test_apply_dimension_mismatch():
     op = gaussian_operator(5, 9, 0)
     with pytest.raises(ValueError):
         op.apply(np.zeros(8))
+    # Each back-projection rejects a residual that is not a length-m vector.
+    for bp in (BackProjection.adjoint(op), BackProjection.residual_threshold(op, 1)):
+        with pytest.raises(ValueError, match="length 5"):
+            bp.apply(np.zeros((5, 1)))
 
 
 def test_adjoint_matches_inner_product():
@@ -146,6 +154,9 @@ def test_residual_threshold_keep_bounds():
         BackProjection.residual_threshold(op, keep=6)
     with pytest.raises(ValueError):
         BackProjection.residual_threshold(op, keep=-1)
+    for keep in (2.5, True):
+        with pytest.raises(ValueError, match="keep must be an integer"):
+            BackProjection.residual_threshold(op, keep=keep)
 
 
 def test_fixed_mask_kinds_are_linear():

@@ -33,6 +33,12 @@ def test_hard_threshold_k_zero_and_bounds():
         hard_threshold([1.0, 2.0], 3)
     with pytest.raises(ValueError):
         hard_threshold([1.0, 2.0], -1)
+    # A sparsity level is an integer: never truncated, never a bool.
+    for k in (2.5, True):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            hard_threshold([1.0, 2.0], k)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            HardThreshold(k)
 
 
 # Small integers make ties common; NaN, +-inf and -0.0 probe the ordering.
@@ -81,6 +87,11 @@ def test_p_alpha_hand_case():
 def test_p_alpha_rejects_negative_alpha():
     with pytest.raises(ValueError):
         PAlpha(1, -0.5)
+    for alpha in (float("nan"), float("inf"), True):
+        with pytest.raises(ValueError, match="alpha"):
+            PAlpha(2, alpha)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        PAlpha(2.5, 0.3)
 
 
 def test_p_alpha_is_idempotent():
@@ -120,6 +131,9 @@ def test_product_single_component_matches_component():
 def test_product_dimension_mismatch():
     with pytest.raises(ValueError):
         ProductProjection([(lambda v: v, 2), (lambda v: v, 2)])(np.zeros(5))
+    for dim in (2.5, True, -1):
+        with pytest.raises(ValueError, match="block dim"):
+            ProductProjection([(lambda v: v, 2), (lambda v: v, dim)])
 
 
 def test_model_distance_on_model_point_is_zero():
