@@ -115,7 +115,8 @@ def mc_beta(projection, k, n, trials, seed):
     bound on the true constant, deterministic given the seed, nondecreasing
     under nested sampling.
     """
-    trials, k = _count("trials", trials, 1), _count("k", k)
+    # n = 0 would redraw its empty z forever; k > n fails in sparse_signal.
+    trials, k, n = _count("trials", trials, 1), _count("k", k), _count("n", n, 1)
     rng = np.random.default_rng(seed)
     best = 0.0
     for trial in range(trials):

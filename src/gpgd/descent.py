@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projections import _count, _norm, _real
+from .projections import _count, _norm, _norms, _real
 
 __all__ = ["GpgdConfig", "RecoveryTrace", "gpgd_run", "i_min_oracle"]
 
@@ -136,6 +136,45 @@ def gpgd_run(x0, projection, back_projection, op, y, cfg, truth=None):
         iterates=iterates,
         diverged=diverged,
     )
+
+
+def _stacked_run(A, Y, mu, project, max_iters, truths):
+    """gpgd_run on each row i of a stack: A[i] (m x n), Y[i], mu[i] and truths[i],
+    from zero, with the adjoint back-projection, no early stopping and the
+    iterates recorded.  project(Z, rows) projects the iterates Z of the
+    original rows `rows`.  Every matvec and norm is a per-row matmul, so each
+    trace has gpgd_run's bits on its row alone.  A row whose new iterate is
+    not finite ends its trace as gpgd_run does and leaves the stack."""
+    T, n = truths.shape
+    At = np.swapaxes(A, 1, 2)
+    residuals, rels, errors = np.full((3, max_iters + 1, T), np.nan)
+    iterates = np.zeros((max_iters + 1, T, n))
+    stops, diverged = np.full(T, max_iters), np.zeros(T, dtype=bool)
+    rows, X, x_norm = np.arange(T), iterates[0], np.zeros(T)
+    errors[0] = _norms(X - truths)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(max_iters + 1):
+            PX = project(X, rows)
+            R = (A @ PX[:, :, None])[:, :, 0] - Y
+            residuals[t, rows] = _norms(R)
+            if t == max_iters:
+                break
+            X_next = PX - mu[:, None] * (At @ R[:, :, None])[:, :, 0]
+            sq = (X_next[:, None, :] @ X_next[:, :, None])[:, 0, 0]
+            bad = ~np.isfinite(sq)
+            if bad.any():
+                bad[bad] = ~np.isfinite(X_next[bad]).all(axis=1)
+                stops[rows[bad]], diverged[rows[bad]] = t, True
+                A, At, Y, mu, truths, X, X_next, x_norm, sq, rows = (
+                    v[~bad] for v in (A, At, Y, mu, truths, X, X_next, x_norm, sq, rows))
+            rels[t + 1, rows] = _norms(X_next - X) / np.maximum(x_norm, REL_CHANGE_FLOOR)
+            errors[t + 1, rows] = _norms(X_next - truths)
+            iterates[t + 1, rows] = X_next
+            X, x_norm = X_next, np.sqrt(sq)
+    return [RecoveryTrace(residuals[: t + 1, i].tolist(), [float("nan")] + rels[1 : t + 1, i].tolist(),
+                          int(t), iterates[t, i].copy(), errors[: t + 1, i].tolist(),
+                          list(iterates[: t + 1, i]), bool(diverged[i]))
+            for i, t in enumerate(stops)]
 
 
 def i_min_oracle(trace):

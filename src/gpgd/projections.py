@@ -7,6 +7,7 @@ distance to the model set.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -34,6 +35,11 @@ def _norm(v):
     return math.sqrt(v.dot(v))
 
 
+def _norms(V):
+    """_norm of each row of a 2-d array, with its bits: a matmul per row (einsum differs)."""
+    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
+
+
 def _count(name, value, least=0):
     """`value` as an int; ValueError naming `name` unless an integer >= `least`, not a bool."""
     if type(value) is int and value >= least:
@@ -44,8 +50,9 @@ def _count(name, value, least=0):
 
 
 def _real(name, value, positive=False):
-    """`value` as a float; ValueError naming `name` unless finite and >= 0 (> 0 if `positive`)."""
-    if isinstance(value, bool) or not math.isfinite(value) or value < 0 or positive and value == 0:
+    """`value` as a float; ValueError naming `name` unless a finite real >= 0 (> 0 if `positive`)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value < 0 or positive and value == 0):
         raise ValueError(f"{name} must be a finite number {'>' if positive else '>='} 0, got {value!r}")
     return float(value)
 
@@ -92,6 +99,13 @@ def hard_threshold(z, k):
     return np.where(_smallest(-np.abs(z), k), z, 0.0)
 
 
+def _threshold_rows(Z, k):
+    """hard_threshold(z, k) on each row z of Z, k unchecked (a count or a column of
+    them): one stable argsort of -|Z| along the rows keeps what _smallest keeps."""
+    order = np.argsort(-np.abs(Z), axis=1, kind="stable")
+    return np.where(np.argsort(order, axis=1) < k, Z, 0.0)
+
+
 def sparse_signal(n, k, rng):
     """Random point of the k-sparse model set: standard-normal nonzeros on a
     uniform support, rescaled to norm sqrt(k).
@@ -100,6 +114,8 @@ def sparse_signal(n, k, rng):
     thresholds measure the (k, noise) phase boundary instead of the luck of
     the signal scale draw.  k = 0 gives the zero vector and draws nothing.
     """
+    if _count("k", k) > _count("n", n):
+        raise ValueError(f"k must be at most n = {n}, got {k}")
     x = np.zeros(n)
     if k == 0:
         return x

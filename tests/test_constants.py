@@ -47,10 +47,14 @@ def test_exact_ric_enumeration_guard():
     (lambda: null_space_ric_floor(np.ones((2, 4)), True), "k"),
     (lambda: mc_beta(HardThreshold(1), k=1, n=4, trials=True, seed=0), "trials"),
     (lambda: mc_beta(HardThreshold(1), k=1.5, n=4, trials=2, seed=0), "k"),
+    (lambda: mc_beta(HardThreshold(1), 1, 3.5, 4, 0), "n"),
+    (lambda: mc_beta(HardThreshold(0), 0, 0, 4, 0), "n"),
+    (lambda: mc_beta(HardThreshold(1), 5, 4, 4, 0), "k"),
     (lambda: operator_norm(np.eye(3), iters=2.5), "iters"),
     (lambda: operator_norm(np.eye(3), iters=0), "iters"),
     (lambda: operator_norm(np.eye(3), tol=float("nan")), "tol"),
 ], ids=["exact_ric_sparse", "null_space_ric_floor", "mc_beta-trials", "mc_beta-k",
+        "mc_beta-n", "mc_beta-n0", "mc_beta-k-above-n",
         "operator_norm-iters", "operator_norm-iters0", "operator_norm-tol"])
 def test_constants_reject_non_integer_counts_and_non_finite_reals(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):

@@ -1,17 +1,19 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gpgd.constants import exact_ric_sparse
-from gpgd.descent import GpgdConfig, gpgd_run, i_min_oracle
-from gpgd.experiments import _trace_rows, _write_csv
+from gpgd.descent import GpgdConfig, RecoveryTrace, _stacked_run, gpgd_run, i_min_oracle
+from gpgd.experiments import PerturbedProjection, _row_projection, _trace_rows, _write_csv
 from gpgd.operators import BackProjection, JointOperator, MeasurementOperator, gaussian_operator
 from gpgd.projections import (
     HARD_THRESHOLD_BETA,
     HardThreshold,
     PAlpha,
     ProductProjection,
+    sparse_signal,
 )
 
 
@@ -64,6 +66,7 @@ def test_config_rejects_zero_iterations():
     ("max_iters", True),
     ("mu", float("inf")),
     ("mu", True),
+    ("mu", "0.6"),
     ("rel_change_tol", float("nan")),
     ("rel_change_tol", float("inf")),
     ("rel_change_tol", False),
@@ -316,3 +319,29 @@ def test_run_matches_textbook_loop_bit_for_bit(case):
     assert (trace.errors_to_truth is None) == (errors is None)
     if errors is not None:
         assert _bits(trace.errors_to_truth) == _bits(errors)
+
+
+def test_stacked_run_is_gpgd_run_on_every_row():
+    # Distinct step sizes, k = 0, a perturbed projection (fresh, same seed,
+    # on each side) and a row that diverges ahead of rows that run on.
+    def projections():
+        return [HardThreshold(1), HardThreshold(2), HardThreshold(0),
+                PerturbedProjection(1, 0.02, seed=5), HardThreshold(2)]
+
+    mus = [0.9, 1e160, 1.0, 0.8, 0.4]
+    rng = np.random.default_rng(8)
+    ops = [gaussian_operator(64, 12, rng) for _ in mus]
+    truths = [sparse_signal(12, 2, rng) for _ in mus]
+    ys = [op.apply(x) + 0.01 * rng.standard_normal(64) for op, x in zip(ops, truths)]
+    traces = _stacked_run(np.array([op.matrix for op in ops]), np.array(ys), np.array(mus),
+                          _row_projection(projections()), 60, np.array(truths))
+    assert [trace.diverged for trace in traces] == [False, True, False, False, False]
+    for trace, proj, mu, op, y, x in zip(traces, projections(), mus, ops, ys, truths):
+        cfg = GpgdConfig(mu=mu, max_iters=60, record_iterates=True)
+        ref = gpgd_run(np.zeros(12), proj, BackProjection.adjoint(op), op, y, cfg, truth=x)
+        assert trace.iterations_run == ref.iterations_run
+        assert trace.diverged == ref.diverged
+        for field in dataclasses.fields(RecoveryTrace):
+            if field.name not in ("iterations_run", "diverged"):
+                assert _bits(getattr(trace, field.name)) == _bits(getattr(ref, field.name)), field.name
+    assert traces[1].iterations_run < 60 == traces[0].iterations_run

@@ -290,6 +290,28 @@ def test_theorem_check_computes_each_op_norm_only_for_a_nonzero_error(monkeypatc
     assert len(calls) == expected == 4
 
 
+def test_theorem_check_solves_the_cell_in_one_stacked_descent(monkeypatch):
+    import gpgd.experiments as experiments
+
+    calls, stacks = [], []
+    stacked_run = experiments._stacked_run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args)
+        return gpgd_run(*args, **kwargs)
+
+    def counting_stack(A, *args):
+        stacks.append(len(A))
+        return stacked_run(A, *args)
+
+    monkeypatch.setattr(experiments, "gpgd_run", counting_run)
+    monkeypatch.setattr(experiments, "_stacked_run", counting_stack)
+    r = run_theorem_check(default_spec("theorem", trials=2))
+    assert len(r["rows"]) == 8
+    assert calls == []
+    assert stacks == [8]
+
+
 def test_theorem_check_inconclusive_at_hopeless_dims():
     # Far too few measurements for the contraction hypothesis to ever hold.
     spec = default_spec("theorem", m=8, n_ambient=12, trials=2, resample_budget=25)

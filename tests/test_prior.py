@@ -166,6 +166,8 @@ def test_default_penalty_weight():
     ("nipr_weight", True),
     ("noise_sigma", False),
     ("learning_rate", True),
+    ("learning_rate", "0.01"),
+    ("nipr_weight", "0.005"),
     ("epochs", -3),
     ("epochs", 2.5),
     ("batch_size", 0),

@@ -9,8 +9,10 @@ from gpgd.projections import (
     HardThreshold,
     PAlpha,
     ProductProjection,
+    _threshold_rows,
     hard_threshold,
     model_distance,
+    sparse_signal,
 )
 
 
@@ -58,6 +60,40 @@ def test_hard_threshold_matches_stable_sort(values, data):
     assert hard_threshold(z, k).tobytes() == expected.tobytes()
 
 
+def _check_rows(Z, k):
+    kept = _threshold_rows(Z, k)
+    for row, z, row_k in zip(kept, Z, np.broadcast_to(k, (len(Z), 1))[:, 0]):
+        assert row.tobytes() == hard_threshold(z, int(row_k)).tobytes()
+
+
+def test_threshold_rows_is_hard_threshold_on_every_row():
+    # Tied magnitudes within and across rows, NaN, inf and -0.0.
+    Z = np.array([[1.0, -1.0, np.nan, 1.0, 0.0],
+                  [np.nan, -0.0, 2.0, -2.0, 2.0],
+                  [3.0, np.inf, -3.0, np.nan, np.nan]])
+    for k in range(6):
+        _check_rows(Z, k)
+    _check_rows(Z, np.array([[0], [3], [5]]))
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=1, max_size=6)),
+    st.data())
+def test_threshold_rows_matches_hard_threshold(rows, data):
+    Z = np.array(rows, dtype=float).reshape(len(rows), -1)
+    n = Z.shape[1]
+    _check_rows(Z, data.draw(st.integers(0, n)))
+    _check_rows(Z, np.array([[data.draw(st.integers(0, n))] for _ in rows]))
+
+
+def test_sparse_signal_rejects_bad_counts():
+    rng = np.random.default_rng(0)
+    for n, k, name in ((5, True, "k"), (5, 2.5, "k"), (5, -1, "k"), (5.0, 2, "n"), (5, 7, "k")):
+        with pytest.raises(ValueError, match=f"{name} must"):
+            sparse_signal(n, k, rng)
+
+
 def test_hard_threshold_idempotent_exactly():
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -87,7 +123,7 @@ def test_p_alpha_hand_case():
 def test_p_alpha_rejects_negative_alpha():
     with pytest.raises(ValueError):
         PAlpha(1, -0.5)
-    for alpha in (float("nan"), float("inf"), True):
+    for alpha in (float("nan"), float("inf"), True, "0.3"):
         with pytest.raises(ValueError, match="alpha"):
             PAlpha(2, alpha)
     with pytest.raises(ValueError, match="k must be an integer"):
