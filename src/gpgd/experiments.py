@@ -15,6 +15,8 @@ arms are compared on identical data.
 import copy
 import json
 import math
+import os
+import pickle
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -287,6 +289,48 @@ def trial_rng(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=tuple(int(i) for i in key)))
 
 
+def _processes():
+    """CPUs in this process's affinity mask, or 1 where the platform has none."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _trial_map(fn, items):
+    """[fn(i) for i in items], dealt in turn to n = _processes() shares: this
+    process computes items[0::n], and a child forked now, seeing the caller's
+    state, computes each other share and pipes back its results or its error."""
+    items = list(items)
+    n = max(1, min(_processes(), len(items)))
+    out, children, reports = [None] * len(items), [], []
+    try:
+        for s in range(1, n):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    try:
+                        report = [fn(i) for i in items[s::n]]
+                    except BaseException as exc:  # noqa: BLE001 - re-raised in the parent
+                        report = exc
+                    with open(w, "wb") as fh:
+                        fh.write(pickle.dumps(report))
+                finally:
+                    os._exit(0)  # never return into the caller's stack
+            os.close(w)
+            children.append((pid, r))
+        out[0::n] = [fn(i) for i in items[0::n]]
+    finally:
+        for pid, r in children:
+            with open(r, "rb") as fh:
+                reports.append((fh.read(), os.waitpid(pid, 0)[1]))
+    for s, (data, status) in enumerate(reports, 1):
+        value = pickle.loads(data) if data else RuntimeError(
+            f"a trial share exited without reporting, code {os.waitstatus_to_exitcode(status)}")
+        if isinstance(value, BaseException):
+            raise value
+        out[s::n] = value
+    return out
+
+
 def _effective_sigma(spec, y_clean):
     """Per-entry noise level: absolute if positive, exactly zero if zero,
     otherwise the relative default 0.01 * ||A x|| / sqrt(m)."""
@@ -364,34 +408,48 @@ def _arm_sweep(spec, tag, arms, arm_column):
     {arm_column: key, "k": k}, of each arm's solve on the trial-0 instance
     at k_trace (if in the grid).  That solve runs without early stopping
     and with the truth recorded, and its estimate is the iterate at which
-    early stopping would have ended it.
+    early stopping would have ended it.  The trials run by _trial_map.
     """
     grid = list(spec.sparsity_grid)
-    errors = {(key, k): [] for key, _, _ in arms for k in grid}
     trace_ki = grid.index(spec.k_trace) if spec.k_trace in grid else None
-    traces = []
-    for ki, k in enumerate(grid):
-        for t in range(spec.trials):
-            op, x, y, _ = _draw_instance(spec, trial_rng(spec.seed, tag, ki, t), k)
-            bp = BackProjection.adjoint(op)
-            traced = ki == trace_ki and t == 0
-            for key, make_projection, mu in arms:
-                x0, proj = np.zeros(spec.n_ambient), make_projection(k)
-                if traced:
-                    cfg = replace(_descent_cfg(spec, mu), rel_change_tol=0.0,
-                                  record_iterates=spec.rel_change_tol > 0)
-                    trace = gpgd_run(x0, proj, bp, op, y, cfg, truth=x)
-                    # gpgd_run stops right after the first iterate whose
-                    # relative change is below a positive rel_change_tol;
-                    # at tol 0 it runs to the end and needs no iterates.
-                    estimate = next((trace.iterates[j] for j, rel in enumerate(trace.rel_changes)
-                                     if rel < spec.rel_change_tol), trace.final)
-                    traces.extend(_trace_rows(trace, {arm_column: key, "k": k}))
-                else:
-                    estimate = gpgd_run(x0, proj, bp, op, y, _descent_cfg(spec, mu)).final
-                errors[(key, k)].append((normalized_error(hard_threshold(estimate, k), x),
-                                         normalized_error(estimate, x)))
-    return errors, traces
+
+    def solve(item):
+        ki, k, t = item
+        op, x, y, _ = _draw_instance(spec, trial_rng(spec.seed, tag, ki, t), k)
+        bp = BackProjection.adjoint(op)
+        pairs, traces = [], []
+        for key, make_projection, mu in arms:
+            x0, proj = np.zeros(spec.n_ambient), make_projection(k)
+            if ki == trace_ki and t == 0:
+                cfg = replace(_descent_cfg(spec, mu), rel_change_tol=0.0,
+                              record_iterates=spec.rel_change_tol > 0)
+                trace = gpgd_run(x0, proj, bp, op, y, cfg, truth=x)
+                # gpgd_run stops right after the first iterate whose
+                # relative change is below a positive rel_change_tol;
+                # at tol 0 it runs to the end and needs no iterates.
+                estimate = next((trace.iterates[j] for j, rel in enumerate(trace.rel_changes)
+                                 if rel < spec.rel_change_tol), trace.final)
+                traces.extend(_trace_rows(trace, {arm_column: key, "k": k}))
+            else:
+                estimate = gpgd_run(x0, proj, bp, op, y, _descent_cfg(spec, mu)).final
+            pairs.append((normalized_error(hard_threshold(estimate, k), x),
+                          normalized_error(estimate, x)))
+        return pairs, traces
+
+    results = _trial_map(solve, [(ki, k, t) for ki, k in enumerate(grid)
+                                 for t in range(spec.trials)])
+    errors = {(key, k): [pairs[a] for pairs, _ in results[ki * spec.trials:(ki + 1) * spec.trials]]
+              for a, (key, _, _) in enumerate(arms) for ki, k in enumerate(grid)}
+    return errors, [row for _, rows in results for row in rows]
+
+
+def _cell_trials(spec, solve):
+    """(k, s, solve((ki, k, si, s, t)) of each trial t, as columns) per grid cell."""
+    cells = [(ki, k, si, s) for ki, k in enumerate(spec.sparsity_grid)
+             for si, s in enumerate(spec.outlier_grid)]
+    results = _trial_map(solve, [(*cell, t) for cell in cells for t in range(spec.trials)])
+    return [(k, s, list(zip(*results[c * spec.trials:(c + 1) * spec.trials])))
+            for c, (_, k, _, s) in enumerate(cells)]
 
 
 # ---------------------------------------------------------------------------
@@ -428,21 +486,22 @@ def run_outlier_tradeoff(spec):
     back-projection and the unadapted adjoint baseline on identical data."""
     tag = _TAGS["outliers"]
     methods = ("residual_threshold", "adjoint")
-    rows = []
-    for ki, k in enumerate(spec.sparsity_grid):
-        for si, s in enumerate(spec.outlier_grid):
-            errs = {meth: [] for meth in methods}
-            for t in range(spec.trials):
-                rng = trial_rng(spec.seed, tag, ki, si, t)
-                op, x, y, sigma = _draw_instance(spec, rng, k)
-                y = y + _corruption(spec, rng, s, sigma)
-                proj = HardThreshold(k)
-                for meth in methods:
-                    bp = BackProjection(op, meth, keep=spec.m - s)
-                    trace = gpgd_run(np.zeros(spec.n_ambient), proj, bp, op, y, _descent_cfg(spec))
-                    errs[meth].append(normalized_error(hard_threshold(trace.final, k), x))
-            for meth in methods:
-                rows.append({"method": meth, "k": k, "s": s, **_stats(spec, errs[meth])})
+
+    def solve(item):
+        ki, k, si, s, t = item
+        rng = trial_rng(spec.seed, tag, ki, si, t)
+        op, x, y, sigma = _draw_instance(spec, rng, k)
+        y = y + _corruption(spec, rng, s, sigma)
+        proj = HardThreshold(k)
+        errs = []
+        for meth in methods:
+            bp = BackProjection(op, meth, keep=spec.m - s)
+            trace = gpgd_run(np.zeros(spec.n_ambient), proj, bp, op, y, _descent_cfg(spec))
+            errs.append(normalized_error(hard_threshold(trace.final, k), x))
+        return errs
+
+    rows = [{"method": meth, "k": k, "s": s, **_stats(spec, errs)}
+            for k, s, columns in _cell_trials(spec, solve) for meth, errs in zip(methods, columns)]
     return {"rows": rows, "traces": None, "status": 0, "summary": {}}
 
 
@@ -482,35 +541,30 @@ def run_joint_model(spec):
     """Recover signal and sparse corruption jointly with the (A, I) operator
     and a product projection; reports block-wise errors."""
     tag = _TAGS["joint"]
-    rows = []
-    for ki, k in enumerate(spec.sparsity_grid):
-        for si, s in enumerate(spec.outlier_grid):
-            x_errs, e_errs = [], []
-            for t in range(spec.trials):
-                rng = trial_rng(spec.seed, tag, ki, si, t)
-                base = gaussian_operator(spec.m, spec.n_ambient, rng)
-                x = sparse_signal(spec.n_ambient, k, rng)
-                y_clean = base.apply(x)
-                # The corruption is drawn before the dense noise, unlike in
-                # outliers, and the noise only when its level is positive;
-                # the order is part of this experiment's streams.
-                sigma = _effective_sigma(spec, y_clean)
-                e = _corruption(spec, rng, s, sigma)
-                y = y_clean + e
-                if sigma > 0:
-                    y = y + sigma * rng.standard_normal(spec.m)
-                jop = JointOperator(base)
-                proj = ProductProjection([
-                    (HardThreshold(k), spec.n_ambient),
-                    (HardThreshold(s), spec.m),
-                ])
-                trace = gpgd_run(np.zeros(spec.n_ambient + spec.m), proj,
-                                 BackProjection.adjoint(jop), jop, y, _descent_cfg(spec))
-                x_est, e_est = jop.split(proj(trace.final))
-                x_errs.append(normalized_error(x_est, x))
-                e_errs.append(normalized_error(e_est, e))
-            rows.append({"k": k, "s": s, **_stats(spec, x_errs, "x_error"),
-                         **_stats(spec, e_errs, "e_error")})
+
+    def solve(item):
+        ki, k, si, s, t = item
+        rng = trial_rng(spec.seed, tag, ki, si, t)
+        base = gaussian_operator(spec.m, spec.n_ambient, rng)
+        x = sparse_signal(spec.n_ambient, k, rng)
+        y_clean = base.apply(x)
+        # The corruption is drawn before the dense noise, unlike in
+        # outliers, and the noise only when its level is positive; the
+        # order is part of this experiment's streams.
+        sigma = _effective_sigma(spec, y_clean)
+        e = _corruption(spec, rng, s, sigma)
+        y = y_clean + e
+        if sigma > 0:
+            y = y + sigma * rng.standard_normal(spec.m)
+        jop = JointOperator(base)
+        proj = ProductProjection([(HardThreshold(k), spec.n_ambient), (HardThreshold(s), spec.m)])
+        trace = gpgd_run(np.zeros(spec.n_ambient + spec.m), proj,
+                         BackProjection.adjoint(jop), jop, y, _descent_cfg(spec))
+        x_est, e_est = jop.split(proj(trace.final))
+        return normalized_error(x_est, x), normalized_error(e_est, e)
+
+    rows = [{"k": k, "s": s, **_stats(spec, x_errs, "x_error"), **_stats(spec, e_errs, "e_error")}
+            for k, s, (x_errs, e_errs) in _cell_trials(spec, solve)]
     return {"rows": rows, "traces": None, "status": 0, "summary": {}}
 
 
@@ -555,9 +609,9 @@ def run_nipr_stability(spec):
     compressed-sensing instances with each, and report SM1/SM2 and errors."""
     tag = _TAGS["nipr"]
     window = max(NIPR_OFFSETS)
-    rows = []
-    wins = 0
-    for pair in range(spec.trials):
+
+    def solve(pair):
+        rows = []
         rng = trial_rng(spec.seed, tag, pair)
         data_seed, prior_seed, train_seed = (int(v) for v in rng.integers(2**31, size=3))
         points = make_manifold_dataset(
@@ -604,9 +658,14 @@ def run_nipr_stability(spec):
                     f"post-optimum window never fit within {NIPR_MAX_ITERS} iterations"
                 )
             rows.append(row)
+        return rows
+
+    rows, wins = [], 0
+    for pair_rows in _trial_map(solve, range(spec.trials)):
+        rows.extend(pair_rows)
         # A win: the regularized prior is at least as stable as the plain one.
         plain, regularized = (0.0 if row["sm1_50"] < SM1_NUMERICAL_FLOOR else row["sm1_50"]
-                              for row in rows[-2:])
+                              for row in pair_rows)
         wins += int(regularized <= plain)
     summary = {"sm1_50_wins": wins, "pairs": spec.trials}
     return {"rows": rows, "traces": None, "status": 0, "summary": summary}

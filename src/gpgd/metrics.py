@@ -28,8 +28,9 @@ def normalized_error(x, truth):
     """||x - truth|| / ||truth||, with 0/0 = 0 for the zero-truth case."""
     x = np.asarray(x, dtype=float)
     truth = np.asarray(truth, dtype=float)
-    err = float(np.linalg.norm(x - truth))
-    denom = float(np.linalg.norm(truth))
+    with np.errstate(over="ignore"):  # a diverged estimate's norm is inf
+        err = float(np.linalg.norm(x - truth))
+        denom = float(np.linalg.norm(truth))
     if denom == 0.0:
         return 0.0 if err == 0.0 else float("inf")
     return err / denom

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -148,9 +149,12 @@ def test_stepsize_rows_and_traces():
 def test_trace_reuses_the_main_solve(monkeypatch, experiment, key, arms, iterations):
     # The k_trace solve on trial 0 runs without early stopping and records
     # the truth, and it is also the arm's main solve, so a cell makes one
-    # solve per (trial, arm) and no more.
+    # solve per (trial, arm) and no more.  The solves are counted in this
+    # process, so the trials run here in one share; the byte tests cover the
+    # forked shares.
     import gpgd.experiments as experiments
 
+    monkeypatch.setattr(experiments, "_processes", lambda: 1)
     traced = []
 
     def counting_run(*args, **kwargs):
@@ -445,6 +449,21 @@ def test_write_outputs_byte_identical(tmp_path):
     assert meta["spec"]["experiment"] == "phase_alpha"
     assert meta["status"] == 0
     assert "table" in p1 and "trace" in p2
+
+
+def test_cli_diverging_study_writes_inf_without_a_warning(tmp_path):
+    # mu = 50 blows the iterates past the float range; the error norms of the
+    # diverged estimate are then inf, which is the defined outcome, not a
+    # failure of the run.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 10, "n_ambient": 12, "sparsity_grid": [12], "trials": 1,
+                               "iterations": 2000, "k_trace": 12, "mu_grid": [50.0]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["stepsize", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    header, row = (tmp_path / "run.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), row.split(",")))
+    assert (row["centile_error"], row["mean_error"]) == ("1.0", "inf")
 
 
 def test_cli_end_to_end(tmp_path):
