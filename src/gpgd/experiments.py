@@ -297,14 +297,23 @@ def _processes():
 def _trial_map(fn, items):
     """[fn(i) for i in items], dealt in turn to n = _processes() shares: this
     process computes items[0::n], and a child forked now, seeing the caller's
-    state, computes each other share and pipes back its results or its error."""
+    state, computes each other share and pipes back its results or its error.
+    Where os.pipe or os.fork fails, this process computes the shares left."""
     items = list(items)
     n = max(1, min(_processes(), len(items)))
     out, children, reports = [None] * len(items), [], []
     try:
         for s in range(1, n):
-            r, w = os.pipe()
-            pid = os.fork()
+            try:
+                r, w = os.pipe()
+            except OSError:
+                break
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
             if pid == 0:
                 try:
                     try:
@@ -317,7 +326,8 @@ def _trial_map(fn, items):
                     os._exit(0)  # never return into the caller's stack
             os.close(w)
             children.append((pid, r))
-        out[0::n] = [fn(i) for i in items[0::n]]
+        for s in (0, *range(len(children) + 1, n)):
+            out[s::n] = [fn(i) for i in items[s::n]]
     finally:
         for pid, r in children:
             with open(r, "rb") as fh:
@@ -610,8 +620,8 @@ def run_nipr_stability(spec):
     tag = _TAGS["nipr"]
     window = max(NIPR_OFFSETS)
 
-    def solve(pair):
-        rows = []
+    def solve(item):
+        pair, weight = item
         rng = trial_rng(spec.seed, tag, pair)
         data_seed, prior_seed, train_seed = (int(v) for v in rng.integers(2**31, size=3))
         points = make_manifold_dataset(
@@ -623,45 +633,46 @@ def run_nipr_stability(spec):
         p0 = random_prior(spec.n_ambient, NIPR_PRIOR_LATENT, seed=prior_seed, nonlinearity="tanh")
         op = gaussian_operator(spec.m, spec.n_ambient, rng)
         y, _ = _measure(spec, rng, op, truth)
-        bp = BackProjection.adjoint(op)
-        for weight in (0.0, spec.nipr_weight):
-            cfg = TrainConfig(nipr_weight=weight, seed=train_seed, **NIPR_TRAIN)
-            result = train(p0, dataset, cfg)
-            row = {
-                "pair": pair,
-                "nipr_weight": weight,
-                "train_diverged": int(result.diverged),
-                "final_penalty": nipr_penalty(result.prior, dataset) / len(dataset),
-            }
-            if result.diverged:
-                row.update({"i_min": -1, "best_error": float("nan"), "final_error": float("nan"),
-                            **dict.fromkeys(_NIPR_SM_CELLS, float("nan"))})
-                rows.append(row)
-                continue
-            proj = LearnedProjection(result.prior)
-            trace = _run_with_window(np.zeros(spec.n_ambient), proj, bp, op, y,
-                                     spec.mu, spec.iterations, window, truth)
-            i_min = i_min_oracle(trace)
-            row["i_min"] = i_min
-            row["best_error"] = normalized_error(trace.iterates[i_min], truth)
-            row["final_error"] = normalized_error(trace.final, truth)
-            if i_min + window + 1 <= trace.iterations_run:
-                report = stability_report(trace, offsets=NIPR_OFFSETS)
-                for n in NIPR_OFFSETS:
-                    row[f"sm1_{n}"] = report.sm1_at[n]
-                    row[f"sm2_{n}"] = report.sm2_at[n]
-            elif trace.diverged:
-                # Blew up before the window fit: maximally unstable.
-                row.update(dict.fromkeys(_NIPR_SM_CELLS, float("inf")))
-            else:
-                raise RuntimeError(
-                    f"post-optimum window never fit within {NIPR_MAX_ITERS} iterations"
-                )
-            rows.append(row)
-        return rows
+        cfg = TrainConfig(nipr_weight=weight, seed=train_seed, **NIPR_TRAIN)
+        result = train(p0, dataset, cfg)
+        row = {
+            "pair": pair,
+            "nipr_weight": weight,
+            "train_diverged": int(result.diverged),
+            "final_penalty": nipr_penalty(result.prior, dataset) / len(dataset),
+        }
+        if result.diverged:
+            row.update({"i_min": -1, "best_error": float("nan"), "final_error": float("nan"),
+                        **dict.fromkeys(_NIPR_SM_CELLS, float("nan"))})
+            return row
+        proj, bp = LearnedProjection(result.prior), BackProjection.adjoint(op)
+        trace = _run_with_window(np.zeros(spec.n_ambient), proj, bp, op, y,
+                                 spec.mu, spec.iterations, window, truth)
+        i_min = i_min_oracle(trace)
+        row["i_min"] = i_min
+        row["best_error"] = normalized_error(trace.iterates[i_min], truth)
+        row["final_error"] = normalized_error(trace.final, truth)
+        if i_min + window + 1 <= trace.iterations_run:
+            report = stability_report(trace, offsets=NIPR_OFFSETS)
+            for n in NIPR_OFFSETS:
+                row[f"sm1_{n}"] = report.sm1_at[n]
+                row[f"sm2_{n}"] = report.sm2_at[n]
+        elif trace.diverged:
+            # Blew up before the window fit: maximally unstable.
+            row.update(dict.fromkeys(_NIPR_SM_CELLS, float("inf")))
+        else:
+            raise RuntimeError(
+                f"post-optimum window never fit within {NIPR_MAX_ITERS} iterations"
+            )
+        return row
 
+    # One item per training, each redrawing its pair's instance (far cheaper
+    # than training).  A regularized training costs about three plain ones,
+    # so listing those first deals each share an even count of each kind.
+    results = _trial_map(solve, [(pair, weight) for weight in (spec.nipr_weight, 0.0)
+                                 for pair in range(spec.trials)])
     rows, wins = [], 0
-    for pair_rows in _trial_map(solve, range(spec.trials)):
+    for pair_rows in zip(results[spec.trials:], results[:spec.trials]):
         rows.extend(pair_rows)
         # A win: the regularized prior is at least as stable as the plain one.
         plain, regularized = (0.0 if row["sm1_50"] < SM1_NUMERICAL_FLOOR else row["sm1_50"]

@@ -1,18 +1,23 @@
 """Runners deal their independent trials across forked shares (_trial_map).
 
 The result of a map is the serial list comprehension's, in order; a failure
-in any share reaches the caller; no child outlives a call; and no runner's
-rows or traces depend on the share count.
+in any share reaches the caller; a share that cannot be forked runs in this
+process; no child outlives a call; and no runner's rows or traces depend on
+the share count.
 """
 
+import errno
 import json
 import os
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import gpgd.experiments as experiments
 from gpgd.cli import main
 from gpgd.experiments import RUNNERS, _trial_map, default_spec
+from gpgd.prior import TrainResult
 
 
 @pytest.fixture
@@ -84,6 +89,32 @@ def test_a_child_that_exits_without_reporting_raises_runtime_error(shares):
         _trial_map(fn, range(4))
 
 
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+@pytest.mark.parametrize("failing", [1, 2])
+def test_a_share_that_cannot_be_forked_runs_in_this_process(shares, monkeypatch, call, failing):
+    # At three shares the map makes two (pipe, fork) calls; the first to fail
+    # leaves its share and every later one to this process.
+    shares(3)
+    real, calls = getattr(os, call), []
+
+    def flaky(*args):
+        calls.append(args)
+        if len(calls) == failing:
+            raise OSError(errno.EAGAIN, f"injected {call} failure")
+        return real(*args)
+
+    fds = len(os.listdir("/proc/self/fd"))
+    fn = lambda i: (i, i * i / 7.0, os.getpid())  # noqa: E731
+    with monkeypatch.context() as patch:
+        patch.setattr(os, call, flaky)
+        out = _trial_map(fn, range(7))
+    assert [r[:2] for r in out] == [fn(i)[:2] for i in range(7)]
+    here = [s for s in range(3) if {r[2] for r in out[s::3]} == {os.getpid()}]
+    assert here == ([0, 1, 2] if failing == 1 else [0, 2])
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
 _SMALL = dict(m=40, n_ambient=80)
 
 
@@ -95,6 +126,7 @@ _SMALL = dict(m=40, n_ambient=80)
     ("outliers", dict(_SMALL, sparsity_grid=[3], outlier_grid=[0, 5], trials=3, iterations=50)),
     ("joint", dict(_SMALL, sparsity_grid=[3, 4], outlier_grid=[5], trials=3, iterations=150)),
     ("nipr", dict(trials=3, iterations=100)),
+    ("nipr", dict(trials=1, iterations=100)),  # its two items on two shares
 ])
 def test_the_share_count_never_moves_a_byte(shares, experiment, overrides):
     spec = default_spec(experiment, **overrides)
@@ -106,6 +138,35 @@ def test_the_share_count_never_moves_a_byte(shares, experiment, overrides):
     # Compared by repr, which is what the CSVs hold: the traces start with a
     # nan rel_change, which == never equals, and repr tells -0.0 from 0.0.
     assert repr(results[0]) == repr(results[1])
+
+
+@pytest.mark.parametrize("trials, here, child", [
+    (1, {0.005: 1}, {0.0: 1}),
+    (10, {0.005: 5, 0.0: 5}, {0.005: 5, 0.0: 5}),
+])
+def test_nipr_deals_the_regularized_trainings_first(shares, monkeypatch, tmp_path,
+                                                    trials, here, child):
+    # Training is stubbed to diverge at once, so only the deal is exercised.
+    shares(2)
+    log = tmp_path / "trainings"
+
+    def train(prior0, dataset, cfg):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {cfg.nipr_weight}\n")
+        return TrainResult(prior=prior0, losses=[], diverged=True)
+
+    monkeypatch.setattr(experiments, "train", train)
+    spec = default_spec("nipr", trials=trials)
+    assert spec.nipr_weight == 0.005
+    rows = RUNNERS["nipr"](spec)["rows"]
+    assert [(r["pair"], r["nipr_weight"]) for r in rows] == [
+        (p, w) for p in range(trials) for w in (0.0, 0.005)]
+    counts = {}
+    for line in log.read_text().splitlines():
+        pid, weight = line.split()
+        counts.setdefault(int(pid), Counter())[float(weight)] += 1
+    assert counts.pop(os.getpid()) == here
+    assert list(counts.values()) == [child]
 
 
 def test_cli_exits_2_without_files_on_a_failure_in_a_childs_share(shares, monkeypatch,
