@@ -8,6 +8,7 @@ constants combine into a per-iteration error bound sequence that observed
 runs can be checked against.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -33,23 +34,68 @@ ENUMERATION_GUARD = 10**6
 # stacked submatrices held at once.
 SUPPORT_CHUNK = 4096
 
+# The closed-form 2x2 screens (support axis here, mu axis in the theorem
+# check's tuner) pass on to LAPACK every candidate within this much
+# (relative, floor 1) of the best closed-form value.
+_SCREEN_TOL = 1e-9
 
+
+@functools.lru_cache(maxsize=8)
 def _support_chunks(n, t):
-    """Every size-t support of range(n), in lexicographic order, as integer
-    arrays of shape (<= SUPPORT_CHUNK, t).  Needs t >= 1."""
+    """Every size-t support of range(n), in lexicographic order, as read-only
+    integer arrays of shape (<= SUPPORT_CHUNK, t).  Needs t >= 1.
+
+    Cached, because the theorem check enumerates the same (n, t) on every
+    attempt; the guard raises before anything is cached, and the last 8
+    enumerations are kept.
+    """
     if math.comb(n, t) > ENUMERATION_GUARD:
         raise ValueError(
             f"C({n}, {t}) = {math.comb(n, t)} supports exceed the enumeration "
             f"guard ({ENUMERATION_GUARD})"
         )
     combos = itertools.combinations(range(n), t)
+    chunks = []
     while True:
-        chunk = np.fromiter(
+        flat = np.fromiter(
             itertools.chain.from_iterable(itertools.islice(combos, SUPPORT_CHUNK)), dtype=np.intp
         )
-        if chunk.size == 0:
-            return
-        yield chunk.reshape(-1, t)
+        if flat.size == 0:
+            return tuple(chunks)
+        flat.flags.writeable = False
+        chunks.append(flat.reshape(-1, t))
+
+
+def _lambda_max_2x2(a, b, c):
+    """lambda_max of the symmetric 2x2 blocks [[a, b], [b, c]] in closed form."""
+    return (a + c) / 2.0 + np.sqrt(((a - c) / 2.0) ** 2 + b * b)
+
+
+def _near_max(a, b, c):
+    """Mask of the symmetric 2x2 blocks [[a, b], [b, c]] whose closed-form
+    lambda_max lies within _SCREEN_TOL (relative, floor 1) of the largest;
+    every block when a closed-form value is not finite.
+
+    On the positive semidefinite blocks screened here the closed form and
+    LAPACK agree to about 1e-14, far inside the tolerance, so the block that
+    LAPACK ranks first is always kept and LAPACK's max over the kept blocks
+    is its max over all of them, bit for bit.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = _lambda_max_2x2(a, b, c)
+    if not np.isfinite(lam).all():
+        return np.ones(lam.shape, dtype=bool)
+    top = lam.max()
+    return lam >= top - _SCREEN_TOL * max(abs(top), 1.0)
+
+
+def _near_max_supports(M, chunks):
+    """The size-2 supports T of `chunks` whose blocks M[T, T] _near_max keeps,
+    in chunks of at most SUPPORT_CHUNK."""
+    supports = np.concatenate(chunks)
+    i, j = supports.T
+    supports = supports[_near_max(M[i, i], M[j, i], M[j, j])]
+    return [supports[lo:lo + SUPPORT_CHUNK] for lo in range(0, len(supports), SUPPORT_CHUNK)]
 
 
 def exact_ric_sparse(B, k):
@@ -60,6 +106,11 @@ def exact_ric_sparse(B, k):
     the column submatrix (B - I)[:, T].  The constant is the max of that
     over all supports of size min(2k, N).  Smaller supports are dominated
     by larger ones, so only the top size needs enumerating.
+
+    At support size 2 the squared singular value is lambda_max of the 2x2
+    block G[T, T] of G = D'D, D = B - I, which has a closed form; only the
+    supports _near_max keeps go on to the SVD, and the result is the full
+    enumeration's bit for bit.  At other sizes every support goes on.
     """
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
@@ -69,8 +120,13 @@ def exact_ric_sparse(B, k):
     if t == 0:
         return 0.0
     D = B - np.eye(n)
+    chunks = _support_chunks(n, t)
+    if t == 2:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = D.T @ D
+        chunks = _near_max_supports(gram, chunks)
     best = 0.0
-    for supports in _support_chunks(n, t):
+    for supports in chunks:
         columns = np.moveaxis(D[:, supports], 1, 0)
         best = max(best, float(np.linalg.svd(columns, compute_uv=False)[:, 0].max()))
     return best
@@ -86,7 +142,9 @@ def null_space_ric_floor(A, k):
     max of that over the supports exact_ric_sparse enumerates.  P_N is built
     from the n - m structural null directions of the SVD, a subspace of
     null(A) when A is rank deficient, so the floor stays a lower bound.  It
-    is 0 when A has at least as many rows as columns.
+    is 0 when A has at least as many rows as columns.  At support size 2
+    eigvalsh sees only the blocks _near_max keeps, with the full
+    enumeration's result bit for bit.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -97,8 +155,11 @@ def null_space_ric_floor(A, k):
         return 0.0
     null_basis = np.linalg.svd(A)[2][m:]
     P = null_basis.T @ null_basis
+    chunks = _support_chunks(n, t)
+    if t == 2:
+        chunks = _near_max_supports(P, chunks)
     lam = 0.0
-    for supports in _support_chunks(n, t):
+    for supports in chunks:
         blocks = P[supports[:, :, None], supports[:, None, :]]
         lam = max(lam, float(np.linalg.eigvalsh(blocks)[:, -1].max()))
     return float(np.sqrt(lam))

@@ -141,9 +141,9 @@ def gpgd_run(x0, projection, back_projection, op, y, cfg, truth=None):
 def _stacked_run(A, Y, mu, project, max_iters, truths):
     """gpgd_run on each row i of a stack: A[i] (m x n), Y[i], mu[i] and truths[i],
     from zero, with the adjoint back-projection, no early stopping and the
-    iterates recorded.  project(Z, rows) projects the iterates Z of the
-    original rows `rows`.  Every matvec and norm is a per-row matmul, so each
-    trace has gpgd_run's bits on its row alone.  A row whose new iterate is
+    iterates recorded.  project(Z, rows, t) projects the iterates Z of the
+    original rows `rows` at iteration t.  Every matvec and norm is a per-row
+    matmul, so each trace has gpgd_run's bits on its row alone.  A row whose new iterate is
     not finite ends its trace as gpgd_run does and leaves the stack."""
     T, n = truths.shape
     At = np.swapaxes(A, 1, 2)
@@ -154,7 +154,7 @@ def _stacked_run(A, Y, mu, project, max_iters, truths):
     errors[0] = _norms(X - truths)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(max_iters + 1):
-            PX = project(X, rows)
+            PX = project(X, rows, t)
             R = (A @ PX[:, :, None])[:, :, 0] - Y
             residuals[t, rows] = _norms(R)
             if t == max_iters:

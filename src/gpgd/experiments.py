@@ -27,6 +27,9 @@ from .constants import (
     ENUMERATION_GUARD,
     SUPPORT_CHUNK,
     TheoremBound,
+    _SCREEN_TOL,
+    _lambda_max_2x2,
+    _near_max,
     _support_chunks,
     exact_ric_sparse,
     null_space_ric_floor,
@@ -50,7 +53,6 @@ from .projections import (
     PAlpha,
     ProductProjection,
     _count,
-    _norm,
     _norms,
     _real,
     _threshold_rows,
@@ -92,11 +94,6 @@ THEOREM_MU_GRID = np.linspace(0.05, 2.5, 80)
 # contraction by this much; closer calls go through the tuner, so rounding
 # in the floor never decides a seed.
 FLOOR_REJECT_MARGIN = 1e-9
-
-# The mu tuner's closed-form 2x2 screen keeps every grid mu whose screened
-# lambda_max lies within this much (relative, floor 1) of the smallest, and
-# confirms only those with eigvalsh.
-MU_SCREEN_TOL = 1e-9
 
 # Hidden units of the nipr prior, which must be fewer than n_ambient.
 NIPR_PRIOR_LATENT = 6
@@ -701,27 +698,37 @@ class PerturbedProjection:
 
     def __call__(self, z):
         base = hard_threshold(z, self.k)
-        return base + self._perturbation(base.size)
+        return base + self._perturbations(1, base.size)[0]
 
-    def _perturbation(self, size):
-        """eta times a fresh random unit vector of length `size`."""
-        norm = 0.0
-        while norm == 0.0:
-            direction = self._rng.standard_normal(size)
-            norm = _norm(direction)
-        return self.eta * direction / norm
+    def _perturbations(self, count, size):
+        """eta times `count` fresh random unit vectors of length `size`, as the
+        rows of one block: the values of `count` successive draws, since
+        standard_normal((count, size)) fills its rows in stream order.  A
+        row of zeros is drawn again."""
+        directions = self._rng.standard_normal((count, size))
+        norms = _norms(directions)
+        while not norms.all():
+            zero = norms == 0.0
+            directions[zero] = self._rng.standard_normal((int(zero.sum()), size))
+            norms = _norms(directions)
+        return self.eta * directions / norms[:, None]
 
 
-def _row_projection(projs):
-    """project(Z, rows) for _stacked_run: row j of Z gets the bits that projs[rows[j]],
-    a HardThreshold or a PerturbedProjection (same stream), gives it alone."""
+def _row_projection(projs, iterations, n):
+    """project(Z, rows, t) for _stacked_run: row j of Z, at iteration t, gets the
+    bits that projs[rows[j]], a HardThreshold or a PerturbedProjection (same
+    stream), gives it alone on its call t.  Each PerturbedProjection draws its
+    iterations + 1 perturbations of length n up front, as one block."""
     ks = np.array([[proj.k] for proj in projs])
+    perturbed = np.array([isinstance(proj, PerturbedProjection) for proj in projs])
+    noise = np.zeros((iterations + 1, len(projs), n))
+    for i in np.flatnonzero(perturbed):
+        noise[:, i] = projs[i]._perturbations(iterations + 1, n)
 
-    def project(Z, rows):
+    def project(Z, rows, t):
         PX = _threshold_rows(Z, ks[rows])
-        for j, i in enumerate(rows):
-            if isinstance(projs[i], PerturbedProjection):
-                PX[j] += projs[i]._perturbation(Z.shape[1])
+        hit = perturbed[rows]
+        PX[hit] += noise[t, rows[hit]]
         return PX
 
     return project
@@ -740,13 +747,16 @@ def _tuned_mu_delta(B, k, mu_grid):
 
     At support size 2 a screen over the whole grid comes first: lambda_max
     of a symmetric 2x2 block [[a, b], [b, c]] is (a+c)/2 + sqrt(((a-c)/2)^2
-    + b^2).  Only grid values within MU_SCREEN_TOL (relative, floor 1) of
+    + b^2).  Only grid values within _SCREEN_TOL (relative, floor 1) of
     the screen's minimum go on to eigvalsh, in grid order and by the same
     strict-< first-minimum rule.  The two computations of one lambda_max
     agree to about 1e-14, far inside the screen's tolerance, so the
     eigvalsh winner always passes the screen, every value ahead of it that
     passes is strictly worse, and the chosen mu is the one the full eigvalsh
-    scan chooses, bit for bit.  At other support sizes every mu goes on.
+    scan chooses, bit for bit.  At each of those mu the same closed form
+    screens the supports: eigvalsh sees only the blocks _near_max keeps,
+    whose max is the max over every support.  At other support sizes every
+    mu and every support goes on.
     """
     n = B.shape[0]
     t = min(2 * _count("k", k), n)
@@ -771,14 +781,16 @@ def _tuned_mu_delta(B, k, mu_grid):
             mu = mus[lo:lo + step]
             a, b, c = (mu * mu * grams[:, i, j] - 2.0 * mu * blocks[:, i, j] + eye[i, j]
                        for i, j in ((0, 0), (0, 1), (1, 1)))
-            screen.append(((a + c) / 2.0 + np.sqrt(((a - c) / 2.0) ** 2 + b * b)).max(axis=1))
+            screen.append(_lambda_max_2x2(a, b, c).max(axis=1))
         screen = np.concatenate(screen)
         least = screen.min()
-        candidates = np.flatnonzero(screen <= least + MU_SCREEN_TOL * max(abs(least), 1.0))
+        candidates = np.flatnonzero(screen <= least + _SCREEN_TOL * max(abs(least), 1.0))
     best = (np.inf, None)
     for i in candidates:
         mu = mu_grid[i]
         quad = mu * mu * grams - 2.0 * mu * blocks + eye
+        if t == 2:
+            quad = quad[_near_max(quad[:, 0, 0], quad[:, 1, 0], quad[:, 1, 1])]
         lam = float(np.linalg.eigvalsh(quad)[:, -1].max())
         delta = np.sqrt(max(lam, 0.0))
         if delta < best[0]:
@@ -861,7 +873,8 @@ def run_theorem_check(spec):
     if stack:
         matrices, ys, mus, projs, truths = zip(*stack)
         traces = _stacked_run(np.array(matrices), np.array(ys), np.array(mus),
-                              _row_projection(projs), spec.iterations, np.array(truths))
+                              _row_projection(projs, spec.iterations, n), spec.iterations,
+                              np.array(truths))
     for row, (tb, projected_truth), trace in zip(rows, bounds, traces):
         # Both bound displays checked on the same trajectory.
         errors_to_projection = _norms(np.array(trace.iterates) - projected_truth)

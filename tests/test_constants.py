@@ -3,6 +3,7 @@ import pytest
 
 from gpgd.constants import (
     TheoremBound,
+    _support_chunks,
     exact_ric_sparse,
     mc_beta,
     null_space_ric_floor,
@@ -40,6 +41,16 @@ def test_exact_ric_dominates_monte_carlo():
 def test_exact_ric_enumeration_guard():
     with pytest.raises(ValueError, match="enumeration guard"):
         exact_ric_sparse(np.eye(200), 10)
+
+
+def test_cached_supports_are_read_only():
+    chunks = _support_chunks(9, 2)
+    assert _support_chunks(9, 2) is chunks
+    for chunk in chunks:
+        with pytest.raises(ValueError, match="read-only"):
+            chunk[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            chunk.base[0] = 1
 
 
 @pytest.mark.parametrize("call, name", [

@@ -13,6 +13,7 @@ from gpgd.projections import (
     HardThreshold,
     PAlpha,
     ProductProjection,
+    hard_threshold,
     sparse_signal,
 )
 
@@ -321,6 +322,39 @@ def test_run_matches_textbook_loop_bit_for_bit(case):
         assert _bits(trace.errors_to_truth) == _bits(errors)
 
 
+def test_perturbation_block_is_successive_single_draws():
+    # One block of `count` perturbations is `count` single draws, in order,
+    # each eta times a standard-normal draw over its norm.
+    block = PerturbedProjection(1, 0.02, seed=5)._perturbations(7, 12)
+    singles = PerturbedProjection(1, 0.02, seed=5)
+    rng = np.random.default_rng(5)
+    for row in block:
+        direction = rng.standard_normal(12)
+        assert _bits(row) == _bits(0.02 * direction / np.linalg.norm(direction))
+        assert _bits(row) == _bits(singles._perturbations(1, 12)[0])
+    # A call adds its one perturbation to the hard threshold.
+    z = np.random.default_rng(6).standard_normal(12)
+    calls = PerturbedProjection(2, 0.02, seed=5)
+    for row in block[:3]:
+        assert _bits(calls(z)) == _bits(hard_threshold(z, 2) + row)
+
+
+def test_perturbation_redraws_a_row_of_zeros():
+    class Stream:
+        def __init__(self):
+            self.draws = [np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), np.ones((1, 3))]
+
+        def standard_normal(self, shape):
+            draw = self.draws.pop(0)
+            assert draw.shape == shape
+            return draw
+
+    proj = PerturbedProjection(1, 3.0, seed=0)
+    proj._rng = Stream()
+    assert _bits(proj._perturbations(2, 3)) == _bits(3.0 * np.ones((2, 3)) / np.sqrt(3.0))
+    assert proj._rng.draws == []
+
+
 def test_stacked_run_is_gpgd_run_on_every_row():
     # Distinct step sizes, k = 0, a perturbed projection (fresh, same seed,
     # on each side) and a row that diverges ahead of rows that run on.
@@ -334,7 +368,7 @@ def test_stacked_run_is_gpgd_run_on_every_row():
     truths = [sparse_signal(12, 2, rng) for _ in mus]
     ys = [op.apply(x) + 0.01 * rng.standard_normal(64) for op, x in zip(ops, truths)]
     traces = _stacked_run(np.array([op.matrix for op in ops]), np.array(ys), np.array(mus),
-                          _row_projection(projections()), 60, np.array(truths))
+                          _row_projection(projections(), 60, 12), 60, np.array(truths))
     assert [trace.diverged for trace in traces] == [False, True, False, False, False]
     for trace, proj, mu, op, y, x in zip(traces, projections(), mus, ops, ys, truths):
         cfg = GpgdConfig(mu=mu, max_iters=60, record_iterates=True)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpgd.cli import load_spec, main
 from gpgd.constants import exact_ric_sparse, null_space_ric_floor
@@ -341,14 +343,43 @@ def test_theorem_noisy_variant_follows_the_noise_rule():
             == [r for r in absolute if r["variant"] != "noisy"])
 
 
+def _all_supports(n, t):
+    return np.array(list(itertools.combinations(range(n), t)))
+
+
+def _full_ric_sparse(B, k):
+    # exact_ric_sparse without its screen: one stacked SVD over every support.
+    n = B.shape[0]
+    t = min(2 * k, n)
+    if t == 0:
+        return 0.0
+    D = B - np.eye(n)
+    columns = np.moveaxis(D[:, _all_supports(n, t)], 1, 0)
+    return float(np.linalg.svd(columns, compute_uv=False)[:, 0].max())
+
+
+def _full_floor(A, k):
+    # null_space_ric_floor without its screen: one stacked eigvalsh over every support.
+    m, n = A.shape
+    t = min(2 * k, n)
+    if t == 0 or m >= n:
+        return 0.0
+    null_basis = np.linalg.svd(A)[2][m:]
+    P = null_basis.T @ null_basis
+    supports = _all_supports(n, t)
+    lam = float(np.linalg.eigvalsh(P[supports[:, :, None], supports[:, None, :]])[:, -1].max())
+    return float(np.sqrt(lam))
+
+
 def _full_eigvalsh_scan(B, k, mu_grid):
-    # The tuner without its screen: one stacked eigvalsh over every support
-    # per grid mu, and the first mu of smallest delta wins.
+    # The tuner without its screens: one stacked eigvalsh over every support
+    # per grid mu, the first mu of smallest delta wins, and its delta comes
+    # from the unscreened enumeration.
     n = B.shape[0]
     t = min(2 * k, n)
     if t == 0:
         return 0.0, float(mu_grid[0])
-    supports = np.array(list(itertools.combinations(range(n), t)))
+    supports = _all_supports(n, t)
     columns = np.moveaxis(B[:, supports], 1, 0)
     grams = np.swapaxes(columns, 1, 2) @ columns
     block = B[supports[:, :, None], supports[:, None, :]]
@@ -359,7 +390,7 @@ def _full_eigvalsh_scan(B, k, mu_grid):
         delta = np.sqrt(max(float(np.linalg.eigvalsh(quad)[:, -1].max()), 0.0))
         if delta < best[0]:
             best = (delta, float(mu))
-    return exact_ric_sparse(best[1] * B, k), best[1]
+    return _full_ric_sparse(best[1] * B, k), best[1]
 
 
 @pytest.mark.parametrize("m", [8, 16, 32, 64, 128])
@@ -407,6 +438,73 @@ def test_tuner_breaks_ties_of_rotated_blocks_like_the_full_scan():
                 R = np.linalg.qr(rng.standard_normal((2, 2)))[0]
                 B[start:start + 2, start:start + 2] = R @ np.diag([s, (lo + hi) / 2]) @ R.T
             assert _tuned_mu_delta(B, 1, grid) == _full_eigvalsh_scan(B, 1, grid), i
+
+
+def _assert_screens_match_the_full_enumeration(A, k, mus=THEOREM_MU_GRID[::7]):
+    B = A.T @ A
+    for mu in mus:
+        assert exact_ric_sparse(mu * B, k) == _full_ric_sparse(mu * B, k), mu
+    assert null_space_ric_floor(A, k) == _full_floor(A, k)
+
+
+@pytest.mark.parametrize("m", [8, 16, 64, 128])
+@pytest.mark.parametrize("k", [1, 2])
+def test_support_screens_match_the_full_enumeration(m, k):
+    # k = 2 takes the unscreened path at support size 4.
+    for seed in range(6 if k == 1 else 2):
+        _assert_screens_match_the_full_enumeration(
+            gaussian_operator(m, 12, trial_rng(seed, m, k, 7)).matrix, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 16), n=st.integers(2, 12),
+       log_scale=st.sampled_from([-3, 0, 3]))
+def test_support_screens_match_the_full_enumeration_on_drawn_instances(seed, m, n, log_scale):
+    A = 10.0**log_scale * gaussian_operator(m, n, trial_rng(seed)).matrix
+    _assert_screens_match_the_full_enumeration(A, 1, THEOREM_MU_GRID[::15])
+    B = A.T @ A
+    assert _tuned_mu_delta(B, 1, THEOREM_MU_GRID) == _full_eigvalsh_scan(B, 1, THEOREM_MU_GRID)
+
+
+def test_support_screens_keep_every_tied_support():
+    # B = c I ties every support exactly; a null space along the last
+    # coordinates ties every support inside it at lambda_max 1.
+    for c in (0.25, 1.0, 3.0):
+        assert exact_ric_sparse(c * np.eye(12), 1) == _full_ric_sparse(c * np.eye(12), 1)
+    A = np.eye(5, 12)
+    assert null_space_ric_floor(A, 1) == _full_floor(A, 1) == 1.0
+
+
+def test_support_screens_break_ties_of_rotated_blocks_like_the_full_enumeration():
+    # Two 2x2 diagonal blocks with the same eigenvalues, each randomly
+    # rotated: supports {0, 1} and {2, 3} tie, and the closed form and LAPACK
+    # round the two tied values differently, so a screen without its
+    # tolerance keeps the wrong one on some of these.
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        B = np.zeros((4, 4))
+        for start in (0, 2):
+            R = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+            B[start:start + 2, start:start + 2] = R @ np.diag([0.3, 1.9]) @ R.T
+        assert exact_ric_sparse(B, 1) == _full_ric_sparse(B, 1), trial
+        assert _tuned_mu_delta(B, 1, THEOREM_MU_GRID) == _full_eigvalsh_scan(B, 1, THEOREM_MU_GRID)
+
+
+def test_support_screens_on_a_single_support():
+    # n = 2 holds one support of size 2.
+    A = gaussian_operator(1, 2, trial_rng(0, 2)).matrix
+    _assert_screens_match_the_full_enumeration(A, 1)
+    B = A.T @ A
+    assert _tuned_mu_delta(B, 1, THEOREM_MU_GRID) == _full_eigvalsh_scan(B, 1, THEOREM_MU_GRID)
+
+
+def test_support_screen_sends_every_support_to_lapack_when_the_closed_form_overflows():
+    # At 1e200 the Gram matrix D'D overflows, so no closed-form value is
+    # finite; the SVD of the scaled columns is not troubled.
+    A = gaussian_operator(64, 12, trial_rng(0, 64)).matrix
+    B = 1e200 * (A.T @ A)
+    assert np.isfinite(_full_ric_sparse(B, 1))
+    assert exact_ric_sparse(B, 1) == _full_ric_sparse(B, 1)
 
 
 @pytest.mark.parametrize("m,k", [(8, 1), (8, 2), (10, 1), (10, 2)])
