@@ -165,6 +165,68 @@ def null_space_ric_floor(A, k):
     return float(np.sqrt(lam))
 
 
+def _tuned_mu(B, k, mu_grid):
+    """The mu of mu_grid minimizing the exact restricted isometry constant of
+    mu*B, exact_ric_sparse(mu * B, k).
+
+    Uses ||(mu B - I)[:, T]||^2 = lambda_max(mu^2 B_T' B_T - 2 mu sym(B_TT) + I)
+    per support T, with the Gram blocks precomputed once, and keeps the
+    first grid mu of smallest sqrt(max_T lambda_max) as computed by eigvalsh.
+    At k = 0 there is no support: delta is 0 at every mu, and the first grid
+    value wins as the first minimum.
+
+    At support size 2 a screen over the whole grid comes first: lambda_max
+    of a symmetric 2x2 block [[a, b], [b, c]] is (a+c)/2 + sqrt(((a-c)/2)^2
+    + b^2).  Only grid values within _SCREEN_TOL (relative, floor 1) of
+    the screen's minimum go on to eigvalsh, in grid order and by the same
+    strict-< first-minimum rule.  The two computations of one lambda_max
+    agree to about 1e-14, far inside the screen's tolerance, so the
+    eigvalsh winner always passes the screen, every value ahead of it that
+    passes is strictly worse, and the chosen mu is the one the full eigvalsh
+    scan chooses, bit for bit.  At each of those mu the same closed form
+    screens the supports: eigvalsh sees only the blocks _near_max keeps,
+    whose max is the max over every support.  At other support sizes every
+    mu and every support goes on.
+    """
+    n = B.shape[0]
+    t = min(2 * _count("k", k), n)
+    if t == 0:
+        return float(mu_grid[0])
+    grams, blocks = [], []
+    for supports in _support_chunks(n, t):
+        columns = np.moveaxis(B[:, supports], 1, 0)
+        grams.append(np.swapaxes(columns, 1, 2) @ columns)
+        block = B[supports[:, :, None], supports[:, None, :]]
+        blocks.append((block + np.swapaxes(block, 1, 2)) / 2.0)
+    grams, blocks = np.concatenate(grams), np.concatenate(blocks)
+    eye = np.eye(t)
+    candidates = range(len(mu_grid))
+    if t == 2:
+        # A few grid values at a time, so the (mu, support) blocks held at
+        # once stay near len(mu_grid) * SUPPORT_CHUNK.
+        mus = np.asarray(mu_grid, dtype=float)[:, None]
+        step = max(1, len(mus) * SUPPORT_CHUNK // len(grams))
+        screen = []
+        for lo in range(0, len(mus), step):
+            mu = mus[lo:lo + step]
+            a, b, c = (mu * mu * grams[:, i, j] - 2.0 * mu * blocks[:, i, j] + eye[i, j]
+                       for i, j in ((0, 0), (0, 1), (1, 1)))
+            screen.append(_lambda_max_2x2(a, b, c).max(axis=1))
+        screen = np.concatenate(screen)
+        least = screen.min()
+        candidates = np.flatnonzero(screen <= least + _SCREEN_TOL * max(abs(least), 1.0))
+    best = (np.inf, None)
+    for i in candidates:
+        mu = mu_grid[i]
+        quad = mu * mu * grams - 2.0 * mu * blocks + eye
+        if t == 2:
+            quad = quad[_near_max(quad[:, 0, 0], quad[:, 1, 0], quad[:, 1, 1])]
+        delta = np.sqrt(max(float(np.linalg.eigvalsh(quad)[:, -1].max()), 0.0))
+        if delta < best[0]:
+            best = (delta, float(mu))
+    return best[1]
+
+
 def mc_beta(projection, k, n, trials, seed):
     """Monte-Carlo lower bound on the restricted Lipschitz constant.
 

@@ -22,15 +22,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, constants
 from .constants import (
     ENUMERATION_GUARD,
-    SUPPORT_CHUNK,
     TheoremBound,
-    _SCREEN_TOL,
-    _lambda_max_2x2,
-    _near_max,
-    _support_chunks,
     exact_ric_sparse,
     null_space_ric_floor,
     operator_norm,
@@ -405,7 +400,22 @@ def _stats(spec, errs, name="error"):
     }
 
 
-def _arm_sweep(spec, tag, arms, arm_column):
+def _cell_trials(spec, cells, solve):
+    """Each cell's [solve(value, rng, t) for t in range(spec.trials)], for the
+    (key, value) pairs of `cells`: trial t of a cell draws from
+    trial_rng(spec.seed, _TAGS[spec.experiment], *key, t).  The (cell,
+    trial) items are dealt cell by cell through _trial_map."""
+    tag = _TAGS[spec.experiment]
+
+    def run(item):
+        (key, value), t = item
+        return solve(value, trial_rng(spec.seed, tag, *key, t), t)
+
+    results = _trial_map(run, [(cell, t) for cell in cells for t in range(spec.trials)])
+    return [results[c * spec.trials:(c + 1) * spec.trials] for c in range(len(cells))]
+
+
+def _arm_sweep(spec, arms, arm_column):
     """Solve every (sparsity, trial) instance once per treatment arm.
 
     `arms` lists (key, projection factory of k, step size) triples; every
@@ -415,19 +425,16 @@ def _arm_sweep(spec, tag, arms, arm_column):
     {arm_column: key, "k": k}, of each arm's solve on the trial-0 instance
     at k_trace (if in the grid).  That solve runs without early stopping
     and with the truth recorded, and its estimate is the iterate at which
-    early stopping would have ended it.  The trials run by _trial_map.
+    early stopping would have ended it.
     """
-    grid = list(spec.sparsity_grid)
-    trace_ki = grid.index(spec.k_trace) if spec.k_trace in grid else None
 
-    def solve(item):
-        ki, k, t = item
-        op, x, y, _ = _draw_instance(spec, trial_rng(spec.seed, tag, ki, t), k)
+    def solve(k, rng, t):
+        op, x, y, _ = _draw_instance(spec, rng, k)
         bp = BackProjection.adjoint(op)
         pairs, traces = [], []
         for key, make_projection, mu in arms:
             x0, proj = np.zeros(spec.n_ambient), make_projection(k)
-            if ki == trace_ki and t == 0:
+            if k == spec.k_trace and t == 0:
                 cfg = replace(_descent_cfg(spec, mu), rel_change_tol=0.0,
                               record_iterates=spec.rel_change_tol > 0)
                 trace = gpgd_run(x0, proj, bp, op, y, cfg, truth=x)
@@ -443,20 +450,11 @@ def _arm_sweep(spec, tag, arms, arm_column):
                           normalized_error(estimate, x)))
         return pairs, traces
 
-    results = _trial_map(solve, [(ki, k, t) for ki, k in enumerate(grid)
-                                 for t in range(spec.trials)])
-    errors = {(key, k): [pairs[a] for pairs, _ in results[ki * spec.trials:(ki + 1) * spec.trials]]
-              for a, (key, _, _) in enumerate(arms) for ki, k in enumerate(grid)}
-    return errors, [row for _, rows in results for row in rows]
-
-
-def _cell_trials(spec, solve):
-    """(k, s, solve((ki, k, si, s, t)) of each trial t, as columns) per grid cell."""
-    cells = [(ki, k, si, s) for ki, k in enumerate(spec.sparsity_grid)
-             for si, s in enumerate(spec.outlier_grid)]
-    results = _trial_map(solve, [(*cell, t) for cell in cells for t in range(spec.trials)])
-    return [(k, s, list(zip(*results[c * spec.trials:(c + 1) * spec.trials])))
-            for c, (_, k, _, s) in enumerate(cells)]
+    grid = spec.sparsity_grid
+    results = _cell_trials(spec, [((ki,), k) for ki, k in enumerate(grid)], solve)
+    errors = {(key, k): [pairs[a] for pairs, _ in trials]
+              for a, (key, _, _) in enumerate(arms) for k, trials in zip(grid, results)}
+    return errors, [row for trials in results for _, rows in trials for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +467,7 @@ def run_phase_transition_alpha(spec):
     traces per alpha at the designated sparsity."""
     alphas = [float(a) for a in spec.alpha_grid]
     arms = [(a, lambda k, a=a: PAlpha(k, a), spec.mu) for a in alphas]
-    errors, traces = _arm_sweep(spec, _TAGS["phase_alpha"], arms, "alpha")
+    errors, traces = _arm_sweep(spec, arms, "alpha")
     rows = []
     for k in spec.sparsity_grid:
         for a in alphas:
@@ -491,12 +489,10 @@ def run_phase_transition_alpha(spec):
 def run_outlier_tradeoff(spec):
     """Centile error over (sparsity, outlier count) for the residual-threshold
     back-projection and the unadapted adjoint baseline on identical data."""
-    tag = _TAGS["outliers"]
     methods = ("residual_threshold", "adjoint")
 
-    def solve(item):
-        ki, k, si, s, t = item
-        rng = trial_rng(spec.seed, tag, ki, si, t)
+    def solve(cell, rng, t):
+        k, s = cell
         op, x, y, sigma = _draw_instance(spec, rng, k)
         y = y + _corruption(spec, rng, s, sigma)
         proj = HardThreshold(k)
@@ -507,8 +503,11 @@ def run_outlier_tradeoff(spec):
             errs.append(normalized_error(hard_threshold(trace.final, k), x))
         return errs
 
+    cells = [((ki, si), (k, s)) for ki, k in enumerate(spec.sparsity_grid)
+             for si, s in enumerate(spec.outlier_grid)]
     rows = [{"method": meth, "k": k, "s": s, **_stats(spec, errs)}
-            for k, s, columns in _cell_trials(spec, solve) for meth, errs in zip(methods, columns)]
+            for (_, (k, s)), trials in zip(cells, _cell_trials(spec, cells, solve))
+            for meth, errs in zip(methods, zip(*trials))]
     return {"rows": rows, "traces": None, "status": 0, "summary": {}}
 
 
@@ -522,7 +521,7 @@ def run_stepsize_study(spec):
     designated sparsity.  Step sizes run on identical instances."""
     mus = [float(mu) for mu in spec.mu_grid]
     arms = [(mu, HardThreshold, mu) for mu in mus]
-    errors, traces = _arm_sweep(spec, _TAGS["stepsize"], arms, "mu")
+    errors, traces = _arm_sweep(spec, arms, "mu")
     rows = []
     for mu in mus:
         for k in spec.sparsity_grid:
@@ -547,11 +546,8 @@ def run_stepsize_study(spec):
 def run_joint_model(spec):
     """Recover signal and sparse corruption jointly with the (A, I) operator
     and a product projection; reports block-wise errors."""
-    tag = _TAGS["joint"]
-
-    def solve(item):
-        ki, k, si, s, t = item
-        rng = trial_rng(spec.seed, tag, ki, si, t)
+    def solve(cell, rng, t):
+        k, s = cell
         base = gaussian_operator(spec.m, spec.n_ambient, rng)
         x = sparse_signal(spec.n_ambient, k, rng)
         y_clean = base.apply(x)
@@ -570,8 +566,11 @@ def run_joint_model(spec):
         x_est, e_est = jop.split(proj(trace.final))
         return normalized_error(x_est, x), normalized_error(e_est, e)
 
+    cells = [((ki, si), (k, s)) for ki, k in enumerate(spec.sparsity_grid)
+             for si, s in enumerate(spec.outlier_grid)]
     rows = [{"k": k, "s": s, **_stats(spec, x_errs, "x_error"), **_stats(spec, e_errs, "e_error")}
-            for k, s, (x_errs, e_errs) in _cell_trials(spec, solve)]
+            for (_, (k, s)), trials in zip(cells, _cell_trials(spec, cells, solve))
+            for x_errs, e_errs in [zip(*trials)]]
     return {"rows": rows, "traces": None, "status": 0, "summary": {}}
 
 
@@ -614,12 +613,9 @@ def _run_with_window(x0, proj, bp, op, y, mu, start_iters, window, truth):
 def run_nipr_stability(spec):
     """Train paired priors (regularized and not) per seed, solve the same
     compressed-sensing instances with each, and report SM1/SM2 and errors."""
-    tag = _TAGS["nipr"]
     window = max(NIPR_OFFSETS)
 
-    def solve(item):
-        pair, weight = item
-        rng = trial_rng(spec.seed, tag, pair)
+    def solve(weight, rng, pair):
         data_seed, prior_seed, train_seed = (int(v) for v in rng.integers(2**31, size=3))
         points = make_manifold_dataset(
             NIPR_DATASET_SIZE + 1, spec.n_ambient, NIPR_MANIFOLD_DIM,
@@ -663,18 +659,18 @@ def run_nipr_stability(spec):
             )
         return row
 
-    # One item per training, each redrawing its pair's instance (far cheaper
-    # than training).  A regularized training costs about three plain ones,
-    # so listing those first deals each share an even count of each kind.
-    results = _trial_map(solve, [(pair, weight) for weight in (spec.nipr_weight, 0.0)
-                                 for pair in range(spec.trials)])
+    # One cell per weight, with pair t as trial t, so a pair's two trainings
+    # redraw its instance from one stream (far cheaper than training).  A
+    # regularized training costs about three plain ones, so its cell comes
+    # first and every share is dealt an even count of each kind.
+    regularized, plain = _cell_trials(spec, [((), spec.nipr_weight), ((), 0.0)], solve)
     rows, wins = [], 0
-    for pair_rows in zip(results[spec.trials:], results[:spec.trials]):
+    for pair_rows in zip(plain, regularized):
         rows.extend(pair_rows)
         # A win: the regularized prior is at least as stable as the plain one.
-        plain, regularized = (0.0 if row["sm1_50"] < SM1_NUMERICAL_FLOOR else row["sm1_50"]
-                              for row in pair_rows)
-        wins += int(regularized <= plain)
+        sm1_plain, sm1_regularized = (0.0 if row["sm1_50"] < SM1_NUMERICAL_FLOOR
+                                      else row["sm1_50"] for row in pair_rows)
+        wins += int(sm1_regularized <= sm1_plain)
     summary = {"sm1_50_wins": wins, "pairs": spec.trials}
     return {"rows": rows, "traces": None, "status": 0, "summary": summary}
 
@@ -734,81 +730,17 @@ def _row_projection(projs, iterations, n):
     return project
 
 
-def _tuned_mu_delta(B, k, mu_grid):
-    """(delta, mu) minimizing the exact restricted isometry constant of mu*B.
-
-    Uses ||(mu B - I)[:, T]||^2 = lambda_max(mu^2 B_T' B_T - 2 mu sym(B_TT) + I)
-    per support T, with the Gram blocks precomputed once, and keeps the
-    first grid mu of smallest sqrt(max_T lambda_max) as computed by eigvalsh.
-    The winning mu is re-checked against exact_ric_sparse so the returned
-    delta is the enumeration oracle's own value.  At k = 0 there is no
-    support: delta is 0 at every mu, and the first grid value wins as the
-    first minimum.
-
-    At support size 2 a screen over the whole grid comes first: lambda_max
-    of a symmetric 2x2 block [[a, b], [b, c]] is (a+c)/2 + sqrt(((a-c)/2)^2
-    + b^2).  Only grid values within _SCREEN_TOL (relative, floor 1) of
-    the screen's minimum go on to eigvalsh, in grid order and by the same
-    strict-< first-minimum rule.  The two computations of one lambda_max
-    agree to about 1e-14, far inside the screen's tolerance, so the
-    eigvalsh winner always passes the screen, every value ahead of it that
-    passes is strictly worse, and the chosen mu is the one the full eigvalsh
-    scan chooses, bit for bit.  At each of those mu the same closed form
-    screens the supports: eigvalsh sees only the blocks _near_max keeps,
-    whose max is the max over every support.  At other support sizes every
-    mu and every support goes on.
-    """
-    n = B.shape[0]
-    t = min(2 * _count("k", k), n)
-    if t == 0:
-        return 0.0, float(mu_grid[0])
-    grams, blocks = [], []
-    for supports in _support_chunks(n, t):
-        columns = np.moveaxis(B[:, supports], 1, 0)
-        grams.append(np.swapaxes(columns, 1, 2) @ columns)
-        block = B[supports[:, :, None], supports[:, None, :]]
-        blocks.append((block + np.swapaxes(block, 1, 2)) / 2.0)
-    grams, blocks = np.concatenate(grams), np.concatenate(blocks)
-    eye = np.eye(t)
-    candidates = range(len(mu_grid))
-    if t == 2:
-        # A few grid values at a time, so the (mu, support) blocks held at
-        # once stay near len(mu_grid) * SUPPORT_CHUNK.
-        mus = np.asarray(mu_grid, dtype=float)[:, None]
-        step = max(1, len(mus) * SUPPORT_CHUNK // len(grams))
-        screen = []
-        for lo in range(0, len(mus), step):
-            mu = mus[lo:lo + step]
-            a, b, c = (mu * mu * grams[:, i, j] - 2.0 * mu * blocks[:, i, j] + eye[i, j]
-                       for i, j in ((0, 0), (0, 1), (1, 1)))
-            screen.append(_lambda_max_2x2(a, b, c).max(axis=1))
-        screen = np.concatenate(screen)
-        least = screen.min()
-        candidates = np.flatnonzero(screen <= least + _SCREEN_TOL * max(abs(least), 1.0))
-    best = (np.inf, None)
-    for i in candidates:
-        mu = mu_grid[i]
-        quad = mu * mu * grams - 2.0 * mu * blocks + eye
-        if t == 2:
-            quad = quad[_near_max(quad[:, 0, 0], quad[:, 1, 0], quad[:, 1, 1])]
-        lam = float(np.linalg.eigvalsh(quad)[:, -1].max())
-        delta = np.sqrt(max(lam, 0.0))
-        if delta < best[0]:
-            best = (delta, float(mu))
-    mu = best[1]
-    return exact_ric_sparse(mu * B, k), mu
-
-
 def run_theorem_check(spec):
     """Check observed error sequences against the convergence bound.
 
     Per variant, resamples instances until spec.trials seeds with
     delta*beta < 1 are found (or the resample budget is exhausted, which
-    makes the whole check inconclusive, status 3).  mu is tuned per seed to
-    minimize the exact enumerated delta; beta is the analytic hard-threshold
-    bound.  A seed whose null-space floor (null_space_ric_floor, a lower
-    bound on delta at every mu) already forces delta*beta >= 1 is rejected
-    before tuning; that skips work and never changes which seeds qualify.
+    makes the whole check inconclusive, status 3).  mu is tuned per seed
+    (constants._tuned_mu) to minimize the exact enumerated delta, which is
+    exact_ric_sparse at that mu; beta is the analytic hard-threshold bound.
+    A seed whose null-space floor (null_space_ric_floor, a lower bound on
+    delta at every mu) already forces delta*beta >= 1 is rejected before
+    tuning; that skips work and never changes which seeds qualify.
     Reports the worst (observed - bound) margin per run for both the
     projected-truth and truth variants of the bound.  The accepted instances
     of every variant are drawn first and then solved together by one
@@ -830,7 +762,8 @@ def run_theorem_check(spec):
             if null_space_ric_floor(op.matrix, k) * HARD_THRESHOLD_BETA >= 1.0 + FLOOR_REJECT_MARGIN:
                 continue
             B = op.matrix.T @ op.matrix
-            delta, mu = _tuned_mu_delta(B, k, THEOREM_MU_GRID)
+            mu = constants._tuned_mu(B, k, THEOREM_MU_GRID)
+            delta = exact_ric_sparse(mu * B, k)
             if delta * HARD_THRESHOLD_BETA >= 1.0:
                 continue
             found += 1
@@ -932,17 +865,21 @@ def _write_csv(path, fieldnames, rows):
 def write_outputs(spec, result):
     """Write `<base>.csv`, optional `<base>_trace.csv`, and `<base>.meta.json`.
 
-    Each CSV's header is its experiment's _COLUMNS (or _TRACE_COLUMNS) entry,
-    written even when there are no rows.  The CSV files are a pure function
+    Each CSV's header is its experiment's _COLUMNS (or _TRACE_COLUMNS) entry.
+    The table is written even when it has no rows; a run with no trace rows
+    writes no trace file and removes an earlier run's.  The CSV files are a pure function
     of (spec, seed); the metadata file carries the spec echo, version and
     wall-clock and is the only output that varies between identical runs.
     """
     base = spec.output_path
     paths = {"table": f"{base}.csv"}
     _write_csv(paths["table"], _COLUMNS[spec.experiment], result["rows"])
+    trace = f"{base}_trace.csv"
     if result["traces"]:
-        paths["trace"] = f"{base}_trace.csv"
-        _write_csv(paths["trace"], _TRACE_COLUMNS[spec.experiment], result["traces"])
+        paths["trace"] = trace
+        _write_csv(trace, _TRACE_COLUMNS[spec.experiment], result["traces"])
+    elif os.path.lexists(trace):
+        os.remove(trace)
     meta = {
         # The experiment and its keys only, so the echo is a valid config.
         "spec": {"experiment": spec.experiment,

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpgd.cli import load_spec, main
-from gpgd.constants import exact_ric_sparse, null_space_ric_floor
+from gpgd.constants import _tuned_mu, exact_ric_sparse, null_space_ric_floor
 from gpgd.descent import gpgd_run
 from gpgd.experiments import (
     _COLUMNS,
@@ -22,7 +22,6 @@ from gpgd.experiments import (
     THEOREM_MU_GRID,
     THEOREM_VARIANTS,
     ExperimentSpec,
-    _tuned_mu_delta,
     default_spec,
     run_joint_model,
     run_outlier_tradeoff,
@@ -34,7 +33,7 @@ from gpgd.experiments import (
     write_outputs,
 )
 from gpgd.operators import gaussian_operator
-from gpgd.projections import PAlpha
+from gpgd.projections import HARD_THRESHOLD_BETA, PAlpha
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -296,6 +295,35 @@ def test_theorem_check_computes_each_op_norm_only_for_a_nonzero_error(monkeypatc
     assert len(calls) == expected == 4
 
 
+def test_theorem_check_takes_each_delta_from_exact_ric_sparse_at_the_tuned_mu(monkeypatch):
+    # The benchmark times the enumeration through experiments.exact_ric_sparse,
+    # so the check must call it once per tuned attempt, at the tuner's mu;
+    # an accepted attempt's row holds that mu and that call's delta.
+    import gpgd.constants as constants
+    import gpgd.experiments as experiments
+
+    tuned, rics = [], []
+    tuned_mu, ric = constants._tuned_mu, experiments.exact_ric_sparse
+
+    def counting_tuner(B, k, mu_grid):
+        tuned.append((B, tuned_mu(B, k, mu_grid)))
+        return tuned[-1][1]
+
+    def counting_ric(B, k):
+        rics.append((B, ric(B, k)))
+        return rics[-1][1]
+
+    monkeypatch.setattr(constants, "_tuned_mu", counting_tuner)
+    monkeypatch.setattr(experiments, "exact_ric_sparse", counting_ric)
+    rows = run_theorem_check(default_spec("theorem"))["rows"]
+    assert len(rics) == len(tuned) > len(rows) == 20
+    for (B, mu), (scaled, _) in zip(tuned, rics):
+        assert np.array_equal(scaled, mu * B)
+    accepted = [(mu, delta) for (_, mu), (_, delta) in zip(tuned, rics)
+                if delta * HARD_THRESHOLD_BETA < 1.0]
+    assert accepted == [(row["mu"], row["delta"]) for row in rows]
+
+
 def test_theorem_check_solves_the_cell_in_one_stacked_descent(monkeypatch):
     import gpgd.experiments as experiments
 
@@ -373,12 +401,11 @@ def _full_floor(A, k):
 
 def _full_eigvalsh_scan(B, k, mu_grid):
     # The tuner without its screens: one stacked eigvalsh over every support
-    # per grid mu, the first mu of smallest delta wins, and its delta comes
-    # from the unscreened enumeration.
+    # per grid mu, and the first mu of smallest delta wins.
     n = B.shape[0]
     t = min(2 * k, n)
     if t == 0:
-        return 0.0, float(mu_grid[0])
+        return float(mu_grid[0])
     supports = _all_supports(n, t)
     columns = np.moveaxis(B[:, supports], 1, 0)
     grams = np.swapaxes(columns, 1, 2) @ columns
@@ -390,7 +417,7 @@ def _full_eigvalsh_scan(B, k, mu_grid):
         delta = np.sqrt(max(float(np.linalg.eigvalsh(quad)[:, -1].max()), 0.0))
         if delta < best[0]:
             best = (delta, float(mu))
-    return _full_ric_sparse(best[1] * B, k), best[1]
+    return best[1]
 
 
 @pytest.mark.parametrize("m", [8, 16, 32, 64, 128])
@@ -399,14 +426,14 @@ def test_tuner_matches_the_full_eigvalsh_scan(m, k):
     for seed in range(6 if k < 2 else 2):
         A = gaussian_operator(m, 12, trial_rng(seed, m, k)).matrix
         B = A.T @ A
-        assert _tuned_mu_delta(B, k, THEOREM_MU_GRID) == _full_eigvalsh_scan(B, k, THEOREM_MU_GRID)
+        assert _tuned_mu(B, k, THEOREM_MU_GRID) == _full_eigvalsh_scan(B, k, THEOREM_MU_GRID)
 
 
 def test_tuner_screens_many_supports_in_blocks():
     # C(100, 2) = 4950 supports: the screen takes the grid in two blocks.
     A = gaussian_operator(80, 100, trial_rng(0, 80)).matrix
     B = A.T @ A
-    assert _tuned_mu_delta(B, 1, THEOREM_MU_GRID) == _full_eigvalsh_scan(B, 1, THEOREM_MU_GRID)
+    assert _tuned_mu(B, 1, THEOREM_MU_GRID) == _full_eigvalsh_scan(B, 1, THEOREM_MU_GRID)
 
 
 @pytest.mark.parametrize("k, n", [(1, 12), (2, 6)])
@@ -417,7 +444,7 @@ def test_tuner_breaks_exact_ties_like_the_full_scan(k, n):
     grid = THEOREM_MU_GRID
     for i in range(len(grid) - 1):
         B = 2.0 / (grid[i] + grid[i + 1]) * np.eye(n)
-        assert _tuned_mu_delta(B, k, grid) == _full_eigvalsh_scan(B, k, grid), i
+        assert _tuned_mu(B, k, grid) == _full_eigvalsh_scan(B, k, grid), i
 
 
 def test_tuner_breaks_ties_of_rotated_blocks_like_the_full_scan():
@@ -437,7 +464,7 @@ def test_tuner_breaks_ties_of_rotated_blocks_like_the_full_scan():
             for start, s in ((0, lo), (2, hi)):
                 R = np.linalg.qr(rng.standard_normal((2, 2)))[0]
                 B[start:start + 2, start:start + 2] = R @ np.diag([s, (lo + hi) / 2]) @ R.T
-            assert _tuned_mu_delta(B, 1, grid) == _full_eigvalsh_scan(B, 1, grid), i
+            assert _tuned_mu(B, 1, grid) == _full_eigvalsh_scan(B, 1, grid), i
 
 
 def _assert_screens_match_the_full_enumeration(A, k, mus=THEOREM_MU_GRID[::7]):
@@ -463,7 +490,7 @@ def test_support_screens_match_the_full_enumeration_on_drawn_instances(seed, m, 
     A = 10.0**log_scale * gaussian_operator(m, n, trial_rng(seed)).matrix
     _assert_screens_match_the_full_enumeration(A, 1, THEOREM_MU_GRID[::15])
     B = A.T @ A
-    assert _tuned_mu_delta(B, 1, THEOREM_MU_GRID) == _full_eigvalsh_scan(B, 1, THEOREM_MU_GRID)
+    assert _tuned_mu(B, 1, THEOREM_MU_GRID) == _full_eigvalsh_scan(B, 1, THEOREM_MU_GRID)
 
 
 def test_support_screens_keep_every_tied_support():
@@ -487,7 +514,7 @@ def test_support_screens_break_ties_of_rotated_blocks_like_the_full_enumeration(
             R = np.linalg.qr(rng.standard_normal((2, 2)))[0]
             B[start:start + 2, start:start + 2] = R @ np.diag([0.3, 1.9]) @ R.T
         assert exact_ric_sparse(B, 1) == _full_ric_sparse(B, 1), trial
-        assert _tuned_mu_delta(B, 1, THEOREM_MU_GRID) == _full_eigvalsh_scan(B, 1, THEOREM_MU_GRID)
+        assert _tuned_mu(B, 1, THEOREM_MU_GRID) == _full_eigvalsh_scan(B, 1, THEOREM_MU_GRID)
 
 
 def test_support_screens_on_a_single_support():
@@ -495,7 +522,7 @@ def test_support_screens_on_a_single_support():
     A = gaussian_operator(1, 2, trial_rng(0, 2)).matrix
     _assert_screens_match_the_full_enumeration(A, 1)
     B = A.T @ A
-    assert _tuned_mu_delta(B, 1, THEOREM_MU_GRID) == _full_eigvalsh_scan(B, 1, THEOREM_MU_GRID)
+    assert _tuned_mu(B, 1, THEOREM_MU_GRID) == _full_eigvalsh_scan(B, 1, THEOREM_MU_GRID)
 
 
 def test_support_screen_sends_every_support_to_lapack_when_the_closed_form_overflows():
@@ -611,6 +638,26 @@ def test_cli_k_trace_outside_grid_writes_the_table_only(tmp_path, command, confi
     assert (tmp_path / "k2.csv").read_bytes() == (tmp_path / "k7.csv").read_bytes()
     meta = json.loads((tmp_path / "k7.meta.json").read_text())
     assert meta["outputs"] == [str(tmp_path / "k7.csv")]
+
+
+@pytest.mark.parametrize("command, config", [
+    ("stepsize", {"k_trace": 99}),
+    ("outliers", {}),
+], ids=["k_trace_outside_grid", "other_experiment"])
+def test_cli_rerun_without_traces_removes_the_stale_trace(tmp_path, command, config):
+    # A rerun into the same --out that writes no trace must not leave the
+    # earlier run's trace beside its table, unlisted in its meta.json.
+    small = {"sparsity_grid": [2], "trials": 1, "iterations": 10}
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(json.dumps({**small, "mu_grid": [0.3], "k_trace": 2}))
+    second.write_text(json.dumps({**small, **config}))
+    out = tmp_path / "run"
+    assert main(["stepsize", "--config", str(first), "--out", str(out)]) == 0
+    assert (tmp_path / "run_trace.csv").exists()
+    assert main([command, "--config", str(second), "--out", str(out)]) == 0
+    assert not (tmp_path / "run_trace.csv").exists()
+    meta = json.loads((tmp_path / "run.meta.json").read_text())
+    assert meta["outputs"] == [str(tmp_path / "run.csv")]
 
 
 def test_cli_invalid_config_exit_code(tmp_path):

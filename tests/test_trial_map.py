@@ -16,7 +16,7 @@ import pytest
 
 import gpgd.experiments as experiments
 from gpgd.cli import main
-from gpgd.experiments import RUNNERS, _trial_map, default_spec
+from gpgd.experiments import RUNNERS, _TAGS, _cell_trials, _trial_map, default_spec, trial_rng
 from gpgd.prior import TrainResult
 
 
@@ -113,6 +113,31 @@ def test_a_share_that_cannot_be_forked_runs_in_this_process(shares, monkeypatch,
     here = [s for s in range(3) if {r[2] for r in out[s::3]} == {os.getpid()}]
     assert here == ([0, 1, 2] if failing == 1 else [0, 2])
     assert len(os.listdir("/proc/self/fd")) == fds
+
+
+@pytest.mark.parametrize("experiment, cells", [
+    ("stepsize", [((0,), 4), ((1,), 9)]),
+    ("outliers", [((0, 0), (3, 0)), ((0, 1), (3, 5)), ((1, 0), (4, 0))]),
+    ("nipr", [((), 0.005), ((), 0.0)]),
+])
+def test_cell_trials_gives_trial_t_of_a_cell_its_own_stream(shares, experiment, cells):
+    # Trial t of the cell with stream key `key` draws from
+    # trial_rng(seed, tag, *key, t): results come cell by cell, each in
+    # trial order, at any share count, and a larger trial count keeps every
+    # earlier trial's result.
+    def solve(value, rng, t):
+        return value, t, int(rng.integers(2**62))
+
+    by_trials = {}
+    for trials in (2, 3):
+        spec = default_spec(experiment, seed=7, trials=trials)
+        expected = [[(value, t, int(trial_rng(7, _TAGS[experiment], *key, t).integers(2**62)))
+                     for t in range(trials)] for key, value in cells]
+        for n in (1, 3):
+            shares(n)
+            by_trials[trials] = _cell_trials(spec, cells, solve)
+            assert by_trials[trials] == expected
+    assert [trials[:2] for trials in by_trials[3]] == by_trials[2]
 
 
 _SMALL = dict(m=40, n_ambient=80)
