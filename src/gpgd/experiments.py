@@ -17,6 +17,7 @@ import json
 import math
 import os
 import pickle
+import statistics
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -289,7 +290,8 @@ def _processes():
 def _trial_map(fn, items):
     """[fn(i) for i in items], dealt in turn to n = _processes() shares: this
     process computes items[0::n], and a child forked now, seeing the caller's
-    state, computes each other share and pipes back its results or its error.
+    state, computes each other share and pipes back its results or its error
+    (an error in pickling the results included).
     Where os.pipe or os.fork fails, this process computes the shares left."""
     items = list(items)
     n = max(1, min(_processes(), len(items)))
@@ -309,11 +311,11 @@ def _trial_map(fn, items):
             if pid == 0:
                 try:
                     try:
-                        report = [fn(i) for i in items[s::n]]
+                        report = pickle.dumps([fn(i) for i in items[s::n]])
                     except BaseException as exc:  # noqa: BLE001 - re-raised in the parent
-                        report = exc
+                        report = pickle.dumps(exc)
                     with open(w, "wb") as fh:
-                        fh.write(pickle.dumps(report))
+                        fh.write(report)
                 finally:
                     os._exit(0)  # never return into the caller's stack
             os.close(w)
@@ -730,6 +732,13 @@ def _row_projection(projs, iterations, n):
     return project
 
 
+def _min_median(name, values):
+    """{name_min, name_median} over `values`, both None when there are none."""
+    if not values:
+        return {f"{name}_min": None, f"{name}_median": None}
+    return {f"{name}_min": float(min(values)), f"{name}_median": float(statistics.median(values))}
+
+
 def run_theorem_check(spec):
     """Check observed error sequences against the convergence bound.
 
@@ -742,31 +751,43 @@ def run_theorem_check(spec):
     delta at every mu) already forces delta*beta >= 1 is rejected before
     tuning; that skips work and never changes which seeds qualify.
     Reports the worst (observed - bound) margin per run for both the
-    projected-truth and truth variants of the bound.  The accepted instances
-    of every variant are drawn first and then solved together by one
-    _stacked_run, which gives each the bits of its own gpgd_run.
+    projected-truth and truth variants of the bound.
+
+    The variants are dealt in turn to n = min(_processes(), 4) groups, group
+    s being THEOREM_VARIANTS[s::n], and the groups are mapped through
+    _trial_map.  Each group runs its variants' acceptance loops, solves all
+    of its accepted instances in one _stacked_run (which gives each the bits
+    of its own gpgd_run) and computes their margins.  The rows come back in
+    variant order, so no byte depends on n.  summary["variants"] gives, per
+    variant, the attempts made, how many the null-space floor and the tuner
+    rejected and how many were accepted, with the min and median of
+    floor*beta and of delta*beta over each kind of rejection.
     """
     tag = _TAGS["theorem"]
     k = int(spec.sparsity_grid[0])
     n = spec.n_ambient
     eta = 0.02
-    rows, bounds, stack = [], [], []
-    inconclusive = []
-    for vi, variant in enumerate(THEOREM_VARIANTS):
-        found = 0
+
+    def search(vi):
+        """Variant vi's acceptance loop: its rows, with each row's bound and
+        stack entry, and its report."""
+        variant = THEOREM_VARIANTS[vi]
+        rows, bounds, stack, floors, deltas = [], [], [], [], []
         for attempt in range(spec.resample_budget):
-            if found >= spec.trials:
+            if len(rows) >= spec.trials:
                 break
             rng = trial_rng(spec.seed, tag, vi, attempt)
             op = gaussian_operator(spec.m, n, rng)
-            if null_space_ric_floor(op.matrix, k) * HARD_THRESHOLD_BETA >= 1.0 + FLOOR_REJECT_MARGIN:
+            floor_beta = null_space_ric_floor(op.matrix, k) * HARD_THRESHOLD_BETA
+            if floor_beta >= 1.0 + FLOOR_REJECT_MARGIN:
+                floors.append(floor_beta)
                 continue
             B = op.matrix.T @ op.matrix
             mu = constants._tuned_mu(B, k, THEOREM_MU_GRID)
             delta = exact_ric_sparse(mu * B, k)
             if delta * HARD_THRESHOLD_BETA >= 1.0:
+                deltas.append(delta * HARD_THRESHOLD_BETA)
                 continue
-            found += 1
             truth = sparse_signal(n, k, rng)
             if variant == "model_error":
                 truth = truth + 0.05 * rng.standard_normal(n)
@@ -799,30 +820,50 @@ def run_theorem_check(spec):
                          "model_error": tb.model_error, "eta": eta_used})
             bounds.append((tb, hard_threshold(truth, k)))
             stack.append((op.matrix, y_clean + e, mu, proj, truth))
-        if found < spec.trials:
-            inconclusive.append(variant)
-    # Every accepted instance of the cell, all variants, in one descent.
-    traces = []
-    if stack:
-        matrices, ys, mus, projs, truths = zip(*stack)
-        traces = _stacked_run(np.array(matrices), np.array(ys), np.array(mus),
-                              _row_projection(projs, spec.iterations, n), spec.iterations,
-                              np.array(truths))
-    for row, (tb, projected_truth), trace in zip(rows, bounds, traces):
-        # Both bound displays checked on the same trajectory.
-        errors_to_projection = _norms(np.array(trace.iterates) - projected_truth)
-        initial_error = float(np.linalg.norm(projected_truth))
-        bound_proj = theorem_bound_eval(tb, trace.iterations_run, initial_error, "projection")
-        bound_truth = theorem_bound_eval(tb, trace.iterations_run, initial_error, "truth")
-        margin_proj = float(np.max(errors_to_projection - bound_proj))
-        margin_truth = float(np.max(np.array(trace.errors_to_truth) - bound_truth))
-        row.update(margin_projection=margin_proj, margin_truth=margin_truth,
-                   verified=int(margin_proj <= 1e-9 and margin_truth <= 1e-9))
+        # Each attempt made was rejected on the floor or by the tuner, or accepted.
+        report = {"attempts": len(floors) + len(deltas) + len(rows),
+                  "floor_rejected": len(floors), "tuner_rejected": len(deltas),
+                  "accepted": len(rows),
+                  **_min_median("floor_beta", floors), **_min_median("delta_beta", deltas)}
+        return rows, bounds, stack, report
+
+    def check(group):
+        """(rows, report) of each variant of the group, its accepted
+        instances solved together in one descent."""
+        searches = [search(vi) for vi in group]
+        rows, bounds, stack = ([x for found in searches for x in found[part]] for part in range(3))
+        traces = []
+        if stack:
+            matrices, ys, mus, projs, truths = zip(*stack)
+            traces = _stacked_run(np.array(matrices), np.array(ys), np.array(mus),
+                                  _row_projection(projs, spec.iterations, n), spec.iterations,
+                                  np.array(truths))
+        for row, (tb, projected_truth), trace in zip(rows, bounds, traces):
+            # Both bound displays checked on the same trajectory.
+            errors_to_projection = _norms(np.array(trace.iterates) - projected_truth)
+            initial_error = float(np.linalg.norm(projected_truth))
+            bound_proj = theorem_bound_eval(tb, trace.iterations_run, initial_error, "projection")
+            bound_truth = theorem_bound_eval(tb, trace.iterations_run, initial_error, "truth")
+            margin_proj = float(np.max(errors_to_projection - bound_proj))
+            margin_truth = float(np.max(np.array(trace.errors_to_truth) - bound_truth))
+            row.update(margin_projection=margin_proj, margin_truth=margin_truth,
+                       verified=int(margin_proj <= 1e-9 and margin_truth <= 1e-9))
+        return [(found[0], found[3]) for found in searches]
+
+    shares = min(_processes(), len(THEOREM_VARIANTS))
+    groups = [range(len(THEOREM_VARIANTS))[s::shares] for s in range(shares)]
+    found = [None] * len(THEOREM_VARIANTS)
+    for s, group_found in enumerate(_trial_map(check, groups)):
+        found[s::shares] = group_found
+    rows = [row for variant_rows, _ in found for row in variant_rows]
+    reports = {variant: report for variant, (_, report) in zip(THEOREM_VARIANTS, found)}
+    inconclusive = [v for v in THEOREM_VARIANTS if reports[v]["accepted"] < spec.trials]
     status = 3 if inconclusive else 0
     summary = {
         "inconclusive_variants": inconclusive,
         "verified_runs": sum(r["verified"] for r in rows),
         "total_runs": len(rows),
+        "variants": reports,
     }
     return {"rows": rows, "traces": None, "status": status, "summary": summary}
 

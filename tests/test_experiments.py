@@ -281,6 +281,9 @@ def test_theorem_check_computes_each_op_norm_only_for_a_nonzero_error(monkeypatc
     # operator norm is computed only on the rows where its factor is > 0.
     import gpgd.experiments as experiments
 
+    # Counted in this process, so the variants run here in one group; the
+    # byte tests cover the forked groups.
+    monkeypatch.setattr(experiments, "_processes", lambda: 1)
     calls = []
     operator_norm = experiments.operator_norm
 
@@ -302,6 +305,9 @@ def test_theorem_check_takes_each_delta_from_exact_ric_sparse_at_the_tuned_mu(mo
     import gpgd.constants as constants
     import gpgd.experiments as experiments
 
+    # Counted in this process, so the variants run here in one group; the
+    # byte tests cover the forked groups.
+    monkeypatch.setattr(experiments, "_processes", lambda: 1)
     tuned, rics = [], []
     tuned_mu, ric = constants._tuned_mu, experiments.exact_ric_sparse
 
@@ -327,6 +333,9 @@ def test_theorem_check_takes_each_delta_from_exact_ric_sparse_at_the_tuned_mu(mo
 def test_theorem_check_solves_the_cell_in_one_stacked_descent(monkeypatch):
     import gpgd.experiments as experiments
 
+    # Counted in this process, so the variants run here in one group; the
+    # byte tests cover the forked groups.
+    monkeypatch.setattr(experiments, "_processes", lambda: 1)
     calls, stacks = [], []
     stacked_run = experiments._stacked_run
 
@@ -344,6 +353,46 @@ def test_theorem_check_solves_the_cell_in_one_stacked_descent(monkeypatch):
     assert len(r["rows"]) == 8
     assert calls == []
     assert stacks == [8]
+
+
+def test_theorem_check_reports_why_it_rejected_each_attempt():
+    # Per variant, every attempt is a floor rejection, a tuner rejection or
+    # an acceptance; the accepted ones are the variant's rows, the last of
+    # them its last attempt, and each rejection came short of delta*beta < 1.
+    spec = default_spec("theorem")
+    r = run_theorem_check(spec)
+    reports = r["summary"]["variants"]
+    assert list(reports) == list(THEOREM_VARIANTS)
+    for variant, report in reports.items():
+        accepted = [row["attempt"] for row in r["rows"] if row["variant"] == variant]
+        assert report["accepted"] == len(accepted) == spec.trials
+        assert (report["floor_rejected"] + report["tuner_rejected"] + report["accepted"]
+                == report["attempts"] == accepted[-1] + 1)
+        for kind, name in (("floor", "floor_beta"), ("tuner", "delta_beta")):
+            if report[f"{kind}_rejected"]:
+                assert 1.0 <= report[f"{name}_min"] <= report[f"{name}_median"]
+            else:
+                assert report[f"{name}_min"] is report[f"{name}_median"] is None
+    assert sum(report["tuner_rejected"] for report in reports.values()) > 0
+
+
+def test_cli_inconclusive_theorem_check_reports_its_near_misses(tmp_path, capsys):
+    # At m=8 the null-space floor rejects every attempt: the run exits 3,
+    # writes a table with no rows, and says how close the attempts came.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(m=8, n_ambient=12, sparsity_grid=[1], trials=5,
+                                   resample_budget=30)))
+    out = tmp_path / "run"
+    assert main(["theorem", "--config", str(cfg), "--out", str(out)]) == 3
+    assert (tmp_path / "run.csv").read_text() == ",".join(_COLUMNS["theorem"]) + "\n"
+    summary = json.loads((tmp_path / "run.meta.json").read_text())["summary"]
+    assert json.loads(capsys.readouterr().out.splitlines()[-1]) == summary
+    assert summary["inconclusive_variants"] == list(THEOREM_VARIANTS)
+    for report in summary["variants"].values():
+        assert report["attempts"] == report["floor_rejected"] == 30
+        assert report["tuner_rejected"] == report["accepted"] == 0
+        assert 1.0 < report["floor_beta_min"] <= report["floor_beta_median"]
+        assert report["delta_beta_min"] is report["delta_beta_median"] is None
 
 
 def test_theorem_check_inconclusive_at_hopeless_dims():

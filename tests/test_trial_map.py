@@ -7,8 +7,10 @@ the share count.
 """
 
 import errno
+import hashlib
 import json
 import os
+import pickle
 from collections import Counter
 from pathlib import Path
 
@@ -16,7 +18,16 @@ import pytest
 
 import gpgd.experiments as experiments
 from gpgd.cli import main
-from gpgd.experiments import RUNNERS, _TAGS, _cell_trials, _trial_map, default_spec, trial_rng
+from gpgd.experiments import (
+    RUNNERS,
+    _TAGS,
+    THEOREM_VARIANTS,
+    _cell_trials,
+    _trial_map,
+    default_spec,
+    trial_rng,
+)
+from gpgd.operators import gaussian_operator
 from gpgd.prior import TrainResult
 
 
@@ -89,6 +100,17 @@ def test_a_child_that_exits_without_reporting_raises_runtime_error(shares):
         _trial_map(fn, range(4))
 
 
+def test_a_childs_report_that_cannot_be_pickled_raises_its_pickling_error(shares):
+    # A closure cannot be pickled: the child sends the error it met in
+    # pickling its results, where it used to exit without a report.
+    fn = lambda i: (lambda: i)  # noqa: E731
+    shares(1)
+    assert [f() for f in _trial_map(fn, range(2))] == [0, 1]
+    shares(2)
+    with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
+        _trial_map(fn, range(2))
+
+
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
 @pytest.mark.parametrize("call", ["pipe", "fork"])
 @pytest.mark.parametrize("failing", [1, 2])
@@ -152,6 +174,8 @@ _SMALL = dict(m=40, n_ambient=80)
     ("joint", dict(_SMALL, sparsity_grid=[3, 4], outlier_grid=[5], trials=3, iterations=150)),
     ("nipr", dict(trials=3, iterations=100)),
     ("nipr", dict(trials=1, iterations=100)),  # its two items on two shares
+    ("theorem", dict(trials=2)),
+    ("theorem", dict(m=8, trials=2, resample_budget=25)),  # status 3, no rows
 ])
 def test_the_share_count_never_moves_a_byte(shares, experiment, overrides):
     spec = default_spec(experiment, **overrides)
@@ -192,6 +216,39 @@ def test_nipr_deals_the_regularized_trainings_first(shares, monkeypatch, tmp_pat
         counts.setdefault(int(pid), Counter())[float(weight)] += 1
     assert counts.pop(os.getpid()) == here
     assert list(counts.values()) == [child]
+
+
+def test_theorem_check_deals_its_variants_in_turn(shares, monkeypatch, tmp_path):
+    # At two shares the variants form two groups, each solved in one stack:
+    # noiseless and model_error here, noisy and proj_error in the child.  A
+    # stack's rows are told apart by their operators, redrawn from each
+    # row's trial stream.
+    shares(2)
+    log, stacked_run = tmp_path / "stacks", experiments._stacked_run
+
+    def digest(matrix):
+        return hashlib.sha256(matrix.tobytes()).hexdigest()
+
+    def logging_stack(A, *args):
+        with open(log, "a") as fh:
+            fh.write(" ".join([str(os.getpid()), *map(digest, A)]) + "\n")
+        return stacked_run(A, *args)
+
+    monkeypatch.setattr(experiments, "_stacked_run", logging_stack)
+    spec = default_spec("theorem", trials=2)
+    rows = RUNNERS["theorem"](spec)["rows"]
+    assert [r["variant"] for r in rows] == [v for v in THEOREM_VARIANTS for _ in range(2)]
+    variant_of = {}
+    for r in rows:
+        rng = trial_rng(spec.seed, _TAGS["theorem"], THEOREM_VARIANTS.index(r["variant"]),
+                        r["attempt"])
+        variant_of[digest(gaussian_operator(spec.m, spec.n_ambient, rng).matrix)] = r["variant"]
+    stacks = {}
+    for line in log.read_text().splitlines():
+        pid, *digests = line.split()
+        stacks.setdefault(int(pid), []).append([variant_of[d] for d in digests])
+    assert stacks.pop(os.getpid()) == [["noiseless"] * 2 + ["model_error"] * 2]
+    assert list(stacks.values()) == [[["noisy"] * 2 + ["proj_error"] * 2]]
 
 
 def test_cli_exits_2_without_files_on_a_failure_in_a_childs_share(shares, monkeypatch,
