@@ -8,6 +8,10 @@ residual:
 Note the projection happens before the descent step (the reverse of the
 more common presentation of projected gradient descent).  The run loop
 records per-iteration diagnostics into a RecoveryTrace.
+
+When one step is a fixed function of the iterate, an iterate that repeats an
+earlier one bit for bit starts an exact cycle, and the run loop replays whole
+periods of it instead of recomputing them.
 """
 
 import math
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import BackProjection, MeasurementOperator
 from .projections import _count, _norm, _norms, _real
 
 __all__ = ["GpgdConfig", "RecoveryTrace", "gpgd_run", "i_min_oracle"]
@@ -52,7 +57,8 @@ class RecoveryTrace:
     All lists cover iterates x_0 .. x_T with T = iterations_run;
     rel_changes[0] is NaN (no predecessor).  errors_to_truth is only
     populated when a ground truth was supplied, iterates only when
-    recording was requested.  final always holds x_T.
+    recording was requested.  final always holds x_T.  stop_reason says why
+    the run ended: "max_iters", "rel_change" or "diverged".
     """
 
     residual_norms: list
@@ -62,6 +68,7 @@ class RecoveryTrace:
     errors_to_truth: list = None
     iterates: list = None
     diverged: bool = False
+    stop_reason: str = "max_iters"
 
 
 def gpgd_run(x0, projection, back_projection, op, y, cfg, truth=None):
@@ -74,6 +81,13 @@ def gpgd_run(x0, projection, back_projection, op, y, cfg, truth=None):
     non-finite iterate truncates the trace at the last finite one and sets
     the diverged flag; post-divergence behavior is a measured phenomenon for
     unstable learned priors, so this is not an error.
+
+    When the projection is marked as a function of its input (a class
+    attribute `_deterministic`), back_projection is a BackProjection and op
+    a MeasurementOperator, one step is a fixed function of x.  Then an
+    iterate that repeats an earlier one bit for bit repeats every record
+    after it with that period, and whole periods are copied, not computed.
+    The trace is bit-identical to the one the plain loop records.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (op.n_ambient,):
@@ -96,17 +110,43 @@ def gpgd_run(x0, projection, back_projection, op, y, cfg, truth=None):
     iterates = [x.copy()] if cfg.record_iterates else None
     diverged = False
 
+    # x_norm -> [(t, x_t)] for the iterates so far, while a cycle is looked
+    # for.  The loop never writes to an iterate, so no copy is needed.
+    seen = {} if (getattr(projection, "_deterministic", False)
+                  and isinstance(back_projection, BackProjection)
+                  and isinstance(op, MeasurementOperator)) else None
+    period = 0
+
     iterations_run = 0
     # Diverging runs overflow on their way to the non-finite iterate that
     # stops them; those float warnings are expected, not actionable.
     with np.errstate(over="ignore", invalid="ignore"):
         x_norm = _norm(x)
+        if seen is not None:
+            seen[x_norm] = [(0, x)]
         while True:
             px = np.asarray(projection(x), dtype=float)
             residual = op.apply(px) - y
             residual_norms.append(_norm(residual))
             if iterations_run == max_iters or (tol > 0 and rel_changes[-1] < tol):
                 break
+            if period:
+                # x == x_{t - period}, and the stop test has passed every
+                # relative change of the period, so each record from index
+                # t - period + 1 on repeats with this period.  Whole periods
+                # are copied; the iterations left run, so final is computed.
+                repeats = (max_iters - iterations_run) // period
+                for records in (residual_norms, rel_changes, errors):
+                    if records is not None:
+                        records.extend(records[-period:] * repeats)
+                if iterates is not None:
+                    iterates.extend([v.copy() for v in iterates[-period:] * repeats])
+                iterations_run += period * repeats
+                # The first repeat gives the least period, and fewer than
+                # one period is left: there is nothing more to find.
+                seen, period = None, 0
+                if iterations_run == max_iters:
+                    break
             x_next = px - mu * back_projection.apply(residual)
             # A finite sum of squares means every entry is finite; only an
             # overflowing one needs the entry-wise check.
@@ -126,6 +166,12 @@ def gpgd_run(x0, projection, back_projection, op, y, cfg, truth=None):
                 iterates.append(x_next.copy())
             x, x_norm = x_next, math.sqrt(sq)
             iterations_run += 1
+            if seen is not None:
+                same_norm = seen.get(x_norm)
+                if same_norm is None:
+                    seen[x_norm] = [(iterations_run, x)]
+                else:
+                    period = _repeat(same_norm, x, iterations_run)
 
     return RecoveryTrace(
         residual_norms=residual_norms,
@@ -135,7 +181,20 @@ def gpgd_run(x0, projection, back_projection, op, y, cfg, truth=None):
         errors_to_truth=errors,
         iterates=iterates,
         diverged=diverged,
+        stop_reason=("diverged" if diverged else
+                     "max_iters" if iterations_run == max_iters else "rel_change"),
     )
+
+
+def _repeat(same_norm, x, t):
+    """t - j for the earlier iterate (j, x_j) of `same_norm`, the iterates with
+    the norm of x_t, that has the bits of x_t; else 0, after adding (t, x_t).
+    A norm match only nominates: the bits decide (0.0 and -0.0 differ)."""
+    for j, earlier in same_norm:
+        if np.array_equal(x.view(np.int64), earlier.view(np.int64)):
+            return t - j
+    same_norm.append((t, x))
+    return 0
 
 
 def _stacked_run(A, Y, mu, project, max_iters, truths):
@@ -173,7 +232,8 @@ def _stacked_run(A, Y, mu, project, max_iters, truths):
             X, x_norm = X_next, np.sqrt(sq)
     return [RecoveryTrace(residuals[: t + 1, i].tolist(), [float("nan")] + rels[1 : t + 1, i].tolist(),
                           int(t), iterates[t, i].copy(), errors[: t + 1, i].tolist(),
-                          list(iterates[: t + 1, i]), bool(diverged[i]))
+                          list(iterates[: t + 1, i]), bool(diverged[i]),
+                          "diverged" if diverged[i] else "max_iters")
             for i, t in enumerate(stops)]
 
 

@@ -340,6 +340,8 @@ def make_manifold_dataset(n_points, n_ambient, latent_dim, seed, curvature="tanh
 class LearnedProjection:
     """Use a trained prior as the model projection inside the descent loop."""
 
+    _deterministic = True
+
     def __init__(self, prior):
         self.prior = prior
 

@@ -136,6 +136,9 @@ def model_distance(x, projection):
 class HardThreshold:
     """Orthogonal projection onto k-sparse vectors."""
 
+    # A function of its input alone, so gpgd_run may replay a cycle of iterates.
+    _deterministic = True
+
     def __init__(self, k):
         self.k = _count("k", k)
 
@@ -153,6 +156,8 @@ class PAlpha:
     alpha while keeping the output k-sparse; alpha = 0 reduces exactly to
     hard thresholding.  A zero hard threshold maps to the zero vector.
     """
+
+    _deterministic = True
 
     def __init__(self, k, alpha):
         self.k = _count("k", k)
@@ -182,6 +187,10 @@ class ProductProjection:
 
     def __init__(self, components):
         self.components = [(proj, _count("block dim", dim)) for proj, dim in components]
+
+    @property
+    def _deterministic(self):
+        return all(getattr(proj, "_deterministic", False) for proj, _ in self.components)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)

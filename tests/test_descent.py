@@ -276,8 +276,8 @@ def _reference_cases():
     y_out = y.copy()
     y_out[:3] += 5.0
 
-    def rt_ref(r):
-        kept = np.argsort(np.abs(r), kind="stable")[:26]
+    def rt_ref(r, keep=26):
+        kept = np.argsort(np.abs(r), kind="stable")[:keep]
         selected = np.zeros_like(r)
         selected[kept] = r[kept]
         return A.T @ selected
@@ -297,6 +297,11 @@ def _reference_cases():
         "residual_threshold": (HardThreshold(4), lambda z: _ht_ref(z, 4),
                                BackProjection.residual_threshold(op, keep=26), rt_ref,
                                op, y_out, 0.8, 100, 1e-12, truth),
+        # Falls into an exact cycle of period > 1 (not a fixed point) well
+        # before the cap, so gpgd_run replays it.
+        "residual_threshold_cycle": (HardThreshold(4), lambda z: _ht_ref(z, 4),
+                                     BackProjection.residual_threshold(op, keep=24),
+                                     lambda r: rt_ref(r, keep=24), op, y_out, 1.0, 200, 0.0, truth),
         "divergence": (lambda z: z, lambda z: z, adj, lambda r: A.T @ r,
                        op, y, 1e160, 50, 0.0, None),
     }
@@ -375,7 +380,124 @@ def test_stacked_run_is_gpgd_run_on_every_row():
         ref = gpgd_run(np.zeros(12), proj, BackProjection.adjoint(op), op, y, cfg, truth=x)
         assert trace.iterations_run == ref.iterations_run
         assert trace.diverged == ref.diverged
+        assert trace.stop_reason == ref.stop_reason
         for field in dataclasses.fields(RecoveryTrace):
-            if field.name not in ("iterations_run", "diverged"):
+            if field.name not in ("iterations_run", "diverged", "stop_reason"):
                 assert _bits(getattr(trace, field.name)) == _bits(getattr(ref, field.name)), field.name
     assert traces[1].iterations_run < 60 == traces[0].iterations_run
+
+
+def test_stop_reason_names_why_the_run_ended():
+    op, bp = _identity_setup(5)
+    truth = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
+    cfg = GpgdConfig(mu=1.0, max_iters=500, rel_change_tol=1e-12)
+    assert gpgd_run(np.zeros(5), HardThreshold(1), bp, op, op.apply(truth), cfg).stop_reason == "rel_change"
+    op = gaussian_operator(10, 30, 2)
+    y = np.random.default_rng(3).standard_normal(10)
+    cfg = GpgdConfig(mu=1e160, max_iters=50)
+    assert gpgd_run(np.zeros(30), lambda z: z, BackProjection.adjoint(op), op, y, cfg).stop_reason == "diverged"
+    cfg = GpgdConfig(mu=0.5, max_iters=7)
+    trace = gpgd_run(np.zeros(30), lambda z: z, BackProjection.adjoint(op), op, y, cfg)
+    assert (trace.stop_reason, trace.iterations_run) == ("max_iters", 7)
+
+
+# A designed orbit: with a zero operator and y = 0 a step is x -> P(x), so a
+# projection that looks up its input's successor walks gpgd_run along any
+# chosen tail and cycle.
+
+
+class _Orbit:
+    """Maps orbit[i] to orbit[i + 1], and the last point to orbit[cycle_start],
+    by their bits; counts its calls."""
+
+    _deterministic = True
+
+    def __init__(self, orbit, cycle_start):
+        self.successor = {a.tobytes(): b for a, b in zip(orbit, orbit[1:] + [orbit[cycle_start]])}
+        self.calls = 0
+
+    def __call__(self, z):
+        self.calls += 1
+        return self.successor[z.tobytes()]
+
+
+def _orbit_points():
+    a = np.array([3.0, 0.0, -1.0, 2.0])
+    return {
+        "tail": [np.zeros(4), np.array([1.0, 2.0, 0.5, 0.0]), np.array([-4.0, 0.0, 1.0, 1.0])],
+        # a, its permutation and a with 0.0 turned to -0.0 share one norm; the
+        # last equals a as values but not as bits.
+        "period_3": [a, a[::-1].copy(), np.array([3.0, -0.0, -1.0, 2.0])],
+        # The closing step, back to a, is far below the tolerance.
+        "slow_close": [a, np.array([0.0, 5.0, 5.0, 0.0]), a * (1.0 + 1e-13)],
+        "fixed": [a],
+    }
+
+
+@pytest.mark.parametrize("orbit, tol, stop_reason, replays", [
+    ("period_3", 0.0, "max_iters", True),
+    ("slow_close", 1e-9, "rel_change", False),
+    ("fixed", 0.0, "max_iters", True),
+])
+def test_replayed_orbit_matches_textbook_loop_bit_for_bit(orbit, tol, stop_reason, replays):
+    points = _orbit_points()
+    tail = points["tail"]
+    proj = _Orbit(tail + points[orbit], len(tail))
+    op, y, truth = MeasurementOperator(np.zeros((2, 4))), np.zeros(2), np.ones(4)
+    cfg = GpgdConfig(mu=0.7, max_iters=50, rel_change_tol=tol, record_iterates=True)
+    trace = gpgd_run(np.zeros(4), proj, BackProjection.adjoint(op), op, y, cfg, truth=truth)
+    residuals, rels, errors, iterates, _ = _textbook_gpgd(
+        np.zeros(4), _Orbit(tail + points[orbit], len(tail)), lambda r: op.matrix.T @ r,
+        op.matrix, y, 0.7, 50, tol, truth)
+    assert trace.stop_reason == stop_reason
+    assert trace.iterations_run == len(iterates) - 1
+    assert _bits(trace.residual_norms) == _bits(residuals)
+    assert _bits(trace.rel_changes) == _bits(rels)
+    assert _bits(trace.errors_to_truth) == _bits(errors)
+    assert _bits(trace.iterates) == _bits(iterates)
+    assert _bits(trace.final) == _bits(iterates[-1])
+    # Replayed iterates are copies: no two entries, and not final, share memory.
+    arrays = trace.iterates + [trace.final]
+    assert len({v.__array_interface__["data"][0] for v in arrays}) == len(arrays)
+    assert (proj.calls < trace.iterations_run + 1) == replays
+
+
+class _CountingThreshold(HardThreshold):
+    calls = 0
+
+    def __call__(self, z):
+        self.calls += 1
+        return super().__call__(z)
+
+
+class _CountingPerturbed(PerturbedProjection):
+    calls = 0
+
+    def __call__(self, z):
+        self.calls += 1
+        return super().__call__(z)
+
+
+def test_only_marked_projections_replay_a_cycle():
+    proj, _, bp, _, op, y, mu, iters, tol, truth = _reference_cases()["residual_threshold_cycle"]
+    cfg = GpgdConfig(mu=mu, max_iters=iters, rel_change_tol=tol)
+    marked = _CountingThreshold(4)
+    trace = gpgd_run(np.zeros(op.n_ambient), marked, bp, op, y, cfg, truth=truth)
+    assert trace.stop_reason == "max_iters"
+    assert marked.calls < trace.iterations_run + 1
+    # An unmarked wrapper of the same projection, and a perturbed projection
+    # that adds zero, walk the same cycle but are called on every iteration.
+    plain_calls = []
+    plain = gpgd_run(np.zeros(op.n_ambient), lambda z: plain_calls.append(z) or proj(z),
+                     bp, op, y, cfg, truth=truth)
+    assert len(plain_calls) == plain.iterations_run + 1 == iters + 1
+    assert _bits(plain.errors_to_truth) == _bits(trace.errors_to_truth)
+    perturbed = _CountingPerturbed(4, 0.0, seed=1)
+    gpgd_run(np.zeros(op.n_ambient), perturbed, bp, op, y, cfg)
+    assert perturbed.calls == iters + 1
+
+
+def test_product_projection_is_marked_only_when_every_block_is():
+    assert ProductProjection([(HardThreshold(2), 3), (PAlpha(1, 0.5), 2)])._deterministic
+    assert not ProductProjection([(HardThreshold(2), 3), (PerturbedProjection(1, 0.1, 0), 2)])._deterministic
+    assert not ProductProjection([(HardThreshold(2), 3), (lambda z: z, 2)])._deterministic

@@ -33,7 +33,8 @@ from gpgd.experiments import (
     write_outputs,
 )
 from gpgd.operators import gaussian_operator
-from gpgd.projections import HARD_THRESHOLD_BETA, PAlpha
+from gpgd.prior import LearnedProjection
+from gpgd.projections import HARD_THRESHOLD_BETA, HardThreshold, PAlpha
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -266,6 +267,41 @@ def test_nipr_identical_weights_give_identical_reports():
         assert a[key] == b[key]
     # Identical priors tie, and a tie counts as a win for the regularized one.
     assert r["summary"] == {"sm1_50_wins": 1, "pairs": 1}
+
+
+def _replay_on_and_off(monkeypatch, projection_class, run):
+    """run() with cycle replay on and then off for projection_class, in this
+    process, and the projection calls each made."""
+    import gpgd.experiments as experiments
+
+    monkeypatch.setattr(experiments, "_processes", lambda: 1)
+    calls = []
+    call = projection_class.__call__
+    monkeypatch.setattr(projection_class, "__call__", lambda self, z: calls.append(1) or call(self, z))
+    replayed = run()
+    replayed_calls = len(calls)
+    monkeypatch.setattr(projection_class, "_deterministic", False)
+    plain = run()
+    return replayed, plain, replayed_calls, len(calls) - replayed_calls
+
+
+def test_outlier_rows_are_the_same_with_and_without_cycle_replay(monkeypatch):
+    spec = default_spec("outliers", sparsity_grid=[8], outlier_grid=[30], trials=4)
+    replayed, plain, replayed_calls, plain_calls = _replay_on_and_off(
+        monkeypatch, HardThreshold, lambda: run_outlier_tradeoff(spec)["rows"])
+    assert replayed == plain
+    assert replayed_calls < plain_calls
+
+
+def test_nipr_rows_are_the_same_with_and_without_cycle_replay(monkeypatch):
+    import gpgd.experiments as experiments
+
+    monkeypatch.setattr(experiments, "NIPR_TRAIN", dict(experiments.NIPR_TRAIN, epochs=40))
+    spec = default_spec("nipr", trials=1)
+    replayed, plain, replayed_calls, plain_calls = _replay_on_and_off(
+        monkeypatch, LearnedProjection, lambda: experiments.run_nipr_stability(spec)["rows"])
+    assert replayed == plain
+    assert replayed_calls < plain_calls
 
 
 def test_theorem_check_verifies_at_feasible_dims():
