@@ -81,30 +81,36 @@ class ToyPrior:
 
 def random_prior(n, d_latent, seed, nonlinearity="tanh", scale=None):
     """Random prior with ~orthonormal-ish raw weights (scale defaults to 1/sqrt(n))."""
-    rng = np.random.default_rng(seed)
+    _count("n", n, 1)
+    _count("d_latent", d_latent, 1)
+    _count("seed", seed)
     if scale is None:
         scale = 1.0 / np.sqrt(n)
+    else:
+        _real("scale", scale)
+    rng = np.random.default_rng(seed)
     enc = scale * rng.standard_normal((d_latent, n))
     dec = scale * rng.standard_normal((n, d_latent))
     return ToyPrior(enc, dec, nonlinearity)
 
 
 def _activate(h, kind):
-    return np.tanh(h) if kind == "tanh" else h
+    return np.tanh(h, out=h) if kind == "tanh" else h
 
 
+# Products are np.dot, 0.3-0.4 us faster than `@` here with the same bits; sigma overwrites them.
 def prior_apply(prior, x):
     """P(x) = W_dec sigma(W_enc x)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (prior.n_ambient,):
         raise ValueError(f"expected vector of length {prior.n_ambient}, got shape {x.shape}")
-    return prior.decoder_weights @ _activate(prior.encoder_weights @ x, prior.nonlinearity)
+    return np.dot(prior.decoder_weights, _activate(np.dot(prior.encoder_weights, x), prior.nonlinearity))
 
 
 def _forward_batch(prior, X):
     """Batched forward pass over rows of X; returns (activation, output)."""
-    A = _activate(X @ prior.encoder_weights.T, prior.nonlinearity)
-    return A, A @ prior.decoder_weights.T
+    A = _activate(np.dot(X, prior.encoder_weights.T), prior.nonlinearity)
+    return A, np.dot(A, prior.decoder_weights.T)
 
 
 def _row_norms(M):
@@ -113,8 +119,8 @@ def _row_norms(M):
 
 
 def _nipr_forward(prior, X):
-    """Both passes of the penalty, (A1, Q, |Q|, used, A2, G, |G|), with
-    Q = P(X), G = P(Q) - Q and `used` the rows above the norm floor.
+    """Both passes of the penalty, (A1, Q, |Q|, used, n_used, A2, G, |G|),
+    with Q = P(X), G = P(Q) - Q and `used` the n_used rows above the floor.
 
     Raises ValueError when no row clears the floor: there is nothing to
     normalize.
@@ -122,17 +128,18 @@ def _nipr_forward(prior, X):
     A1, Q = _forward_batch(prior, X)
     qn = _row_norms(Q)
     used = qn > PROJECTED_NORM_FLOOR
-    if not used.any():
+    n_used = int(np.count_nonzero(used))
+    if not n_used:
         raise ValueError("all batch elements had ||P(x)|| below the norm floor")
     A2, PQ = _forward_batch(prior, Q)
     G = PQ - Q
-    return A1, Q, qn, used, A2, G, _row_norms(G)
+    return A1, Q, qn, used, n_used, A2, G, _row_norms(G)
 
 
 def _nipr_terms(prior, X):
-    """Per-row penalty values (0 below the norm floor) and the usability mask."""
-    _, _, qn, used, _, _, gn = _nipr_forward(prior, X)
-    return np.where(used, gn / np.where(used, qn, 1.0), 0.0), used
+    """Per-row penalty values (0 below the norm floor) and the count of rows above it."""
+    _, _, qn, used, n_used, _, _, gn = _nipr_forward(prior, X)
+    return np.divide(gn, qn, out=np.zeros(len(qn)), where=used), n_used
 
 
 def nipr_penalty(prior, batch):
@@ -143,10 +150,8 @@ def nipr_penalty(prior, batch):
     and a ValueError is raised.
     """
     X = _as_batch(batch)
-    if not X.size:
-        raise ValueError("batch must be nonempty")
-    values, used = _nipr_terms(prior, X)
-    n_skipped = len(X) - np.count_nonzero(used)
+    values, n_used = _nipr_terms(prior, X)
+    n_skipped = len(X) - n_used
     if n_skipped:
         warnings.warn(f"nipr_penalty skipped {n_skipped} batch element(s) with ~zero projection")
     return float(values.sum())
@@ -176,7 +181,10 @@ class TrainConfig:
 
 
 def _as_batch(batch):
+    """`batch` as a float array of rows, a 1-d vector as one row; ValueError if empty."""
     batch = np.asarray(batch, dtype=float)
+    if not batch.size:
+        raise ValueError("batch must be nonempty")
     if batch.ndim == 1:
         batch = batch[None, :]
     return batch
@@ -204,8 +212,8 @@ def training_loss(prior, batch, cfg, noise=None):
     inputs, count = _data_inputs(batch, cfg, noise)
     loss = float(np.sum((_forward_batch(prior, inputs)[1] - batch) ** 2)) / count
     if cfg.nipr_weight > 0:
-        values, used = _nipr_terms(prior, batch)
-        loss += cfg.nipr_weight * float(values.sum()) / np.count_nonzero(used)
+        values, n_used = _nipr_terms(prior, batch)
+        loss += cfg.nipr_weight * float(values.sum()) / n_used
     return loss
 
 
@@ -213,10 +221,10 @@ def _backprop(prior, X, A, D):
     """Pull the output gradient D back through P at inputs X, whose hidden
     activation is A: returns (encoder gradient, decoder gradient, d_H), with
     d_H the gradient at the encoder's pre-activation."""
-    d_H = D @ prior.decoder_weights
+    d_H = np.dot(D, prior.decoder_weights)
     if prior.nonlinearity == "tanh":
         d_H *= 1.0 - A * A
-    return d_H.T @ X, D.T @ A, d_H
+    return np.dot(d_H.T, X), np.dot(D.T, A), d_H
 
 
 def _backprop_nipr(prior, X, nipr_weight, g_enc, g_dec):
@@ -227,22 +235,20 @@ def _backprop_nipr(prior, X, nipr_weight, g_enc, g_dec):
     Rows below the norm floor are skipped, and exactly-idempotent rows
     (zero defect) contribute nothing: the term is zero and flat there.
     """
-    A1, Q, qn, used, A2, G, gn = _nipr_forward(prior, X)
-    weight = nipr_weight / np.count_nonzero(used)
+    A1, Q, qn, used, n_used, A2, G, gn = _nipr_forward(prior, X)
+    weight = nipr_weight / n_used
     active = used & (gn > 0.0)
     if not active.any():
         return
-    safe_qn = np.where(active, qn, 1.0)
-    safe_gn = np.where(active, gn, 1.0)
-    U = np.where(active, weight / (safe_gn * safe_qn), 0.0)[:, None] * G
+    U = np.divide(weight, gn * qn, out=np.zeros(len(qn)), where=active)[:, None] * G
     # Second pass: parameters see U directly.
     enc, dec, T2 = _backprop(prior, Q, A2, U)
     g_enc += enc
     g_dec += dec
     # Gradient flowing into Q: through the second pass, the -Q inside the
     # defect, and the 1/||Q|| normalization.
-    norm_pull = np.where(active, weight * safe_gn / safe_qn**3, 0.0)
-    DQ = T2 @ prior.encoder_weights - U - norm_pull[:, None] * Q
+    norm_pull = np.divide(weight * gn, qn**3, out=np.zeros(len(qn)), where=active)
+    DQ = np.dot(T2, prior.encoder_weights) - U - norm_pull[:, None] * Q
     # First pass.
     enc, dec, _ = _backprop(prior, X, A1, DQ)
     g_enc += enc
@@ -282,8 +288,15 @@ def train(prior0, dataset, cfg):
     rolls back to the last finite epoch and flags divergence.  The recorded
     per-epoch loss uses a fixed evaluation noise draw so epochs are
     comparable.
+
+    The dataset is checked once, here: a nonempty array of finite rows of
+    prior0.n_ambient values each (a 1-d vector is one row), else ValueError.
     """
     dataset = _as_batch(dataset)
+    if dataset.ndim != 2 or dataset.shape[1] != prior0.n_ambient:
+        raise ValueError(f"dataset rows must have {prior0.n_ambient} values, got shape {dataset.shape}")
+    if not np.isfinite(dataset).all():
+        raise ValueError("dataset must be finite")
     rng = np.random.default_rng(cfg.seed)
     prior = prior0.copy()
     eval_noise = None
@@ -328,6 +341,11 @@ def make_manifold_dataset(n_points, n_ambient, latent_dim, seed, curvature="tanh
     under a random orthonormal frame, either linearly (a subspace) or after
     a coordinate-wise tanh (a mildly curved sheet).
     """
+    _count("n_points", n_points, 1)
+    _count("n_ambient", n_ambient, 1)
+    if _count("latent_dim", latent_dim, 1) > n_ambient:
+        raise ValueError(f"latent_dim must be at most n_ambient={n_ambient}, got {latent_dim!r}")
+    _count("seed", seed)
     if curvature not in ("linear", "tanh"):
         raise ValueError(f"curvature must be 'linear' or 'tanh', got {curvature!r}")
     rng = np.random.default_rng(seed)

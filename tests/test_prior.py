@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -402,6 +403,17 @@ def _coordinate_projector(n, d):
     return ToyPrior(enc, enc.T.copy(), "linear")
 
 
+def _partly_idempotent_prior(n):
+    # P(x) = (x_1, x_2, 2 x_3, 0, ...): every product is exact, so a row with
+    # x_3 = 0 is a fixed point bit for bit (zero defect, masked out of the
+    # penalty's gradient) and every other row has a nonzero defect.
+    enc = np.zeros((3, n))
+    enc[:, :3] = np.eye(3)
+    dec = np.zeros((n, 3))
+    dec[:3] = np.diag([1.0, 1.0, 2.0])
+    return ToyPrior(enc, dec, "linear")
+
+
 def _bit_case(name):
     data = make_manifold_dataset(45, 8, 2, seed=30, curvature="tanh")
     data = data + 0.05 * np.random.default_rng(35).standard_normal(data.shape)
@@ -417,6 +429,9 @@ def _bit_case(name):
     if name == "idempotent":
         data[:, 3:] = 0.0
         return _coordinate_projector(8, 3), data, cfg
+    if name == "partly_idempotent":
+        data[::2, 2] = 0.0
+        return _partly_idempotent_prior(8), data, cfg
     if name == "diverging":
         return random_prior(8, 3, seed=33, scale=1.0), data, dict(cfg, learning_rate=1.0, epochs=40)
     assert name == "overflowing_sum"
@@ -427,7 +442,7 @@ def _bit_case(name):
 @pytest.mark.parametrize("case", [
     *(f"plain-{loss}-{weight}-{kind}" for loss in ("ae", "pnp") for weight in ("0", "0.005")
       for kind in ("tanh", "linear")),
-    "below_floor", "idempotent", "diverging", "overflowing_sum",
+    "below_floor", "idempotent", "partly_idempotent", "diverging", "overflowing_sum",
 ])
 def test_train_matches_textbook_loop_bit_for_bit(case):
     p0, data, cfg = _bit_case(case)
@@ -438,6 +453,7 @@ def test_train_matches_textbook_loop_bit_for_bit(case):
     assert (p0.encoder_weights.tobytes(), p0.decoder_weights.tobytes()) == before
     assert result.diverged == diverged == (case == "diverging")
     assert result.losses == losses
+    assert all(type(loss) is float for loss in result.losses)
     if case == "diverging":
         assert 2 < len(losses) < cfg.epochs + 1  # rolls back to a trained epoch
     else:
@@ -447,6 +463,102 @@ def test_train_matches_textbook_loop_bit_for_bit(case):
     assert result.prior.decoder_weights.tobytes() == dec.tobytes()
     if case == "idempotent":
         assert np.signbit(enc).sum() == 3 * 5
+    if case == "partly_idempotent":
+        # The first minibatch mixes fixed points with active rows.
+        first = data[np.random.default_rng(cfg.seed).permutation(len(data))[:cfg.batch_size]]
+        fixed = [np.array_equal(prior_apply(p0, prior_apply(p0, x)), prior_apply(p0, x)) for x in first]
+        assert 0 < sum(fixed) < len(first)
     if case == "overflowing_sum":
         assert np.all(np.isfinite(enc))
         assert not math.isfinite(np.vdot(enc, enc))
+
+
+@pytest.mark.parametrize("loss_kind, weight", [("pnp", 0.005), ("pnp", 0.0), ("ae", 0.005), ("ae", 0.0)])
+def test_train_rejects_an_empty_dataset(loss_kind, weight):
+    cfg = TrainConfig(nipr_weight=weight, loss_kind=loss_kind, noise_sigma=0.1, epochs=2)
+    p0 = random_prior(5, 2, seed=1)
+    for empty in ([], np.zeros((0, 5)), np.zeros((3, 0))):
+        with pytest.raises(ValueError, match="nonempty"):
+            train(p0, empty, cfg)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_train_rejects_non_finite_data(bad):
+    data = make_manifold_dataset(8, 5, 2, seed=0)
+    data[3, 1] = bad
+    for weight in (0.0, 0.005):
+        with pytest.raises(ValueError, match="finite"):
+            train(random_prior(5, 2, seed=1), data, TrainConfig(nipr_weight=weight, epochs=2))
+
+
+@pytest.mark.parametrize("shape", [(8, 7), (8, 4), (7,), (2, 4, 5)])
+def test_train_rejects_rows_of_the_wrong_width(shape):
+    data = np.ones(shape)
+    with pytest.raises(ValueError, match="5 values"):
+        train(random_prior(5, 2, seed=1), data, TrainConfig(epochs=2))
+
+
+def test_train_takes_a_vector_as_one_sample():
+    x = make_manifold_dataset(1, 5, 2, seed=0)[0]
+    p0 = random_prior(5, 2, seed=1)
+    cfg = TrainConfig(epochs=3, batch_size=4)
+    one = train(p0, x, cfg)
+    rows = train(p0, x[None, :], cfg)
+    assert one.losses == rows.losses and len(one.losses) == 4
+    assert one.prior.encoder_weights.tobytes() == rows.prior.encoder_weights.tobytes()
+
+
+@pytest.mark.parametrize("loss_kind", ["ae", "pnp"])
+def test_loss_and_gradient_reject_an_empty_batch(loss_kind):
+    p = random_prior(5, 2, seed=1)
+    for weight in (0.0, 0.005):
+        cfg = TrainConfig(nipr_weight=weight, loss_kind=loss_kind)
+        for empty in ([], np.zeros((0, 5))):
+            with pytest.raises(ValueError, match="nonempty"):
+                training_loss(p, empty, cfg)
+            with pytest.raises(ValueError, match="nonempty"):
+                loss_gradient(p, empty, cfg)
+
+
+@pytest.mark.parametrize("args, match", [
+    ((10, 4, 6, 0), "latent_dim"),
+    ((10, 4, 0, 0), "latent_dim"),
+    ((10, 4, -1, 0), "latent_dim"),
+    ((10, 4, 2.0, 0), "latent_dim"),
+    ((0, 4, 2, 0), "n_points"),
+    ((3.0, 4, 2, 0), "n_points"),
+    ((True, 4, 2, 0), "n_points"),
+    ((10, 0, 1, 0), "n_ambient"),
+    ((10, 4.0, 2, 0), "n_ambient"),
+    ((10, 4, 2, -1), "seed"),
+    ((10, 4, 2, 1.5), "seed"),
+    ((10, 4, 2, True), "seed"),
+    ((10, 4, 2, None), "seed"),
+])
+def test_make_manifold_dataset_rejects(args, match):
+    with pytest.raises(ValueError, match=match):
+        make_manifold_dataset(*args)
+
+
+def test_make_manifold_dataset_accepts_the_edges():
+    assert make_manifold_dataset(1, 1, 1, 0).shape == (1, 1)
+    full = make_manifold_dataset(np.int64(6), 4, 4, np.int64(2), curvature="linear")
+    assert full.shape == (6, 4) and np.linalg.matrix_rank(full) == 4
+
+
+@pytest.mark.parametrize("args, kwargs, match", [
+    ((0, 0, 1), {}, "n must"),
+    ((5, 0, 1), {}, "d_latent"),
+    ((5, 2.0, 1), {}, "d_latent"),
+    ((5, 2, -1), {}, "seed"),
+    ((5, 2, 1.5), {}, "seed"),
+    ((5, 2, None), {}, "seed"),
+    ((5, 2, 1), {"scale": float("nan")}, "scale"),
+    ((5, 2, 1), {"scale": -1.0}, "scale"),
+    ((5, 5, 1), {}, "d_latent < n"),
+])
+def test_random_prior_rejects_without_a_warning(args, kwargs, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            random_prior(*args, **kwargs)
