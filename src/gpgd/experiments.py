@@ -12,11 +12,14 @@ arms (step sizes, projection variants, back-projection methods), so the
 arms are compared on identical data.
 """
 
+import atexit
 import copy
+import functools
 import json
 import math
 import os
 import pickle
+import signal
 import statistics
 import time
 from dataclasses import dataclass, fields, replace
@@ -287,48 +290,129 @@ def _processes():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+# _trial_map's workers, oldest first, each (pid, request pipe fd, reply
+# pipe file): forked on first need and kept until _stop_workers(), which
+# runs at exit.
+_workers = []
+
+
+def _send(fd, data):
+    """Writes all of `data` to the pipe `fd`."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _serve(requests, replies, inherited):
+    """A worker's loop, which never returns into the caller's stack.  It
+    closes the pipe ends it inherited from the parent, so that each worker's
+    request pipe ends when the parent closes it, and forgets the parent's
+    workers.  Then it answers each pickled (fn, items) request with the
+    pickled [fn(i) for i in items], or with the error (one in pickling the
+    results included), until its request pipe ends."""
+    try:
+        for fd in inherited:
+            os.close(fd)
+        for _, fd, fh in _workers:
+            os.close(fd)
+            fh.close()
+        _workers.clear()
+        with open(requests, "rb") as fh:
+            while True:
+                try:
+                    fn, items = pickle.load(fh)
+                except EOFError:
+                    break
+                try:
+                    reply = pickle.dumps([fn(i) for i in items])
+                except BaseException as exc:  # noqa: BLE001 - re-raised in the parent
+                    reply = pickle.dumps(exc)
+                _send(replies, reply)
+    finally:
+        os._exit(0)
+
+
+def _spawn():
+    """Forks one more worker onto _workers; False where os.pipe or os.fork fails."""
+    fds = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return False
+    requests, to_worker, from_worker, replies = fds
+    if pid == 0:
+        _serve(requests, replies, (to_worker, from_worker))
+    os.close(requests)
+    os.close(replies)
+    _workers.append((pid, to_worker, open(from_worker, "rb")))
+    return True
+
+
+def _reply(worker):
+    """What `worker` sent back for its request, unpickled: its results or its
+    error.  A worker whose reply cannot be read whole, because it exited or
+    an interrupt came, is dropped and reaped, and the error is returned."""
+    pid, to_worker, from_worker = worker
+    try:
+        return pickle.load(from_worker)
+    except BaseException as exc:  # noqa: BLE001 - raised by the map once every reply is read
+        error = exc
+    _workers.remove(worker)
+    os.close(to_worker)
+    from_worker.close()
+    os.kill(pid, signal.SIGKILL)  # after an interrupt it may still be computing
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if isinstance(error, (EOFError, pickle.UnpicklingError)):
+        return RuntimeError(f"a trial share exited without reporting, code {code}")
+    return error
+
+
+def _stop_workers():
+    """Closes every worker's request pipe, so that it exits, and reaps it."""
+    for _, to_worker, from_worker in _workers:
+        os.close(to_worker)
+        from_worker.close()
+    for pid, _, _ in _workers:
+        os.waitpid(pid, 0)
+    _workers.clear()
+
+
+atexit.register(_stop_workers)
+
+
 def _trial_map(fn, items):
     """[fn(i) for i in items], dealt in turn to n = _processes() shares: this
-    process computes items[0::n], and a child forked now, seeing the caller's
-    state, computes each other share and pipes back its results or its error
-    (an error in pickling the results included).
+    process computes items[0::n], and worker s computes items[s::n] and
+    sends back its results or its error (an error in pickling the results
+    included).  A worker is forked on first need and serves every later map
+    until _stop_workers() or the end of the process, so it sees this
+    process's state as it was at its fork; fn and the items reach it
+    pickled, so fn must pickle from 2 shares on.  Every worker's reply is
+    read before the map returns or raises.  A worker that exits without
+    replying raises RuntimeError, and a later map forks a fresh one.
     Where os.pipe or os.fork fails, this process computes the shares left."""
     items = list(items)
     n = max(1, min(_processes(), len(items)))
-    out, children, reports = [None] * len(items), [], []
+    requests = [pickle.dumps((fn, items[s::n])) for s in range(1, n)]
+    out, asked = [None] * len(items), []
     try:
-        for s in range(1, n):
-            try:
-                r, w = os.pipe()
-            except OSError:
+        for request in requests:
+            if len(_workers) == len(asked) and not _spawn():
                 break
+            asked.append(_workers[len(asked)])
             try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                break
-            if pid == 0:
-                try:
-                    try:
-                        report = pickle.dumps([fn(i) for i in items[s::n]])
-                    except BaseException as exc:  # noqa: BLE001 - re-raised in the parent
-                        report = pickle.dumps(exc)
-                    with open(w, "wb") as fh:
-                        fh.write(report)
-                finally:
-                    os._exit(0)  # never return into the caller's stack
-            os.close(w)
-            children.append((pid, r))
-        for s in (0, *range(len(children) + 1, n)):
+                _send(asked[-1][1], request)
+            except BrokenPipeError:
+                pass  # a dead worker: its reply reads as missing
+        for s in (0, *range(len(asked) + 1, n)):
             out[s::n] = [fn(i) for i in items[s::n]]
     finally:
-        for pid, r in children:
-            with open(r, "rb") as fh:
-                reports.append((fh.read(), os.waitpid(pid, 0)[1]))
-    for s, (data, status) in enumerate(reports, 1):
-        value = pickle.loads(data) if data else RuntimeError(
-            f"a trial share exited without reporting, code {os.waitstatus_to_exitcode(status)}")
+        replies = [_reply(worker) for worker in asked]
+    for s, value in enumerate(replies, 1):
         if isinstance(value, BaseException):
             raise value
         out[s::n] = value
@@ -402,19 +486,46 @@ def _stats(spec, errs, name="error"):
     }
 
 
+def _cell_trial(spec, solve, item):
+    """solve(value, rng, t) for one ((key, value), t) item of _cell_trials."""
+    (key, value), t = item
+    return solve(value, trial_rng(spec.seed, _TAGS[spec.experiment], *key, t), t)
+
+
 def _cell_trials(spec, cells, solve):
     """Each cell's [solve(value, rng, t) for t in range(spec.trials)], for the
     (key, value) pairs of `cells`: trial t of a cell draws from
     trial_rng(spec.seed, _TAGS[spec.experiment], *key, t).  The (cell,
-    trial) items are dealt cell by cell through _trial_map."""
-    tag = _TAGS[spec.experiment]
-
-    def run(item):
-        (key, value), t = item
-        return solve(value, trial_rng(spec.seed, tag, *key, t), t)
-
-    results = _trial_map(run, [(cell, t) for cell in cells for t in range(spec.trials)])
+    trial) items are dealt cell by cell through _trial_map, so `solve`, a
+    module-level function or a functools.partial of one, must pickle; the
+    runners bind the spec and their arms to it with functools.partial."""
+    results = _trial_map(functools.partial(_cell_trial, spec, solve),
+                         [(cell, t) for cell in cells for t in range(spec.trials)])
     return [results[c * spec.trials:(c + 1) * spec.trials] for c in range(len(cells))]
+
+
+def _arm_solve(spec, arms, arm_column, k, rng, t):
+    """One (sparsity, trial) instance of _arm_sweep, solved once per arm."""
+    op, x, y, _ = _draw_instance(spec, rng, k)
+    bp = BackProjection.adjoint(op)
+    pairs, traces = [], []
+    for key, make_projection, mu in arms:
+        x0, proj = np.zeros(spec.n_ambient), make_projection(k)
+        if k == spec.k_trace and t == 0:
+            cfg = replace(_descent_cfg(spec, mu), rel_change_tol=0.0,
+                          record_iterates=spec.rel_change_tol > 0)
+            trace = gpgd_run(x0, proj, bp, op, y, cfg, truth=x)
+            # gpgd_run stops right after the first iterate whose
+            # relative change is below a positive rel_change_tol;
+            # at tol 0 it runs to the end and needs no iterates.
+            estimate = next((trace.iterates[j] for j, rel in enumerate(trace.rel_changes)
+                             if rel < spec.rel_change_tol), trace.final)
+            traces.extend(_trace_rows(trace, {arm_column: key, "k": k}))
+        else:
+            estimate = gpgd_run(x0, proj, bp, op, y, _descent_cfg(spec, mu)).final
+        pairs.append((normalized_error(hard_threshold(estimate, k), x),
+                      normalized_error(estimate, x)))
+    return pairs, traces
 
 
 def _arm_sweep(spec, arms, arm_column):
@@ -429,31 +540,9 @@ def _arm_sweep(spec, arms, arm_column):
     and with the truth recorded, and its estimate is the iterate at which
     early stopping would have ended it.
     """
-
-    def solve(k, rng, t):
-        op, x, y, _ = _draw_instance(spec, rng, k)
-        bp = BackProjection.adjoint(op)
-        pairs, traces = [], []
-        for key, make_projection, mu in arms:
-            x0, proj = np.zeros(spec.n_ambient), make_projection(k)
-            if k == spec.k_trace and t == 0:
-                cfg = replace(_descent_cfg(spec, mu), rel_change_tol=0.0,
-                              record_iterates=spec.rel_change_tol > 0)
-                trace = gpgd_run(x0, proj, bp, op, y, cfg, truth=x)
-                # gpgd_run stops right after the first iterate whose
-                # relative change is below a positive rel_change_tol;
-                # at tol 0 it runs to the end and needs no iterates.
-                estimate = next((trace.iterates[j] for j, rel in enumerate(trace.rel_changes)
-                                 if rel < spec.rel_change_tol), trace.final)
-                traces.extend(_trace_rows(trace, {arm_column: key, "k": k}))
-            else:
-                estimate = gpgd_run(x0, proj, bp, op, y, _descent_cfg(spec, mu)).final
-            pairs.append((normalized_error(hard_threshold(estimate, k), x),
-                          normalized_error(estimate, x)))
-        return pairs, traces
-
     grid = spec.sparsity_grid
-    results = _cell_trials(spec, [((ki,), k) for ki, k in enumerate(grid)], solve)
+    results = _cell_trials(spec, [((ki,), k) for ki, k in enumerate(grid)],
+                           functools.partial(_arm_solve, spec, arms, arm_column))
     errors = {(key, k): [pairs[a] for pairs, _ in trials]
               for a, (key, _, _) in enumerate(arms) for k, trials in zip(grid, results)}
     return errors, [row for trials in results for _, rows in trials for row in rows]
@@ -468,7 +557,7 @@ def run_phase_transition_alpha(spec):
     """Centile recovery error over (sparsity, alpha) cells, plus convergence
     traces per alpha at the designated sparsity."""
     alphas = [float(a) for a in spec.alpha_grid]
-    arms = [(a, lambda k, a=a: PAlpha(k, a), spec.mu) for a in alphas]
+    arms = [(a, functools.partial(PAlpha, alpha=a), spec.mu) for a in alphas]
     errors, traces = _arm_sweep(spec, arms, "alpha")
     rows = []
     for k in spec.sparsity_grid:
@@ -488,28 +577,32 @@ def run_phase_transition_alpha(spec):
 # ---------------------------------------------------------------------------
 
 
+_OUTLIER_METHODS = ("residual_threshold", "adjoint")
+
+
+def _outlier_solve(spec, cell, rng, t):
+    """One corrupted instance, solved with each back-projection method."""
+    k, s = cell
+    op, x, y, sigma = _draw_instance(spec, rng, k)
+    y = y + _corruption(spec, rng, s, sigma)
+    proj = HardThreshold(k)
+    errs = []
+    for meth in _OUTLIER_METHODS:
+        bp = BackProjection(op, meth, keep=spec.m - s)
+        trace = gpgd_run(np.zeros(spec.n_ambient), proj, bp, op, y, _descent_cfg(spec))
+        errs.append(normalized_error(hard_threshold(trace.final, k), x))
+    return errs
+
+
 def run_outlier_tradeoff(spec):
     """Centile error over (sparsity, outlier count) for the residual-threshold
     back-projection and the unadapted adjoint baseline on identical data."""
-    methods = ("residual_threshold", "adjoint")
-
-    def solve(cell, rng, t):
-        k, s = cell
-        op, x, y, sigma = _draw_instance(spec, rng, k)
-        y = y + _corruption(spec, rng, s, sigma)
-        proj = HardThreshold(k)
-        errs = []
-        for meth in methods:
-            bp = BackProjection(op, meth, keep=spec.m - s)
-            trace = gpgd_run(np.zeros(spec.n_ambient), proj, bp, op, y, _descent_cfg(spec))
-            errs.append(normalized_error(hard_threshold(trace.final, k), x))
-        return errs
-
     cells = [((ki, si), (k, s)) for ki, k in enumerate(spec.sparsity_grid)
              for si, s in enumerate(spec.outlier_grid)]
+    trials_by_cell = _cell_trials(spec, cells, functools.partial(_outlier_solve, spec))
     rows = [{"method": meth, "k": k, "s": s, **_stats(spec, errs)}
-            for (_, (k, s)), trials in zip(cells, _cell_trials(spec, cells, solve))
-            for meth, errs in zip(methods, zip(*trials))]
+            for (_, (k, s)), trials in zip(cells, trials_by_cell)
+            for meth, errs in zip(_OUTLIER_METHODS, zip(*trials))]
     return {"rows": rows, "traces": None, "status": 0, "summary": {}}
 
 
@@ -545,33 +638,36 @@ def run_stepsize_study(spec):
 # ---------------------------------------------------------------------------
 
 
+def _joint_solve(spec, cell, rng, t):
+    """One instance solved jointly: the (x, e) block errors."""
+    k, s = cell
+    base = gaussian_operator(spec.m, spec.n_ambient, rng)
+    x = sparse_signal(spec.n_ambient, k, rng)
+    y_clean = base.apply(x)
+    # The corruption is drawn before the dense noise, unlike in
+    # outliers, and the noise only when its level is positive; the
+    # order is part of this experiment's streams.
+    sigma = _effective_sigma(spec, y_clean)
+    e = _corruption(spec, rng, s, sigma)
+    y = y_clean + e
+    if sigma > 0:
+        y = y + sigma * rng.standard_normal(spec.m)
+    jop = JointOperator(base)
+    proj = ProductProjection([(HardThreshold(k), spec.n_ambient), (HardThreshold(s), spec.m)])
+    trace = gpgd_run(np.zeros(spec.n_ambient + spec.m), proj,
+                     BackProjection.adjoint(jop), jop, y, _descent_cfg(spec))
+    x_est, e_est = jop.split(proj(trace.final))
+    return normalized_error(x_est, x), normalized_error(e_est, e)
+
+
 def run_joint_model(spec):
     """Recover signal and sparse corruption jointly with the (A, I) operator
     and a product projection; reports block-wise errors."""
-    def solve(cell, rng, t):
-        k, s = cell
-        base = gaussian_operator(spec.m, spec.n_ambient, rng)
-        x = sparse_signal(spec.n_ambient, k, rng)
-        y_clean = base.apply(x)
-        # The corruption is drawn before the dense noise, unlike in
-        # outliers, and the noise only when its level is positive; the
-        # order is part of this experiment's streams.
-        sigma = _effective_sigma(spec, y_clean)
-        e = _corruption(spec, rng, s, sigma)
-        y = y_clean + e
-        if sigma > 0:
-            y = y + sigma * rng.standard_normal(spec.m)
-        jop = JointOperator(base)
-        proj = ProductProjection([(HardThreshold(k), spec.n_ambient), (HardThreshold(s), spec.m)])
-        trace = gpgd_run(np.zeros(spec.n_ambient + spec.m), proj,
-                         BackProjection.adjoint(jop), jop, y, _descent_cfg(spec))
-        x_est, e_est = jop.split(proj(trace.final))
-        return normalized_error(x_est, x), normalized_error(e_est, e)
-
     cells = [((ki, si), (k, s)) for ki, k in enumerate(spec.sparsity_grid)
              for si, s in enumerate(spec.outlier_grid)]
+    trials_by_cell = _cell_trials(spec, cells, functools.partial(_joint_solve, spec))
     rows = [{"k": k, "s": s, **_stats(spec, x_errs, "x_error"), **_stats(spec, e_errs, "e_error")}
-            for (_, (k, s)), trials in zip(cells, _cell_trials(spec, cells, solve))
+            for (_, (k, s)), trials in zip(cells, trials_by_cell)
             for x_errs, e_errs in [zip(*trials)]]
     return {"rows": rows, "traces": None, "status": 0, "summary": {}}
 
@@ -612,60 +708,63 @@ def _run_with_window(x0, proj, bp, op, y, mu, start_iters, window, truth):
         iters = min(2 * iters, NIPR_MAX_ITERS)
 
 
+def _nipr_solve(spec, weight, rng, pair):
+    """Pair `pair`'s training at `weight`, then the learned-projection
+    descent on the pair's instance: its row."""
+    window = max(NIPR_OFFSETS)
+    data_seed, prior_seed, train_seed = (int(v) for v in rng.integers(2**31, size=3))
+    points = make_manifold_dataset(
+        NIPR_DATASET_SIZE + 1, spec.n_ambient, NIPR_MANIFOLD_DIM,
+        seed=data_seed, curvature="tanh")
+    truth, dataset = points[-1], points[:-1]
+    noise_rng = np.random.default_rng(data_seed + 1)
+    dataset = dataset + NIPR_AMBIENT_NOISE * noise_rng.standard_normal(dataset.shape)
+    p0 = random_prior(spec.n_ambient, NIPR_PRIOR_LATENT, seed=prior_seed, nonlinearity="tanh")
+    op = gaussian_operator(spec.m, spec.n_ambient, rng)
+    y, _ = _measure(spec, rng, op, truth)
+    cfg = TrainConfig(nipr_weight=weight, seed=train_seed, **NIPR_TRAIN)
+    result = train(p0, dataset, cfg)
+    row = {
+        "pair": pair,
+        "nipr_weight": weight,
+        "train_diverged": int(result.diverged),
+        "final_penalty": nipr_penalty(result.prior, dataset) / len(dataset),
+    }
+    if result.diverged:
+        row.update({"i_min": -1, "best_error": float("nan"), "final_error": float("nan"),
+                    **dict.fromkeys(_NIPR_SM_CELLS, float("nan"))})
+        return row
+    proj, bp = LearnedProjection(result.prior), BackProjection.adjoint(op)
+    trace = _run_with_window(np.zeros(spec.n_ambient), proj, bp, op, y,
+                             spec.mu, spec.iterations, window, truth)
+    i_min = i_min_oracle(trace)
+    row["i_min"] = i_min
+    row["best_error"] = normalized_error(trace.iterates[i_min], truth)
+    row["final_error"] = normalized_error(trace.final, truth)
+    if i_min + window + 1 <= trace.iterations_run:
+        report = stability_report(trace, offsets=NIPR_OFFSETS)
+        for n in NIPR_OFFSETS:
+            row[f"sm1_{n}"] = report.sm1_at[n]
+            row[f"sm2_{n}"] = report.sm2_at[n]
+    elif trace.diverged:
+        # Blew up before the window fit: maximally unstable.
+        row.update(dict.fromkeys(_NIPR_SM_CELLS, float("inf")))
+    else:
+        raise RuntimeError(
+            f"post-optimum window never fit within {NIPR_MAX_ITERS} iterations"
+        )
+    return row
+
+
 def run_nipr_stability(spec):
     """Train paired priors (regularized and not) per seed, solve the same
     compressed-sensing instances with each, and report SM1/SM2 and errors."""
-    window = max(NIPR_OFFSETS)
-
-    def solve(weight, rng, pair):
-        data_seed, prior_seed, train_seed = (int(v) for v in rng.integers(2**31, size=3))
-        points = make_manifold_dataset(
-            NIPR_DATASET_SIZE + 1, spec.n_ambient, NIPR_MANIFOLD_DIM,
-            seed=data_seed, curvature="tanh")
-        truth, dataset = points[-1], points[:-1]
-        noise_rng = np.random.default_rng(data_seed + 1)
-        dataset = dataset + NIPR_AMBIENT_NOISE * noise_rng.standard_normal(dataset.shape)
-        p0 = random_prior(spec.n_ambient, NIPR_PRIOR_LATENT, seed=prior_seed, nonlinearity="tanh")
-        op = gaussian_operator(spec.m, spec.n_ambient, rng)
-        y, _ = _measure(spec, rng, op, truth)
-        cfg = TrainConfig(nipr_weight=weight, seed=train_seed, **NIPR_TRAIN)
-        result = train(p0, dataset, cfg)
-        row = {
-            "pair": pair,
-            "nipr_weight": weight,
-            "train_diverged": int(result.diverged),
-            "final_penalty": nipr_penalty(result.prior, dataset) / len(dataset),
-        }
-        if result.diverged:
-            row.update({"i_min": -1, "best_error": float("nan"), "final_error": float("nan"),
-                        **dict.fromkeys(_NIPR_SM_CELLS, float("nan"))})
-            return row
-        proj, bp = LearnedProjection(result.prior), BackProjection.adjoint(op)
-        trace = _run_with_window(np.zeros(spec.n_ambient), proj, bp, op, y,
-                                 spec.mu, spec.iterations, window, truth)
-        i_min = i_min_oracle(trace)
-        row["i_min"] = i_min
-        row["best_error"] = normalized_error(trace.iterates[i_min], truth)
-        row["final_error"] = normalized_error(trace.final, truth)
-        if i_min + window + 1 <= trace.iterations_run:
-            report = stability_report(trace, offsets=NIPR_OFFSETS)
-            for n in NIPR_OFFSETS:
-                row[f"sm1_{n}"] = report.sm1_at[n]
-                row[f"sm2_{n}"] = report.sm2_at[n]
-        elif trace.diverged:
-            # Blew up before the window fit: maximally unstable.
-            row.update(dict.fromkeys(_NIPR_SM_CELLS, float("inf")))
-        else:
-            raise RuntimeError(
-                f"post-optimum window never fit within {NIPR_MAX_ITERS} iterations"
-            )
-        return row
-
     # One cell per weight, with pair t as trial t, so a pair's two trainings
     # redraw its instance from one stream (far cheaper than training).  A
     # regularized training costs about three plain ones, so its cell comes
     # first and every share is dealt an even count of each kind.
-    regularized, plain = _cell_trials(spec, [((), spec.nipr_weight), ((), 0.0)], solve)
+    regularized, plain = _cell_trials(spec, [((), spec.nipr_weight), ((), 0.0)],
+                                      functools.partial(_nipr_solve, spec))
     rows, wins = [], 0
     for pair_rows in zip(plain, regularized):
         rows.extend(pair_rows)
@@ -739,6 +838,91 @@ def _min_median(name, values):
     return {f"{name}_min": float(min(values)), f"{name}_median": float(statistics.median(values))}
 
 
+def _theorem_search(spec, vi):
+    """Variant vi's acceptance loop: its rows, with each row's bound and
+    stack entry, and its report."""
+    k, n, eta = int(spec.sparsity_grid[0]), spec.n_ambient, 0.02
+    variant = THEOREM_VARIANTS[vi]
+    rows, bounds, stack, floors, deltas = [], [], [], [], []
+    for attempt in range(spec.resample_budget):
+        if len(rows) >= spec.trials:
+            break
+        rng = trial_rng(spec.seed, _TAGS["theorem"], vi, attempt)
+        op = gaussian_operator(spec.m, n, rng)
+        floor_beta = null_space_ric_floor(op.matrix, k) * HARD_THRESHOLD_BETA
+        if floor_beta >= 1.0 + FLOOR_REJECT_MARGIN:
+            floors.append(floor_beta)
+            continue
+        B = op.matrix.T @ op.matrix
+        mu = constants._tuned_mu(B, k, THEOREM_MU_GRID)
+        delta = exact_ric_sparse(mu * B, k)
+        if delta * HARD_THRESHOLD_BETA >= 1.0:
+            deltas.append(delta * HARD_THRESHOLD_BETA)
+            continue
+        truth = sparse_signal(n, k, rng)
+        if variant == "model_error":
+            truth = truth + 0.05 * rng.standard_normal(n)
+        y_clean = op.apply(truth)
+        e = np.zeros(spec.m)
+        if variant == "noisy":
+            e = _effective_sigma(spec, y_clean) * rng.standard_normal(spec.m)
+        if variant == "proj_error":
+            proj = PerturbedProjection(k, eta, seed=int(rng.integers(2**31)))
+            eta_used = eta
+        else:
+            proj = HardThreshold(k)
+            eta_used = 0.0
+        # Each norm multiplies one error term; where that term is 0 the
+        # norm stays at 0.0, which leaves the bound's bits unchanged.
+        model_error = model_distance(truth, HardThreshold(k))
+        tb = TheoremBound(
+            delta=delta,
+            beta=HARD_THRESHOLD_BETA,
+            mu=mu,
+            noise_term=float(np.linalg.norm(mu * op.adjoint(e))),
+            model_error=model_error,
+            proj_error_eta=eta_used,
+            op_norm_muLA=operator_norm(mu * B, seed=attempt) if model_error > 0 else 0.0,
+            op_norm_I_minus_muLA=(operator_norm(np.eye(n) - mu * B, seed=attempt)
+                                  if eta_used > 0 else 0.0),
+        )
+        rows.append({"variant": variant, "attempt": attempt, "mu": mu, "delta": delta,
+                     "delta_beta": delta * HARD_THRESHOLD_BETA, "noise_term": tb.noise_term,
+                     "model_error": tb.model_error, "eta": eta_used})
+        bounds.append((tb, hard_threshold(truth, k)))
+        stack.append((op.matrix, y_clean + e, mu, proj, truth))
+    # Each attempt made was rejected on the floor or by the tuner, or accepted.
+    report = {"attempts": len(floors) + len(deltas) + len(rows),
+              "floor_rejected": len(floors), "tuner_rejected": len(deltas),
+              "accepted": len(rows),
+              **_min_median("floor_beta", floors), **_min_median("delta_beta", deltas)}
+    return rows, bounds, stack, report
+
+
+def _theorem_check(spec, group):
+    """(rows, report) of each variant of the group, its accepted
+    instances solved together in one descent."""
+    searches = [_theorem_search(spec, vi) for vi in group]
+    rows, bounds, stack = ([x for found in searches for x in found[part]] for part in range(3))
+    traces = []
+    if stack:
+        matrices, ys, mus, projs, truths = zip(*stack)
+        project = _row_projection(projs, spec.iterations, spec.n_ambient)
+        traces = _stacked_run(np.array(matrices), np.array(ys), np.array(mus), project,
+                              spec.iterations, np.array(truths))
+    for row, (tb, projected_truth), trace in zip(rows, bounds, traces):
+        # Both bound displays checked on the same trajectory.
+        errors_to_projection = _norms(np.array(trace.iterates) - projected_truth)
+        initial_error = float(np.linalg.norm(projected_truth))
+        bound_proj = theorem_bound_eval(tb, trace.iterations_run, initial_error, "projection")
+        bound_truth = theorem_bound_eval(tb, trace.iterations_run, initial_error, "truth")
+        margin_proj = float(np.max(errors_to_projection - bound_proj))
+        margin_truth = float(np.max(np.array(trace.errors_to_truth) - bound_truth))
+        row.update(margin_projection=margin_proj, margin_truth=margin_truth,
+                   verified=int(margin_proj <= 1e-9 and margin_truth <= 1e-9))
+    return [(found[0], found[3]) for found in searches]
+
+
 def run_theorem_check(spec):
     """Check observed error sequences against the convergence bound.
 
@@ -763,97 +947,10 @@ def run_theorem_check(spec):
     rejected and how many were accepted, with the min and median of
     floor*beta and of delta*beta over each kind of rejection.
     """
-    tag = _TAGS["theorem"]
-    k = int(spec.sparsity_grid[0])
-    n = spec.n_ambient
-    eta = 0.02
-
-    def search(vi):
-        """Variant vi's acceptance loop: its rows, with each row's bound and
-        stack entry, and its report."""
-        variant = THEOREM_VARIANTS[vi]
-        rows, bounds, stack, floors, deltas = [], [], [], [], []
-        for attempt in range(spec.resample_budget):
-            if len(rows) >= spec.trials:
-                break
-            rng = trial_rng(spec.seed, tag, vi, attempt)
-            op = gaussian_operator(spec.m, n, rng)
-            floor_beta = null_space_ric_floor(op.matrix, k) * HARD_THRESHOLD_BETA
-            if floor_beta >= 1.0 + FLOOR_REJECT_MARGIN:
-                floors.append(floor_beta)
-                continue
-            B = op.matrix.T @ op.matrix
-            mu = constants._tuned_mu(B, k, THEOREM_MU_GRID)
-            delta = exact_ric_sparse(mu * B, k)
-            if delta * HARD_THRESHOLD_BETA >= 1.0:
-                deltas.append(delta * HARD_THRESHOLD_BETA)
-                continue
-            truth = sparse_signal(n, k, rng)
-            if variant == "model_error":
-                truth = truth + 0.05 * rng.standard_normal(n)
-            y_clean = op.apply(truth)
-            e = np.zeros(spec.m)
-            if variant == "noisy":
-                e = _effective_sigma(spec, y_clean) * rng.standard_normal(spec.m)
-            if variant == "proj_error":
-                proj = PerturbedProjection(k, eta, seed=int(rng.integers(2**31)))
-                eta_used = eta
-            else:
-                proj = HardThreshold(k)
-                eta_used = 0.0
-            # Each norm multiplies one error term; where that term is 0 the
-            # norm stays at 0.0, which leaves the bound's bits unchanged.
-            model_error = model_distance(truth, HardThreshold(k))
-            tb = TheoremBound(
-                delta=delta,
-                beta=HARD_THRESHOLD_BETA,
-                mu=mu,
-                noise_term=float(np.linalg.norm(mu * op.adjoint(e))),
-                model_error=model_error,
-                proj_error_eta=eta_used,
-                op_norm_muLA=operator_norm(mu * B, seed=attempt) if model_error > 0 else 0.0,
-                op_norm_I_minus_muLA=(operator_norm(np.eye(n) - mu * B, seed=attempt)
-                                      if eta_used > 0 else 0.0),
-            )
-            rows.append({"variant": variant, "attempt": attempt, "mu": mu, "delta": delta,
-                         "delta_beta": delta * HARD_THRESHOLD_BETA, "noise_term": tb.noise_term,
-                         "model_error": tb.model_error, "eta": eta_used})
-            bounds.append((tb, hard_threshold(truth, k)))
-            stack.append((op.matrix, y_clean + e, mu, proj, truth))
-        # Each attempt made was rejected on the floor or by the tuner, or accepted.
-        report = {"attempts": len(floors) + len(deltas) + len(rows),
-                  "floor_rejected": len(floors), "tuner_rejected": len(deltas),
-                  "accepted": len(rows),
-                  **_min_median("floor_beta", floors), **_min_median("delta_beta", deltas)}
-        return rows, bounds, stack, report
-
-    def check(group):
-        """(rows, report) of each variant of the group, its accepted
-        instances solved together in one descent."""
-        searches = [search(vi) for vi in group]
-        rows, bounds, stack = ([x for found in searches for x in found[part]] for part in range(3))
-        traces = []
-        if stack:
-            matrices, ys, mus, projs, truths = zip(*stack)
-            traces = _stacked_run(np.array(matrices), np.array(ys), np.array(mus),
-                                  _row_projection(projs, spec.iterations, n), spec.iterations,
-                                  np.array(truths))
-        for row, (tb, projected_truth), trace in zip(rows, bounds, traces):
-            # Both bound displays checked on the same trajectory.
-            errors_to_projection = _norms(np.array(trace.iterates) - projected_truth)
-            initial_error = float(np.linalg.norm(projected_truth))
-            bound_proj = theorem_bound_eval(tb, trace.iterations_run, initial_error, "projection")
-            bound_truth = theorem_bound_eval(tb, trace.iterations_run, initial_error, "truth")
-            margin_proj = float(np.max(errors_to_projection - bound_proj))
-            margin_truth = float(np.max(np.array(trace.errors_to_truth) - bound_truth))
-            row.update(margin_projection=margin_proj, margin_truth=margin_truth,
-                       verified=int(margin_proj <= 1e-9 and margin_truth <= 1e-9))
-        return [(found[0], found[3]) for found in searches]
-
     shares = min(_processes(), len(THEOREM_VARIANTS))
     groups = [range(len(THEOREM_VARIANTS))[s::shares] for s in range(shares)]
     found = [None] * len(THEOREM_VARIANTS)
-    for s, group_found in enumerate(_trial_map(check, groups)):
+    for s, group_found in enumerate(_trial_map(functools.partial(_theorem_check, spec), groups)):
         found[s::shares] = group_found
     rows = [row for variant_rows, _ in found for row in variant_rows]
     reports = {variant: report for variant, (_, report) in zip(THEOREM_VARIANTS, found)}

@@ -59,8 +59,8 @@ class ToyPrior:
                 f"decoder shape {self.decoder_weights.shape} does not mirror "
                 f"encoder shape {self.encoder_weights.shape}"
             )
-        if not d_latent < n:
-            raise ValueError(f"need d_latent < n, got d_latent={d_latent}, n={n}")
+        if not 1 <= d_latent < n:
+            raise ValueError(f"need 1 <= d_latent < n, got d_latent={d_latent}, n={n}")
         if self.nonlinearity not in NONLINEARITIES:
             raise ValueError(f"nonlinearity must be one of {NONLINEARITIES}")
         if not (np.all(np.isfinite(self.encoder_weights)) and np.all(np.isfinite(self.decoder_weights))):

@@ -51,6 +51,9 @@ def test_prior_validates_shapes():
         ToyPrior(np.zeros((2, 5)), np.zeros((4, 2)), "linear")
     with pytest.raises(ValueError):
         ToyPrior(np.zeros((5, 5)), np.zeros((5, 5)), "linear")  # needs d < n
+    # A latent dimension of 0 maps every input to 0, which no training can fix.
+    with pytest.raises(ValueError, match=r"1 <= d_latent < n, got d_latent=0"):
+        ToyPrior(np.zeros((0, 5)), np.zeros((5, 0)), "tanh")
 
 
 def test_nipr_penalty_zero_for_projector():

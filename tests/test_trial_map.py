@@ -1,16 +1,23 @@
-"""Runners deal their independent trials across forked shares (_trial_map).
+"""Runners deal their independent trials across worker processes (_trial_map).
 
 The result of a map is the serial list comprehension's, in order; a failure
 in any share reaches the caller; a share that cannot be forked runs in this
-process; no child outlives a call; and no runner's rows or traces depend on
-the share count.
+process; workers serve every map until _stop_workers() or the end of the
+process, and none outlives either; and no runner's rows or traces depend on
+the share count.  What a map sends to a worker must pickle, so the functions
+mapped here are defined at module level.
 """
 
 import errno
+import functools
 import hashlib
 import json
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -33,10 +40,44 @@ from gpgd.prior import TrainResult
 
 @pytest.fixture
 def shares(monkeypatch):
-    """Pins the share count; afterwards, checks that no child is left."""
+    """Pins the share count; afterwards, stops the workers and checks that no
+    child is left."""
     yield lambda n: monkeypatch.setattr(experiments, "_processes", lambda: n)
+    experiments._stop_workers()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _square(i):
+    return i, i * i / 7.0, [str(i)] * i
+
+
+def _pid(i):
+    return os.getpid()
+
+
+def _raise_at(item, exc, i):
+    if i == item:
+        raise exc
+    return i
+
+
+def _exit_in_a_worker(parent, i):
+    if os.getpid() != parent:
+        os._exit(1)
+    return i
+
+
+def _closure(i):
+    return lambda: i
+
+
+def _with_pid(i):
+    return i, i * i / 7.0, os.getpid()
+
+
+def _draw(value, rng, t):
+    return value, t, int(rng.integers(2**62))
 
 
 def _once_per_process(path):
@@ -50,9 +91,8 @@ def _once_per_process(path):
 @pytest.mark.parametrize("count", [0, 1, 2, 5, 7])
 def test_trial_map_is_the_list_comprehension(shares, tmp_path, n, count):
     shares(n)
-    fn = lambda i: (i, i * i / 7.0, [str(i)] * i)  # noqa: E731
     try:
-        assert _trial_map(fn, range(count)) == [fn(i) for i in range(count)]
+        assert _trial_map(_square, range(count)) == [_square(i) for i in range(count)]
     finally:
         _once_per_process(tmp_path / "after")
     assert (tmp_path / "after").read_text().split() == [str(os.getpid())]
@@ -60,10 +100,17 @@ def test_trial_map_is_the_list_comprehension(shares, tmp_path, n, count):
 
 def test_trial_map_runs_each_other_share_in_its_own_child(shares):
     shares(3)
-    pids = _trial_map(lambda i: os.getpid(), range(7))
+    pids = _trial_map(_pid, range(7))
     assert set(pids[0::3]) == {os.getpid()}
     assert len(set(pids[1::3])) == len(set(pids[2::3])) == 1
     assert len(set(pids)) == 3
+
+
+def test_consecutive_maps_reuse_the_same_worker(shares):
+    shares(2)
+    first, second = _trial_map(_pid, range(4)), _trial_map(_pid, range(2))
+    assert first[1] != os.getpid()
+    assert set(first[1::2]) == set(second[1::2]) == {first[1]}
 
 
 @pytest.mark.parametrize("exc", [ValueError("bad item 4"), KeyboardInterrupt("stop at item 4"),
@@ -72,13 +119,7 @@ def test_trial_map_runs_each_other_share_in_its_own_child(shares):
 def test_a_share_that_raises_reaches_the_caller(shares, tmp_path, exc):
     # At three shares, items 4 and 1 run in the first child and item 3 here.
     shares(3)
-    item = int(str(exc).split()[-1])
-
-    def fn(i):
-        if i == item:
-            raise exc
-        return i
-
+    fn = functools.partial(_raise_at, int(str(exc).split()[-1]), exc)
     with pytest.raises(type(exc), match=str(exc)):
         try:
             _trial_map(fn, range(7))
@@ -89,51 +130,114 @@ def test_a_share_that_raises_reaches_the_caller(shares, tmp_path, exc):
 
 def test_a_child_that_exits_without_reporting_raises_runtime_error(shares):
     shares(2)
-    parent = os.getpid()
-
-    def fn(i):
-        if os.getpid() != parent:
-            os._exit(1)
-        return i
-
     with pytest.raises(RuntimeError, match="without reporting"):
-        _trial_map(fn, range(4))
+        _trial_map(functools.partial(_exit_in_a_worker, os.getpid()), range(4))
+    # The dead worker was reaped, and the next map forks a fresh one.
+    assert _trial_map(_square, range(4)) == [_square(i) for i in range(4)]
+
+
+def test_a_worker_killed_between_maps_raises_runtime_error_and_is_replaced(shares):
+    shares(2)
+    killed = _trial_map(_pid, range(2))[1]
+    os.kill(killed, signal.SIGKILL)
+    with pytest.raises(RuntimeError, match="without reporting"):
+        _trial_map(_square, range(4))
+    pids = _trial_map(_pid, range(2))
+    assert pids[1] not in (killed, os.getpid())
+    assert _trial_map(_square, range(5)) == [_square(i) for i in range(5)]
+
+
+def test_a_map_after_one_whose_own_share_raised_reads_its_own_replies(shares):
+    # The worker's reply to the failed map is read before that map raises,
+    # so the next map does not take it for its own.
+    shares(2)
+    with pytest.raises(ZeroDivisionError):
+        _trial_map(functools.partial(_raise_at, 2, ZeroDivisionError("item 2 here")), range(4))
+    assert _trial_map(_square, range(3)) == [_square(i) for i in range(3)]
+    assert _trial_map(_square, range(6)) == [_square(i) for i in range(6)]
 
 
 def test_a_childs_report_that_cannot_be_pickled_raises_its_pickling_error(shares):
     # A closure cannot be pickled: the child sends the error it met in
     # pickling its results, where it used to exit without a report.
-    fn = lambda i: (lambda: i)  # noqa: E731
     shares(1)
-    assert [f() for f in _trial_map(fn, range(2))] == [0, 1]
+    assert [f() for f in _trial_map(_closure, range(2))] == [0, 1]
     shares(2)
     with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
-        _trial_map(fn, range(2))
+        _trial_map(_closure, range(2))
+
+
+def test_an_unpicklable_fn_runs_at_one_share_and_raises_its_pickling_error_at_two(shares):
+    fn = lambda i: i + 1  # noqa: E731
+    shares(1)
+    assert _trial_map(fn, range(3)) == [1, 2, 3]
+    shares(2)
+    with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
+        _trial_map(fn, range(3))
+    # Nothing was sent, so the next map reads only its own replies.
+    assert _trial_map(_square, range(3)) == [_square(i) for i in range(3)]
+
+
+def _running(pid):
+    """Whether `pid` names a process that has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="needs /proc")
+@pytest.mark.parametrize("ending", ["return", "os._exit"])
+def test_no_worker_outlives_its_process(ending):
+    # A process that returns stops its workers at exit; one that ends
+    # without its exit hooks, as a killed one does, closes its pipes, and
+    # its workers read their end and exit.
+    script = (
+        "import os\n"
+        "import gpgd.experiments as experiments\n"
+        "def pid(i):\n"
+        "    return os.getpid()\n"
+        "experiments._processes = lambda: 3\n"
+        "print(*experiments._trial_map(pid, range(3))[1:], flush=True)\n"
+        + ("os._exit(0)\n" if ending == "os._exit" else ""))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=env, check=True)
+    workers = [int(pid) for pid in done.stdout.split()]
+    assert len(workers) == 2 and os.getpid() not in workers
+    deadline = time.monotonic() + 10
+    while any(_running(pid) for pid in workers) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(_running(pid) for pid in workers)
 
 
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
 @pytest.mark.parametrize("call", ["pipe", "fork"])
 @pytest.mark.parametrize("failing", [1, 2])
 def test_a_share_that_cannot_be_forked_runs_in_this_process(shares, monkeypatch, call, failing):
-    # At three shares the map makes two (pipe, fork) calls; the first to fail
-    # leaves its share and every later one to this process.
+    # At three shares the map makes two workers, each from two pipes and a
+    # fork.  The last of these calls fails for worker `failing`, which leaves
+    # its share and every later one to this process, and closes the pipes
+    # made for it.
     shares(3)
     real, calls = getattr(os, call), []
+    per_worker = 2 if call == "pipe" else 1
 
     def flaky(*args):
         calls.append(args)
-        if len(calls) == failing:
+        if len(calls) == failing * per_worker:
             raise OSError(errno.EAGAIN, f"injected {call} failure")
         return real(*args)
 
     fds = len(os.listdir("/proc/self/fd"))
-    fn = lambda i: (i, i * i / 7.0, os.getpid())  # noqa: E731
     with monkeypatch.context() as patch:
         patch.setattr(os, call, flaky)
-        out = _trial_map(fn, range(7))
-    assert [r[:2] for r in out] == [fn(i)[:2] for i in range(7)]
+        out = _trial_map(_with_pid, range(7))
+    assert [r[:2] for r in out] == [_with_pid(i)[:2] for i in range(7)]
     here = [s for s in range(3) if {r[2] for r in out[s::3]} == {os.getpid()}]
     assert here == ([0, 1, 2] if failing == 1 else [0, 2])
+    experiments._stop_workers()
     assert len(os.listdir("/proc/self/fd")) == fds
 
 
@@ -147,9 +251,6 @@ def test_cell_trials_gives_trial_t_of_a_cell_its_own_stream(shares, experiment, 
     # trial_rng(seed, tag, *key, t): results come cell by cell, each in
     # trial order, at any share count, and a larger trial count keeps every
     # earlier trial's result.
-    def solve(value, rng, t):
-        return value, t, int(rng.integers(2**62))
-
     by_trials = {}
     for trials in (2, 3):
         spec = default_spec(experiment, seed=7, trials=trials)
@@ -157,7 +258,7 @@ def test_cell_trials_gives_trial_t_of_a_cell_its_own_stream(shares, experiment, 
                      for t in range(trials)] for key, value in cells]
         for n in (1, 3):
             shares(n)
-            by_trials[trials] = _cell_trials(spec, cells, solve)
+            by_trials[trials] = _cell_trials(spec, cells, _draw)
             assert by_trials[trials] == expected
     assert [trials[:2] for trials in by_trials[3]] == by_trials[2]
 
