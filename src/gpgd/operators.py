@@ -6,6 +6,8 @@ to send measurement residuals back to signal space, and the augmented
 operator (A, I) acting on a stacked signal/noise vector.
 """
 
+import math
+
 import numpy as np
 
 from .projections import _count, _smallest
@@ -71,10 +73,20 @@ def gaussian_operator(m, n, seed):
     default for projected descent.  `seed` is anything np.random.default_rng
     takes: a seed gives the same matrix every time, and a Generator is drawn
     from in place (the experiments pass their per-trial streams).
+
+    The matrix is C-contiguous and its data starts on a 64-byte boundary,
+    wherever the heap puts the buffer: OpenBLAS runs a 150x300 matvec about
+    30% slower when the data starts 16 mod 32 bytes.  It is drawn and scaled
+    in place, with the same draws, stream position and bits as
+    ``rng.standard_normal((m, n)) / np.sqrt(m)``.
     """
     m, n = _count("m", m, 1), _count("n", n, 1)
     rng = np.random.default_rng(seed)
-    matrix = rng.standard_normal((m, n)) / np.sqrt(m)
+    buffer = np.empty(m * n + 8)
+    start = -buffer.ctypes.data % 64 // 8
+    matrix = buffer[start:start + m * n].reshape(m, n)
+    rng.standard_normal(out=matrix)
+    matrix /= math.sqrt(m)  # the double np.sqrt gives, without a numpy scalar
     return MeasurementOperator(matrix)
 
 
@@ -142,5 +154,7 @@ class JointOperator(MeasurementOperator):
 
     def split(self, stacked):
         stacked = np.asarray(stacked, dtype=float)
+        if stacked.shape != (self.n_ambient,):
+            raise ValueError(f"expected vector of length {self.n_ambient}, got shape {stacked.shape}")
         n = self.base.n_ambient
         return stacked[:n], stacked[n:]

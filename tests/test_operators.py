@@ -211,3 +211,27 @@ def test_joint_adjoint_stacks_adjoint_and_identity():
     r = np.array([2.0, -1.0])
     expected = np.concatenate([base.matrix.T @ r, r])
     assert np.array_equal(jop.adjoint(r), expected)
+
+
+@pytest.mark.parametrize("m,n", [(150, 300), (64, 12), (20, 32), (1, 1), (7, 5)])
+def test_gaussian_matrix_is_aligned_and_draws_the_same_bits(m, n):
+    expected = np.random.default_rng(5).standard_normal((m, n)) / np.sqrt(m)
+    rng = np.random.default_rng(5)
+    for op in (gaussian_operator(m, n, 5), gaussian_operator(m, n, rng)):
+        assert op.matrix.ctypes.data % 64 == 0
+        assert op.matrix.flags.c_contiguous
+        assert op.matrix.shape == (m, n)
+        assert np.array_equal(op.matrix, expected)
+    # The Generator is left where a plain (m, n) draw leaves it.
+    follow = np.random.default_rng(5)
+    follow.standard_normal((m, n))
+    assert np.array_equal(rng.standard_normal(3), follow.standard_normal(3))
+
+
+def test_joint_split_rejects_a_vector_of_another_length():
+    jop = JointOperator(gaussian_operator(150, 300, 0))
+    x, e = jop.split(np.arange(450.0))
+    assert np.array_equal(x, np.arange(300.0)) and np.array_equal(e, np.arange(300.0, 450.0))
+    for bad in (np.zeros(10), np.zeros(451), np.zeros((450, 1))):
+        with pytest.raises(ValueError, match="length 450"):
+            jop.split(bad)
