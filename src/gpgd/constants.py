@@ -66,27 +66,22 @@ def _support_chunks(n, t):
         chunks.append(flat.reshape(-1, t))
 
 
-def _lambda_max_2x2(a, b, c):
-    """lambda_max of the symmetric 2x2 blocks [[a, b], [b, c]] in closed form."""
-    return (a + c) / 2.0 + np.sqrt(((a - c) / 2.0) ** 2 + b * b)
-
-
 def _near_max(a, b, c):
     """Mask of the symmetric 2x2 blocks [[a, b], [b, c]] whose closed-form
-    lambda_max lies within _SCREEN_TOL (relative, floor 1) of the largest;
-    every block when a closed-form value is not finite.
+    lambda_max (a+c)/2 + sqrt(((a-c)/2)^2 + b^2) lies within _SCREEN_TOL
+    (relative, floor 1) of the largest along the last axis; every block of
+    a row holding a closed-form value that is not finite.
 
     On the positive semidefinite blocks screened here the closed form and
     LAPACK agree to about 1e-14, far inside the tolerance, so the block that
-    LAPACK ranks first is always kept and LAPACK's max over the kept blocks
-    is its max over all of them, bit for bit.
+    LAPACK ranks first in a row is always kept and LAPACK's max over the
+    kept blocks is its max over the whole row, bit for bit.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = _lambda_max_2x2(a, b, c)
-    if not np.isfinite(lam).all():
-        return np.ones(lam.shape, dtype=bool)
-    top = lam.max()
-    return lam >= top - _SCREEN_TOL * max(abs(top), 1.0)
+        lam = (a + c) / 2.0 + np.sqrt(((a - c) / 2.0) ** 2 + b * b)
+        top = lam.max(axis=-1, keepdims=True)
+        keep = lam >= top - _SCREEN_TOL * np.maximum(abs(top), 1.0)
+    return keep | ~np.isfinite(lam).all(axis=-1, keepdims=True)
 
 
 def _near_max_supports(M, chunks):
@@ -142,27 +137,51 @@ def null_space_ric_floor(A, k):
     max of that over the supports exact_ric_sparse enumerates.  P_N is built
     from the n - m structural null directions of the SVD, a subspace of
     null(A) when A is rank deficient, so the floor stays a lower bound.  It
-    is 0 when A has at least as many rows as columns.  At support size 2
-    eigvalsh sees only the blocks _near_max keeps, with the full
-    enumeration's result bit for bit.
+    is 0 when A has at least as many rows as columns.  Computed by
+    _null_space_ric_floors on a stack of one.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"A must be 2-d, got shape {A.shape}")
-    m, n = A.shape
-    t = min(2 * _count("k", k), n)
+    return float(_null_space_ric_floors(A[None], _count("k", k))[0])
+
+
+def _null_space_ric_floors(As, k):
+    """null_space_ric_floor of each operator of the stack As, shape
+    (count, m, n), bit for bit: one batched SVD and one batched P_N for the
+    stack, whose per-matrix LAPACK and BLAS calls give each operator the
+    bits of its own.  Zeros, with no SVD, at m >= n or support size 0.
+
+    At support size 2 one _near_max call, a row per operator, keeps each
+    operator's blocks near its largest closed-form lambda_max, and eigvalsh
+    sees the kept blocks of every operator together, SUPPORT_CHUNK at most
+    per call, each operator's floor being the max over its own.  At other
+    sizes eigvalsh sees every support, whole operators at a time, about
+    SUPPORT_CHUNK blocks per call.
+    """
+    count, m, n = As.shape
+    t = min(2 * k, n)
+    lam = np.zeros(count)
     if t == 0 or m >= n:
-        return 0.0
-    null_basis = np.linalg.svd(A)[2][m:]
-    P = null_basis.T @ null_basis
+        return lam
+    null_basis = np.linalg.svd(As)[2][:, m:]
+    P = np.swapaxes(null_basis, 1, 2) @ null_basis
     chunks = _support_chunks(n, t)
     if t == 2:
-        chunks = _near_max_supports(P, chunks)
-    lam = 0.0
-    for supports in chunks:
-        blocks = P[supports[:, :, None], supports[:, None, :]]
-        lam = max(lam, float(np.linalg.eigvalsh(blocks)[:, -1].max()))
-    return float(np.sqrt(lam))
+        supports = np.concatenate(chunks)
+        i, j = supports.T
+        owners, kept = np.nonzero(_near_max(P[:, i, i], P[:, j, i], P[:, j, j]))
+        pieces = [(owners[lo:lo + SUPPORT_CHUNK], supports[kept[lo:lo + SUPPORT_CHUNK]])
+                  for lo in range(0, len(owners), SUPPORT_CHUNK)]
+    else:
+        step = max(1, SUPPORT_CHUNK // len(chunks[0]))
+        pieces = ((np.arange(lo, min(lo + step, count)).repeat(len(supports)),
+                   np.tile(supports, (min(step, count - lo), 1)))
+                  for supports in chunks for lo in range(0, count, step))
+    for owners, supports in pieces:
+        blocks = P[owners[:, None, None], supports[:, :, None], supports[:, None, :]]
+        np.maximum.at(lam, owners, np.linalg.eigvalsh(blocks)[:, -1])
+    return np.sqrt(lam)
 
 
 def _tuned_mu(B, k, mu_grid):
@@ -173,57 +192,80 @@ def _tuned_mu(B, k, mu_grid):
     per support T, with the Gram blocks precomputed once, and keeps the
     first grid mu of smallest sqrt(max_T lambda_max) as computed by eigvalsh.
     At k = 0 there is no support: delta is 0 at every mu, and the first grid
-    value wins as the first minimum.
+    value wins as the first minimum.  A mu at which some block is not
+    finite gives no finite delta and is passed over; ValueError when no
+    grid mu gives one.
 
-    At support size 2 a screen over the whole grid comes first: lambda_max
-    of a symmetric 2x2 block [[a, b], [b, c]] is (a+c)/2 + sqrt(((a-c)/2)^2
-    + b^2).  Only grid values within _SCREEN_TOL (relative, floor 1) of
-    the screen's minimum go on to eigvalsh, in grid order and by the same
-    strict-< first-minimum rule.  The two computations of one lambda_max
-    agree to about 1e-14, far inside the screen's tolerance, so the
-    eigvalsh winner always passes the screen, every value ahead of it that
-    passes is strictly worse, and the chosen mu is the one the full eigvalsh
-    scan chooses, bit for bit.  At each of those mu the same closed form
-    screens the supports: eigvalsh sees only the blocks _near_max keeps,
-    whose max is the max over every support.  At other support sizes every
-    mu and every support goes on.
+    At support size 2 a screen over the whole grid comes first.  The block
+    [[a, b], [b, c]] at mu has lambda_max = 1 + p + sqrt(q^2 + b^2), where
+    p = (a+c)/2 - 1, q = (a-c)/2 and b are quadratics in mu with no
+    constant term, so their values at a few grid mu at a time are one
+    matmul of the per-support coefficients of mu^2 and mu.  Only grid values
+    within _SCREEN_TOL (relative, floor 1) of the screen's minimum go on to
+    eigvalsh, in grid order and by the same strict-< first-minimum rule;
+    every value goes on when the screen is not finite.  The two computations
+    of one lambda_max agree to about 1e-14, far inside the screen's
+    tolerance, so the eigvalsh winner always passes the screen, every value
+    ahead of it that passes is strictly worse, and the chosen mu is the one
+    the full eigvalsh scan chooses, bit for bit.  At each of those mu the
+    closed form screens the supports: eigvalsh sees only the blocks
+    _near_max keeps, whose max is the max over every support.  At other
+    support sizes every mu and every support goes on.
     """
     n = B.shape[0]
     t = min(2 * _count("k", k), n)
     if t == 0:
         return float(mu_grid[0])
-    grams, blocks = [], []
-    for supports in _support_chunks(n, t):
-        columns = np.moveaxis(B[:, supports], 1, 0)
-        grams.append(np.swapaxes(columns, 1, 2) @ columns)
-        block = B[supports[:, :, None], supports[:, None, :]]
-        blocks.append((block + np.swapaxes(block, 1, 2)) / 2.0)
-    grams, blocks = np.concatenate(grams), np.concatenate(blocks)
-    eye = np.eye(t)
-    candidates = range(len(mu_grid))
-    if t == 2:
-        # A few grid values at a time, so the (mu, support) blocks held at
-        # once stay near len(mu_grid) * SUPPORT_CHUNK.
-        mus = np.asarray(mu_grid, dtype=float)[:, None]
-        step = max(1, len(mus) * SUPPORT_CHUNK // len(grams))
-        screen = []
-        for lo in range(0, len(mus), step):
-            mu = mus[lo:lo + step]
-            a, b, c = (mu * mu * grams[:, i, j] - 2.0 * mu * blocks[:, i, j] + eye[i, j]
-                       for i, j in ((0, 0), (0, 1), (1, 1)))
-            screen.append(_lambda_max_2x2(a, b, c).max(axis=1))
-        screen = np.concatenate(screen)
-        least = screen.min()
-        candidates = np.flatnonzero(screen <= least + _SCREEN_TOL * max(abs(least), 1.0))
-    best = (np.inf, None)
-    for i in candidates:
-        mu = mu_grid[i]
-        quad = mu * mu * grams - 2.0 * mu * blocks + eye
+    # Overflow and inf - inf are passed over below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        grams, blocks = [], []
+        for supports in _support_chunks(n, t):
+            columns = np.moveaxis(B[:, supports], 1, 0)
+            grams.append(np.swapaxes(columns, 1, 2) @ columns)
+            block = B[supports[:, :, None], supports[:, None, :]]
+            blocks.append((block + np.swapaxes(block, 1, 2)) / 2.0)
+        grams, blocks = np.concatenate(grams), np.concatenate(blocks)
+        eye = np.eye(t)
+        candidates = range(len(mu_grid))
         if t == 2:
-            quad = quad[_near_max(quad[:, 0, 0], quad[:, 1, 0], quad[:, 1, 1])]
-        delta = np.sqrt(max(float(np.linalg.eigvalsh(quad)[:, -1].max()), 0.0))
-        if delta < best[0]:
-            best = (delta, float(mu))
+            g00, g11, g01 = grams[:, 0, 0], grams[:, 1, 1], grams[:, 0, 1]
+            s00, s11, s01 = blocks[:, 0, 0], blocks[:, 1, 1], blocks[:, 0, 1]
+            # (3, S, 2): the mu^2 and mu coefficients of p, q and b.
+            coefficients = np.empty((3, len(grams), 2))
+            coefficients[..., 0] = (g00 + g11) / 2.0, (g00 - g11) / 2.0, g01
+            coefficients[..., 1] = -(s00 + s11), -(s00 - s11), -2.0 * s01
+            # A few grid values at a time, so the (support, mu) values held
+            # at once stay near len(mu_grid) * SUPPORT_CHUNK.
+            mus = np.asarray(mu_grid, dtype=float)
+            step = max(1, len(mus) * SUPPORT_CHUNK // len(grams))
+            screen = []
+            for lo in range(0, len(mus), step):
+                mu = mus[lo:lo + step]
+                p, q, b = coefficients @ np.vstack([mu * mu, mu])
+                # In place: these passes over (S, grid) are the screen's cost.
+                q *= q
+                b *= b
+                q += b
+                np.sqrt(q, out=q)
+                q += p
+                screen.append(q.max(axis=0))
+            screen = 1.0 + np.concatenate(screen)
+            if np.isfinite(screen).all():
+                least = screen.min()
+                candidates = np.flatnonzero(screen <= least + _SCREEN_TOL * max(abs(least), 1.0))
+        best = (np.inf, None)
+        for i in candidates:
+            mu = mu_grid[i]
+            quad = mu * mu * grams - 2.0 * mu * blocks + eye
+            if not np.isfinite(quad).all():
+                continue
+            if t == 2:
+                quad = quad[_near_max(quad[:, 0, 0], quad[:, 1, 0], quad[:, 1, 1])]
+            delta = np.sqrt(max(float(np.linalg.eigvalsh(quad)[:, -1].max()), 0.0))
+            if delta < best[0]:
+                best = (delta, float(mu))
+    if best[1] is None:
+        raise ValueError("no mu of the grid gives a finite restricted isometry constant")
     return best[1]
 
 

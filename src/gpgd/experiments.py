@@ -30,8 +30,8 @@ from . import __version__, constants
 from .constants import (
     ENUMERATION_GUARD,
     TheoremBound,
+    _null_space_ric_floors,
     exact_ric_sparse,
-    null_space_ric_floor,
     operator_norm,
     theorem_bound_eval,
 )
@@ -93,6 +93,10 @@ THEOREM_MU_GRID = np.linspace(0.05, 2.5, 80)
 # contraction by this much; closer calls go through the tuner, so rounding
 # in the floor never decides a seed.
 FLOOR_REJECT_MARGIN = 1e-9
+
+# Most attempts the theorem check draws, and takes the null-space floors of,
+# at once (_theorem_search).
+THEOREM_BLOCK_CAP = 32
 
 # Hidden units of the nipr prior, which must be fewer than n_ambient.
 NIPR_PRIOR_LATENT = 6
@@ -840,57 +844,73 @@ def _min_median(name, values):
 
 def _theorem_search(spec, vi):
     """Variant vi's acceptance loop: its rows, with each row's bound and
-    stack entry, and its report."""
+    stack entry, and its report.
+
+    The attempts are walked in order, each rejected on its null-space floor,
+    rejected by the tuner or accepted, as one attempt at a time would: each
+    has its own trial stream and operator, and an accepted one draws its
+    instance on from its own stream.  They are drawn in blocks, whose
+    floors come from one _null_space_ric_floors call.  A block is twice the
+    last after a block with no acceptance, up to THEOREM_BLOCK_CAP, and 1
+    after one.  The attempts of a block past the one that completes
+    spec.trials are discarded and never counted.
+    """
     k, n, eta = int(spec.sparsity_grid[0]), spec.n_ambient, 0.02
     variant = THEOREM_VARIANTS[vi]
     rows, bounds, stack, floors, deltas = [], [], [], [], []
-    for attempt in range(spec.resample_budget):
-        if len(rows) >= spec.trials:
-            break
-        rng = trial_rng(spec.seed, _TAGS["theorem"], vi, attempt)
-        op = gaussian_operator(spec.m, n, rng)
-        floor_beta = null_space_ric_floor(op.matrix, k) * HARD_THRESHOLD_BETA
-        if floor_beta >= 1.0 + FLOOR_REJECT_MARGIN:
-            floors.append(floor_beta)
-            continue
-        B = op.matrix.T @ op.matrix
-        mu = constants._tuned_mu(B, k, THEOREM_MU_GRID)
-        delta = exact_ric_sparse(mu * B, k)
-        if delta * HARD_THRESHOLD_BETA >= 1.0:
-            deltas.append(delta * HARD_THRESHOLD_BETA)
-            continue
-        truth = sparse_signal(n, k, rng)
-        if variant == "model_error":
-            truth = truth + 0.05 * rng.standard_normal(n)
-        y_clean = op.apply(truth)
-        e = np.zeros(spec.m)
-        if variant == "noisy":
-            e = _effective_sigma(spec, y_clean) * rng.standard_normal(spec.m)
-        if variant == "proj_error":
-            proj = PerturbedProjection(k, eta, seed=int(rng.integers(2**31)))
-            eta_used = eta
-        else:
-            proj = HardThreshold(k)
-            eta_used = 0.0
-        # Each norm multiplies one error term; where that term is 0 the
-        # norm stays at 0.0, which leaves the bound's bits unchanged.
-        model_error = model_distance(truth, HardThreshold(k))
-        tb = TheoremBound(
-            delta=delta,
-            beta=HARD_THRESHOLD_BETA,
-            mu=mu,
-            noise_term=float(np.linalg.norm(mu * op.adjoint(e))),
-            model_error=model_error,
-            proj_error_eta=eta_used,
-            op_norm_muLA=operator_norm(mu * B, seed=attempt) if model_error > 0 else 0.0,
-            op_norm_I_minus_muLA=(operator_norm(np.eye(n) - mu * B, seed=attempt)
-                                  if eta_used > 0 else 0.0),
-        )
-        rows.append({"variant": variant, "attempt": attempt, "mu": mu, "delta": delta,
-                     "delta_beta": delta * HARD_THRESHOLD_BETA, "noise_term": tb.noise_term,
-                     "model_error": tb.model_error, "eta": eta_used})
-        bounds.append((tb, hard_threshold(truth, k)))
-        stack.append((op.matrix, y_clean + e, mu, proj, truth))
+    start, size = 0, 1
+    while start < spec.resample_budget and len(rows) < spec.trials:
+        block = range(start, min(start + size, spec.resample_budget))
+        rngs = [trial_rng(spec.seed, _TAGS["theorem"], vi, attempt) for attempt in block]
+        ops = [gaussian_operator(spec.m, n, rng) for rng in rngs]
+        floor_betas = (_null_space_ric_floors(np.array([op.matrix for op in ops]), k)
+                       * HARD_THRESHOLD_BETA)
+        start, size = block.stop, min(2 * size, THEOREM_BLOCK_CAP)
+        for attempt, rng, op, floor_beta in zip(block, rngs, ops, floor_betas.tolist()):
+            if len(rows) >= spec.trials:
+                break
+            if floor_beta >= 1.0 + FLOOR_REJECT_MARGIN:
+                floors.append(floor_beta)
+                continue
+            B = op.matrix.T @ op.matrix
+            mu = constants._tuned_mu(B, k, THEOREM_MU_GRID)
+            delta = exact_ric_sparse(mu * B, k)
+            if delta * HARD_THRESHOLD_BETA >= 1.0:
+                deltas.append(delta * HARD_THRESHOLD_BETA)
+                continue
+            truth = sparse_signal(n, k, rng)
+            if variant == "model_error":
+                truth = truth + 0.05 * rng.standard_normal(n)
+            y_clean = op.apply(truth)
+            e = np.zeros(spec.m)
+            if variant == "noisy":
+                e = _effective_sigma(spec, y_clean) * rng.standard_normal(spec.m)
+            if variant == "proj_error":
+                proj = PerturbedProjection(k, eta, seed=int(rng.integers(2**31)))
+                eta_used = eta
+            else:
+                proj = HardThreshold(k)
+                eta_used = 0.0
+            # Each norm multiplies one error term; where that term is 0 the
+            # norm stays at 0.0, which leaves the bound's bits unchanged.
+            model_error = model_distance(truth, HardThreshold(k))
+            tb = TheoremBound(
+                delta=delta,
+                beta=HARD_THRESHOLD_BETA,
+                mu=mu,
+                noise_term=float(np.linalg.norm(mu * op.adjoint(e))),
+                model_error=model_error,
+                proj_error_eta=eta_used,
+                op_norm_muLA=operator_norm(mu * B, seed=attempt) if model_error > 0 else 0.0,
+                op_norm_I_minus_muLA=(operator_norm(np.eye(n) - mu * B, seed=attempt)
+                                      if eta_used > 0 else 0.0),
+            )
+            rows.append({"variant": variant, "attempt": attempt, "mu": mu, "delta": delta,
+                         "delta_beta": delta * HARD_THRESHOLD_BETA, "noise_term": tb.noise_term,
+                         "model_error": tb.model_error, "eta": eta_used})
+            bounds.append((tb, hard_threshold(truth, k)))
+            stack.append((op.matrix, y_clean + e, mu, proj, truth))
+            size = 1
     # Each attempt made was rejected on the floor or by the tuner, or accepted.
     report = {"attempts": len(floors) + len(deltas) + len(rows),
               "floor_rejected": len(floors), "tuner_rejected": len(deltas),

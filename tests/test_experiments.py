@@ -1,16 +1,24 @@
 import dataclasses
 import itertools
 import json
+import math
+import statistics
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpgd.cli import load_spec, main
-from gpgd.constants import _tuned_mu, exact_ric_sparse, null_space_ric_floor
+from gpgd.constants import (
+    SUPPORT_CHUNK,
+    _null_space_ric_floors,
+    _tuned_mu,
+    exact_ric_sparse,
+    null_space_ric_floor,
+)
 from gpgd.descent import gpgd_run
 from gpgd.experiments import (
     _COLUMNS,
@@ -18,10 +26,12 @@ from gpgd.experiments import (
     _TAGS,
     _TRACE_COLUMNS,
     EXPERIMENTS,
+    FLOOR_REJECT_MARGIN,
     RUNNERS,
     THEOREM_MU_GRID,
     THEOREM_VARIANTS,
     ExperimentSpec,
+    _theorem_search,
     default_spec,
     run_joint_model,
     run_outlier_tradeoff,
@@ -645,6 +655,135 @@ def test_null_space_floor_over_full_support_is_one():
     # null-space projector is 1.
     A = gaussian_operator(4, 6, trial_rng(0)).matrix
     assert null_space_ric_floor(A, 3) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 5), m=st.integers(1, 14),
+       n=st.integers(2, 12), k=st.integers(0, 3))
+@example(seed=0, count=1, m=5, n=12, k=1)   # a stack of one
+@example(seed=1, count=3, m=12, n=12, k=1)  # m >= n: zeros
+@example(seed=2, count=3, m=14, n=6, k=2)
+@example(seed=3, count=4, m=6, n=12, k=0)   # no support
+@example(seed=4, count=4, m=1, n=2, k=1)    # one support of size 2
+@example(seed=5, count=3, m=1, n=2, k=3)    # t capped at n = 2
+@example(seed=6, count=5, m=7, n=12, k=2)   # t = 4: every support to eigvalsh
+@example(seed=7, count=2, m=3, n=8, k=3)    # t = 6
+def test_stacked_floors_are_each_operators_floor_bit_for_bit(seed, count, m, n, k):
+    rng = trial_rng(seed)
+    As = np.array([gaussian_operator(m, n, rng).matrix for _ in range(count)])
+    floors = _null_space_ric_floors(As, k)
+    assert floors.shape == (count,)
+    for A, floor in zip(As, floors):
+        assert floor == null_space_ric_floor(A, k) == _full_floor(A, k)
+
+
+@pytest.mark.parametrize("m, n, k, count, calls", [
+    (7, 12, 2, 20, 3),  # 495 supports of size 4 each: 8 operators per call
+    (1, 40, 1, 6, 2),   # 780 supports of size 2 each, nearly all kept
+])
+def test_stacked_floors_span_several_eigvalsh_calls(monkeypatch, m, n, k, count, calls):
+    # At m = 1, P_N = I - uu' for a unit u, and every 2x2 block of it has
+    # lambda_max 1, so the size-2 screen keeps every support it does not
+    # round out.
+    rng = trial_rng(11, m, n)
+    As = np.array([gaussian_operator(m, n, rng).matrix for _ in range(count)])
+    expected = [_full_floor(A, k) for A in As]
+    blocks, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting_eigvalsh(a):
+        blocks.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    assert [float(f) for f in _null_space_ric_floors(As, k)] == expected
+    assert len(blocks) == calls and max(blocks) <= SUPPORT_CHUNK < sum(blocks)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("B", [
+    lambda B: np.where(np.eye(12) > 0, np.nan, B),
+    lambda B: np.where(np.arange(12) == 5, np.inf, B),
+    lambda B: np.where(np.arange(12)[:, None] == 3, -np.inf, B),
+    lambda B: 1e200 * B,  # finite, but every Gram block overflows
+], ids=["nan-diagonal", "inf-column", "-inf-row", "overflow"])
+def test_tuner_raises_when_no_grid_mu_gives_a_finite_delta(B, k):
+    A = gaussian_operator(64, 12, trial_rng(0, 64)).matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            _tuned_mu(B(A.T @ A), k, THEOREM_MU_GRID)
+
+
+def test_tuner_passes_over_the_mu_whose_blocks_overflow():
+    # Scaled so that the largest Gram entry is a quarter of the float range,
+    # mu^2 B_T'B_T overflows above mu = 2 only, so the screen is not finite;
+    # the tuner keeps the best of the grid values below 2.
+    A = gaussian_operator(64, 12, trial_rng(0, 64)).matrix
+    B = A.T @ A
+    scale = np.sqrt(np.finfo(float).max / 4.0 / np.abs(B.T @ B).max())
+    grid = np.linspace(0.3, 3.9, 13)
+    finite = grid[grid < 2.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _tuned_mu(scale * B, 1, grid) == _full_eigvalsh_scan(scale * B, 1, finite)
+
+
+def _textbook_search(spec, vi):
+    # _theorem_search one attempt at a time, with the unscreened references:
+    # each attempt's floor, tuned mu and delta, and for an accepted one the
+    # truth its own stream draws next.
+    k, n = spec.sparsity_grid[0], spec.n_ambient
+    accepted, floors, deltas = [], [], []
+    for attempt in range(spec.resample_budget):
+        if len(accepted) >= spec.trials:
+            break
+        rng = trial_rng(spec.seed, _TAGS["theorem"], vi, attempt)
+        A = gaussian_operator(spec.m, n, rng).matrix
+        floor_beta = _full_floor(A, k) * HARD_THRESHOLD_BETA
+        if floor_beta >= 1.0 + FLOOR_REJECT_MARGIN:
+            floors.append(floor_beta)
+            continue
+        B = A.T @ A
+        mu = _full_eigvalsh_scan(B, k, THEOREM_MU_GRID)
+        delta = _full_ric_sparse(mu * B, k)
+        if delta * HARD_THRESHOLD_BETA >= 1.0:
+            deltas.append(delta * HARD_THRESHOLD_BETA)
+            continue
+        truth = sparse_signal(n, k, rng)
+        if THEOREM_VARIANTS[vi] == "model_error":
+            truth = truth + 0.05 * rng.standard_normal(n)
+        accepted.append((attempt, mu, delta, delta * HARD_THRESHOLD_BETA, A, truth))
+    report = {"attempts": len(floors) + len(deltas) + len(accepted),
+              "floor_rejected": len(floors), "tuner_rejected": len(deltas),
+              "accepted": len(accepted)}
+    for name, values in (("floor_beta", floors), ("delta_beta", deltas)):
+        report[f"{name}_min"] = min(values) if values else None
+        report[f"{name}_median"] = statistics.median(values) if values else None
+    return accepted, report
+
+
+# Blocks of 1, 2, 4, 8, 16 and 32 attempts end after attempts 1, 3, 7, 15,
+# 31 and 63, so budgets of 4, 5, 13 and 60 end inside a block.  At m=64 the
+# noisy variant at one trial, and model_error at k=2 and two trials, reach
+# their trials inside a block and discard the rest of it.
+@pytest.mark.parametrize("m, k, trials, budget", [
+    (8, 1, 2, 60), (8, 2, 1, 13),
+    (10, 1, 2, 60), (10, 2, 1, 5),
+    (11, 1, 2, 60), (11, 2, 1, 13),
+    (16, 1, 1, 13), (16, 2, 1, 5),
+    (64, 1, 1, 60), (64, 1, 3, 60), (64, 1, 3, 4), (64, 2, 2, 13), (64, 2, 3, 5),
+])
+def test_theorem_search_is_the_textbook_acceptance_loop(m, k, trials, budget):
+    spec = default_spec("theorem", m=m, sparsity_grid=[k], trials=trials,
+                        resample_budget=budget)
+    for vi in range(len(THEOREM_VARIANTS)):
+        accepted, report = _textbook_search(spec, vi)
+        rows, _, stack, found = _theorem_search(spec, vi)
+        assert found == report
+        assert ([(row["attempt"], row["mu"], row["delta"], row["delta_beta"]) for row in rows]
+                == [entry[:4] for entry in accepted])
+        for (matrix, _, _, _, truth), entry in zip(stack, accepted):
+            assert np.array_equal(matrix, entry[4]) and np.array_equal(truth, entry[5])
 
 
 def test_write_outputs_byte_identical(tmp_path):

@@ -277,6 +277,9 @@ _SMALL = dict(m=40, n_ambient=80)
     ("nipr", dict(trials=1, iterations=100)),  # its two items on two shares
     ("theorem", dict(trials=2)),
     ("theorem", dict(m=8, trials=2, resample_budget=25)),  # status 3, no rows
+    # Floor and tuner rejections in every variant, over blocks of attempts
+    # whose last one the budget cuts short.
+    ("theorem", dict(m=11, trials=2, resample_budget=60)),
 ])
 def test_the_share_count_never_moves_a_byte(shares, experiment, overrides):
     spec = default_spec(experiment, **overrides)
