@@ -106,10 +106,13 @@ def exact_ric_sparse(B, k):
     block G[T, T] of G = D'D, D = B - I, which has a closed form; only the
     supports _near_max keeps go on to the SVD, and the result is the full
     enumeration's bit for bit.  At other sizes every support goes on.
+    ValueError for a B that is not finite.
     """
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ValueError(f"B must be square, got shape {B.shape}")
+    if not np.isfinite(B).all():
+        raise ValueError("B must be finite")
     n = B.shape[0]
     t = min(2 * _count("k", k), n)
     if t == 0:
@@ -138,11 +141,14 @@ def null_space_ric_floor(A, k):
     from the n - m structural null directions of the SVD, a subspace of
     null(A) when A is rank deficient, so the floor stays a lower bound.  It
     is 0 when A has at least as many rows as columns.  Computed by
-    _null_space_ric_floors on a stack of one.
+    _null_space_ric_floors on a stack of one.  ValueError for an A that is
+    not finite.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"A must be 2-d, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("A must be finite")
     return float(_null_space_ric_floors(A[None], _count("k", k))[0])
 
 
@@ -278,7 +284,8 @@ def mc_beta(projection, k, n, trials, seed):
     the regime where projections expand; the other half draw z fully
     ambient.  Degenerate z == x draws are discarded and redrawn.  A lower
     bound on the true constant, deterministic given the seed, nondecreasing
-    under nested sampling.
+    under nested sampling.  ValueError on the first projection output
+    that is not finite.
     """
     # n = 0 would redraw its empty z forever; k > n fails in sparse_signal.
     trials, k, n = _count("trials", trials, 1), _count("k", k), _count("n", n, 1)
@@ -293,7 +300,12 @@ def mc_beta(projection, k, n, trials, seed):
                 z = sparse_signal(n, k, rng) + 0.1 * rng.standard_normal(n)
             if np.linalg.norm(z - x) > 0.0:
                 break
-        ratio = float(np.linalg.norm(np.asarray(projection(z), dtype=float) - x) / np.linalg.norm(z - x))
+        pz = np.asarray(projection(z), dtype=float)
+        ratio = float(np.linalg.norm(pz - x) / np.linalg.norm(z - x))
+        # x and z are finite, so only a ratio that is not finite can come
+        # from an output that is not.
+        if not math.isfinite(ratio) and not np.isfinite(pz).all():
+            raise ValueError(f"projection output must be finite, and trial {trial}'s is not")
         if ratio > best:
             best = ratio
     return best
@@ -303,28 +315,32 @@ def operator_norm(M, iters=200, seed=0, tol=1e-10):
     """Largest singular value of M by power iteration on M.T M.
 
     Stops after `iters` rounds or when the Rayleigh-quotient estimate
-    changes by less than `tol` relative.  The estimate approaches the true
-    norm from below; cross-check against an SVD on small matrices when an
-    upper bound matters.  Each round's estimate ||M v|| keeps its product
-    M v, which is the next round's inner product: one gemv per half-step,
-    on the same v, so the bits are those of recomputing it.
+    changes by less than `tol` relative; ValueError for an M that is not
+    finite.  The estimate approaches the true norm from below; cross-check
+    against an SVD on small matrices when an upper bound matters.  Each
+    round's estimate ||M v|| keeps its product M v, which is the next
+    round's inner product: one gemv per half-step, on the same v, so the
+    bits are those of recomputing it.  np.dot, on M and M.T bound once,
+    skips `@`'s dispatch: the same gemv, the same bits.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError(f"M must be 2-d, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError("M must be finite")
     iters, tol = _count("iters", iters, 1), _real("tol", tol)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(M.shape[1])
     v /= _norm(v)
-    Mv = M @ v
+    Mt, Mv = M.T, np.dot(M, v)
     estimate = 0.0
     for _ in range(iters):
-        w = M.T @ Mv
+        w = np.dot(Mt, Mv)
         norm_w = _norm(w)
         if norm_w == 0.0:
             return 0.0
         v = w / norm_w
-        Mv = M @ v
+        Mv = np.dot(M, v)
         new_estimate = _norm(Mv)
         if abs(new_estimate - estimate) <= tol * max(new_estimate, 1.0):
             return new_estimate

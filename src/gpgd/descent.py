@@ -200,36 +200,33 @@ def _repeat(same_norm, x, t):
 def _stacked_run(A, Y, mu, project, max_iters, truths):
     """gpgd_run on each row i of a stack: A[i] (m x n), Y[i], mu[i] and truths[i],
     from zero, with the adjoint back-projection, no early stopping and the
-    iterates recorded.  project(Z, rows, t) projects the iterates Z of the
-    original rows `rows` at iteration t.  Every matvec and norm is a per-row
-    matmul, so each trace has gpgd_run's bits on its row alone.  A row whose new iterate is
-    not finite ends its trace as gpgd_run does and leaves the stack."""
+    iterates recorded.  project(Z, t) projects the iterates Z at iteration t.
+    Every matvec and norm is a per-row matmul, so each trace has gpgd_run's
+    bits on its row alone.  Every row stays in the stack to the end; one whose
+    new iterate is not finite records its stop and diverged flag there."""
     T, n = truths.shape
     At = np.swapaxes(A, 1, 2)
     residuals, rels, errors = np.full((3, max_iters + 1, T), np.nan)
     iterates = np.zeros((max_iters + 1, T, n))
-    stops, diverged = np.full(T, max_iters), np.zeros(T, dtype=bool)
-    rows, X, x_norm = np.arange(T), iterates[0], np.zeros(T)
-    errors[0] = _norms(X - truths)
+    stops, diverged, x_norm = np.full(T, max_iters), np.zeros(T, dtype=bool), np.zeros(T)
+    errors[0] = _norms(iterates[0] - truths)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(max_iters + 1):
-            PX = project(X, rows, t)
+            PX = project(iterates[t], t)
             R = (A @ PX[:, :, None])[:, :, 0] - Y
-            residuals[t, rows] = _norms(R)
+            residuals[t] = _norms(R)
             if t == max_iters:
                 break
-            X_next = PX - mu[:, None] * (At @ R[:, :, None])[:, :, 0]
-            sq = (X_next[:, None, :] @ X_next[:, :, None])[:, 0, 0]
-            bad = ~np.isfinite(sq)
-            if bad.any():
-                bad[bad] = ~np.isfinite(X_next[bad]).all(axis=1)
-                stops[rows[bad]], diverged[rows[bad]] = t, True
-                A, At, Y, mu, truths, X, X_next, x_norm, sq, rows = (
-                    v[~bad] for v in (A, At, Y, mu, truths, X, X_next, x_norm, sq, rows))
-            rels[t + 1, rows] = _norms(X_next - X) / np.maximum(x_norm, REL_CHANGE_FLOOR)
-            errors[t + 1, rows] = _norms(X_next - truths)
-            iterates[t + 1, rows] = X_next
-            X, x_norm = X_next, np.sqrt(sq)
+            X = iterates[t + 1]
+            np.subtract(PX, mu[:, None] * (At @ R[:, :, None])[:, :, 0], out=X)
+            sq = (X[:, None, :] @ X[:, :, None])[:, 0, 0]
+            if not np.isfinite(sq).all():
+                bad = ~np.isfinite(X).all(axis=1)
+                stops[bad & ~diverged] = t
+                diverged |= bad
+            rels[t + 1] = _norms(X - iterates[t]) / np.maximum(x_norm, REL_CHANGE_FLOOR)
+            errors[t + 1] = _norms(X - truths)
+            x_norm = np.sqrt(sq)
     return [RecoveryTrace(residuals[: t + 1, i].tolist(), [float("nan")] + rels[1 : t + 1, i].tolist(),
                           int(t), iterates[t, i].copy(), errors[: t + 1, i].tolist(),
                           list(iterates[: t + 1, i]), bool(diverged[i]),

@@ -15,6 +15,7 @@ arms are compared on identical data.
 import atexit
 import copy
 import functools
+import itertools
 import json
 import math
 import os
@@ -816,20 +817,19 @@ class PerturbedProjection:
 
 
 def _row_projection(projs, iterations, n):
-    """project(Z, rows, t) for _stacked_run: row j of Z, at iteration t, gets the
-    bits that projs[rows[j]], a HardThreshold or a PerturbedProjection (same
-    stream), gives it alone on its call t.  Each PerturbedProjection draws its
-    iterations + 1 perturbations of length n up front, as one block."""
+    """project(Z, t) for _stacked_run: row i of Z, at iteration t, gets the bits
+    that projs[i], a HardThreshold or a PerturbedProjection (same stream),
+    gives it alone on its call t.  Each PerturbedProjection draws its
+    iterations + 1 perturbations of length n up front, as one block, bound
+    once with the sparsities and the perturbed rows."""
     ks = np.array([[proj.k] for proj in projs])
-    perturbed = np.array([isinstance(proj, PerturbedProjection) for proj in projs])
-    noise = np.zeros((iterations + 1, len(projs), n))
-    for i in np.flatnonzero(perturbed):
-        noise[:, i] = projs[i]._perturbations(iterations + 1, n)
+    hit = np.flatnonzero([isinstance(proj, PerturbedProjection) for proj in projs])
+    noise = np.array([projs[i]._perturbations(iterations + 1, n) for i in hit])
+    noise = noise.reshape(len(hit), iterations + 1, n)
 
-    def project(Z, rows, t):
-        PX = _threshold_rows(Z, ks[rows])
-        hit = perturbed[rows]
-        PX[hit] += noise[t, rows[hit]]
+    def project(Z, t):
+        PX = _threshold_rows(Z, ks)
+        PX[hit] += noise[:, t]
         return PX
 
     return project
@@ -957,23 +957,25 @@ def run_theorem_check(spec):
     Reports the worst (observed - bound) margin per run for both the
     projected-truth and truth variants of the bound.
 
-    The variants are dealt in turn to n = min(_processes(), 4) groups, group
-    s being THEOREM_VARIANTS[s::n], and the groups are mapped through
-    _trial_map.  Each group runs its variants' acceptance loops, solves all
-    of its accepted instances in one _stacked_run (which gives each the bits
-    of its own gpgd_run) and computes their margins.  The rows come back in
-    variant order, so no byte depends on n.  summary["variants"] gives, per
+    The variants are dealt in turn, from the last, to n = min(_processes(), 4)
+    groups, group s holding THEOREM_VARIANTS[::-1][s::n] in variant order,
+    and the groups are mapped through _trial_map.  So this process, which
+    pays no pipe round trip, holds proj_error at every n: the heaviest
+    variant, as its C_proj power iteration on I - mu*B converges slowest.
+    Each group runs its variants' acceptance loops, solves all of its
+    accepted instances in one _stacked_run (which gives each the bits of its
+    own gpgd_run) and computes their margins.  The rows come back in variant
+    order, so no byte depends on n.  summary["variants"] gives, per
     variant, the attempts made, how many the null-space floor and the tuner
     rejected and how many were accepted, with the min and median of
     floor*beta and of delta*beta over each kind of rejection.
     """
     shares = min(_processes(), len(THEOREM_VARIANTS))
-    groups = [range(len(THEOREM_VARIANTS))[s::shares] for s in range(shares)]
-    found = [None] * len(THEOREM_VARIANTS)
-    for s, group_found in enumerate(_trial_map(functools.partial(_theorem_check, spec), groups)):
-        found[s::shares] = group_found
-    rows = [row for variant_rows, _ in found for row in variant_rows]
-    reports = {variant: report for variant, (_, report) in zip(THEOREM_VARIANTS, found)}
+    groups = [range(len(THEOREM_VARIANTS))[::-1][s::shares][::-1] for s in range(shares)]
+    mapped = _trial_map(functools.partial(_theorem_check, spec), groups)
+    found = dict(zip(itertools.chain(*groups), itertools.chain(*mapped)))
+    rows = [row for vi in range(len(THEOREM_VARIANTS)) for row in found[vi][0]]
+    reports = {variant: found[vi][1] for vi, variant in enumerate(THEOREM_VARIANTS)}
     inconclusive = [v for v in THEOREM_VARIANTS if reports[v]["accepted"] < spec.trials]
     status = 3 if inconclusive else 0
     summary = {

@@ -10,7 +10,7 @@ from gpgd.constants import (
     operator_norm,
     theorem_bound_eval,
 )
-from gpgd.projections import HARD_THRESHOLD_BETA, HardThreshold, PAlpha, sparse_signal
+from gpgd.projections import HARD_THRESHOLD_BETA, HardThreshold, PAlpha, hard_threshold, sparse_signal
 
 
 def test_exact_ric_identity_is_zero():
@@ -70,6 +70,43 @@ def test_cached_supports_are_read_only():
 def test_constants_reject_non_integer_counts_and_non_finite_reals(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call()
+
+
+class _PoisonedAt:
+    """Hard threshold that outputs `value` in one entry from call `first` on;
+    counts its calls."""
+
+    def __init__(self, k, value, first):
+        self.k, self.value, self.first, self.calls = k, value, first, 0
+
+    def __call__(self, z):
+        self.calls += 1
+        out = hard_threshold(z, self.k)
+        if self.calls >= self.first:
+            out[4] = self.value
+        return out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_constants_reject_non_finite_input(value, k):
+    # The identity with one entry that is not finite; with inf there, an
+    # unchecked exact_ric_sparse reads 0.0, a perfect isometry.
+    B = np.eye(12)
+    B[3, 5] = value
+    with pytest.raises(ValueError, match="^B must be finite"):
+        exact_ric_sparse(B, k)
+    with pytest.raises(ValueError, match="^A must be finite"):
+        null_space_ric_floor(B[:8], k)
+    with pytest.raises(ValueError, match="^M must be finite"):
+        operator_norm(B)
+    # mc_beta raises at the first output that is not finite, here on the
+    # third trial, and calls the projection no more.
+    projection = _PoisonedAt(k, value, 3)
+    with pytest.raises(ValueError, match="^projection output must be finite, and trial 2's is not$"):
+        mc_beta(projection, k, 12, 10, 0)
+    assert projection.calls == 3
 
 
 def test_mc_beta_hard_threshold_brackets():

@@ -361,30 +361,37 @@ def test_perturbation_redraws_a_row_of_zeros():
 
 
 def test_stacked_run_is_gpgd_run_on_every_row():
-    # Distinct step sizes, k = 0, a perturbed projection (fresh, same seed,
-    # on each side) and a row that diverges ahead of rows that run on.
+    # Three stacks of five rows, each row checked against its own gpgd_run.
+    # The first has distinct step sizes, k = 0, a perturbed projection (fresh,
+    # same seed, on each side) and a row that diverges ahead of rows that run
+    # on.  In the second, two rows diverge at different iterations, one at
+    # the first step, and in the third every row diverges, each at its own
+    # iteration.  A diverged row stays in the stack, so the rows after it
+    # must keep their bits.
     def projections():
         return [HardThreshold(1), HardThreshold(2), HardThreshold(0),
                 PerturbedProjection(1, 0.02, seed=5), HardThreshold(2)]
 
-    mus = [0.9, 1e160, 1.0, 0.8, 0.4]
     rng = np.random.default_rng(8)
-    ops = [gaussian_operator(64, 12, rng) for _ in mus]
-    truths = [sparse_signal(12, 2, rng) for _ in mus]
+    ops = [gaussian_operator(64, 12, rng) for _ in range(5)]
+    truths = [sparse_signal(12, 2, rng) for _ in ops]
     ys = [op.apply(x) + 0.01 * rng.standard_normal(64) for op, x in zip(ops, truths)]
-    traces = _stacked_run(np.array([op.matrix for op in ops]), np.array(ys), np.array(mus),
-                          _row_projection(projections(), 60, 12), 60, np.array(truths))
-    assert [trace.diverged for trace in traces] == [False, True, False, False, False]
-    for trace, proj, mu, op, y, x in zip(traces, projections(), mus, ops, ys, truths):
-        cfg = GpgdConfig(mu=mu, max_iters=60, record_iterates=True)
-        ref = gpgd_run(np.zeros(12), proj, BackProjection.adjoint(op), op, y, cfg, truth=x)
-        assert trace.iterations_run == ref.iterations_run
-        assert trace.diverged == ref.diverged
-        assert trace.stop_reason == ref.stop_reason
-        for field in dataclasses.fields(RecoveryTrace):
-            if field.name not in ("iterations_run", "diverged", "stop_reason"):
-                assert _bits(getattr(trace, field.name)) == _bits(getattr(ref, field.name)), field.name
-    assert traces[1].iterations_run < 60 == traces[0].iterations_run
+    for mus, stops in (([0.9, 1e160, 1.0, 0.8, 0.4], [60, 1, 60, 60, 60]),
+                       ([0.9, 1.7e308, 1.0, 1e30, 0.4], [60, 0, 60, 10, 60]),
+                       ([1e10, 1e100, 1.7e308, 1e30, 1e160], [30, 3, 0, 10, 1])):
+        traces = _stacked_run(np.array([op.matrix for op in ops]), np.array(ys), np.array(mus),
+                              _row_projection(projections(), 60, 12), 60, np.array(truths))
+        assert [trace.iterations_run for trace in traces] == stops
+        assert [trace.diverged for trace in traces] == [t < 60 for t in stops]
+        for trace, proj, mu, op, y, x in zip(traces, projections(), mus, ops, ys, truths):
+            cfg = GpgdConfig(mu=mu, max_iters=60, record_iterates=True)
+            ref = gpgd_run(np.zeros(12), proj, BackProjection.adjoint(op), op, y, cfg, truth=x)
+            assert trace.iterations_run == ref.iterations_run
+            assert trace.diverged == ref.diverged
+            assert trace.stop_reason == ref.stop_reason
+            for field in dataclasses.fields(RecoveryTrace):
+                if field.name not in ("iterations_run", "diverged", "stop_reason"):
+                    assert _bits(getattr(trace, field.name)) == _bits(getattr(ref, field.name)), field.name
 
 
 def test_stop_reason_names_why_the_run_ended():
