@@ -23,9 +23,9 @@ __all__ = [
 class MeasurementOperator:
     """Dense linear measurement map y = A x.
 
-    The matrix is stored dense and row-major; problem sizes here are desk
-    scale (n up to a few thousand), so implicit/structured operators are
-    not worth the indirection.
+    The matrix is stored dense; problem sizes here are desk scale (n up to
+    a few thousand), so implicit/structured operators are not worth the
+    indirection.
     """
 
     def __init__(self, matrix):
@@ -37,29 +37,25 @@ class MeasurementOperator:
             raise ValueError(f"operator dimensions must be >= 1, got {m}x{n}")
         if not np.all(np.isfinite(matrix)):
             raise ValueError("operator entries must all be finite")
-        self.matrix = matrix
-
-    @property
-    def m(self):
-        return self.matrix.shape[0]
-
-    @property
-    def n_ambient(self):
-        return self.matrix.shape[1]
+        # np.dot runs @'s gemv, same bits, minus @'s dispatch; not on strided data.
+        if not (matrix.flags.c_contiguous or matrix.flags.f_contiguous):
+            matrix = np.ascontiguousarray(matrix)
+        self.matrix, self.m, self.n_ambient = matrix, m, n
+        self._t, self._x_shape, self._r_shape = matrix.T, (n,), (m,)
 
     def apply(self, x):
         """Forward map: A @ x, with a strict dimension check."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_ambient,):
+        if x.shape != self._x_shape:
             raise ValueError(f"expected vector of length {self.n_ambient}, got shape {x.shape}")
-        return self.matrix @ x
+        return np.dot(self.matrix, x)
 
     def adjoint(self, r):
         """Adjoint map: A.T @ r."""
         r = np.asarray(r, dtype=float)
-        if r.shape != (self.m,):
+        if r.shape != self._r_shape:
             raise ValueError(f"expected vector of length {self.m}, got shape {r.shape}")
-        return self.matrix.T @ r
+        return np.dot(self._t, r)
 
     def __repr__(self):
         return f"{type(self).__name__}(m={self.m}, n={self.n_ambient})"

@@ -22,17 +22,8 @@ import numpy as np
 from .projections import _count, _real
 
 __all__ = [
-    "ToyPrior",
-    "TrainConfig",
-    "TrainResult",
-    "prior_apply",
-    "nipr_penalty",
-    "training_loss",
-    "loss_gradient",
-    "train",
-    "make_manifold_dataset",
-    "LearnedProjection",
-    "random_prior",
+    "ToyPrior", "TrainConfig", "TrainResult", "prior_apply", "nipr_penalty", "training_loss",
+    "loss_gradient", "train", "make_manifold_dataset", "LearnedProjection", "random_prior",
 ]
 
 NONLINEARITIES = ("linear", "tanh")
@@ -53,6 +44,9 @@ class ToyPrior:
     def __post_init__(self):
         self.encoder_weights = np.asarray(self.encoder_weights, dtype=float)
         self.decoder_weights = np.asarray(self.decoder_weights, dtype=float)
+        for name in ("encoder_weights", "decoder_weights"):
+            if getattr(self, name).ndim != 2:
+                raise ValueError(f"{name} must be 2-d, got shape {getattr(self, name).shape}")
         d_latent, n = self.encoder_weights.shape
         if self.decoder_weights.shape != (n, d_latent):
             raise ValueError(
@@ -94,46 +88,42 @@ def random_prior(n, d_latent, seed, nonlinearity="tanh", scale=None):
     return ToyPrior(enc, dec, nonlinearity)
 
 
-def _activate(h, kind):
-    return np.tanh(h, out=h) if kind == "tanh" else h
-
-
 # Products are np.dot, 0.3-0.4 us faster than `@` here with the same bits; sigma overwrites them.
 def prior_apply(prior, x):
     """P(x) = W_dec sigma(W_enc x)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (prior.n_ambient,):
         raise ValueError(f"expected vector of length {prior.n_ambient}, got shape {x.shape}")
-    return np.dot(prior.decoder_weights, _activate(np.dot(prior.encoder_weights, x), prior.nonlinearity))
-
-
-def _forward_batch(prior, X):
-    """Batched forward pass over rows of X; returns (activation, output)."""
-    A = _activate(np.dot(X, prior.encoder_weights.T), prior.nonlinearity)
-    return A, np.dot(A, prior.decoder_weights.T)
-
-
-def _row_norms(M):
-    """Row norms: what np.linalg.norm(M, axis=1) runs, without its dispatch."""
-    return np.sqrt(np.add.reduce(M * M, axis=1))
+    h = np.dot(prior.encoder_weights, x)
+    if prior.nonlinearity == "tanh":
+        np.tanh(h, out=h)
+    return np.dot(prior.decoder_weights, h)
 
 
 def _nipr_forward(prior, X):
     """Both passes of the penalty, (A1, Q, |Q|, used, n_used, A2, G, |G|),
-    with Q = P(X), G = P(Q) - Q and `used` the n_used rows above the floor.
+    with Q = P(X), G = P(Q) - Q and `used` the n_used rows above the floor;
+    row norms as np.linalg.norm(M, axis=1) runs them, without its dispatch.
 
-    Raises ValueError when no row clears the floor: there is nothing to
-    normalize.
+    Raises ValueError when no row clears the floor: nothing to normalize.
     """
-    A1, Q = _forward_batch(prior, X)
-    qn = _row_norms(Q)
+    enc_t, dec_t = prior.encoder_weights.T, prior.decoder_weights.T
+    tanh = prior.nonlinearity == "tanh"
+    A1 = np.dot(X, enc_t)
+    if tanh:
+        np.tanh(A1, out=A1)
+    Q = np.dot(A1, dec_t)
+    qn = np.sqrt(np.add.reduce(Q * Q, axis=1))
     used = qn > PROJECTED_NORM_FLOOR
     n_used = int(np.count_nonzero(used))
     if not n_used:
         raise ValueError("all batch elements had ||P(x)|| below the norm floor")
-    A2, PQ = _forward_batch(prior, Q)
-    G = PQ - Q
-    return A1, Q, qn, used, n_used, A2, G, _row_norms(G)
+    A2 = np.dot(Q, enc_t)
+    if tanh:
+        np.tanh(A2, out=A2)
+    G = np.dot(A2, dec_t)
+    G -= Q
+    return A1, Q, qn, used, n_used, A2, G, np.sqrt(np.add.reduce(G * G, axis=1))
 
 
 def _nipr_terms(prior, X):
@@ -193,10 +183,18 @@ def _as_batch(batch):
 def _data_inputs(batch, cfg, noise):
     """Inputs of the data term and the count it is divided by: the clean
     batch and 1 for 'ae' (a sum), the noisy batch and its length for 'pnp'
-    (a mean).  The targets are the clean batch either way."""
+    (a mean).  The targets are the clean batch either way.  A 'pnp' noise
+    is taken as rows, a 1-d vector as one, and must match the batch."""
     if cfg.loss_kind == "ae":
         return batch, 1
-    return batch + (0.0 if noise is None else noise), len(batch)
+    if noise is None:
+        return batch + 0.0, len(batch)
+    noise = np.asarray(noise, dtype=float)
+    if noise.ndim == 1:
+        noise = noise[None, :]
+    if noise.shape != batch.shape:
+        raise ValueError(f"noise of shape {noise.shape} does not match the batch's {batch.shape}")
+    return batch + noise, len(batch)
 
 
 def training_loss(prior, batch, cfg, noise=None):
@@ -210,49 +208,14 @@ def training_loss(prior, batch, cfg, noise=None):
     """
     batch = _as_batch(batch)
     inputs, count = _data_inputs(batch, cfg, noise)
-    loss = float(np.sum((_forward_batch(prior, inputs)[1] - batch) ** 2)) / count
+    H = np.dot(inputs, prior.encoder_weights.T)
+    if prior.nonlinearity == "tanh":
+        np.tanh(H, out=H)
+    loss = float(np.sum((np.dot(H, prior.decoder_weights.T) - batch) ** 2)) / count
     if cfg.nipr_weight > 0:
         values, n_used = _nipr_terms(prior, batch)
         loss += cfg.nipr_weight * float(values.sum()) / n_used
     return loss
-
-
-def _backprop(prior, X, A, D):
-    """Pull the output gradient D back through P at inputs X, whose hidden
-    activation is A: returns (encoder gradient, decoder gradient, d_H), with
-    d_H the gradient at the encoder's pre-activation."""
-    d_H = np.dot(D, prior.decoder_weights)
-    if prior.nonlinearity == "tanh":
-        d_H *= 1.0 - A * A
-    return np.dot(d_H.T, X), np.dot(D.T, A), d_H
-
-
-def _backprop_nipr(prior, X, nipr_weight, g_enc, g_dec):
-    """Accumulate gradients of the penalty term of training_loss, that is
-    nipr_weight times the mean of ||P(P(x)) - P(x)|| / ||P(x)|| over the
-    rows above the norm floor.
-
-    Rows below the norm floor are skipped, and exactly-idempotent rows
-    (zero defect) contribute nothing: the term is zero and flat there.
-    """
-    A1, Q, qn, used, n_used, A2, G, gn = _nipr_forward(prior, X)
-    weight = nipr_weight / n_used
-    active = used & (gn > 0.0)
-    if not active.any():
-        return
-    U = np.divide(weight, gn * qn, out=np.zeros(len(qn)), where=active)[:, None] * G
-    # Second pass: parameters see U directly.
-    enc, dec, T2 = _backprop(prior, Q, A2, U)
-    g_enc += enc
-    g_dec += dec
-    # Gradient flowing into Q: through the second pass, the -Q inside the
-    # defect, and the 1/||Q|| normalization.
-    norm_pull = np.divide(weight * gn, qn**3, out=np.zeros(len(qn)), where=active)
-    DQ = np.dot(T2, prior.encoder_weights) - U - norm_pull[:, None] * Q
-    # First pass.
-    enc, dec, _ = _backprop(prior, X, A1, DQ)
-    g_enc += enc
-    g_dec += dec
 
 
 def loss_gradient(prior, batch, cfg, noise=None):
@@ -260,14 +223,47 @@ def loss_gradient(prior, batch, cfg, noise=None):
 
     Must be called with the same `noise` array as the loss evaluation it
     differentiates.  Elements skipped by the penalty's norm floor are
-    skipped here too.
+    skipped here too, and rows of zero defect add nothing to its part.
     """
     batch = _as_batch(batch)
     inputs, count = _data_inputs(batch, cfg, noise)
-    A, out = _forward_batch(prior, inputs)
-    g_enc, g_dec, _ = _backprop(prior, inputs, A, 2.0 / count * (out - batch))
-    if cfg.nipr_weight > 0:
-        _backprop_nipr(prior, batch, cfg.nipr_weight, g_enc, g_dec)
+    enc, dec = prior.encoder_weights, prior.decoder_weights
+    tanh = prior.nonlinearity == "tanh"
+    A = np.dot(inputs, enc.T)
+    if tanh:
+        np.tanh(A, out=A)
+    D = np.dot(A, dec.T)
+    D -= batch
+    D *= 2.0 / count
+    d_H = np.dot(D, dec)
+    if tanh:
+        d_H *= 1.0 - A * A
+    g_enc, g_dec = np.dot(d_H.T, inputs), np.dot(D.T, A)
+    if cfg.nipr_weight <= 0:
+        return g_enc, g_dec
+    # The penalty, nipr_weight times the mean of ||P(Q) - Q|| / ||Q||, Q = P(x).
+    A1, Q, qn, used, n_used, A2, G, gn = _nipr_forward(prior, batch)
+    weight = cfg.nipr_weight / n_used
+    active = used & (gn > 0.0)
+    if not np.count_nonzero(active):
+        return g_enc, g_dec
+    U = np.divide(weight, gn * qn, out=np.zeros(len(qn)), where=active)[:, None] * G
+    # Second pass: parameters see U directly.
+    T2 = np.dot(U, dec)
+    if tanh:
+        T2 *= 1.0 - A2 * A2
+    g_enc += np.dot(T2.T, Q)
+    g_dec += np.dot(U.T, A2)
+    # Gradient flowing into Q: through the second pass, the -Q inside the
+    # defect, and the 1/||Q|| normalization.
+    norm_pull = np.divide(weight * gn, qn**3, out=np.zeros(len(qn)), where=active)
+    DQ = np.dot(T2, enc) - U - norm_pull[:, None] * Q
+    # First pass.
+    d_H = np.dot(DQ, dec)
+    if tanh:
+        d_H *= 1.0 - A1 * A1
+    g_enc += np.dot(d_H.T, batch)
+    g_dec += np.dot(DQ.T, A1)
     return g_enc, g_dec
 
 
@@ -299,9 +295,8 @@ def train(prior0, dataset, cfg):
         raise ValueError("dataset must be finite")
     rng = np.random.default_rng(cfg.seed)
     prior = prior0.copy()
-    eval_noise = None
-    if cfg.loss_kind == "pnp":
-        eval_noise = cfg.noise_sigma * rng.standard_normal(dataset.shape)
+    pnp, size, lr = cfg.loss_kind == "pnp", cfg.batch_size, cfg.learning_rate
+    eval_noise = cfg.noise_sigma * rng.standard_normal(dataset.shape) if pnp else None
     losses = [training_loss(prior, dataset, cfg, noise=eval_noise)]
     for _ in range(cfg.epochs):
         # Updates rebind the weights and never write into them, so the
@@ -309,17 +304,20 @@ def train(prior0, dataset, cfg):
         epoch_start = prior.encoder_weights, prior.decoder_weights
         shuffled = dataset[rng.permutation(len(dataset))]
         # Each batch's denoising draw is its rows of one draw per epoch.
-        noise = cfg.noise_sigma * rng.standard_normal(dataset.shape) if cfg.loss_kind == "pnp" else None
+        if pnp:
+            noise = rng.standard_normal(dataset.shape)
+            noise *= cfg.noise_sigma
         finite = True
         # Diverging parameters overflow before the non-finite check catches
         # them; those float warnings are expected.
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, len(dataset), cfg.batch_size):
-                rows = slice(lo, lo + cfg.batch_size)
-                g_enc, g_dec = loss_gradient(prior, shuffled[rows], cfg,
-                                             noise=None if noise is None else noise[rows])
-                enc = prior.encoder_weights = prior.encoder_weights - cfg.learning_rate * g_enc
-                dec = prior.decoder_weights = prior.decoder_weights - cfg.learning_rate * g_dec
+            for lo in range(0, len(dataset), size):
+                g_enc, g_dec = loss_gradient(prior, shuffled[lo:lo + size], cfg,
+                                             noise=noise[lo:lo + size] if pnp else None)
+                g_enc *= lr
+                g_dec *= lr
+                enc = prior.encoder_weights = prior.encoder_weights - g_enc
+                dec = prior.decoder_weights = prior.decoder_weights - g_dec
                 # A finite sum of squares means every entry is finite; only an
                 # overflowing one needs the entry-wise check.
                 if (not math.isfinite(np.vdot(enc, enc) + np.vdot(dec, dec))

@@ -235,3 +235,50 @@ def test_joint_split_rejects_a_vector_of_another_length():
     for bad in (np.zeros(10), np.zeros(451), np.zeros((450, 1))):
         with pytest.raises(ValueError, match="length 450"):
             jop.split(bad)
+
+
+def _matrix(rng, m, n, order):
+    """An m x n Gaussian matrix, C-ordered, F-ordered or a strided view."""
+    if order == "strided":
+        return rng.standard_normal((m, 2 * n))[:, ::2]
+    matrix = rng.standard_normal((m, n))
+    return np.asfortranarray(matrix) if order == "F" else matrix
+
+
+@pytest.mark.parametrize("order", ["C", "F", "strided"])
+@pytest.mark.parametrize("m,n", [(150, 300), (8, 12), (20, 32)])
+def test_apply_and_adjoint_are_the_matmul_bytes(order, m, n):
+    rng = np.random.default_rng(m + n)
+    given_matrix = _matrix(rng, m, n, order)
+    for op in (MeasurementOperator(given_matrix), JointOperator(MeasurementOperator(given_matrix))):
+        A = op.matrix
+        # np.dot and @ take different kernels on strided data, so such a
+        # matrix is held in C order, with the same values.
+        assert A.flags.c_contiguous or A.flags.f_contiguous
+        assert np.array_equal(A[:, :n], given_matrix)
+        for _ in range(5):
+            x, r = rng.standard_normal(op.n_ambient), rng.standard_normal(op.m)
+            assert op.apply(x).tobytes() == (A @ x).tobytes()
+            assert op.adjoint(r).tobytes() == (A.T @ r).tobytes()
+            # Strided vectors too (BLAS may give them other bytes than
+            # their contiguous copies, and does so for @ as for np.dot).
+            xs, rs = np.repeat(x, 2)[::2], np.repeat(r, 2)[::2]
+            assert op.apply(xs).tobytes() == (A @ xs).tobytes()
+            assert op.adjoint(rs).tobytes() == (A.T @ rs).tobytes()
+
+
+def test_contiguous_matrices_are_held_without_a_copy():
+    rng = np.random.default_rng(3)
+    for matrix in (rng.standard_normal((6, 9)), np.asfortranarray(rng.standard_normal((6, 9)))):
+        assert MeasurementOperator(matrix).matrix is matrix
+    strided = rng.standard_normal((6, 18))[:, ::2]
+    held = MeasurementOperator(strided).matrix
+    assert held.flags.c_contiguous and not np.shares_memory(held, strided)
+    # gaussian_operator's aligned buffer is the one the operator keeps.
+    op = gaussian_operator(150, 300, 4)
+    assert op.matrix.ctypes.data % 64 == 0 and op.matrix.base is not None
+    assert (op.m, op.n_ambient) == (150, 300)
+    with pytest.raises(ValueError, match="length 300"):
+        op.apply(np.zeros(150))
+    with pytest.raises(ValueError, match="length 150"):
+        op.adjoint(np.zeros(300))

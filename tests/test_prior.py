@@ -565,3 +565,140 @@ def test_random_prior_rejects_without_a_warning(args, kwargs, match):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=match):
             random_prior(*args, **kwargs)
+
+
+# The minibatch gradient in layers, which loss_gradient must match byte for
+# byte: one forward helper, one backward helper that each pass calls, and
+# the penalty's part accumulated into the data term's arrays.
+def _layered_forward_batch(prior, X):
+    A = np.dot(X, prior.encoder_weights.T)
+    if prior.nonlinearity == "tanh":
+        A = np.tanh(A, out=A)
+    return A, np.dot(A, prior.decoder_weights.T)
+
+
+def _layered_row_norms(M):
+    return np.sqrt(np.add.reduce(M * M, axis=1))
+
+
+def _layered_backprop(prior, X, A, D):
+    d_H = np.dot(D, prior.decoder_weights)
+    if prior.nonlinearity == "tanh":
+        d_H *= 1.0 - A * A
+    return np.dot(d_H.T, X), np.dot(D.T, A), d_H
+
+
+def _layered_backprop_nipr(prior, X, nipr_weight, g_enc, g_dec):
+    A1, Q = _layered_forward_batch(prior, X)
+    qn = _layered_row_norms(Q)
+    used = qn > PROJECTED_NORM_FLOOR
+    n_used = int(np.count_nonzero(used))
+    if not n_used:
+        raise ValueError("all batch elements had ||P(x)|| below the norm floor")
+    A2, PQ = _layered_forward_batch(prior, Q)
+    G = PQ - Q
+    gn = _layered_row_norms(G)
+    weight = nipr_weight / n_used
+    active = used & (gn > 0.0)
+    if not active.any():
+        return
+    U = np.divide(weight, gn * qn, out=np.zeros(len(qn)), where=active)[:, None] * G
+    enc, dec, T2 = _layered_backprop(prior, Q, A2, U)
+    g_enc += enc
+    g_dec += dec
+    norm_pull = np.divide(weight * gn, qn**3, out=np.zeros(len(qn)), where=active)
+    DQ = np.dot(T2, prior.encoder_weights) - U - norm_pull[:, None] * Q
+    enc, dec, _ = _layered_backprop(prior, X, A1, DQ)
+    g_enc += enc
+    g_dec += dec
+
+
+def _layered_gradient(prior, batch, cfg, noise):
+    batch = np.atleast_2d(np.asarray(batch, dtype=float))
+    if cfg.loss_kind == "ae":
+        inputs, count = batch, 1
+    else:
+        inputs, count = batch + (0.0 if noise is None else noise), len(batch)
+    A, out = _layered_forward_batch(prior, inputs)
+    g_enc, g_dec, _ = _layered_backprop(prior, inputs, A, 2.0 / count * (out - batch))
+    if cfg.nipr_weight > 0:
+        _layered_backprop_nipr(prior, batch, cfg.nipr_weight, g_enc, g_dec)
+    return g_enc, g_dec
+
+
+def _gradient_case(name):
+    rng = np.random.default_rng(40)
+    data = make_manifold_dataset(32, 32, 3, seed=41, curvature="tanh")
+    data = data + 0.01 * rng.standard_normal(data.shape)
+    noise = 0.02 * rng.standard_normal(data.shape)
+    cfg = dict(nipr_weight=0.005, loss_kind="pnp", noise_sigma=0.02)
+    if name.startswith("plain"):
+        _, loss_kind, weight, kind = name.split("-")
+        cfg.update(loss_kind=loss_kind, nipr_weight=float(weight))
+        return random_prior(32, 6, seed=42, nonlinearity=kind), data, noise, cfg
+    if name == "tail":
+        return random_prior(32, 6, seed=42), data[:12], noise[:12], cfg
+    if name == "below_floor":
+        data[::3] = 0.0
+        return random_prior(32, 6, seed=42), data, noise, cfg
+    assert name == "idempotent"
+    data[:, 3:] = 0.0
+    return _coordinate_projector(32, 3), data, noise, dict(cfg, loss_kind="ae")
+
+
+@pytest.mark.parametrize("case", [
+    *(f"plain-{loss}-{weight}-{kind}" for loss in ("ae", "pnp") for weight in ("0", "0.005")
+      for kind in ("tanh", "linear")),
+    "tail", "below_floor", "idempotent",
+])
+def test_loss_gradient_matches_the_layered_passes_byte_for_byte(case):
+    p, batch, noise, cfg = _gradient_case(case)
+    cfg = TrainConfig(**cfg)
+    noise = noise if cfg.loss_kind == "pnp" else None
+    before = p.encoder_weights.tobytes(), p.decoder_weights.tobytes()
+    g_enc, g_dec = loss_gradient(p, batch, cfg, noise=noise)
+    l_enc, l_dec = _layered_gradient(p, batch, cfg, noise)
+    assert (p.encoder_weights.tobytes(), p.decoder_weights.tobytes()) == before
+    assert g_enc.tobytes() == l_enc.tobytes() and g_dec.tobytes() == l_dec.tobytes()
+    if case == "below_floor":
+        Q = np.dot(np.tanh(np.dot(batch, p.encoder_weights.T)), p.decoder_weights.T)
+        assert 0 < np.count_nonzero(np.linalg.norm(Q, axis=1) <= PROJECTED_NORM_FLOOR) < len(batch)
+    if case == "idempotent":
+        # Every row is a fixed point, so the penalty adds nothing at all.
+        bare = loss_gradient(p, batch, TrainConfig(**dict(vars(cfg), nipr_weight=0.0)))
+        assert g_enc.tobytes() == bare[0].tobytes() and g_dec.tobytes() == bare[1].tobytes()
+        assert nipr_penalty(p, batch) == 0.0
+
+
+@pytest.mark.parametrize("fn", [training_loss, loss_gradient])
+def test_pnp_noise_must_match_the_batch(fn):
+    p = random_prior(5, 2, seed=1)
+    rng = np.random.default_rng(2)
+    batch, noise = rng.standard_normal((4, 5)), rng.standard_normal((4, 5))
+    for weight in (0.0, 0.005):
+        cfg = TrainConfig(nipr_weight=weight, loss_kind="pnp")
+        # One draw per element: a vector no longer spreads over every row,
+        # and a row count that differs is named, not left to numpy.
+        for bad in (noise[0], noise[:3], noise[:, :4], noise[None]):
+            with pytest.raises(ValueError, match=r"noise of shape .* does not match the batch's \(4, 5\)"):
+                fn(p, batch, cfg, noise=bad)
+        # A vector is one row, as for the batch.
+        one = fn(p, batch[:1], cfg, noise=noise[0])
+        rows = fn(p, batch[0], cfg, noise=noise[:1])
+        if fn is loss_gradient:
+            one, rows = [g.tobytes() for g in one], [g.tobytes() for g in rows]
+        assert one == rows
+        # 'ae' draws no noise and reads none.
+        fn(p, batch, TrainConfig(nipr_weight=weight, loss_kind="ae"), noise=noise[0])
+
+
+@pytest.mark.parametrize("enc_shape, dec_shape, name, shape", [
+    ((5,), (5, 2), "encoder_weights", r"\(5,\)"),
+    ((2, 5, 1), (5, 2), "encoder_weights", r"\(2, 5, 1\)"),
+    ((2, 5), (10,), "decoder_weights", r"\(10,\)"),
+    ((2, 5), (5, 2, 1), "decoder_weights", r"\(5, 2, 1\)"),
+    ((), (3,), "encoder_weights", r"\(\)"),
+])
+def test_prior_weights_must_be_2d(enc_shape, dec_shape, name, shape):
+    with pytest.raises(ValueError, match=rf"{name} must be 2-d, got shape {shape}"):
+        ToyPrior(np.zeros(enc_shape), np.zeros(dec_shape), "tanh")
