@@ -419,10 +419,11 @@ def theorem_bound_eval(tb, n_iters, initial_error, variant="projection"):
     rate = tb.contraction
     if rate >= 1.0:
         raise ValueError(f"bound requires delta*beta < 1, got {rate}")
+    return rate ** np.arange(n_iters + 1) * initial_error + _bound_constant(tb, variant)
+
+
+def _bound_constant(tb, variant):
+    """The bound's constant term: noise_term / (1 - delta*beta) + C_rob *
+    model_error + C_proj * eta, with C_rob' = 1 + C_rob for variant "truth"."""
     c_rob = tb.c_rob_prime if variant == "truth" else tb.c_rob
-    constant = (
-        tb.noise_term / (1.0 - rate)
-        + c_rob * tb.model_error
-        + tb.c_proj * tb.proj_error_eta
-    )
-    return rate ** np.arange(n_iters + 1) * initial_error + constant
+    return tb.noise_term / (1.0 - tb.contraction) + c_rob * tb.model_error + tb.c_proj * tb.proj_error_eta

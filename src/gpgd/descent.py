@@ -197,41 +197,57 @@ def _repeat(same_norm, x, t):
     return 0
 
 
+@dataclass
+class _Stack:
+    """_stacked_run's blocks, indexed [t, i] for iterate t of row i: the
+    iterates x_0 .. x_T, ||A P(x_t) - y||^2 and ||x_t - truth||.  stops[i]
+    is row i's last finite iterate; entries past it are not part of its run.
+    """
+
+    iterates: np.ndarray
+    residual_sq: np.ndarray
+    errors_to_truth: np.ndarray
+    stops: np.ndarray
+
+    def traces(self):
+        """Each row's RecoveryTrace, with the bits of its own gpgd_run."""
+        X, max_iters = self.iterates, len(self.iterates) - 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            rels = _norms(X[1:] - X[:-1]) / np.maximum(_norms(X[:-1]), REL_CHANGE_FLOOR)
+            residuals = np.sqrt(self.residual_sq)
+        return [RecoveryTrace(residuals[: t + 1, i].tolist(), [float("nan")] + rels[:t, i].tolist(),
+                              t, X[t, i].copy(), self.errors_to_truth[: t + 1, i].tolist(),
+                              list(X[: t + 1, i]), t < max_iters,
+                              "diverged" if t < max_iters else "max_iters")
+                for i, t in enumerate(self.stops.tolist())]
+
+
 def _stacked_run(A, Y, mu, project, max_iters, truths):
     """gpgd_run on each row i of a stack: A[i] (m x n), Y[i], mu[i] and truths[i],
     from zero, with the adjoint back-projection, no early stopping and the
-    iterates recorded.  project(Z, t) projects the iterates Z at iteration t.
-    Every matvec and norm is a per-row matmul, so each trace has gpgd_run's
-    bits on its row alone.  Every row stays in the stack to the end; one whose
-    new iterate is not finite records its stop and diverged flag there."""
+    iterates recorded, as a _Stack.  project(Z, t) projects the iterates Z
+    at iteration t.  The loop runs only what the next iterate needs, and the
+    residual's squared norm, as the residual is not kept; the errors and each
+    row's stop, before its first iterate that is not finite, come from the
+    iterates block after it.  Every matvec and norm is a per-row matmul, so
+    each row has gpgd_run's bits on its own.  A diverged row stays in the
+    stack to the end."""
     T, n = truths.shape
-    At = np.swapaxes(A, 1, 2)
-    residuals, rels, errors = np.full((3, max_iters + 1, T), np.nan)
+    At, Y, mu = np.swapaxes(A, 1, 2), Y[:, :, None], mu[:, None, None]
     iterates = np.zeros((max_iters + 1, T, n))
-    stops, diverged, x_norm = np.full(T, max_iters), np.zeros(T, dtype=bool), np.zeros(T)
-    errors[0] = _norms(iterates[0] - truths)
+    columns = iterates[..., None]
+    residual_sq = np.empty((max_iters + 1, T, 1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(max_iters + 1):
-            PX = project(iterates[t], t)
-            R = (A @ PX[:, :, None])[:, :, 0] - Y
-            residuals[t] = _norms(R)
-            if t == max_iters:
-                break
-            X = iterates[t + 1]
-            np.subtract(PX, mu[:, None] * (At @ R[:, :, None])[:, :, 0], out=X)
-            sq = (X[:, None, :] @ X[:, :, None])[:, 0, 0]
-            if not np.isfinite(sq).all():
-                bad = ~np.isfinite(X).all(axis=1)
-                stops[bad & ~diverged] = t
-                diverged |= bad
-            rels[t + 1] = _norms(X - iterates[t]) / np.maximum(x_norm, REL_CHANGE_FLOOR)
-            errors[t + 1] = _norms(X - truths)
-            x_norm = np.sqrt(sq)
-    return [RecoveryTrace(residuals[: t + 1, i].tolist(), [float("nan")] + rels[1 : t + 1, i].tolist(),
-                          int(t), iterates[t, i].copy(), errors[: t + 1, i].tolist(),
-                          list(iterates[: t + 1, i]), bool(diverged[i]),
-                          "diverged" if diverged[i] else "max_iters")
-            for i, t in enumerate(stops)]
+            PX = project(iterates[t], t)[:, :, None]
+            R = A @ PX - Y
+            np.matmul(R.transpose(0, 2, 1), R, out=residual_sq[t])
+            if t < max_iters:
+                np.subtract(PX, mu * (At @ R), out=columns[t + 1])
+        errors = _norms(iterates - truths)
+    finite = np.isfinite(iterates).all(axis=2)
+    stops = np.where(finite.all(axis=0), max_iters, finite.argmin(axis=0) - 1)
+    return _Stack(iterates, residual_sq[:, :, 0, 0], errors, stops)
 
 
 def i_min_oracle(trace):

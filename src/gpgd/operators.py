@@ -37,7 +37,8 @@ class MeasurementOperator:
             raise ValueError(f"operator dimensions must be >= 1, got {m}x{n}")
         if not np.all(np.isfinite(matrix)):
             raise ValueError("operator entries must all be finite")
-        # np.dot runs @'s gemv, same bits, minus @'s dispatch; not on strided data.
+        # np.dot runs @'s gemv, same bits, minus @'s dispatch; not on strided data,
+        # so a strided matrix is copied here and a strided vector at each call.
         if not (matrix.flags.c_contiguous or matrix.flags.f_contiguous):
             matrix = np.ascontiguousarray(matrix)
         self.matrix, self.m, self.n_ambient = matrix, m, n
@@ -45,14 +46,14 @@ class MeasurementOperator:
 
     def apply(self, x):
         """Forward map: A @ x, with a strict dimension check."""
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float, order="C")
         if x.shape != self._x_shape:
             raise ValueError(f"expected vector of length {self.n_ambient}, got shape {x.shape}")
         return np.dot(self.matrix, x)
 
     def adjoint(self, r):
         """Adjoint map: A.T @ r."""
-        r = np.asarray(r, dtype=float)
+        r = np.asarray(r, dtype=float, order="C")
         if r.shape != self._r_shape:
             raise ValueError(f"expected vector of length {self.m}, got shape {r.shape}")
         return np.dot(self._t, r)

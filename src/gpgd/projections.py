@@ -36,8 +36,9 @@ def _norm(v):
 
 
 def _norms(V):
-    """_norm of each row of a 2-d array, with its bits: a matmul per row (einsum differs)."""
-    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
+    """_norm of each row (last axis) of an array, with its bits: a matmul per row
+    (einsum differs)."""
+    return np.sqrt((V[..., None, :] @ V[..., :, None])[..., 0, 0])
 
 
 def _count(name, value, least=0):

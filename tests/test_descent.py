@@ -1,8 +1,11 @@
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpgd.constants import exact_ric_sparse
 from gpgd.descent import GpgdConfig, RecoveryTrace, _stacked_run, gpgd_run, i_min_oracle
@@ -380,18 +383,76 @@ def test_stacked_run_is_gpgd_run_on_every_row():
                        ([0.9, 1.7e308, 1.0, 1e30, 0.4], [60, 0, 60, 10, 60]),
                        ([1e10, 1e100, 1.7e308, 1e30, 1e160], [30, 3, 0, 10, 1])):
         traces = _stacked_run(np.array([op.matrix for op in ops]), np.array(ys), np.array(mus),
-                              _row_projection(projections(), 60, 12), 60, np.array(truths))
+                              _row_projection(projections(), 60, 12), 60, np.array(truths)).traces()
         assert [trace.iterations_run for trace in traces] == stops
         assert [trace.diverged for trace in traces] == [t < 60 for t in stops]
         for trace, proj, mu, op, y, x in zip(traces, projections(), mus, ops, ys, truths):
             cfg = GpgdConfig(mu=mu, max_iters=60, record_iterates=True)
-            ref = gpgd_run(np.zeros(12), proj, BackProjection.adjoint(op), op, y, cfg, truth=x)
-            assert trace.iterations_run == ref.iterations_run
-            assert trace.diverged == ref.diverged
-            assert trace.stop_reason == ref.stop_reason
-            for field in dataclasses.fields(RecoveryTrace):
-                if field.name not in ("iterations_run", "diverged", "stop_reason"):
-                    assert _bits(getattr(trace, field.name)) == _bits(getattr(ref, field.name)), field.name
+            _assert_same_trace(trace, gpgd_run(np.zeros(12), proj, BackProjection.adjoint(op), op, y,
+                                               cfg, truth=x))
+
+
+def _assert_same_trace(trace, ref):
+    assert trace.iterations_run == ref.iterations_run
+    assert trace.diverged == ref.diverged
+    assert trace.stop_reason == ref.stop_reason
+    for field in dataclasses.fields(RecoveryTrace):
+        if field.name not in ("iterations_run", "diverged", "stop_reason"):
+            assert _bits(getattr(trace, field.name)) == _bits(getattr(ref, field.name)), field.name
+
+
+def _stack_row(kind, rng, m, n, max_iters):
+    """(matrix, y, mu, projection factory, truth) of one stack row of `kind`:
+    "gaussian" or "perturbed" (a drawn instance, HardThreshold or
+    PerturbedProjection, with a step size that may diverge), "overflow" (an
+    iterate whose squared norm overflows while its entries stay finite) or
+    "last" (a run that diverges at its last iteration).  The last two use
+    A = eye(m, n), on which one step from x is (1 - mu) x + mu y[:n]."""
+    k = int(rng.integers(0, n + 1))
+    truth = sparse_signal(n, k, rng)
+    signs = rng.choice([-1.0, 1.0], m) * (1.0 + np.abs(rng.standard_normal(m)))
+    if kind == "overflow":
+        # x_t = y[:n] from t = 1, every entry above 1e154 in size, n >= 2.
+        return np.eye(m, n), 1e154 * signs, 1.0, lambda: HardThreshold(n), truth
+    if kind == "last":
+        # Each step scales the iterate by about 1e10, from x_1 = mu y[:n].
+        scale = 10.0 ** (303 - 10 * (max_iters - 1))
+        return np.eye(m, n), scale * signs, 1e10 + 1.0, lambda: HardThreshold(n), truth
+    A = gaussian_operator(m, n, rng).matrix
+    y = A @ truth + 0.01 * rng.standard_normal(m)
+    mu = float(10.0 ** rng.uniform(-1, 40)) if rng.random() < 0.3 else float(rng.uniform(0.1, 1.2))
+    if kind == "perturbed":
+        proj_seed = int(rng.integers(2**31))
+        return A, y, mu, lambda: PerturbedProjection(k, 0.02, seed=proj_seed), truth
+    return A, y, mu, lambda: HardThreshold(k), truth
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10), extra=st.integers(0, 6),
+       max_iters=st.integers(1, 31),
+       kinds=st.lists(st.sampled_from(["gaussian", "perturbed"]), max_size=5)
+       .flatmap(lambda drawn: st.permutations(drawn + ["overflow", "last", "perturbed"])))
+def test_stacked_run_is_each_rows_gpgd_run(seed, n, extra, max_iters, kinds):
+    # Every drawn stack holds a row whose squared norm overflows with finite
+    # entries (not diverged), one that diverges at its last iteration and a
+    # perturbed one, among drawn rows, in a drawn order, under -W error.
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    rows = [_stack_row(kind, rng, m, n, max_iters) for kind in kinds]
+    A, Y, mus, projections, truths = (np.array(part) for part in zip(*rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traces = _stacked_run(A, Y, mus, _row_projection([make() for make in projections], max_iters, n),
+                              max_iters, truths).traces()
+        for kind, trace, matrix, y, mu, make, x in zip(kinds, traces, A, Y, mus, projections, truths):
+            op = MeasurementOperator(matrix)
+            cfg = GpgdConfig(mu=float(mu), max_iters=max_iters, record_iterates=True)
+            ref = gpgd_run(np.zeros(n), make(), BackProjection.adjoint(op), op, y, cfg, truth=x)
+            if kind == "overflow":
+                assert not ref.diverged and np.all(np.abs(ref.final) > 1e154)
+            if kind == "last":
+                assert ref.diverged and ref.iterations_run == max_iters - 1
+            _assert_same_trace(trace, ref)
 
 
 def test_stop_reason_names_why_the_run_ended():

@@ -18,8 +18,9 @@ from gpgd.constants import (
     _tuned_mu,
     exact_ric_sparse,
     null_space_ric_floor,
+    theorem_bound_eval,
 )
-from gpgd.descent import gpgd_run
+from gpgd.descent import _stacked_run, gpgd_run
 from gpgd.experiments import (
     _COLUMNS,
     _DEFAULTS,
@@ -31,6 +32,8 @@ from gpgd.experiments import (
     THEOREM_MU_GRID,
     THEOREM_VARIANTS,
     ExperimentSpec,
+    _bound_margins,
+    _row_projection,
     _theorem_search,
     default_spec,
     run_joint_model,
@@ -399,6 +402,42 @@ def test_theorem_check_solves_the_cell_in_one_stacked_descent(monkeypatch):
     assert len(r["rows"]) == 8
     assert calls == []
     assert stacks == [8]
+
+
+def test_bound_margins_are_each_rows_textbook_margins():
+    # Two seeds of each variant at the default spec: the noiseless rows'
+    # margin_projection is exactly 0.0 (err_0 = bound_0), model_error and
+    # eta are not zero on their variants' rows.  A noiseless seed rerun at
+    # mu = 1e30 diverges, so its trace, and its margins, stop short.  Each
+    # margin must have the bits of the per-row computation with
+    # theorem_bound_eval on the row's own trace.
+    spec = default_spec("theorem", trials=2)
+    searches = [_theorem_search(spec, vi) for vi in range(len(THEOREM_VARIANTS))]
+    bounds, stack = ([x for found in searches for x in found[part]] for part in (1, 2))
+    matrix, y, _, _, truth = stack[0]
+    stack.append((matrix, y, 1e30, HardThreshold(1), truth))
+    bounds.append(bounds[0])
+    matrices, ys, mus, projs, truths = zip(*stack)
+    run = _stacked_run(np.array(matrices), np.array(ys), np.array(mus),
+                       _row_projection(projs, spec.iterations, spec.n_ambient), spec.iterations,
+                       np.array(truths))
+    tbs, projected_truths = zip(*bounds)
+    margins = _bound_margins(tbs, projected_truths, run)
+    traces = run.traces()
+    assert traces[-1].diverged and traces[-1].iterations_run < spec.iterations
+    assert not any(trace.diverged for trace in traces[:-1])
+    assert any(tb.model_error > 0 for tb in tbs) and any(tb.proj_error_eta > 0 for tb in tbs)
+    for i, (trace, (tb, projected_truth)) in enumerate(zip(traces, bounds)):
+        initial_error = float(np.linalg.norm(projected_truth))
+        with np.errstate(over="ignore"):
+            to_projection = np.array([np.linalg.norm(x - projected_truth) for x in trace.iterates])
+        for errors, variant, margin in ((to_projection, "projection", margins[0][i]),
+                                        (np.array(trace.errors_to_truth), "truth", margins[1][i])):
+            bound = theorem_bound_eval(tb, trace.iterations_run, initial_error, variant)
+            expected = float(np.max(errors - bound))
+            assert type(margin) is float and np.float64(margin).tobytes() == np.float64(expected).tobytes()
+    assert THEOREM_VARIANTS[0] == "noiseless" and margins[0][:2] == [0.0, 0.0]
+    assert margins[0][-1] > 1e9
 
 
 def test_theorem_check_reports_why_it_rejected_each_attempt():
