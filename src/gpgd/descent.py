@@ -200,13 +200,13 @@ def _repeat(same_norm, x, t):
 @dataclass
 class _Stack:
     """_stacked_run's blocks, indexed [t, i] for iterate t of row i: the
-    iterates x_0 .. x_T, ||A P(x_t) - y||^2 and ||x_t - truth||.  stops[i]
+    iterates x_0 .. x_T and ||A P(x_t) - y||^2; and the truths.  stops[i]
     is row i's last finite iterate; entries past it are not part of its run.
     """
 
     iterates: np.ndarray
     residual_sq: np.ndarray
-    errors_to_truth: np.ndarray
+    truths: np.ndarray
     stops: np.ndarray
 
     def traces(self):
@@ -215,8 +215,9 @@ class _Stack:
         with np.errstate(over="ignore", invalid="ignore"):
             rels = _norms(X[1:] - X[:-1]) / np.maximum(_norms(X[:-1]), REL_CHANGE_FLOOR)
             residuals = np.sqrt(self.residual_sq)
+            errors = _norms(X - self.truths)
         return [RecoveryTrace(residuals[: t + 1, i].tolist(), [float("nan")] + rels[:t, i].tolist(),
-                              t, X[t, i].copy(), self.errors_to_truth[: t + 1, i].tolist(),
+                              t, X[t, i].copy(), errors[: t + 1, i].tolist(),
                               list(X[: t + 1, i]), t < max_iters,
                               "diverged" if t < max_iters else "max_iters")
                 for i, t in enumerate(self.stops.tolist())]
@@ -225,18 +226,18 @@ class _Stack:
 def _stacked_run(A, Y, mu, project, max_iters, truths):
     """gpgd_run on each row i of a stack: A[i] (m x n), Y[i], mu[i] and truths[i],
     from zero, with the adjoint back-projection, no early stopping and the
-    iterates recorded, as a _Stack.  project(Z, t) projects the iterates Z
-    at iteration t.  The loop runs only what the next iterate needs, and the
-    residual's squared norm, as the residual is not kept; the errors and each
-    row's stop, before its first iterate that is not finite, come from the
-    iterates block after it.  Every matvec and norm is a per-row matmul, so
-    each row has gpgd_run's bits on its own.  A diverged row stays in the
-    stack to the end."""
-    T, n = truths.shape
-    At, Y, mu = np.swapaxes(A, 1, 2), Y[:, :, None], mu[:, None, None]
-    iterates = np.zeros((max_iters + 1, T, n))
+    iterates recorded, as a _Stack; an A (m, n), Y (m,) or truths (n,) serves
+    every row (mu counts the rows).  project(Z, t) projects the iterates Z at
+    iteration t.  The loop runs only what the next iterate needs, and the
+    residual's squared norm, as the residual is not kept; each row's stop,
+    before its first iterate that is not finite, comes from the iterates
+    block after it.  Every matvec and norm is a per-row matmul (a gemv on
+    each row's matrix), so each row has gpgd_run's bits on its own.  A
+    diverged row stays in the stack to the end."""
+    At, Y, mu = np.swapaxes(A, -1, -2), Y[..., None], mu[:, None, None]
+    iterates = np.zeros((max_iters + 1, len(mu), A.shape[-1]))
     columns = iterates[..., None]
-    residual_sq = np.empty((max_iters + 1, T, 1, 1))
+    residual_sq = np.empty((max_iters + 1, len(mu), 1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(max_iters + 1):
             PX = project(iterates[t], t)[:, :, None]
@@ -244,10 +245,9 @@ def _stacked_run(A, Y, mu, project, max_iters, truths):
             np.matmul(R.transpose(0, 2, 1), R, out=residual_sq[t])
             if t < max_iters:
                 np.subtract(PX, mu * (At @ R), out=columns[t + 1])
-        errors = _norms(iterates - truths)
     finite = np.isfinite(iterates).all(axis=2)
     stops = np.where(finite.all(axis=0), max_iters, finite.argmin(axis=0) - 1)
-    return _Stack(iterates, residual_sq[:, :, 0, 0], errors, stops)
+    return _Stack(iterates, residual_sq[:, :, 0, 0], truths, stops)
 
 
 def i_min_oracle(trace):

@@ -462,9 +462,9 @@ def _draw_instance(spec, rng, k):
     return op, x, y, sigma
 
 
-def _descent_cfg(spec, mu=None):
+def _descent_cfg(spec):
     return GpgdConfig(
-        mu=spec.mu if mu is None else mu,
+        mu=spec.mu,
         max_iters=spec.iterations,
         rel_change_tol=spec.rel_change_tol,
     )
@@ -503,54 +503,19 @@ def _cell_trials(spec, cells, solve):
     trial_rng(spec.seed, _TAGS[spec.experiment], *key, t).  The (cell,
     trial) items are dealt cell by cell through _trial_map, so `solve`, a
     module-level function or a functools.partial of one, must pickle; the
-    runners bind the spec and their arms to it with functools.partial."""
+    runners bind the spec to it with functools.partial."""
     results = _trial_map(functools.partial(_cell_trial, spec, solve),
                          [(cell, t) for cell in cells for t in range(spec.trials)])
     return [results[c * spec.trials:(c + 1) * spec.trials] for c in range(len(cells))]
 
 
-def _arm_solve(spec, arms, arm_column, k, rng, t):
-    """One (sparsity, trial) instance of _arm_sweep, solved once per arm."""
-    op, x, y, _ = _draw_instance(spec, rng, k)
-    bp = BackProjection.adjoint(op)
-    pairs, traces = [], []
-    for key, make_projection, mu in arms:
-        x0, proj = np.zeros(spec.n_ambient), make_projection(k)
-        if k == spec.k_trace and t == 0:
-            cfg = replace(_descent_cfg(spec, mu), rel_change_tol=0.0,
-                          record_iterates=spec.rel_change_tol > 0)
-            trace = gpgd_run(x0, proj, bp, op, y, cfg, truth=x)
-            # gpgd_run stops right after the first iterate whose
-            # relative change is below a positive rel_change_tol;
-            # at tol 0 it runs to the end and needs no iterates.
-            estimate = next((trace.iterates[j] for j, rel in enumerate(trace.rel_changes)
-                             if rel < spec.rel_change_tol), trace.final)
-            traces.extend(_trace_rows(trace, {arm_column: key, "k": k}))
-        else:
-            estimate = gpgd_run(x0, proj, bp, op, y, _descent_cfg(spec, mu)).final
-        pairs.append((normalized_error(hard_threshold(estimate, k), x),
-                      normalized_error(estimate, x)))
-    return pairs, traces
-
-
-def _arm_sweep(spec, arms, arm_column):
-    """Solve every (sparsity, trial) instance once per treatment arm.
-
-    `arms` lists (key, projection factory of k, step size) triples; every
-    arm runs from zero with the adjoint back-projection on the shared
-    instance.  Returns the per-(key, k) lists of (error of the k-sparse
-    estimate, error of the raw iterate), and the trace rows, labelled
-    {arm_column: key, "k": k}, of each arm's solve on the trial-0 instance
-    at k_trace (if in the grid).  That solve runs without early stopping
-    and with the truth recorded, and its estimate is the iterate at which
-    early stopping would have ended it.
-    """
-    grid = spec.sparsity_grid
-    results = _cell_trials(spec, [((ki,), k) for ki, k in enumerate(grid)],
-                           functools.partial(_arm_solve, spec, arms, arm_column))
-    errors = {(key, k): [pairs[a] for pairs, _ in trials]
-              for a, (key, _, _) in enumerate(arms) for k, trials in zip(grid, results)}
-    return errors, [row for trials in results for _, rows in trials for row in rows]
+def _arm_sweep(spec, solve):
+    """solve(k, rng, t) for every (sparsity, trial) instance, which solves it
+    once per arm: the per-sparsity lists of the trials' per-arm values, and
+    every trace row, sparsity by sparsity and trial by trial."""
+    results = _cell_trials(spec, [((ki,), k) for ki, k in enumerate(spec.sparsity_grid)], solve)
+    return ([[arms for arms, _ in trials] for trials in results],
+            [row for trials in results for _, rows in trials for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -558,19 +523,42 @@ def _arm_sweep(spec, arms, arm_column):
 # ---------------------------------------------------------------------------
 
 
+def _alpha_solve(spec, k, rng, t):
+    """One instance, solved from zero with PAlpha and the adjoint
+    back-projection per alpha: each alpha's error of the k-sparse estimate,
+    and on the trial-0 instance at k_trace each solve's trace rows."""
+    op, x, y, _ = _draw_instance(spec, rng, k)
+    bp = BackProjection.adjoint(op)
+    errors, traces = [], []
+    for alpha in spec.alpha_grid:
+        x0, proj = np.zeros(spec.n_ambient), PAlpha(k, alpha)
+        if k == spec.k_trace and t == 0:
+            # The traced solve runs to the end with the truth recorded, and
+            # its estimate is the iterate at which gpgd_run would stop: right
+            # after the first relative change below a positive tolerance.
+            cfg = replace(_descent_cfg(spec), rel_change_tol=0.0,
+                          record_iterates=spec.rel_change_tol > 0)
+            trace = gpgd_run(x0, proj, bp, op, y, cfg, truth=x)
+            estimate = next((trace.iterates[j] for j, rel in enumerate(trace.rel_changes)
+                             if rel < spec.rel_change_tol), trace.final)
+            traces.extend(_trace_rows(trace, {"alpha": float(alpha), "k": k}))
+        else:
+            estimate = gpgd_run(x0, proj, bp, op, y, _descent_cfg(spec)).final
+        errors.append(normalized_error(hard_threshold(estimate, k), x))
+    return errors, traces
+
+
 def run_phase_transition_alpha(spec):
     """Centile recovery error over (sparsity, alpha) cells, plus convergence
     traces per alpha at the designated sparsity."""
-    alphas = [float(a) for a in spec.alpha_grid]
-    arms = [(a, functools.partial(PAlpha, alpha=a), spec.mu) for a in alphas]
-    errors, traces = _arm_sweep(spec, arms, "alpha")
+    errors, traces = _arm_sweep(spec, functools.partial(_alpha_solve, spec))
     rows = []
-    for k in spec.sparsity_grid:
-        for a in alphas:
-            errs = [err for err, _ in errors[(a, k)]]
+    for k, trials in zip(spec.sparsity_grid, errors):
+        for a, alpha in enumerate(spec.alpha_grid):
+            errs = [arms[a] for arms in trials]
             rows.append({
                 "k": k,
-                "alpha": a,
+                "alpha": float(alpha),
                 **_stats(spec, errs),
                 "success_rate": float(np.mean([e < SUCCESS_THRESHOLD for e in errs])),
             })
@@ -616,24 +604,47 @@ def run_outlier_tradeoff(spec):
 # ---------------------------------------------------------------------------
 
 
+def _stepsize_solve(spec, k, rng, t):
+    """One instance, solved from zero with HardThreshold and the adjoint
+    back-projection for every mu as one _stacked_run on its operator: each
+    arm's (error of the k-sparse estimate, error of the raw iterate), and on
+    the trial-0 instance at k_trace each arm's trace rows."""
+    op, x, y, _ = _draw_instance(spec, rng, k)
+    run = _stacked_run(op.matrix, y, np.array(spec.mu_grid, dtype=float),
+                       lambda Z, _: _threshold_rows(Z, k), spec.iterations, x)
+    traced = k == spec.k_trace and t == 0
+    traces = run.traces() if traced or spec.rel_change_tol > 0 else None
+    pairs, rows = [], []
+    for arm, (mu, stop) in enumerate(zip(spec.mu_grid, run.stops.tolist())):
+        if traces:
+            # Where the arm's gpgd_run stops: right after the first relative
+            # change below a positive tolerance.
+            stop = next((j for j, rel in enumerate(traces[arm].rel_changes)
+                         if rel < spec.rel_change_tol), stop)
+        if traced:
+            rows.extend(_trace_rows(traces[arm], {"mu": float(mu), "k": k}))
+        estimate = run.iterates[stop, arm]
+        pairs.append((normalized_error(hard_threshold(estimate, k), x),
+                      normalized_error(estimate, x)))
+    return pairs, rows
+
+
 def run_stepsize_study(spec):
     """Centile error vs sparsity per step size, plus convergence traces at the
     designated sparsity.  Step sizes run on identical instances."""
-    mus = [float(mu) for mu in spec.mu_grid]
-    arms = [(mu, HardThreshold, mu) for mu in mus]
-    errors, traces = _arm_sweep(spec, arms, "mu")
+    pairs, traces = _arm_sweep(spec, functools.partial(_stepsize_solve, spec))
     rows = []
-    for mu in mus:
-        for k in spec.sparsity_grid:
-            errs = [err for err, _ in errors[(mu, k)]]
+    for a, mu in enumerate(spec.mu_grid):
+        for k, trials in zip(spec.sparsity_grid, pairs):
+            errs, raws = zip(*(arms[a] for arms in trials))
             rows.append({
-                "mu": mu,
+                "mu": float(mu),
                 "k": k,
                 **_stats(spec, errs),
                 # Plateau level of the iterate-error convergence curve: the
                 # raw iterate carries the mu-scaled back-projected noise, so
                 # this is where the step size trades noise stability.
-                "mean_plateau_error": float(np.mean([raw for _, raw in errors[(mu, k)]])),
+                "mean_plateau_error": float(np.mean(raws)),
             })
     return {"rows": rows, "traces": traces, "status": 0, "summary": {}}
 
@@ -818,18 +829,20 @@ class PerturbedProjection:
 
 def _row_projection(projs, iterations, n):
     """project(Z, t) for _stacked_run: row i of Z, at iteration t, gets the bits
-    that projs[i], a HardThreshold or a PerturbedProjection (same stream),
-    gives it alone on its call t.  Each PerturbedProjection draws its
-    iterations + 1 perturbations of length n up front, as one block, bound
-    once with the sparsities and the perturbed rows."""
-    ks = np.array([[proj.k] for proj in projs])
-    hit = np.flatnonzero([isinstance(proj, PerturbedProjection) for proj in projs])
-    noise = np.array([projs[i]._perturbations(iterations + 1, n) for i in hit])
-    noise = noise.reshape(len(hit), iterations + 1, n)
+    that projs[i] gives it alone on its call t.  projs are HardThresholds and
+    PerturbedProjections (same stream) of one sparsity, as in a theorem
+    cell, and the PerturbedProjections, the proj_error variant's, one run of
+    rows.  Each draws its iterations + 1 perturbations of length n up front,
+    as one block, bound once with the sparsity and its rows."""
+    perturbed = [i for i, proj in enumerate(projs) if isinstance(proj, PerturbedProjection)]
+    rows = slice(perturbed[0], perturbed[-1] + 1) if perturbed else slice(0)
+    noise = np.array([projs[i]._perturbations(iterations + 1, n) for i in perturbed])
+    noise = noise.reshape(len(perturbed), iterations + 1, n)
+    k = projs[0].k
 
     def project(Z, t):
-        PX = _threshold_rows(Z, ks)
-        PX[hit] += noise[:, t]
+        PX = _threshold_rows(Z, k)
+        PX[rows] += noise[:, t]
         return PX
 
     return project
@@ -946,11 +959,12 @@ def _bound_margins(tbs, projected_truths, run):
     t = np.arange(len(run.iterates))
     with np.errstate(over="ignore", invalid="ignore"):
         to_projection = _norms(run.iterates - np.array(projected_truths))
+        to_truth = _norms(run.iterates - run.truths)
     # rate ** t row by row, as theorem_bound_eval lays it out.
     decay = (np.array([tb.contraction for tb in tbs])[:, None] ** t).T * to_projection[0]
     past_stop = t[:, None] > run.stops
     margins = []
-    for errors, variant in ((to_projection, "projection"), (run.errors_to_truth, "truth")):
+    for errors, variant in ((to_projection, "projection"), (to_truth, "truth")):
         gaps = errors - (decay + np.array([_bound_constant(tb, variant) for tb in tbs]))
         gaps[past_stop] = -np.inf
         margins.append(gaps.max(axis=0).tolist())

@@ -101,10 +101,17 @@ def hard_threshold(z, k):
 
 
 def _threshold_rows(Z, k):
-    """hard_threshold(z, k) on each row z of Z, k unchecked (a count or a column of
-    them): one stable argsort of -|Z| along the rows keeps what _smallest keeps."""
-    order = np.argsort(-np.abs(Z), axis=1, kind="stable")
-    return np.where(np.argsort(order, axis=1) < k, Z, 0.0)
+    """hard_threshold(z, k) on each row z of Z, k unchecked: each row keeps its
+    entries of -|z| at or below its k-th smallest, found by one partition, or
+    if that keeps other than k (ties at the cut, a NaN cut), _smallest's."""
+    if k == 0:
+        return np.zeros(Z.shape)
+    neg = -np.abs(Z)
+    keep = neg <= np.partition(neg, k - 1, axis=1)[:, k - 1, None]
+    for i, count in enumerate(keep.sum(axis=1).tolist()):
+        if count != k:
+            keep[i] = _smallest(neg[i], k)
+    return np.where(keep, Z, 0.0)
 
 
 def sparse_signal(n, k, rng):

@@ -363,6 +363,31 @@ def test_perturbation_redraws_a_row_of_zeros():
     assert proj._rng.draws == []
 
 
+def _each_row(projections):
+    """project(Z, t) for _stacked_run that calls each row's own projection on
+    that row, once per iteration, as the row's own gpgd_run does."""
+    return lambda Z, t: np.array([proj(z) for proj, z in zip(projections, Z)])
+
+
+@pytest.mark.parametrize("k", [0, 1, 12])
+@pytest.mark.parametrize("perturbed", [[], [2, 3], [3, 4]], ids=["none", "inner", "last"])
+def test_row_projection_is_each_rows_projection(k, perturbed):
+    # A theorem cell's rows share one sparsity and their perturbed rows, the
+    # proj_error variant's, are one run; the row projection must give each
+    # row, at every iteration, the bits of that row's own projection.  The
+    # iterates hold ties, NaN, inf and -0.0.
+    def projections():
+        return [PerturbedProjection(k, 0.02, seed=i) if i in perturbed else HardThreshold(k)
+                for i in range(5)]
+
+    rng = np.random.default_rng(k)
+    project, reference = _row_projection(projections(), 6, 12), _each_row(projections())
+    for t in range(7):
+        Z = rng.integers(-3, 4, (5, 12)).astype(float)
+        Z[rng.random((5, 12)) < 0.1] = rng.choice([np.nan, np.inf, -np.inf, -0.0])
+        assert _bits(project(Z, t)) == _bits(reference(Z, t))
+
+
 def test_stacked_run_is_gpgd_run_on_every_row():
     # Three stacks of five rows, each row checked against its own gpgd_run.
     # The first has distinct step sizes, k = 0, a perturbed projection (fresh,
@@ -383,7 +408,7 @@ def test_stacked_run_is_gpgd_run_on_every_row():
                        ([0.9, 1.7e308, 1.0, 1e30, 0.4], [60, 0, 60, 10, 60]),
                        ([1e10, 1e100, 1.7e308, 1e30, 1e160], [30, 3, 0, 10, 1])):
         traces = _stacked_run(np.array([op.matrix for op in ops]), np.array(ys), np.array(mus),
-                              _row_projection(projections(), 60, 12), 60, np.array(truths)).traces()
+                              _each_row(projections()), 60, np.array(truths)).traces()
         assert [trace.iterations_run for trace in traces] == stops
         assert [trace.diverged for trace in traces] == [t < 60 for t in stops]
         for trace, proj, mu, op, y, x in zip(traces, projections(), mus, ops, ys, truths):
@@ -442,8 +467,8 @@ def test_stacked_run_is_each_rows_gpgd_run(seed, n, extra, max_iters, kinds):
     A, Y, mus, projections, truths = (np.array(part) for part in zip(*rows))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traces = _stacked_run(A, Y, mus, _row_projection([make() for make in projections], max_iters, n),
-                              max_iters, truths).traces()
+        traces = _stacked_run(A, Y, mus, _each_row([make() for make in projections]), max_iters,
+                              truths).traces()
         for kind, trace, matrix, y, mu, make, x in zip(kinds, traces, A, Y, mus, projections, truths):
             op = MeasurementOperator(matrix)
             cfg = GpgdConfig(mu=float(mu), max_iters=max_iters, record_iterates=True)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gpgd.experiments
 from gpgd.cli import load_spec, main
 from gpgd.constants import (
     SUPPORT_CHUNK,
@@ -20,7 +21,7 @@ from gpgd.constants import (
     null_space_ric_floor,
     theorem_bound_eval,
 )
-from gpgd.descent import _stacked_run, gpgd_run
+from gpgd.descent import GpgdConfig, _stacked_run, gpgd_run
 from gpgd.experiments import (
     _COLUMNS,
     _DEFAULTS,
@@ -33,8 +34,11 @@ from gpgd.experiments import (
     THEOREM_VARIANTS,
     ExperimentSpec,
     _bound_margins,
+    _draw_instance,
     _row_projection,
+    _stepsize_solve,
     _theorem_search,
+    _trace_rows,
     default_spec,
     run_joint_model,
     run_outlier_tradeoff,
@@ -45,9 +49,9 @@ from gpgd.experiments import (
     trial_rng,
     write_outputs,
 )
-from gpgd.operators import gaussian_operator
+from gpgd.operators import BackProjection, gaussian_operator
 from gpgd.prior import LearnedProjection
-from gpgd.projections import HARD_THRESHOLD_BETA, HardThreshold, PAlpha
+from gpgd.projections import HARD_THRESHOLD_BETA, HardThreshold, PAlpha, hard_threshold
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -157,32 +161,94 @@ def test_stepsize_rows_and_traces():
     assert iters == list(range(len(iters)))
 
 
+def _arm_runs(spec, k, rng, t):
+    """The step-size solve arm by arm: each arm's own gpgd_run on the
+    instance, as (k-sparse estimate bytes, estimate bytes, diverged), and
+    its trace rows when traced."""
+    op, x, y, _ = _draw_instance(spec, rng, k)
+    bp = BackProjection.adjoint(op)
+    runs, rows = [], []
+    for mu in spec.mu_grid:
+        cfg = GpgdConfig(mu=mu, max_iters=spec.iterations, rel_change_tol=spec.rel_change_tol)
+        run = gpgd_run(np.zeros(spec.n_ambient), HardThreshold(k), bp, op, y, cfg)
+        runs.append((hard_threshold(run.final, k).tobytes(), run.final.tobytes(), run.diverged))
+        if k == spec.k_trace and t == 0:
+            cfg = dataclasses.replace(cfg, rel_change_tol=0.0)
+            trace = gpgd_run(np.zeros(spec.n_ambient), HardThreshold(k), bp, op, y, cfg, truth=x)
+            rows.extend(_trace_rows(trace, {"mu": float(mu), "k": k}))
+    return runs, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), extra=st.integers(-3, 6),
+       k=st.integers(0, 12), iterations=st.integers(1, 30), t=st.sampled_from([0, 1]),
+       tol=st.sampled_from([0.0, 1e-12, 1e-4, 1e-2]),
+       mus=st.lists(st.floats(0.05, 1.5), min_size=1, max_size=3, unique=True)
+       .flatmap(lambda drawn: st.permutations(drawn + [1e100])))
+@example(seed=0, n=12, extra=0, k=12, iterations=12, t=0, tol=0.0, mus=[1e100, 0.3, 0.6])
+@example(seed=1, n=12, extra=-3, k=0, iterations=12, t=0, tol=1e-4, mus=[0.6, 1e100])
+@example(seed=2, n=300, extra=-150, k=4, iterations=30, t=0, tol=0.0, mus=[0.3, 1e100, 0.6])
+def test_stepsize_arms_are_each_arms_gpgd_run(seed, n, extra, k, iterations, t, tol, mus):
+    # The step-size arms, solved as one stack on their shared operator, must
+    # each give the estimate bits and the trace rows of the arm's own
+    # gpgd_run, at k = 0, k = n and between, with early stopping or without
+    # it, and at the default 150 x 300.  Every stack holds mu = 1e100, which
+    # diverges unless k = 0.
+    k = min(k, n)
+    spec = default_spec("stepsize", m=max(1, n + extra), n_ambient=n, sparsity_grid=[k],
+                        mu_grid=mus, iterations=iterations, k_trace=k, rel_change_tol=tol)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gpgd.experiments, "normalized_error", lambda estimate, _: estimate.tobytes())
+        pairs, rows = _stepsize_solve(spec, k, np.random.default_rng(seed), t)
+    runs, ref_rows = _arm_runs(spec, k, np.random.default_rng(seed), t)
+    assert pairs == [run[:2] for run in runs]
+    assert repr(rows) == repr(ref_rows)
+    if k > 0 and iterations >= 6:
+        assert runs[mus.index(1e100)][2]
+
+
 @pytest.mark.parametrize("experiment, key, arms, iterations", [
     ("stepsize", "mu", [0.3, 0.6], 20),
     ("phase_alpha", "alpha", [0.0, 0.3], 200),
 ], ids=["stepsize", "phase_alpha"])
 def test_trace_reuses_the_main_solve(monkeypatch, experiment, key, arms, iterations):
     # The k_trace solve on trial 0 runs without early stopping and records
-    # the truth, and it is also the arm's main solve, so a cell makes one
-    # solve per (trial, arm) and no more.  The solves are counted in this
+    # the truth, and it is also the arms' main solve, so a cell solves each
+    # trial once and no more: one gpgd_run per arm (phase_alpha), or one
+    # _stacked_run of every arm (stepsize).  The solves are counted in this
     # process, so the trials run here in one share; the byte tests cover the
     # forked shares.
     import gpgd.experiments as experiments
 
     monkeypatch.setattr(experiments, "_processes", lambda: 1)
-    traced = []
+    stacked_run = experiments._stacked_run
+    solves, traced = [], []
 
     def counting_run(*args, **kwargs):
         trace = gpgd_run(*args, **kwargs)
-        traced.append((args, trace) if kwargs.get("truth") is not None else None)
+        solves.append(1)
+        if kwargs.get("truth") is not None:
+            traced.append((args, trace))
         return trace
 
+    def counting_stack(*args):
+        run = stacked_run(*args)
+        solves.append(len(args[2]))
+
+        def traces():
+            found = type(run).traces(run)
+            traced.extend((None, trace) for trace in found)
+            return found
+
+        run.traces = traces
+        return run
+
     monkeypatch.setattr(experiments, "gpgd_run", counting_run)
+    monkeypatch.setattr(experiments, "_stacked_run", counting_stack)
     spec = default_spec(experiment, sparsity_grid=[3], trials=3, iterations=iterations,
                         k_trace=3, **{f"{key}_grid": arms})
     r = RUNNERS[experiment](spec)
-    assert len(traced) == 3 * 2
-    traced = [call for call in traced if call is not None]
+    assert solves == ([2] * 3 if experiment == "stepsize" else [1] * 3 * 2)
     assert len(traced) == 2
     assert sorted({row[key] for row in r["traces"]}) == arms
     assert len(r["traces"]) == 2 * (iterations + 1)

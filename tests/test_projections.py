@@ -62,8 +62,8 @@ def test_hard_threshold_matches_stable_sort(values, data):
 
 def _check_rows(Z, k):
     kept = _threshold_rows(Z, k)
-    for row, z, row_k in zip(kept, Z, np.broadcast_to(k, (len(Z), 1))[:, 0]):
-        assert row.tobytes() == hard_threshold(z, int(row_k)).tobytes()
+    for row, z in zip(kept, Z):
+        assert row.tobytes() == hard_threshold(z, k).tobytes()
 
 
 def test_threshold_rows_is_hard_threshold_on_every_row():
@@ -73,7 +73,18 @@ def test_threshold_rows_is_hard_threshold_on_every_row():
                   [3.0, np.inf, -3.0, np.nan, np.nan]])
     for k in range(6):
         _check_rows(Z, k)
-    _check_rows(Z, np.array([[0], [3], [5]]))
+
+
+def test_threshold_rows_redoes_each_row_that_misses_its_count():
+    # At k = 2 the first row's cut is NaN, so the cut keeps none of its
+    # entries, and the second row's four ties all sit at its cut: 0 + 4 kept
+    # is the 2 x 2 a count over the whole block expects, but each row must
+    # be redone on its own.
+    Z = np.array([[np.nan, np.nan, np.nan, 1.0],
+                  [1.0, -1.0, 1.0, -1.0]])
+    assert _threshold_rows(Z, 2).tobytes() == np.array([[np.nan, 0.0, 0.0, 1.0],
+                                                        [1.0, -1.0, 0.0, 0.0]]).tobytes()
+    _check_rows(Z, 2)
 
 
 @settings(max_examples=200)
@@ -82,9 +93,7 @@ def test_threshold_rows_is_hard_threshold_on_every_row():
     st.data())
 def test_threshold_rows_matches_hard_threshold(rows, data):
     Z = np.array(rows, dtype=float).reshape(len(rows), -1)
-    n = Z.shape[1]
-    _check_rows(Z, data.draw(st.integers(0, n)))
-    _check_rows(Z, np.array([[data.draw(st.integers(0, n))] for _ in rows]))
+    _check_rows(Z, data.draw(st.integers(0, Z.shape[1])))
 
 
 def test_sparse_signal_rejects_bad_counts():
