@@ -209,14 +209,20 @@ class _Stack:
     truths: np.ndarray
     stops: np.ndarray
 
-    def traces(self):
-        """Each row's RecoveryTrace, with the bits of its own gpgd_run."""
-        X, max_iters = self.iterates, len(self.iterates) - 1
+    def rel_changes(self):
+        """gpgd_run's relative changes, indexed as the iterates (NaN at t = 0)."""
+        X = self.iterates
         with np.errstate(over="ignore", invalid="ignore"):
             rels = _norms(X[1:] - X[:-1]) / np.maximum(_norms(X[:-1]), REL_CHANGE_FLOOR)
+        return np.vstack([np.full(X.shape[1], np.nan), rels])
+
+    def traces(self):
+        """Each row's RecoveryTrace, with the bits of its own gpgd_run."""
+        X, max_iters, rels = self.iterates, len(self.iterates) - 1, self.rel_changes()
+        with np.errstate(over="ignore", invalid="ignore"):
             residuals = np.sqrt(self.residual_sq)
             errors = _norms(X - self.truths)
-        return [RecoveryTrace(residuals[: t + 1, i].tolist(), [float("nan")] + rels[:t, i].tolist(),
+        return [RecoveryTrace(residuals[: t + 1, i].tolist(), rels[: t + 1, i].tolist(),
                               t, X[t, i].copy(), errors[: t + 1, i].tolist(),
                               list(X[: t + 1, i]), t < max_iters,
                               "diverged" if t < max_iters else "max_iters")

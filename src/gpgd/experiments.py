@@ -463,11 +463,7 @@ def _draw_instance(spec, rng, k):
 
 
 def _descent_cfg(spec):
-    return GpgdConfig(
-        mu=spec.mu,
-        max_iters=spec.iterations,
-        rel_change_tol=spec.rel_change_tol,
-    )
+    return GpgdConfig(mu=spec.mu, max_iters=spec.iterations, rel_change_tol=spec.rel_change_tol)
 
 
 def _trace_rows(trace, label):
@@ -518,6 +514,12 @@ def _arm_sweep(spec, solve):
             [row for trials in results for _, rows in trials for row in rows])
 
 
+def _tol_stop(rel_changes, tol, stop):
+    """Where gpgd_run stops on these relative changes (rel_changes[j] is
+    iterate j's), else at `stop`: at the first below a positive tol."""
+    return next((j for j, rel in enumerate(rel_changes) if rel < tol), stop)
+
+
 # ---------------------------------------------------------------------------
 # phase transition over the projection deterioration knob
 # ---------------------------------------------------------------------------
@@ -533,14 +535,11 @@ def _alpha_solve(spec, k, rng, t):
     for alpha in spec.alpha_grid:
         x0, proj = np.zeros(spec.n_ambient), PAlpha(k, alpha)
         if k == spec.k_trace and t == 0:
-            # The traced solve runs to the end with the truth recorded, and
-            # its estimate is the iterate at which gpgd_run would stop: right
-            # after the first relative change below a positive tolerance.
-            cfg = replace(_descent_cfg(spec), rel_change_tol=0.0,
-                          record_iterates=spec.rel_change_tol > 0)
+            # The traced solve runs to the end with the truth and the
+            # iterates recorded; its estimate is where gpgd_run would stop.
+            cfg = replace(_descent_cfg(spec), rel_change_tol=0.0, record_iterates=True)
             trace = gpgd_run(x0, proj, bp, op, y, cfg, truth=x)
-            estimate = next((trace.iterates[j] for j, rel in enumerate(trace.rel_changes)
-                             if rel < spec.rel_change_tol), trace.final)
+            estimate = trace.iterates[_tol_stop(trace.rel_changes, spec.rel_change_tol, -1)]
             traces.extend(_trace_rows(trace, {"alpha": float(alpha), "k": k}))
         else:
             estimate = gpgd_run(x0, proj, bp, op, y, _descent_cfg(spec)).final
@@ -612,21 +611,16 @@ def _stepsize_solve(spec, k, rng, t):
     op, x, y, _ = _draw_instance(spec, rng, k)
     run = _stacked_run(op.matrix, y, np.array(spec.mu_grid, dtype=float),
                        lambda Z, _: _threshold_rows(Z, k), spec.iterations, x)
-    traced = k == spec.k_trace and t == 0
-    traces = run.traces() if traced or spec.rel_change_tol > 0 else None
-    pairs, rows = [], []
-    for arm, (mu, stop) in enumerate(zip(spec.mu_grid, run.stops.tolist())):
-        if traces:
-            # Where the arm's gpgd_run stops: right after the first relative
-            # change below a positive tolerance.
-            stop = next((j for j, rel in enumerate(traces[arm].rel_changes)
-                         if rel < spec.rel_change_tol), stop)
-        if traced:
-            rows.extend(_trace_rows(traces[arm], {"mu": float(mu), "k": k}))
-        estimate = run.iterates[stop, arm]
-        pairs.append((normalized_error(hard_threshold(estimate, k), x),
-                      normalized_error(estimate, x)))
-    return pairs, rows
+    stops = run.stops.tolist()
+    if spec.rel_change_tol > 0:
+        stops = [_tol_stop(rels[: stop + 1], spec.rel_change_tol, stop)
+                 for rels, stop in zip(run.rel_changes().T.tolist(), stops)]
+    pairs = [(normalized_error(hard_threshold(estimate, k), x), normalized_error(estimate, x))
+             for estimate in run.iterates[stops, range(len(stops))]]
+    if k != spec.k_trace or t:
+        return pairs, []
+    return pairs, [row for mu, trace in zip(spec.mu_grid, run.traces())
+                   for row in _trace_rows(trace, {"mu": float(mu), "k": k})]
 
 
 def run_stepsize_study(spec):
@@ -829,16 +823,19 @@ class PerturbedProjection:
 
 def _row_projection(projs, iterations, n):
     """project(Z, t) for _stacked_run: row i of Z, at iteration t, gets the bits
-    that projs[i] gives it alone on its call t.  projs are HardThresholds and
-    PerturbedProjections (same stream) of one sparsity, as in a theorem
-    cell, and the PerturbedProjections, the proj_error variant's, one run of
-    rows.  Each draws its iterations + 1 perturbations of length n up front,
-    as one block, bound once with the sparsity and its rows."""
+    that projs[i], a HardThreshold or a PerturbedProjection (same stream),
+    gives it alone on its call t.  Each PerturbedProjection draws its
+    iterations + 1 perturbations of length n up front, as one block, bound
+    once with the sparsities and the perturbed rows.  A theorem cell's one
+    sparsity is bound as a count, and its perturbed rows, the proj_error
+    variant's, as the slice of their one run."""
+    ks = [proj.k for proj in projs]
+    k = ks[0] if ks.count(ks[0]) == len(ks) else np.array(ks)[:, None]
     perturbed = [i for i, proj in enumerate(projs) if isinstance(proj, PerturbedProjection)]
-    rows = slice(perturbed[0], perturbed[-1] + 1) if perturbed else slice(0)
+    run = range(perturbed[0], perturbed[-1] + 1) if perturbed else range(0)
+    rows = slice(run.start, run.stop) if perturbed == list(run) else perturbed
     noise = np.array([projs[i]._perturbations(iterations + 1, n) for i in perturbed])
     noise = noise.reshape(len(perturbed), iterations + 1, n)
-    k = projs[0].k
 
     def project(Z, t):
         PX = _threshold_rows(Z, k)

@@ -101,16 +101,21 @@ def hard_threshold(z, k):
 
 
 def _threshold_rows(Z, k):
-    """hard_threshold(z, k) on each row z of Z, k unchecked: each row keeps its
-    entries of -|z| at or below its k-th smallest, found by one partition, or
-    if that keeps other than k (ties at the cut, a NaN cut), _smallest's."""
-    if k == 0:
-        return np.zeros(Z.shape)
+    """hard_threshold(z, k) on each row z of Z, k unchecked (a count or a column of
+    them).  For one count each row keeps its entries of -|z| at or below its
+    k-th smallest, found by one partition, or if that keeps other than k
+    (ties at the cut, a NaN cut), _smallest's; a column takes _smallest's."""
     neg = -np.abs(Z)
-    keep = neg <= np.partition(neg, k - 1, axis=1)[:, k - 1, None]
-    for i, count in enumerate(keep.sum(axis=1).tolist()):
-        if count != k:
-            keep[i] = _smallest(neg[i], k)
+    if np.ndim(k):
+        keep = np.array([_smallest(z, count) for z, count in zip(neg, k[:, 0].tolist())],
+                        dtype=bool).reshape(Z.shape)
+    elif k:
+        keep = neg <= np.partition(neg, k - 1, axis=1)[:, k - 1, None]
+        for i, count in enumerate(keep.sum(axis=1).tolist()):
+            if count != k:
+                keep[i] = _smallest(neg[i], k)
+    else:
+        return np.zeros(Z.shape)
     return np.where(keep, Z, 0.0)
 
 

@@ -369,18 +369,21 @@ def _each_row(projections):
     return lambda Z, t: np.array([proj(z) for proj, z in zip(projections, Z)])
 
 
-@pytest.mark.parametrize("k", [0, 1, 12])
-@pytest.mark.parametrize("perturbed", [[], [2, 3], [3, 4]], ids=["none", "inner", "last"])
-def test_row_projection_is_each_rows_projection(k, perturbed):
+@pytest.mark.parametrize("ks", [[0] * 5, [1] * 5, [12] * 5, [1, 12, 0, 3, 1]],
+                         ids=["0", "1", "12", "mixed"])
+@pytest.mark.parametrize("perturbed", [[], [2, 3], [3, 4], [0, 2, 3]],
+                         ids=["none", "inner", "last", "split"])
+def test_row_projection_is_each_rows_projection(ks, perturbed):
     # A theorem cell's rows share one sparsity and their perturbed rows, the
-    # proj_error variant's, are one run; the row projection must give each
-    # row, at every iteration, the bits of that row's own projection.  The
-    # iterates hold ties, NaN, inf and -0.0.
+    # proj_error variant's, are one run, which the row projection binds as a
+    # count and a slice; other stacks mix sparsities or split their perturbed
+    # rows.  Each row must get, at every iteration, the bits of that row's own
+    # projection.  The iterates hold ties, NaN, inf and -0.0.
     def projections():
         return [PerturbedProjection(k, 0.02, seed=i) if i in perturbed else HardThreshold(k)
-                for i in range(5)]
+                for i, k in enumerate(ks)]
 
-    rng = np.random.default_rng(k)
+    rng = np.random.default_rng(sum(ks))
     project, reference = _row_projection(projections(), 6, 12), _each_row(projections())
     for t in range(7):
         Z = rng.integers(-3, 4, (5, 12)).astype(float)
@@ -408,7 +411,7 @@ def test_stacked_run_is_gpgd_run_on_every_row():
                        ([0.9, 1.7e308, 1.0, 1e30, 0.4], [60, 0, 60, 10, 60]),
                        ([1e10, 1e100, 1.7e308, 1e30, 1e160], [30, 3, 0, 10, 1])):
         traces = _stacked_run(np.array([op.matrix for op in ops]), np.array(ys), np.array(mus),
-                              _each_row(projections()), 60, np.array(truths)).traces()
+                              _row_projection(projections(), 60, 12), 60, np.array(truths)).traces()
         assert [trace.iterations_run for trace in traces] == stops
         assert [trace.diverged for trace in traces] == [t < 60 for t in stops]
         for trace, proj, mu, op, y, x in zip(traces, projections(), mus, ops, ys, truths):
@@ -467,8 +470,8 @@ def test_stacked_run_is_each_rows_gpgd_run(seed, n, extra, max_iters, kinds):
     A, Y, mus, projections, truths = (np.array(part) for part in zip(*rows))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traces = _stacked_run(A, Y, mus, _each_row([make() for make in projections]), max_iters,
-                              truths).traces()
+        traces = _stacked_run(A, Y, mus, _row_projection([make() for make in projections], max_iters, n),
+                              max_iters, truths).traces()
         for kind, trace, matrix, y, mu, make, x in zip(kinds, traces, A, Y, mus, projections, truths):
             op = MeasurementOperator(matrix)
             cfg = GpgdConfig(mu=float(mu), max_iters=max_iters, record_iterates=True)
