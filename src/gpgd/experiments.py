@@ -615,8 +615,8 @@ def _stepsize_solve(spec, k, rng, t):
     if spec.rel_change_tol > 0:
         stops = [_tol_stop(rels[: stop + 1], spec.rel_change_tol, stop)
                  for rels, stop in zip(run.rel_changes().T.tolist(), stops)]
-    pairs = [(normalized_error(hard_threshold(estimate, k), x), normalized_error(estimate, x))
-             for estimate in run.iterates[stops, range(len(stops))]]
+    estimates = [run.iterates[stop, arm] for arm, stop in enumerate(stops)]
+    pairs = [(normalized_error(hard_threshold(e, k), x), normalized_error(e, x)) for e in estimates]
     if k != spec.k_trace or t:
         return pairs, []
     return pairs, [row for mu, trace in zip(spec.mu_grid, run.traces())

@@ -106,7 +106,7 @@ def _threshold_rows(Z, k):
     k-th smallest, found by one partition, or if that keeps other than k
     (ties at the cut, a NaN cut), _smallest's; a column takes _smallest's."""
     neg = -np.abs(Z)
-    if np.ndim(k):
+    if isinstance(k, np.ndarray):
         keep = np.array([_smallest(z, count) for z, count in zip(neg, k[:, 0].tolist())],
                         dtype=bool).reshape(Z.shape)
     elif k:
