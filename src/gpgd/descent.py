@@ -87,7 +87,10 @@ def gpgd_run(x0, projection, back_projection, op, y, cfg, truth=None):
     a MeasurementOperator, one step is a fixed function of x.  Then an
     iterate that repeats an earlier one bit for bit repeats every record
     after it with that period, and whole periods are copied, not computed.
-    The trace is bit-identical to the one the plain loop records.
+    A norm seen once holds its iterate; a second iterate of that norm turns
+    the entry into a table keyed by the iterates' bytes, so each later one is
+    one probe (0.0 and -0.0 differ).  The trace is bit-identical to the one
+    the plain loop records.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (op.n_ambient,):
@@ -110,8 +113,9 @@ def gpgd_run(x0, projection, back_projection, op, y, cfg, truth=None):
     iterates = [x.copy()] if cfg.record_iterates else None
     diverged = False
 
-    # x_norm -> [(t, x_t)] for the iterates so far, while a cycle is looked
-    # for.  The loop never writes to an iterate, so no copy is needed.
+    # x_norm -> (t, x_t) for the iterates so far, while a cycle is looked
+    # for, or {x_t.tobytes(): t} once the norm repeats.  The loop never
+    # writes to an iterate, so no copy is needed.
     seen = {} if (getattr(projection, "_deterministic", False)
                   and isinstance(back_projection, BackProjection)
                   and isinstance(op, MeasurementOperator)) else None
@@ -123,7 +127,7 @@ def gpgd_run(x0, projection, back_projection, op, y, cfg, truth=None):
     with np.errstate(over="ignore", invalid="ignore"):
         x_norm = _norm(x)
         if seen is not None:
-            seen[x_norm] = [(0, x)]
+            seen[x_norm] = (0, x)
         while True:
             px = np.asarray(projection(x), dtype=float)
             residual = op.apply(px) - y
@@ -169,9 +173,13 @@ def gpgd_run(x0, projection, back_projection, op, y, cfg, truth=None):
             if seen is not None:
                 same_norm = seen.get(x_norm)
                 if same_norm is None:
-                    seen[x_norm] = [(iterations_run, x)]
+                    seen[x_norm] = (iterations_run, x)
                 else:
-                    period = _repeat(same_norm, x, iterations_run)
+                    if type(same_norm) is tuple:
+                        j, earlier = same_norm
+                        same_norm = seen[x_norm] = {earlier.tobytes(): j}
+                    # Adds x_t, or finds the earlier iterate with its bits.
+                    period = iterations_run - same_norm.setdefault(x.tobytes(), iterations_run)
 
     return RecoveryTrace(
         residual_norms=residual_norms,
@@ -184,17 +192,6 @@ def gpgd_run(x0, projection, back_projection, op, y, cfg, truth=None):
         stop_reason=("diverged" if diverged else
                      "max_iters" if iterations_run == max_iters else "rel_change"),
     )
-
-
-def _repeat(same_norm, x, t):
-    """t - j for the earlier iterate (j, x_j) of `same_norm`, the iterates with
-    the norm of x_t, that has the bits of x_t; else 0, after adding (t, x_t).
-    A norm match only nominates: the bits decide (0.0 and -0.0 differ)."""
-    for j, earlier in same_norm:
-        if np.array_equal(x.view(np.int64), earlier.view(np.int64)):
-            return t - j
-    same_norm.append((t, x))
-    return 0
 
 
 @dataclass

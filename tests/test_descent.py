@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import warnings
 from pathlib import Path
 
@@ -524,6 +525,11 @@ def _orbit_points():
         # a, its permutation and a with 0.0 turned to -0.0 share one norm; the
         # last equals a as values but not as bits.
         "period_3": [a, a[::-1].copy(), np.array([3.0, -0.0, -1.0, 2.0])],
+        # 40 distinct permutations of a and of -a, all of a's norm, then a's
+        # -0.0 twin: the cycle closes only after all 41 of them.
+        "same_norm_41": [np.array(p) for p in itertools.islice(
+            itertools.chain(itertools.permutations(a), itertools.permutations(-a)), 40)]
+        + [np.array([3.0, -0.0, -1.0, 2.0])],
         # The closing step, back to a, is far below the tolerance.
         "slow_close": [a, np.array([0.0, 5.0, 5.0, 0.0]), a * (1.0 + 1e-13)],
         "fixed": [a],
@@ -532,6 +538,7 @@ def _orbit_points():
 
 @pytest.mark.parametrize("orbit, tol, stop_reason, replays", [
     ("period_3", 0.0, "max_iters", True),
+    ("same_norm_41", 0.0, "max_iters", True),
     ("slow_close", 1e-9, "rel_change", False),
     ("fixed", 0.0, "max_iters", True),
 ])
@@ -540,11 +547,11 @@ def test_replayed_orbit_matches_textbook_loop_bit_for_bit(orbit, tol, stop_reaso
     tail = points["tail"]
     proj = _Orbit(tail + points[orbit], len(tail))
     op, y, truth = MeasurementOperator(np.zeros((2, 4))), np.zeros(2), np.ones(4)
-    cfg = GpgdConfig(mu=0.7, max_iters=50, rel_change_tol=tol, record_iterates=True)
+    cfg = GpgdConfig(mu=0.7, max_iters=200, rel_change_tol=tol, record_iterates=True)
     trace = gpgd_run(np.zeros(4), proj, BackProjection.adjoint(op), op, y, cfg, truth=truth)
     residuals, rels, errors, iterates, _ = _textbook_gpgd(
         np.zeros(4), _Orbit(tail + points[orbit], len(tail)), lambda r: op.matrix.T @ r,
-        op.matrix, y, 0.7, 50, tol, truth)
+        op.matrix, y, 0.7, 200, tol, truth)
     assert trace.stop_reason == stop_reason
     assert trace.iterations_run == len(iterates) - 1
     assert _bits(trace.residual_norms) == _bits(residuals)
@@ -556,6 +563,12 @@ def test_replayed_orbit_matches_textbook_loop_bit_for_bit(orbit, tol, stop_reaso
     arrays = trace.iterates + [trace.final]
     assert len({v.__array_interface__["data"][0] for v in arrays}) == len(arrays)
     assert (proj.calls < trace.iterations_run + 1) == replays
+    if replays:
+        # The first repeat is found: the cycle's first point comes back at
+        # t = closes, and whole periods from there are not computed.
+        period = len(points[orbit])
+        closes = len(tail) + period
+        assert proj.calls == cfg.max_iters + 1 - period * ((cfg.max_iters - closes) // period)
 
 
 class _CountingThreshold(HardThreshold):

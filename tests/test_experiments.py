@@ -372,6 +372,17 @@ def test_outlier_rows_are_the_same_with_and_without_cycle_replay(monkeypatch):
     assert replayed_calls < plain_calls
 
 
+def test_outlier_rows_are_the_same_with_and_without_replay_of_same_norm_orbits(monkeypatch):
+    # At this cell both adjoint solves come back to norms they have seen
+    # with other bits (5 and 3 norms) before their cycles close, so the
+    # lookup keys those norms' iterates by their bytes.
+    spec = default_spec("outliers", sparsity_grid=[12], outlier_grid=[45], trials=2, seed=3)
+    replayed, plain, replayed_calls, plain_calls = _replay_on_and_off(
+        monkeypatch, HardThreshold, lambda: run_outlier_tradeoff(spec)["rows"])
+    assert replayed == plain
+    assert replayed_calls < plain_calls
+
+
 def test_nipr_rows_are_the_same_with_and_without_cycle_replay(monkeypatch):
     import gpgd.experiments as experiments
 
