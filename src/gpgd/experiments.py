@@ -821,21 +821,15 @@ class PerturbedProjection:
         return self.eta * directions / norms[:, None]
 
 
-def _row_projection(projs, iterations, n):
+def _row_projection(projs, k, rows, iterations, n):
     """project(Z, t) for _stacked_run: row i of Z, at iteration t, gets the bits
-    that projs[i], a HardThreshold or a PerturbedProjection (same stream),
-    gives it alone on its call t.  Each PerturbedProjection draws its
-    iterations + 1 perturbations of length n up front, as one block, bound
-    once with the sparsities and the perturbed rows.  A theorem cell's one
-    sparsity is bound as a count, and its perturbed rows, the proj_error
-    variant's, as the slice of their one run."""
-    ks = [proj.k for proj in projs]
-    k = ks[0] if ks.count(ks[0]) == len(ks) else np.array(ks)[:, None]
-    perturbed = [i for i, proj in enumerate(projs) if isinstance(proj, PerturbedProjection)]
-    run = range(perturbed[0], perturbed[-1] + 1) if perturbed else range(0)
-    rows = slice(run.start, run.stop) if perturbed == list(run) else perturbed
-    noise = np.array([projs[i]._perturbations(iterations + 1, n) for i in perturbed])
-    noise = noise.reshape(len(perturbed), iterations + 1, n)
+    that projs[i] gives it alone on its call t, where every projs[i] is a
+    HardThreshold(k) but projs[rows], one run of PerturbedProjections of count
+    k (same stream): a theorem cell's proj_error rows.  Each of those draws
+    its iterations + 1 perturbations of length n up front, as one block,
+    bound once with the count and the slice."""
+    noise = np.array([proj._perturbations(iterations + 1, n) for proj in projs[rows]])
+    noise = noise.reshape(len(noise), iterations + 1, n)
 
     def project(Z, t):
         PX = _threshold_rows(Z, k)
@@ -936,7 +930,10 @@ def _theorem_check(spec, group):
     rows, bounds, stack = ([x for found in searches for x in found[part]] for part in range(3))
     if stack:
         matrices, ys, mus, projs, truths = zip(*stack)
-        project = _row_projection(projs, spec.iterations, spec.n_ambient)
+        # proj_error, the last variant, holds the perturbed rows: the last ones.
+        perturbed = slice(sum(not isinstance(proj, PerturbedProjection) for proj in projs), None)
+        project = _row_projection(projs, int(spec.sparsity_grid[0]), perturbed, spec.iterations,
+                                  spec.n_ambient)
         run = _stacked_run(np.array(matrices), np.array(ys), np.array(mus), project,
                            spec.iterations, np.array(truths))
         tbs, projected_truths = zip(*bounds)

@@ -101,21 +101,16 @@ def hard_threshold(z, k):
 
 
 def _threshold_rows(Z, k):
-    """hard_threshold(z, k) on each row z of Z, k unchecked (a count or a column of
-    them).  For one count each row keeps its entries of -|z| at or below its
-    k-th smallest, found by one partition, or if that keeps other than k
-    (ties at the cut, a NaN cut), _smallest's; a column takes _smallest's."""
-    neg = -np.abs(Z)
-    if isinstance(k, np.ndarray):
-        keep = np.array([_smallest(z, count) for z, count in zip(neg, k[:, 0].tolist())],
-                        dtype=bool).reshape(Z.shape)
-    elif k:
-        keep = neg <= np.partition(neg, k - 1, axis=1)[:, k - 1, None]
-        for i, count in enumerate(keep.sum(axis=1).tolist()):
-            if count != k:
-                keep[i] = _smallest(neg[i], k)
-    else:
+    """hard_threshold(z, k) on each row z of Z, k unchecked.  Each row keeps its
+    entries of -|z| at or below its k-th smallest, found by one partition,
+    or if that keeps other than k (ties at the cut, a NaN cut), _smallest's."""
+    if not k:
         return np.zeros(Z.shape)
+    neg = -np.abs(Z)
+    keep = neg <= np.partition(neg, k - 1, axis=1)[:, k - 1, None]
+    for i, count in enumerate(keep.sum(axis=1).tolist()):
+        if count != k:
+            keep[i] = _smallest(neg[i], k)
     return np.where(keep, Z, 0.0)
 
 

@@ -496,8 +496,8 @@ def test_bound_margins_are_each_rows_textbook_margins():
     bounds.append(bounds[0])
     matrices, ys, mus, projs, truths = zip(*stack)
     run = _stacked_run(np.array(matrices), np.array(ys), np.array(mus),
-                       _row_projection(projs, spec.iterations, spec.n_ambient), spec.iterations,
-                       np.array(truths))
+                       _row_projection(projs, 1, slice(6, 8), spec.iterations, spec.n_ambient),
+                       spec.iterations, np.array(truths))
     tbs, projected_truths = zip(*bounds)
     margins = _bound_margins(tbs, projected_truths, run)
     traces = run.traces()

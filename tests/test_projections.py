@@ -62,8 +62,8 @@ def test_hard_threshold_matches_stable_sort(values, data):
 
 def _check_rows(Z, k):
     kept = _threshold_rows(Z, k)
-    for row, z, row_k in zip(kept, Z, np.broadcast_to(k, (len(Z), 1))[:, 0]):
-        assert row.tobytes() == hard_threshold(z, int(row_k)).tobytes()
+    for row, z in zip(kept, Z):
+        assert row.tobytes() == hard_threshold(z, k).tobytes()
 
 
 def test_threshold_rows_is_hard_threshold_on_every_row():
@@ -73,7 +73,6 @@ def test_threshold_rows_is_hard_threshold_on_every_row():
                   [3.0, np.inf, -3.0, np.nan, np.nan]])
     for k in range(6):
         _check_rows(Z, k)
-    _check_rows(Z, np.array([[0], [3], [5]]))
 
 
 def test_threshold_rows_redoes_each_row_that_misses_its_count():
@@ -96,7 +95,6 @@ def test_threshold_rows_matches_hard_threshold(rows, data):
     Z = np.array(rows, dtype=float).reshape(len(rows), -1)
     n = Z.shape[1]
     _check_rows(Z, data.draw(st.integers(0, n)))
-    _check_rows(Z, np.array([[data.draw(st.integers(0, n))] for _ in rows]))
 
 
 def test_sparse_signal_rejects_bad_counts():
