@@ -269,7 +269,7 @@ def loss_gradient(prior, batch, cfg, noise=None):
 
 @dataclass
 class TrainResult:
-    """Final prior plus the per-epoch loss history and a divergence flag."""
+    """Final prior, divergence flag and per-epoch losses, None where not evaluated."""
 
     prior: ToyPrior
     losses: list
@@ -282,8 +282,8 @@ def train(prior0, dataset, cfg):
     Batch order is reshuffled and denoising draws are resampled every epoch
     from one seeded stream.  A non-finite loss or parameter aborts the run,
     rolls back to the last finite epoch and flags divergence.  The recorded
-    per-epoch loss uses a fixed evaluation noise draw so epochs are
-    comparable.
+    loss uses a fixed evaluation noise draw so epochs are comparable; it is
+    None for unreturned weights that the certificate below proves finite.
 
     The dataset is checked once, here: a nonempty array of finite rows of
     prior0.n_ambient values each (a 1-d vector is one row), else ValueError.
@@ -298,16 +298,24 @@ def train(prior0, dataset, cfg):
     pnp, size, lr = cfg.loss_kind == "pnp", cfg.batch_size, cfg.learning_rate
     eval_noise = cfg.noise_sigma * rng.standard_normal(dataset.shape) if pnp else None
     losses = [training_loss(prior, dataset, cfg, noise=eval_noise)]
+    # Finiteness certificate.  Weights are at most sqrt(s), s = ||enc||_F^2 + ||dec||_F^2, inputs
+    # and targets at most r, and |tanh z| <= |z|, so P(x) and P(x) - x are entry-wise at most
+    # B = n d (1 + sqrt(s))^2 r >= 1, P(P(x)) at most B^2 and the defect 2 B^2: the data term is at
+    # most n N B^2, a row's squared defect 4 n B^4 <= 4 n N B^4 and, dividing only by ||Q|| > 1e-12,
+    # the weighted penalty w 2 N sqrt(n) 1e12 B^2.  Both bounds below 1e300 (s < s_max), no product,
+    # square, sum or ratio in training_loss overflows; the factor 1e8 below 1.8e308 absorbs rounding.
+    n, N = prior.n_ambient, len(dataset)
+    r = max(1.0, np.abs(dataset).max(), np.abs(dataset + eval_noise).max() if pnp else 1.0)
+    b_max = min((1e300 / (4*n*N)) ** 0.25, (1e300 / ((1 + cfg.nipr_weight) * 2e12 * N * n**0.5)) ** 0.5)
+    s_max = max(0.0, math.sqrt(b_max / (n * prior.d_latent * r)) - 1.0) ** 2
     for _ in range(cfg.epochs):
-        # Updates rebind the weights and never write into them, so the
-        # epoch's starting arrays are its rollback point.
+        # Updates rebind the weights and never write into them: the epoch's start is its rollback point.
         epoch_start = prior.encoder_weights, prior.decoder_weights
         shuffled = dataset[rng.permutation(len(dataset))]
         # Each batch's denoising draw is its rows of one draw per epoch.
         if pnp:
             noise = rng.standard_normal(dataset.shape)
             noise *= cfg.noise_sigma
-        finite = True
         # Diverging parameters overflow before the non-finite check catches
         # them; those float warnings are expected.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -318,18 +326,20 @@ def train(prior0, dataset, cfg):
                 g_dec *= lr
                 enc = prior.encoder_weights = prior.encoder_weights - g_enc
                 dec = prior.decoder_weights = prior.decoder_weights - g_dec
-                # A finite sum of squares means every entry is finite; only an
-                # overflowing one needs the entry-wise check.
-                if (not math.isfinite(np.vdot(enc, enc) + np.vdot(dec, dec))
-                        and not (np.isfinite(enc).all() and np.isfinite(dec).all())):
-                    finite = False
+                # A finite sum of squares means finite entries; only an overflow looks entry-wise.
+                s = np.vdot(enc, enc) + np.vdot(dec, dec)
+                if not math.isfinite(s) and not (np.isfinite(enc).all() and np.isfinite(dec).all()):
+                    loss = float("nan")
                     break
-            loss = training_loss(prior, dataset, cfg, noise=eval_noise) if finite else float("nan")
-        if not math.isfinite(loss):
+            else:
+                loss = None if s < s_max else training_loss(prior, dataset, cfg, noise=eval_noise)
+        if loss is not None and not math.isfinite(loss):
             prior.encoder_weights, prior.decoder_weights = epoch_start
-            return TrainResult(prior=prior, losses=losses, diverged=True)
+            break
         losses.append(loss)
-    return TrainResult(prior=prior, losses=losses, diverged=False)
+    if losses[-1] is None:  # the returned weights, certified finite
+        losses[-1] = training_loss(prior, dataset, cfg, noise=eval_noise)
+    return TrainResult(prior=prior, losses=losses, diverged=len(losses) <= cfg.epochs)
 
 
 def make_manifold_dataset(n_points, n_ambient, latent_dim, seed, curvature="tanh"):

@@ -1,9 +1,13 @@
+import importlib.util
 import math
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gpgd.experiments import NIPR_PRIOR_LATENT, NIPR_TRAIN
 from gpgd.prior import (
     PROJECTED_NORM_FLOOR,
     LearnedProjection,
@@ -266,10 +270,14 @@ def test_train_loss_nonincreasing_linear_prior():
     data = make_manifold_dataset(64, 8, 3, seed=19, curvature="linear")
     cfg = TrainConfig(nipr_weight=0.0, loss_kind="ae", learning_rate=0.002, epochs=40,
                       batch_size=64, seed=1)
-    result = train(p, data, cfg)
-    diffs = np.diff(result.losses)
+    # train evaluates only the loss of the weights it returns, so the history
+    # is read through prefix trainings: epochs=e ends where epoch e of the
+    # full run does.
+    history = [train(p, data, replace(cfg, epochs=e)).losses[-1] for e in range(cfg.epochs + 1)]
+    assert history == _textbook_train(p, data, cfg)[1]
+    diffs = np.diff(history)
     assert np.all(diffs <= 1e-6)
-    assert result.losses[-1] < result.losses[0]
+    assert history[-1] < history[0]
 
 
 def test_regularized_run_ends_more_idempotent():
@@ -371,16 +379,36 @@ def _textbook_gradient(enc, dec, kind, X, cfg, noise):
     return g_enc, g_dec
 
 
+def _largest_entry(data, cfg):
+    # r: the largest |entry| of the loss's targets and inputs, at least 1.
+    if cfg.loss_kind != "pnp":
+        return max(1.0, np.abs(data).max())
+    eval_noise = cfg.noise_sigma * np.random.default_rng(cfg.seed).standard_normal(data.shape)
+    return max(1.0, np.abs(data).max(), np.abs(data + eval_noise).max())
+
+
+def _certified(enc, dec, cfg, r, rows):
+    # The finiteness certificate as stated: with s the weights' sum of
+    # squares and B = n d (1 + sqrt(s))^2 r, both bounds below 1e300.
+    n, d = enc.shape[1], enc.shape[0]
+    with np.errstate(over="ignore"):
+        B = n * d * (1 + np.sqrt(np.sum(enc**2) + np.sum(dec**2))) ** 2 * r
+        return bool(4 * n * rows * B**4 < 1e300
+                    and (1 + cfg.nipr_weight) * 2 * rows * np.sqrt(n) * 1e12 * B**2 < 1e300)
+
+
+# Returns the weights, every epoch's loss, what made it roll back (None,
+# "weights" or "loss") and the epochs whose weights the certificate covers.
 def _textbook_train(prior0, data, cfg):
     enc, dec, kind = prior0.encoder_weights.copy(), prior0.decoder_weights.copy(), prior0.nonlinearity
     rng = np.random.default_rng(cfg.seed)
     eval_noise = cfg.noise_sigma * rng.standard_normal(data.shape) if cfg.loss_kind == "pnp" else None
-    losses = [_textbook_loss(enc, dec, kind, data, cfg, eval_noise)]
+    r = _largest_entry(data, cfg)
+    losses, covered = [_textbook_loss(enc, dec, kind, data, cfg, eval_noise)], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.epochs):
+        for epoch in range(1, cfg.epochs + 1):
             start = enc.copy(), dec.copy()
             order = rng.permutation(len(data))
-            finite = True
             for lo in range(0, len(data), cfg.batch_size):
                 batch = data[order[lo : lo + cfg.batch_size]]
                 noise = cfg.noise_sigma * rng.standard_normal(batch.shape) if cfg.loss_kind == "pnp" else None
@@ -388,13 +416,14 @@ def _textbook_train(prior0, data, cfg):
                 enc = enc - cfg.learning_rate * g_enc
                 dec = dec - cfg.learning_rate * g_dec
                 if not (np.all(np.isfinite(enc)) and np.all(np.isfinite(dec))):
-                    finite = False
-                    break
-            loss = _textbook_loss(enc, dec, kind, data, cfg, eval_noise) if finite else float("nan")
+                    return start, losses, "weights", covered
+            loss = _textbook_loss(enc, dec, kind, data, cfg, eval_noise)
             if not np.isfinite(loss):
-                return start, losses, True
+                return start, losses, "loss", covered
             losses.append(loss)
-    return (enc, dec), losses, False
+            if _certified(enc, dec, cfg, r, len(data)):
+                covered.append(epoch)
+    return (enc, dec), losses, None, covered
 
 
 def _coordinate_projector(n, d):
@@ -437,6 +466,31 @@ def _bit_case(name):
         return _partly_idempotent_prior(8), data, cfg
     if name == "diverging":
         return random_prior(8, 3, seed=33, scale=1.0), data, dict(cfg, learning_rate=1.0, epochs=40)
+    if name == "overflowing_loss":
+        # One step per epoch; its cubic growth takes certified weights to
+        # finite ones whose loss overflows.
+        p = random_prior(8, 3, seed=33, scale=1.0, nonlinearity="linear")
+        return p, data, dict(cfg, learning_rate=1.0, batch_size=64)
+    if name.endswith("_bound"):
+        # Saturated tanh units pass no gradient to the encoder, and a tiny
+        # step leaves the decoder's bits, so the weights stay where they are
+        # put: 0.5% inside or outside the certificate.  The data term's bound
+        # binds at the default weight (r from the data), and the penalty's
+        # at 1e140 (r from the data plus the evaluation noise).
+        if name == "past_penalty_bound":
+            cfg.update(loss_kind="pnp", noise_sigma=1.0, nipr_weight=1e140)
+        else:
+            data *= 3.0
+        cfg.update(learning_rate=1e-100, epochs=4)
+        p, train_cfg = random_prior(8, 3, seed=34), TrainConfig(**cfg)
+        lo, hi = 0.0, 100.0  # log10 of the weights' scale
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            inside = _certified(10**mid * p.encoder_weights, 10**mid * p.decoder_weights,
+                                train_cfg, _largest_entry(data, train_cfg), len(data))
+            lo, hi = (mid, hi) if inside else (lo, mid)
+        scale = 10**lo / 1.005 if name == "inside_data_bound" else 10**hi * 1.005
+        return ToyPrior(scale * p.encoder_weights, scale * p.decoder_weights, "tanh"), data, cfg
     assert name == "overflowing_sum"
     p = random_prior(8, 3, seed=34)
     return ToyPrior(1e155 * p.encoder_weights, p.decoder_weights, "tanh"), data, cfg
@@ -446,21 +500,34 @@ def _bit_case(name):
     *(f"plain-{loss}-{weight}-{kind}" for loss in ("ae", "pnp") for weight in ("0", "0.005")
       for kind in ("tanh", "linear")),
     "below_floor", "idempotent", "partly_idempotent", "diverging", "overflowing_sum",
+    "overflowing_loss", "inside_data_bound", "past_data_bound", "past_penalty_bound",
 ])
 def test_train_matches_textbook_loop_bit_for_bit(case):
     p0, data, cfg = _bit_case(case)
     cfg = TrainConfig(**cfg)
     before = p0.encoder_weights.tobytes(), p0.decoder_weights.tobytes()
     result = train(p0, data, cfg)
-    (enc, dec), losses, diverged = _textbook_train(p0, data, cfg)
+    (enc, dec), losses, rollback, covered = _textbook_train(p0, data, cfg)
     assert (p0.encoder_weights.tobytes(), p0.decoder_weights.tobytes()) == before
-    assert result.diverged == diverged == (case == "diverging")
-    assert result.losses == losses
-    assert all(type(loss) is float for loss in result.losses)
+    assert result.diverged == (rollback is not None) == (case in ("diverging", "overflowing_loss"))
+    # Every float entry is the textbook loss; the None entries are exactly
+    # the covered epochs, save the returned weights' own, always evaluated.
+    last = len(losses) - 1
+    assert result.losses == [None if e in covered and e < last else loss for e, loss in enumerate(losses)]
+    assert all(type(loss) is float for loss in (result.losses[0], result.losses[-1]))
     if case == "diverging":
+        assert rollback == "weights"
         assert 2 < len(losses) < cfg.epochs + 1  # rolls back to a trained epoch
+    elif case == "overflowing_loss":
+        # Finite weights whose loss overflows roll back to a covered epoch,
+        # whose None entry is evaluated for the weights returned.
+        assert rollback == "loss" and last in covered and last - 1 in covered
     else:
         assert len(losses) == cfg.epochs + 1
+    if case.startswith("plain-") or case == "inside_data_bound":
+        assert covered == list(range(1, cfg.epochs + 1))
+    if case in ("overflowing_sum", "past_data_bound", "past_penalty_bound"):
+        assert covered == [] and None not in result.losses
     assert np.array_equal(result.prior.encoder_weights, enc)
     assert result.prior.encoder_weights.tobytes() == enc.tobytes()
     assert result.prior.decoder_weights.tobytes() == dec.tobytes()
@@ -474,6 +541,48 @@ def test_train_matches_textbook_loop_bit_for_bit(case):
     if case == "overflowing_sum":
         assert np.all(np.isfinite(enc))
         assert not math.isfinite(np.vdot(enc, enc))
+
+
+def test_train_raises_when_every_projected_row_is_below_the_floor():
+    data = make_manifold_dataset(20, 8, 2, seed=36)
+    p0 = random_prior(8, 3, seed=37, scale=1e-8)
+    assert np.all(np.linalg.norm(data @ p0.encoder_weights.T @ p0.decoder_weights.T, axis=1)
+                  < PROJECTED_NORM_FLOOR)
+    for loss_kind in ("ae", "pnp"):
+        cfg = TrainConfig(loss_kind=loss_kind, noise_sigma=0.05, epochs=3, batch_size=8)
+        with pytest.raises(ValueError, match="norm floor"):
+            train(p0, data, cfg)
+
+
+def test_nipr_protocol_evaluates_the_loss_only_at_the_ends():
+    # The nipr study's trainings: the certificate covers every epoch, so the
+    # dataset loss is evaluated twice, not once per epoch.
+    points = make_manifold_dataset(300, 32, 3, seed=38, curvature="tanh")
+    data = points + 0.01 * np.random.default_rng(39).standard_normal(points.shape)
+    p0 = random_prior(32, NIPR_PRIOR_LATENT, seed=40, nonlinearity="tanh")
+    result = train(p0, data, TrainConfig(nipr_weight=0.005, seed=41, **NIPR_TRAIN))
+    assert not result.diverged and len(result.losses) == NIPR_TRAIN["epochs"] + 1
+    assert all(loss is None for loss in result.losses[1:-1])
+    assert all(type(loss) is float and math.isfinite(loss) for loss in (result.losses[0], result.losses[-1]))
+
+
+def test_benchmark_counts_the_epochs_trained():
+    # perfbench/spans.py counts a training's epochs as len(losses) - 1, so
+    # the history keeps one entry per epoch boundary, None or not.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for case in ("plain-pnp-0.005-tanh", "overflowing_loss"):
+        p0, data, cfg = _bit_case(case)
+        cfg = TrainConfig(**cfg)
+        result = train(p0, data, cfg)
+        _, losses, rollback, _ = _textbook_train(p0, data, cfg)
+        tracer = spans.Tracer()
+        tracer._after_train((p0, data, cfg), {}, result)
+        trained = cfg.epochs if rollback is None else len(losses) - 1
+        assert 0 < trained == tracer.counts["prior.epochs"]
+        assert tracer.counts["prior.train_diverged"] == int(rollback is not None)
 
 
 @pytest.mark.parametrize("loss_kind, weight", [("pnp", 0.005), ("pnp", 0.0), ("ae", 0.005), ("ae", 0.0)])
