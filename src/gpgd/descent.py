@@ -194,63 +194,34 @@ def gpgd_run(x0, projection, back_projection, op, y, cfg, truth=None):
     )
 
 
-@dataclass
-class _Stack:
-    """_stacked_run's blocks, indexed [t, i] for iterate t of row i: the
-    iterates x_0 .. x_T and ||A P(x_t) - y||^2; and the truths.  stops[i]
-    is row i's last finite iterate; entries past it are not part of its run.
-    """
-
-    iterates: np.ndarray
-    residual_sq: np.ndarray
-    truths: np.ndarray
-    stops: np.ndarray
-
-    def rel_changes(self):
-        """gpgd_run's relative changes, indexed as the iterates (NaN at t = 0)."""
-        X = self.iterates
-        with np.errstate(over="ignore", invalid="ignore"):
-            rels = _norms(X[1:] - X[:-1]) / np.maximum(_norms(X[:-1]), REL_CHANGE_FLOOR)
-        return np.vstack([np.full(X.shape[1], np.nan), rels])
-
-    def traces(self):
-        """Each row's RecoveryTrace, with the bits of its own gpgd_run."""
-        X, max_iters, rels = self.iterates, len(self.iterates) - 1, self.rel_changes()
-        with np.errstate(over="ignore", invalid="ignore"):
-            residuals = np.sqrt(self.residual_sq)
-            errors = _norms(X - self.truths)
-        return [RecoveryTrace(residuals[: t + 1, i].tolist(), rels[: t + 1, i].tolist(),
-                              t, X[t, i].copy(), errors[: t + 1, i].tolist(),
-                              list(X[: t + 1, i]), t < max_iters,
-                              "diverged" if t < max_iters else "max_iters")
-                for i, t in enumerate(self.stops.tolist())]
+def _rel_changes(X):
+    """gpgd_run's relative changes of each row of the iterates block X,
+    indexed [t, i] as X is (NaN at t = 0)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rels = _norms(X[1:] - X[:-1]) / np.maximum(_norms(X[:-1]), REL_CHANGE_FLOOR)
+    return np.vstack([np.full(X.shape[1], np.nan), rels])
 
 
-def _stacked_run(A, Y, mu, project, max_iters, truths):
-    """gpgd_run on each row i of a stack: A[i] (m x n), Y[i], mu[i] and truths[i],
-    from zero, with the adjoint back-projection, no early stopping and the
-    iterates recorded, as a _Stack; an A (m, n), Y (m,) or truths (n,) serves
-    every row (mu counts the rows).  project(Z, t) projects the iterates Z at
-    iteration t.  The loop runs only what the next iterate needs, and the
-    residual's squared norm, as the residual is not kept; each row's stop,
-    before its first iterate that is not finite, comes from the iterates
-    block after it.  Every matvec and norm is a per-row matmul (a gemv on
-    each row's matrix), so each row has gpgd_run's bits on its own.  A
-    diverged row stays in the stack to the end."""
+def _stacked_run(A, Y, mu, project, max_iters):
+    """gpgd_run's iterates on each row i of a stack: A[i] (m x n), Y[i] and
+    mu[i], from zero, with the adjoint back-projection and no early stopping;
+    an A (m, n) or Y (m,) serves every row (mu counts the rows).
+    project(Z, t) projects the iterates Z at iteration t, once for each of
+    t = 0 .. max_iters - 1.  Returns (iterates, stops): the iterates x_0 ..
+    x_T as a block indexed [t, i], and stops[i], row i's last finite
+    iterate; entries past it are not part of its run.  The loop runs only
+    what the next iterate needs, with no residual norm: every matvec is a
+    per-row matmul (a gemv on each row's matrix), so each row has its own
+    gpgd_run's bits.  A diverged row stays in the stack to the end."""
     At, Y, mu = np.swapaxes(A, -1, -2), Y[..., None], mu[:, None, None]
     iterates = np.zeros((max_iters + 1, len(mu), A.shape[-1]))
     columns = iterates[..., None]
-    residual_sq = np.empty((max_iters + 1, len(mu), 1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(max_iters + 1):
+        for t in range(max_iters):
             PX = project(iterates[t], t)[:, :, None]
-            R = A @ PX - Y
-            np.matmul(R.transpose(0, 2, 1), R, out=residual_sq[t])
-            if t < max_iters:
-                np.subtract(PX, mu * (At @ R), out=columns[t + 1])
+            np.subtract(PX, mu * (At @ (A @ PX - Y)), out=columns[t + 1])
     finite = np.isfinite(iterates).all(axis=2)
-    stops = np.where(finite.all(axis=0), max_iters, finite.argmin(axis=0) - 1)
-    return _Stack(iterates, residual_sq[:, :, 0, 0], truths, stops)
+    return iterates, np.where(finite.all(axis=0), max_iters, finite.argmin(axis=0) - 1)
 
 
 def i_min_oracle(trace):

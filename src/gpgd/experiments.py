@@ -36,7 +36,7 @@ from .constants import (
     exact_ric_sparse,
     operator_norm,
 )
-from .descent import GpgdConfig, _stacked_run, gpgd_run, i_min_oracle
+from .descent import GpgdConfig, _rel_changes, _stacked_run, gpgd_run, i_min_oracle
 from .metrics import centile_curve, normalized_error, stability_report
 from .operators import BackProjection, JointOperator, gaussian_operator
 from .prior import (
@@ -606,21 +606,26 @@ def run_outlier_tradeoff(spec):
 def _stepsize_solve(spec, k, rng, t):
     """One instance, solved from zero with HardThreshold and the adjoint
     back-projection for every mu as one _stacked_run on its operator: each
-    arm's (error of the k-sparse estimate, error of the raw iterate), and on
-    the trial-0 instance at k_trace each arm's trace rows."""
+    arm's (error of the k-sparse estimate, error of the raw iterate).  On
+    the trial-0 instance at k_trace each arm is also traced by its own
+    gpgd_run, run to the end with the truth, which gives its trace rows."""
     op, x, y, _ = _draw_instance(spec, rng, k)
-    run = _stacked_run(op.matrix, y, np.array(spec.mu_grid, dtype=float),
-                       lambda Z, _: _threshold_rows(Z, k), spec.iterations, x)
-    stops = run.stops.tolist()
+    iterates, stops = _stacked_run(op.matrix, y, np.array(spec.mu_grid, dtype=float),
+                                   lambda Z, _: _threshold_rows(Z, k), spec.iterations)
+    stops = stops.tolist()
     if spec.rel_change_tol > 0:
         stops = [_tol_stop(rels[: stop + 1], spec.rel_change_tol, stop)
-                 for rels, stop in zip(run.rel_changes().T.tolist(), stops)]
-    estimates = [run.iterates[stop, arm] for arm, stop in enumerate(stops)]
+                 for rels, stop in zip(_rel_changes(iterates).T.tolist(), stops)]
+    estimates = [iterates[stop, arm] for arm, stop in enumerate(stops)]
     pairs = [(normalized_error(hard_threshold(e, k), x), normalized_error(e, x)) for e in estimates]
     if k != spec.k_trace or t:
         return pairs, []
-    return pairs, [row for mu, trace in zip(spec.mu_grid, run.traces())
-                   for row in _trace_rows(trace, {"mu": float(mu), "k": k})]
+    bp, rows = BackProjection.adjoint(op), []
+    for mu in spec.mu_grid:
+        cfg = GpgdConfig(mu=mu, max_iters=spec.iterations)
+        trace = gpgd_run(np.zeros(spec.n_ambient), HardThreshold(k), bp, op, y, cfg, truth=x)
+        rows.extend(_trace_rows(trace, {"mu": float(mu), "k": k}))
+    return pairs, rows
 
 
 def run_stepsize_study(spec):
@@ -771,7 +776,7 @@ def run_nipr_stability(spec):
     compressed-sensing instances with each, and report SM1/SM2 and errors."""
     # One cell per weight, with pair t as trial t, so a pair's two trainings
     # redraw its instance from one stream (far cheaper than training).  A
-    # regularized training costs about three plain ones, so its cell comes
+    # regularized training costs about 2.4 plain ones, so its cell comes
     # first and every share is dealt an even count of each kind.
     regularized, plain = _cell_trials(spec, [((), spec.nipr_weight), ((), 0.0)],
                                       functools.partial(_nipr_solve, spec))
@@ -827,7 +832,8 @@ def _row_projection(projs, k, rows, iterations, n):
     HardThreshold(k) but projs[rows], one run of PerturbedProjections of count
     k (same stream): a theorem cell's proj_error rows.  Each of those draws
     its iterations + 1 perturbations of length n up front, as one block,
-    bound once with the count and the slice."""
+    bound once with the count and the slice; _stacked_run reads all but the
+    last, which gpgd_run's call on the last iterate would take."""
     noise = np.array([proj._perturbations(iterations + 1, n) for proj in projs[rows]])
     noise = noise.reshape(len(noise), iterations + 1, n)
 
@@ -934,29 +940,30 @@ def _theorem_check(spec, group):
         perturbed = slice(sum(not isinstance(proj, PerturbedProjection) for proj in projs), None)
         project = _row_projection(projs, int(spec.sparsity_grid[0]), perturbed, spec.iterations,
                                   spec.n_ambient)
-        run = _stacked_run(np.array(matrices), np.array(ys), np.array(mus), project,
-                           spec.iterations, np.array(truths))
+        iterates, stops = _stacked_run(np.array(matrices), np.array(ys), np.array(mus), project,
+                                       spec.iterations)
         tbs, projected_truths = zip(*bounds)
-        for row, margin_proj, margin_truth in zip(rows, *_bound_margins(tbs, projected_truths, run)):
+        margins = _bound_margins(tbs, projected_truths, truths, iterates, stops)
+        for row, margin_proj, margin_truth in zip(rows, *margins):
             row.update(margin_projection=margin_proj, margin_truth=margin_truth,
                        verified=int(margin_proj <= 1e-9 and margin_truth <= 1e-9))
     return [(found[0], found[3]) for found in searches]
 
 
-def _bound_margins(tbs, projected_truths, run):
-    """(margin_projection, margin_truth) lists for the rows of the _Stack
-    `run`, all at once: row i's largest error minus bound tbs[i] over its
-    iterates 0 .. run.stops[i], to projected_truths[i] and to the truth.
-    Each has the bits of max(errors - theorem_bound_eval(tb, stop,
-    initial_error, variant)) on its row alone; delta*beta < 1 is not
+def _bound_margins(tbs, projected_truths, truths, iterates, stops):
+    """(margin_projection, margin_truth) lists for the rows of a _stacked_run's
+    iterates block, all at once: row i's largest error minus bound tbs[i]
+    over its iterates 0 .. stops[i], to projected_truths[i] and to
+    truths[i].  Each has the bits of max(errors - theorem_bound_eval(tb,
+    stop, initial_error, variant)) on its row alone; delta*beta < 1 is not
     checked again."""
-    t = np.arange(len(run.iterates))
+    t = np.arange(len(iterates))
     with np.errstate(over="ignore", invalid="ignore"):
-        to_projection = _norms(run.iterates - np.array(projected_truths))
-        to_truth = _norms(run.iterates - run.truths)
+        to_projection = _norms(iterates - np.array(projected_truths))
+        to_truth = _norms(iterates - np.array(truths))
     # rate ** t row by row, as theorem_bound_eval lays it out.
     decay = (np.array([tb.contraction for tb in tbs])[:, None] ** t).T * to_projection[0]
-    past_stop = t[:, None] > run.stops
+    past_stop = t[:, None] > stops
     margins = []
     for errors, variant in ((to_projection, "projection"), (to_truth, "truth")):
         gaps = errors - (decay + np.array([_bound_constant(tb, variant) for tb in tbs]))

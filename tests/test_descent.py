@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import warnings
 from pathlib import Path
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpgd.constants import exact_ric_sparse
-from gpgd.descent import GpgdConfig, RecoveryTrace, _stacked_run, gpgd_run, i_min_oracle
+from gpgd.descent import GpgdConfig, _rel_changes, _stacked_run, gpgd_run, i_min_oracle
 from gpgd.experiments import PerturbedProjection, _row_projection, _trace_rows, _write_csv
 from gpgd.operators import BackProjection, JointOperator, MeasurementOperator, gaussian_operator
 from gpgd.projections import (
@@ -389,6 +388,28 @@ def test_row_projection_is_each_rows_projection(k, rows):
         assert _bits(project(Z, t)) == _bits(reference(Z, t))
 
 
+def _counted(project):
+    """project, with the iteration of each call appended to its `calls`."""
+    def counted(Z, t):
+        counted.calls.append(t)
+        return project(Z, t)
+
+    counted.calls = []
+    return counted
+
+
+def _assert_rows_are_runs(iterates, stops, refs, max_iters):
+    """Each row i of a _stacked_run's (iterates, stops) against refs[i], its
+    own gpgd_run with the iterates recorded: the stop, the divergence, the
+    iterates to the stop and their _rel_changes column, bit for bit."""
+    rels = _rel_changes(iterates)
+    for i, (stop, ref) in enumerate(zip(stops.tolist(), refs)):
+        assert stop == ref.iterations_run
+        assert (stop < max_iters) == ref.diverged
+        assert _bits(iterates[: stop + 1, i]) == _bits(ref.iterates)
+        assert _bits(rels[: stop + 1, i]) == _bits(ref.rel_changes)
+
+
 def test_stacked_run_is_gpgd_run_on_every_row():
     # Three stacks of five rows, each row checked against its own gpgd_run.
     # The first has distinct step sizes, k = 0, a perturbed projection (fresh,
@@ -396,7 +417,8 @@ def test_stacked_run_is_gpgd_run_on_every_row():
     # on.  In the second, two rows diverge at different iterations, one at
     # the first step, and in the third every row diverges, each at its own
     # iteration.  A diverged row stays in the stack, so the rows after it
-    # must keep their bits.
+    # must keep their bits.  Each stack projects once per iteration, and not
+    # past the last.
     def projections():
         return [HardThreshold(1), HardThreshold(2), HardThreshold(0),
                 PerturbedProjection(1, 0.02, seed=5), HardThreshold(2)]
@@ -405,30 +427,22 @@ def test_stacked_run_is_gpgd_run_on_every_row():
     ops = [gaussian_operator(64, 12, rng) for _ in range(5)]
     truths = [sparse_signal(12, 2, rng) for _ in ops]
     ys = [op.apply(x) + 0.01 * rng.standard_normal(64) for op, x in zip(ops, truths)]
-    for mus, stops in (([0.9, 1e160, 1.0, 0.8, 0.4], [60, 1, 60, 60, 60]),
-                       ([0.9, 1.7e308, 1.0, 1e30, 0.4], [60, 0, 60, 10, 60]),
-                       ([1e10, 1e100, 1.7e308, 1e30, 1e160], [30, 3, 0, 10, 1])):
-        traces = _stacked_run(np.array([op.matrix for op in ops]), np.array(ys), np.array(mus),
-                              _each_row(projections()), 60, np.array(truths)).traces()
-        assert [trace.iterations_run for trace in traces] == stops
-        assert [trace.diverged for trace in traces] == [t < 60 for t in stops]
-        for trace, proj, mu, op, y, x in zip(traces, projections(), mus, ops, ys, truths):
-            cfg = GpgdConfig(mu=mu, max_iters=60, record_iterates=True)
-            _assert_same_trace(trace, gpgd_run(np.zeros(12), proj, BackProjection.adjoint(op), op, y,
-                                               cfg, truth=x))
-
-
-def _assert_same_trace(trace, ref):
-    assert trace.iterations_run == ref.iterations_run
-    assert trace.diverged == ref.diverged
-    assert trace.stop_reason == ref.stop_reason
-    for field in dataclasses.fields(RecoveryTrace):
-        if field.name not in ("iterations_run", "diverged", "stop_reason"):
-            assert _bits(getattr(trace, field.name)) == _bits(getattr(ref, field.name)), field.name
+    for mus, expected in (([0.9, 1e160, 1.0, 0.8, 0.4], [60, 1, 60, 60, 60]),
+                          ([0.9, 1.7e308, 1.0, 1e30, 0.4], [60, 0, 60, 10, 60]),
+                          ([1e10, 1e100, 1.7e308, 1e30, 1e160], [30, 3, 0, 10, 1])):
+        project = _counted(_each_row(projections()))
+        iterates, stops = _stacked_run(np.array([op.matrix for op in ops]), np.array(ys),
+                                       np.array(mus), project, 60)
+        assert project.calls == list(range(60))
+        assert iterates.shape == (61, 5, 12) and stops.tolist() == expected
+        refs = [gpgd_run(np.zeros(12), proj, BackProjection.adjoint(op), op, y,
+                         GpgdConfig(mu=mu, max_iters=60, record_iterates=True))
+                for proj, mu, op, y in zip(projections(), mus, ops, ys)]
+        _assert_rows_are_runs(iterates, stops, refs, 60)
 
 
 def _stack_row(kind, rng, m, n, max_iters):
-    """(matrix, y, mu, projection factory, truth) of one stack row of `kind`:
+    """(matrix, y, mu, projection factory) of one stack row of `kind`:
     "gaussian" or "perturbed" (a drawn instance, HardThreshold or
     PerturbedProjection, with a step size that may diverge), "overflow" (an
     iterate whose squared norm overflows while its entries stay finite) or
@@ -439,18 +453,18 @@ def _stack_row(kind, rng, m, n, max_iters):
     signs = rng.choice([-1.0, 1.0], m) * (1.0 + np.abs(rng.standard_normal(m)))
     if kind == "overflow":
         # x_t = y[:n] from t = 1, every entry above 1e154 in size, n >= 2.
-        return np.eye(m, n), 1e154 * signs, 1.0, lambda: HardThreshold(n), truth
+        return np.eye(m, n), 1e154 * signs, 1.0, lambda: HardThreshold(n)
     if kind == "last":
         # Each step scales the iterate by about 1e10, from x_1 = mu y[:n].
         scale = 10.0 ** (303 - 10 * (max_iters - 1))
-        return np.eye(m, n), scale * signs, 1e10 + 1.0, lambda: HardThreshold(n), truth
+        return np.eye(m, n), scale * signs, 1e10 + 1.0, lambda: HardThreshold(n)
     A = gaussian_operator(m, n, rng).matrix
     y = A @ truth + 0.01 * rng.standard_normal(m)
     mu = float(10.0 ** rng.uniform(-1, 40)) if rng.random() < 0.3 else float(rng.uniform(0.1, 1.2))
     if kind == "perturbed":
         proj_seed = int(rng.integers(2**31))
-        return A, y, mu, lambda: PerturbedProjection(k, 0.02, seed=proj_seed), truth
-    return A, y, mu, lambda: HardThreshold(k), truth
+        return A, y, mu, lambda: PerturbedProjection(k, 0.02, seed=proj_seed)
+    return A, y, mu, lambda: HardThreshold(k)
 
 
 @settings(max_examples=100, deadline=None)
@@ -465,20 +479,22 @@ def test_stacked_run_is_each_rows_gpgd_run(seed, n, extra, max_iters, kinds):
     rng = np.random.default_rng(seed)
     m = n + extra
     rows = [_stack_row(kind, rng, m, n, max_iters) for kind in kinds]
-    A, Y, mus, projections, truths = (np.array(part) for part in zip(*rows))
+    A, Y, mus, projections = (np.array(part) for part in zip(*rows))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traces = _stacked_run(A, Y, mus, _each_row([make() for make in projections]),
-                              max_iters, truths).traces()
-        for kind, trace, matrix, y, mu, make, x in zip(kinds, traces, A, Y, mus, projections, truths):
+        project = _counted(_each_row([make() for make in projections]))
+        iterates, stops = _stacked_run(A, Y, mus, project, max_iters)
+        refs = []
+        for kind, matrix, y, mu, make in zip(kinds, A, Y, mus, projections):
             op = MeasurementOperator(matrix)
             cfg = GpgdConfig(mu=float(mu), max_iters=max_iters, record_iterates=True)
-            ref = gpgd_run(np.zeros(n), make(), BackProjection.adjoint(op), op, y, cfg, truth=x)
+            refs.append(gpgd_run(np.zeros(n), make(), BackProjection.adjoint(op), op, y, cfg))
             if kind == "overflow":
-                assert not ref.diverged and np.all(np.abs(ref.final) > 1e154)
+                assert not refs[-1].diverged and np.all(np.abs(refs[-1].final) > 1e154)
             if kind == "last":
-                assert ref.diverged and ref.iterations_run == max_iters - 1
-            _assert_same_trace(trace, ref)
+                assert refs[-1].diverged and refs[-1].iterations_run == max_iters - 1
+        assert project.calls == list(range(max_iters))
+        _assert_rows_are_runs(iterates, stops, refs, max_iters)
 
 
 def test_stop_reason_names_why_the_run_ended():

@@ -33,6 +33,7 @@ from gpgd.experiments import (
     THEOREM_MU_GRID,
     THEOREM_VARIANTS,
     ExperimentSpec,
+    PerturbedProjection,
     _bound_margins,
     _draw_instance,
     _row_projection,
@@ -49,7 +50,7 @@ from gpgd.experiments import (
     trial_rng,
     write_outputs,
 )
-from gpgd.operators import BackProjection, gaussian_operator
+from gpgd.operators import BackProjection, MeasurementOperator, gaussian_operator
 from gpgd.prior import LearnedProjection
 from gpgd.projections import HARD_THRESHOLD_BETA, HardThreshold, PAlpha, hard_threshold
 
@@ -213,11 +214,12 @@ def test_stepsize_arms_are_each_arms_gpgd_run(seed, n, extra, k, iterations, t, 
 ], ids=["stepsize", "phase_alpha"])
 def test_trace_reuses_the_main_solve(monkeypatch, experiment, key, arms, iterations):
     # The k_trace solve on trial 0 runs without early stopping and records
-    # the truth, and it is also the arms' main solve, so a cell solves each
-    # trial once and no more: one gpgd_run per arm (phase_alpha), or one
-    # _stacked_run of every arm (stepsize).  The solves are counted in this
-    # process, so the trials run here in one share; the byte tests cover the
-    # forked shares.
+    # the truth.  In phase_alpha it is also the arms' main solve, so a cell
+    # solves each trial once and no more: one gpgd_run per arm.  In stepsize
+    # each trial is one _stacked_run of every arm, which records only the
+    # iterates, so the traced trial adds one gpgd_run per arm for its trace
+    # rows.  The solves are counted in this process, so the trials run here
+    # in one share; the byte tests cover the forked shares.
     import gpgd.experiments as experiments
 
     monkeypatch.setattr(experiments, "_processes", lambda: 1)
@@ -232,23 +234,15 @@ def test_trace_reuses_the_main_solve(monkeypatch, experiment, key, arms, iterati
         return trace
 
     def counting_stack(*args):
-        run = stacked_run(*args)
         solves.append(len(args[2]))
-
-        def traces():
-            found = type(run).traces(run)
-            traced.extend((None, trace) for trace in found)
-            return found
-
-        run.traces = traces
-        return run
+        return stacked_run(*args)
 
     monkeypatch.setattr(experiments, "gpgd_run", counting_run)
     monkeypatch.setattr(experiments, "_stacked_run", counting_stack)
     spec = default_spec(experiment, sparsity_grid=[3], trials=3, iterations=iterations,
                         k_trace=3, **{f"{key}_grid": arms})
     r = RUNNERS[experiment](spec)
-    assert solves == ([2] * 3 if experiment == "stepsize" else [1] * 3 * 2)
+    assert solves == ([2, 1, 1, 2, 2] if experiment == "stepsize" else [1] * 3 * 2)
     assert len(traced) == 2
     assert sorted({row[key] for row in r["traces"]}) == arms
     assert len(r["traces"]) == 2 * (iterations + 1)
@@ -481,13 +475,20 @@ def test_theorem_check_solves_the_cell_in_one_stacked_descent(monkeypatch):
     assert stacks == [8]
 
 
-def test_bound_margins_are_each_rows_textbook_margins():
+def test_bound_margins_are_each_rows_textbook_margins(monkeypatch):
     # Two seeds of each variant at the default spec: the noiseless rows'
     # margin_projection is exactly 0.0 (err_0 = bound_0), model_error and
     # eta are not zero on their variants' rows.  A noiseless seed rerun at
-    # mu = 1e30 diverges, so its trace, and its margins, stop short.  Each
+    # mu = 1e30 diverges, so its run, and its margins, stop short.  Each
     # margin must have the bits of the per-row computation with
-    # theorem_bound_eval on the row's own trace.
+    # theorem_bound_eval on the row's own gpgd_run, whose perturbed
+    # projection is a fresh one with the row's seed.
+    class Seeded(PerturbedProjection):
+        def __init__(self, k, eta, seed):
+            super().__init__(k, eta, seed)
+            self.seed = seed
+
+    monkeypatch.setattr(gpgd.experiments, "PerturbedProjection", Seeded)
     spec = default_spec("theorem", trials=2)
     searches = [_theorem_search(spec, vi) for vi in range(len(THEOREM_VARIANTS))]
     bounds, stack = ([x for found in searches for x in found[part]] for part in (1, 2))
@@ -495,12 +496,21 @@ def test_bound_margins_are_each_rows_textbook_margins():
     stack.append((matrix, y, 1e30, HardThreshold(1), truth))
     bounds.append(bounds[0])
     matrices, ys, mus, projs, truths = zip(*stack)
-    run = _stacked_run(np.array(matrices), np.array(ys), np.array(mus),
-                       _row_projection(projs, 1, slice(6, 8), spec.iterations, spec.n_ambient),
-                       spec.iterations, np.array(truths))
+    refs = [PerturbedProjection(proj.k, proj.eta, proj.seed) if isinstance(proj, Seeded)
+            else HardThreshold(1) for proj in projs]
+    assert [isinstance(proj, PerturbedProjection) for proj in refs] == [False] * 6 + [True] * 2 + [False]
+    iterates, stops = _stacked_run(np.array(matrices), np.array(ys), np.array(mus),
+                                   _row_projection(projs, 1, slice(6, 8), spec.iterations,
+                                                   spec.n_ambient), spec.iterations)
     tbs, projected_truths = zip(*bounds)
-    margins = _bound_margins(tbs, projected_truths, run)
-    traces = run.traces()
+    margins = _bound_margins(tbs, projected_truths, truths, iterates, stops)
+    traces = []
+    for A, y, mu, proj, x in zip(matrices, ys, mus, refs, truths):
+        op = MeasurementOperator(A)
+        cfg = GpgdConfig(mu=mu, max_iters=spec.iterations, record_iterates=True)
+        traces.append(gpgd_run(np.zeros(spec.n_ambient), proj, BackProjection.adjoint(op), op, y, cfg,
+                               truth=x))
+    assert stops.tolist() == [trace.iterations_run for trace in traces]
     assert traces[-1].diverged and traces[-1].iterations_run < spec.iterations
     assert not any(trace.diverged for trace in traces[:-1])
     assert any(tb.model_error > 0 for tb in tbs) and any(tb.proj_error_eta > 0 for tb in tbs)
