@@ -831,11 +831,10 @@ def _row_projection(projs, k, rows, iterations, n):
     that projs[i] gives it alone on its call t, where every projs[i] is a
     HardThreshold(k) but projs[rows], one run of PerturbedProjections of count
     k (same stream): a theorem cell's proj_error rows.  Each of those draws
-    its iterations + 1 perturbations of length n up front, as one block,
-    bound once with the count and the slice; _stacked_run reads all but the
-    last, which gpgd_run's call on the last iterate would take."""
-    noise = np.array([proj._perturbations(iterations + 1, n) for proj in projs[rows]])
-    noise = noise.reshape(len(noise), iterations + 1, n)
+    the iterations perturbations of length n that _stacked_run reads up
+    front, as one block, bound once with the count and the slice."""
+    noise = np.array([proj._perturbations(iterations, n) for proj in projs[rows]])
+    noise = noise.reshape(len(noise), iterations, n)
 
     def project(Z, t):
         PX = _threshold_rows(Z, k)

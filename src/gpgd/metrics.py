@@ -6,13 +6,13 @@ the ground-truth oracle, which synthetic experiments always retain.
 Centile curves summarize repeated trials for phase-transition tables.
 """
 
+import math
 from dataclasses import dataclass
-from math import ceil
 
 import numpy as np
 
 from .descent import i_min_oracle
-from .projections import _count, _real
+from .projections import _count, _norm, _real
 
 __all__ = [
     "normalized_error",
@@ -47,7 +47,7 @@ def centile_curve(errors, centile):
         raise ValueError("errors must be nonempty")
     if _real("centile", centile, positive=True) > 1.0:
         raise ValueError(f"centile must lie in (0, 1], got {centile}")
-    rank = ceil(centile * len(errors))
+    rank = math.ceil(centile * len(errors))
     value = sorted(errors)[rank - 1]
     return float(min(value, 1.0))
 
@@ -91,11 +91,20 @@ def sm2(trace, n=10):
             f"have {len(trace.iterates) - 1}"
         )
     total = 0.0
-    for i in range(i_min + 1, i_min + n + 1):
-        denom = float(np.linalg.norm(trace.iterates[i]))
-        if denom == 0.0:
-            raise ValueError(f"zero-norm iterate at index {i}; sm2 is undefined")
-        total += float(np.linalg.norm(trace.iterates[i + 1] - trace.iterates[i])) / denom
+    with np.errstate(over="ignore"):
+        for i in range(i_min + 1, i_min + n + 1):
+            x, x_next = trace.iterates[i], trace.iterates[i + 1]
+            denom, motion = _norm(x), _norm(x_next - x)
+            if not (math.isfinite(denom) and math.isfinite(motion)):
+                # Finite iterates past about 1e154 in norm overflow the sum of
+                # squares.  Scaled by the power of two above their largest
+                # entry, which is exact, they do not (Blue, ACM TOMS 1978).
+                largest = max(np.abs(x).max(), np.abs(x_next).max())
+                x, x_next = (np.ldexp(v, -math.frexp(largest)[1]) for v in (x, x_next))
+                denom, motion = _norm(x), _norm(x_next - x)
+            if denom == 0.0:
+                raise ValueError(f"zero-norm iterate at index {i}; sm2 is undefined")
+            total += motion / denom
     return total
 
 

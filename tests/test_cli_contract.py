@@ -9,6 +9,7 @@ configs always carry one fault, and a few valid edge runs are pinned by hand.
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gpgd.cli import main
-from gpgd.experiments import _DEFAULTS, EXPERIMENTS, NIPR_PRIOR_LATENT
+from gpgd.experiments import _DEFAULTS, EXPERIMENTS, NIPR_PRIOR_LATENT, NIPR_TRAIN
 
 COMMANDS = [e for e in EXPERIMENTS if e != "nipr"]
 
@@ -148,3 +149,19 @@ def test_cli_nipr_valid_edges_run_to_completion(tmp_path, config):
 def test_cli_nipr_rejects_n_ambient_at_the_latent_size(tmp_path):
     assert _run("nipr", {"n_ambient": NIPR_PRIOR_LATENT, "trials": 1}, tmp_path) == 1
     assert not list(tmp_path.glob("out*"))
+
+
+def test_cli_nipr_sm2_holds_where_the_iterate_norms_overflow(tmp_path, monkeypatch):
+    # At mu 1e300 the learned descent stays finite but passes 1e154 in norm;
+    # SM2 does not depend on scale, so it reads as at mu 1e150.  Trainings of
+    # 40 epochs, not 1000, keep it quick and lead to the same overflow.
+    monkeypatch.setattr("gpgd.experiments.NIPR_TRAIN", dict(NIPR_TRAIN, epochs=40))
+    cells = []
+    for mu in (1e150, 1e300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run("nipr", {"m": 20, "n_ambient": 32, "trials": 1, "iterations": 50,
+                                 "mu": mu}, tmp_path) == 0
+        header, *rows = (line.split(",") for line in (tmp_path / "out.csv").read_text().splitlines())
+        cells.append([float(v) for row in rows for col, v in zip(header, row) if col.startswith("sm2_")])
+    assert len(cells[1]) == 6 and cells[1] == pytest.approx(cells[0], rel=1e-12)

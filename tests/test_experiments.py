@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import json
-import math
 import statistics
 import warnings
 from pathlib import Path
@@ -11,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import gpgd.experiments
+import gpgd.constants as constants
+import gpgd.experiments as experiments
 from gpgd.cli import load_spec, main
 from gpgd.constants import (
     SUPPORT_CHUNK,
@@ -64,6 +64,37 @@ def _tiny_phase_spec(**kw):
     return default_spec("phase_alpha", **base)
 
 
+@pytest.fixture
+def one_share(monkeypatch):
+    """Runs every share in this process, where a test counts calls; the byte
+    tests cover the forked shares."""
+    monkeypatch.setattr(experiments, "_processes", lambda: 1)
+
+
+def _spy(monkeypatch, module, name):
+    """The (args, kwargs, result) of each call of module.name, which still runs."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs, real(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def _cli(tmp_path, command, config, out="out", *extra):
+    """main() on `config`, written to a file, with --out tmp_path / out and `extra`."""
+    cfg = tmp_path / f"cfg_{out}.json"
+    cfg.write_text(json.dumps(config))
+    return main([command, "--config", str(cfg), "--out", str(tmp_path / out), *extra])
+
+
+def _exits_1_and_writes_nothing(tmp_path, command, config):
+    assert _cli(tmp_path, command, config) == 1, config
+    assert not list(tmp_path.glob("out*")), config
+
+
 def test_spec_validation_errors():
     with pytest.raises(ValueError):
         default_spec("nope")
@@ -99,21 +130,6 @@ def test_phase_alpha_zero_sparsity_cell_is_exact_zero():
         if row["k"] == 0:
             assert row["centile_error"] == 0.0
             assert row["mean_error"] == 0.0
-
-
-def test_phase_alpha_trials_prefix_property():
-    # Enlarging the trial count must not change earlier trials' draws, so
-    # cell centiles computed from the shared prefix agree.
-    r_small = run_phase_transition_alpha(_tiny_phase_spec(trials=3))
-    r_big = run_phase_transition_alpha(_tiny_phase_spec(trials=6))
-    small = {(row["k"], row["alpha"]): row["mean_error"] for row in r_small["rows"]}
-    # Rebuild the prefix means from scratch at trials=3 and compare runs.
-    r_again = run_phase_transition_alpha(_tiny_phase_spec(trials=3))
-    again = {(row["k"], row["alpha"]): row["mean_error"] for row in r_again["rows"]}
-    assert small == again
-    # And the big run is deterministic too.
-    r_big2 = run_phase_transition_alpha(_tiny_phase_spec(trials=6))
-    assert [row["mean_error"] for row in r_big["rows"]] == [row["mean_error"] for row in r_big2["rows"]]
 
 
 def test_outliers_zero_outliers_reduces_to_plain_adjoint():
@@ -199,7 +215,7 @@ def test_stepsize_arms_are_each_arms_gpgd_run(seed, n, extra, k, iterations, t, 
     spec = default_spec("stepsize", m=max(1, n + extra), n_ambient=n, sparsity_grid=[k],
                         mu_grid=mus, iterations=iterations, k_trace=k, rel_change_tol=tol)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gpgd.experiments, "normalized_error", lambda estimate, _: estimate.tobytes())
+        patch.setattr(experiments, "normalized_error", lambda estimate, _: estimate.tobytes())
         pairs, rows = _stepsize_solve(spec, k, np.random.default_rng(seed), t)
     runs, ref_rows = _arm_runs(spec, k, np.random.default_rng(seed), t)
     assert pairs == [run[:2] for run in runs]
@@ -212,37 +228,21 @@ def test_stepsize_arms_are_each_arms_gpgd_run(seed, n, extra, k, iterations, t, 
     ("stepsize", "mu", [0.3, 0.6], 20),
     ("phase_alpha", "alpha", [0.0, 0.3], 200),
 ], ids=["stepsize", "phase_alpha"])
-def test_trace_reuses_the_main_solve(monkeypatch, experiment, key, arms, iterations):
+def test_trace_reuses_the_main_solve(one_share, monkeypatch, experiment, key, arms, iterations):
     # The k_trace solve on trial 0 runs without early stopping and records
     # the truth.  In phase_alpha it is also the arms' main solve, so a cell
     # solves each trial once and no more: one gpgd_run per arm.  In stepsize
     # each trial is one _stacked_run of every arm, which records only the
     # iterates, so the traced trial adds one gpgd_run per arm for its trace
-    # rows.  The solves are counted in this process, so the trials run here
-    # in one share; the byte tests cover the forked shares.
-    import gpgd.experiments as experiments
-
-    monkeypatch.setattr(experiments, "_processes", lambda: 1)
-    stacked_run = experiments._stacked_run
-    solves, traced = [], []
-
-    def counting_run(*args, **kwargs):
-        trace = gpgd_run(*args, **kwargs)
-        solves.append(1)
-        if kwargs.get("truth") is not None:
-            traced.append((args, trace))
-        return trace
-
-    def counting_stack(*args):
-        solves.append(len(args[2]))
-        return stacked_run(*args)
-
-    monkeypatch.setattr(experiments, "gpgd_run", counting_run)
-    monkeypatch.setattr(experiments, "_stacked_run", counting_stack)
+    # rows.
+    runs = _spy(monkeypatch, experiments, "gpgd_run")
+    stacks = _spy(monkeypatch, experiments, "_stacked_run")
     spec = default_spec(experiment, sparsity_grid=[3], trials=3, iterations=iterations,
                         k_trace=3, **{f"{key}_grid": arms})
     r = RUNNERS[experiment](spec)
-    assert solves == ([2, 1, 1, 2, 2] if experiment == "stepsize" else [1] * 3 * 2)
+    stacked = [len(args[2]) for args, _, _ in stacks]
+    assert (stacked, len(runs)) == (([2] * 3, 2) if experiment == "stepsize" else ([], 3 * 2))
+    traced = [(args, trace) for args, kwargs, trace in runs if kwargs.get("truth") is not None]
     assert len(traced) == 2
     assert sorted({row[key] for row in r["traces"]}) == arms
     assert len(r["traces"]) == 2 * (iterations + 1)
@@ -323,16 +323,10 @@ def test_phase_alpha_success_region_is_monotone():
     assert holes <= 1
 
 
-def test_nipr_identical_weights_give_identical_reports():
-    import gpgd.experiments as ex
-
-    spec = default_spec("nipr", trials=1, nipr_weight=0.0)
-    saved = ex.NIPR_TRAIN
-    ex.NIPR_TRAIN = dict(saved, epochs=40)  # keep the determinism check quick
-    try:
-        r = ex.run_nipr_stability(spec)
-    finally:
-        ex.NIPR_TRAIN = saved
+def test_nipr_identical_weights_give_identical_reports(monkeypatch):
+    # 40 epochs keep the determinism check quick.
+    monkeypatch.setattr(experiments, "NIPR_TRAIN", dict(experiments.NIPR_TRAIN, epochs=40))
+    r = experiments.run_nipr_stability(default_spec("nipr", trials=1, nipr_weight=0.0))
     a, b = r["rows"]
     assert sorted(a) == sorted(b) == sorted(_COLUMNS["nipr"])
     for key in ("i_min", "sm1_10", "sm1_50", "sm1_100", "sm2_10", "sm2_50", "sm2_100",
@@ -345,8 +339,6 @@ def test_nipr_identical_weights_give_identical_reports():
 def _replay_on_and_off(monkeypatch, projection_class, run):
     """run() with cycle replay on and then off for projection_class, in this
     process, and the projection calls each made."""
-    import gpgd.experiments as experiments
-
     monkeypatch.setattr(experiments, "_processes", lambda: 1)
     calls = []
     call = projection_class.__call__
@@ -378,8 +370,6 @@ def test_outlier_rows_are_the_same_with_and_without_replay_of_same_norm_orbits(m
 
 
 def test_nipr_rows_are_the_same_with_and_without_cycle_replay(monkeypatch):
-    import gpgd.experiments as experiments
-
     monkeypatch.setattr(experiments, "NIPR_TRAIN", dict(experiments.NIPR_TRAIN, epochs=40))
     spec = default_spec("nipr", trials=1)
     replayed, plain, replayed_calls, plain_calls = _replay_on_and_off(
@@ -396,83 +386,34 @@ def test_theorem_check_verifies_at_feasible_dims():
     assert {row["variant"] for row in r["rows"]} == {"noiseless", "noisy", "model_error", "proj_error"}
 
 
-def test_theorem_check_computes_each_op_norm_only_for_a_nonzero_error(monkeypatch):
+def test_theorem_check_computes_each_op_norm_only_for_a_nonzero_error(one_share, monkeypatch):
     # C_rob multiplies model_error and C_proj multiplies eta, so each
     # operator norm is computed only on the rows where its factor is > 0.
-    import gpgd.experiments as experiments
-
-    # Counted in this process, so the variants run here in one group; the
-    # byte tests cover the forked groups.
-    monkeypatch.setattr(experiments, "_processes", lambda: 1)
-    calls = []
-    operator_norm = experiments.operator_norm
-
-    def counting_norm(*args, **kwargs):
-        calls.append(args)
-        return operator_norm(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "operator_norm", counting_norm)
+    calls = _spy(monkeypatch, experiments, "operator_norm")
     rows = run_theorem_check(default_spec("theorem", trials=2))["rows"]
-    expected = (sum(row["model_error"] > 0 for row in rows)
-                + sum(row["eta"] > 0 for row in rows))
-    assert len(calls) == expected == 4
+    assert len(calls) == sum(row["model_error"] > 0 for row in rows) + sum(row["eta"] > 0 for row in rows) == 4
 
 
-def test_theorem_check_takes_each_delta_from_exact_ric_sparse_at_the_tuned_mu(monkeypatch):
+def test_theorem_check_takes_each_delta_from_exact_ric_sparse_at_the_tuned_mu(one_share, monkeypatch):
     # The benchmark times the enumeration through experiments.exact_ric_sparse,
     # so the check must call it once per tuned attempt, at the tuner's mu;
     # an accepted attempt's row holds that mu and that call's delta.
-    import gpgd.constants as constants
-    import gpgd.experiments as experiments
-
-    # Counted in this process, so the variants run here in one group; the
-    # byte tests cover the forked groups.
-    monkeypatch.setattr(experiments, "_processes", lambda: 1)
-    tuned, rics = [], []
-    tuned_mu, ric = constants._tuned_mu, experiments.exact_ric_sparse
-
-    def counting_tuner(B, k, mu_grid):
-        tuned.append((B, tuned_mu(B, k, mu_grid)))
-        return tuned[-1][1]
-
-    def counting_ric(B, k):
-        rics.append((B, ric(B, k)))
-        return rics[-1][1]
-
-    monkeypatch.setattr(constants, "_tuned_mu", counting_tuner)
-    monkeypatch.setattr(experiments, "exact_ric_sparse", counting_ric)
+    tuned = _spy(monkeypatch, constants, "_tuned_mu")
+    rics = _spy(monkeypatch, experiments, "exact_ric_sparse")
     rows = run_theorem_check(default_spec("theorem"))["rows"]
     assert len(rics) == len(tuned) > len(rows) == 20
-    for (B, mu), (scaled, _) in zip(tuned, rics):
+    for ((B, _, _), _, mu), ((scaled, _), _, _) in zip(tuned, rics):
         assert np.array_equal(scaled, mu * B)
-    accepted = [(mu, delta) for (_, mu), (_, delta) in zip(tuned, rics)
+    accepted = [(mu, delta) for (_, _, mu), (_, _, delta) in zip(tuned, rics)
                 if delta * HARD_THRESHOLD_BETA < 1.0]
     assert accepted == [(row["mu"], row["delta"]) for row in rows]
 
 
-def test_theorem_check_solves_the_cell_in_one_stacked_descent(monkeypatch):
-    import gpgd.experiments as experiments
-
-    # Counted in this process, so the variants run here in one group; the
-    # byte tests cover the forked groups.
-    monkeypatch.setattr(experiments, "_processes", lambda: 1)
-    calls, stacks = [], []
-    stacked_run = experiments._stacked_run
-
-    def counting_run(*args, **kwargs):
-        calls.append(args)
-        return gpgd_run(*args, **kwargs)
-
-    def counting_stack(A, *args):
-        stacks.append(len(A))
-        return stacked_run(A, *args)
-
-    monkeypatch.setattr(experiments, "gpgd_run", counting_run)
-    monkeypatch.setattr(experiments, "_stacked_run", counting_stack)
-    r = run_theorem_check(default_spec("theorem", trials=2))
-    assert len(r["rows"]) == 8
-    assert calls == []
-    assert stacks == [8]
+def test_theorem_check_solves_the_cell_in_one_stacked_descent(one_share, monkeypatch):
+    runs = _spy(monkeypatch, experiments, "gpgd_run")
+    stacks = _spy(monkeypatch, experiments, "_stacked_run")
+    assert len(run_theorem_check(default_spec("theorem", trials=2))["rows"]) == 8
+    assert runs == [] and [len(args[0]) for args, _, _ in stacks] == [8]
 
 
 def test_bound_margins_are_each_rows_textbook_margins(monkeypatch):
@@ -488,7 +429,7 @@ def test_bound_margins_are_each_rows_textbook_margins(monkeypatch):
             super().__init__(k, eta, seed)
             self.seed = seed
 
-    monkeypatch.setattr(gpgd.experiments, "PerturbedProjection", Seeded)
+    monkeypatch.setattr(experiments, "PerturbedProjection", Seeded)
     spec = default_spec("theorem", trials=2)
     searches = [_theorem_search(spec, vi) for vi in range(len(THEOREM_VARIANTS))]
     bounds, stack = ([x for found in searches for x in found[part]] for part in (1, 2))
@@ -551,11 +492,8 @@ def test_theorem_check_reports_why_it_rejected_each_attempt():
 def test_cli_inconclusive_theorem_check_reports_its_near_misses(tmp_path, capsys):
     # At m=8 the null-space floor rejects every attempt: the run exits 3,
     # writes a table with no rows, and says how close the attempts came.
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(dict(m=8, n_ambient=12, sparsity_grid=[1], trials=5,
-                                   resample_budget=30)))
-    out = tmp_path / "run"
-    assert main(["theorem", "--config", str(cfg), "--out", str(out)]) == 3
+    config = dict(m=8, n_ambient=12, sparsity_grid=[1], trials=5, resample_budget=30)
+    assert _cli(tmp_path, "theorem", config, "run") == 3
     assert (tmp_path / "run.csv").read_text() == ",".join(_COLUMNS["theorem"]) + "\n"
     summary = json.loads((tmp_path / "run.meta.json").read_text())["summary"]
     assert json.loads(capsys.readouterr().out.splitlines()[-1]) == summary
@@ -814,14 +752,9 @@ def test_stacked_floors_span_several_eigvalsh_calls(monkeypatch, m, n, k, count,
     rng = trial_rng(11, m, n)
     As = np.array([gaussian_operator(m, n, rng).matrix for _ in range(count)])
     expected = [_full_floor(A, k) for A in As]
-    blocks, eigvalsh = [], np.linalg.eigvalsh
-
-    def counting_eigvalsh(a):
-        blocks.append(len(a))
-        return eigvalsh(a)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    blocks = _spy(monkeypatch, np.linalg, "eigvalsh")
     assert [float(f) for f in _null_space_ric_floors(As, k)] == expected
+    blocks = [len(args[0]) for args, _, _ in blocks]
     assert len(blocks) == calls and max(blocks) <= SUPPORT_CHUNK < sum(blocks)
 
 
@@ -855,9 +788,9 @@ def test_tuner_passes_over_the_mu_whose_blocks_overflow():
 
 
 def _textbook_search(spec, vi):
-    # _theorem_search one attempt at a time, with the unscreened references:
-    # each attempt's floor, tuned mu and delta, and for an accepted one the
-    # truth its own stream draws next.
+    # _theorem_search one attempt at a time, with the unscreened references
+    # for each attempt's floor and delta, and for an accepted one the truth
+    # its own stream draws next.
     k, n = spec.sparsity_grid[0], spec.n_ambient
     accepted, floors, deltas = [], [], []
     for attempt in range(spec.resample_budget):
@@ -870,7 +803,7 @@ def _textbook_search(spec, vi):
             floors.append(floor_beta)
             continue
         B = A.T @ A
-        mu = _full_eigvalsh_scan(B, k, THEOREM_MU_GRID)
+        mu = constants._tuned_mu(B, k, THEOREM_MU_GRID)
         delta = _full_ric_sparse(mu * B, k)
         if delta * HARD_THRESHOLD_BETA >= 1.0:
             deltas.append(delta * HARD_THRESHOLD_BETA)
@@ -899,7 +832,17 @@ def _textbook_search(spec, vi):
     (16, 1, 1, 13), (16, 2, 1, 5),
     (64, 1, 1, 60), (64, 1, 3, 60), (64, 1, 3, 4), (64, 2, 2, 13), (64, 2, 3, 5),
 ])
-def test_theorem_search_is_the_textbook_acceptance_loop(m, k, trials, budget):
+def test_theorem_search_is_the_textbook_acceptance_loop(monkeypatch, m, k, trials, budget):
+    # Each attempt's tuning, which the tests above hold to the full scan, is
+    # computed once and shared by both loops.
+    tuned, tuner = {}, constants._tuned_mu
+
+    def shared(B, k, mu_grid):
+        if B.tobytes() not in tuned:
+            tuned[B.tobytes()] = tuner(B, k, mu_grid)
+        return tuned[B.tobytes()]
+
+    monkeypatch.setattr(constants, "_tuned_mu", shared)
     spec = default_spec("theorem", m=m, sparsity_grid=[k], trials=trials,
                         resample_budget=budget)
     for vi in range(len(THEOREM_VARIANTS)):
@@ -930,42 +873,27 @@ def test_cli_diverging_study_writes_inf_without_a_warning(tmp_path):
     # mu = 50 blows the iterates past the float range; the error norms of the
     # diverged estimate are then inf, which is the defined outcome, not a
     # failure of the run.
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"m": 10, "n_ambient": 12, "sparsity_grid": [12], "trials": 1,
-                               "iterations": 2000, "k_trace": 12, "mu_grid": [50.0]}))
+    config = {"m": 10, "n_ambient": 12, "sparsity_grid": [12], "trials": 1, "iterations": 2000,
+              "k_trace": 12, "mu_grid": [50.0]}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["stepsize", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert _cli(tmp_path, "stepsize", config, "run") == 0
     header, row = (tmp_path / "run.csv").read_text().splitlines()
     row = dict(zip(header.split(","), row.split(",")))
     assert (row["centile_error"], row["mean_error"]) == ("1.0", "inf")
 
 
 def test_cli_end_to_end(tmp_path):
-    config = {
-        "sparsity_grid": [0, 2],
-        "alpha_grid": [0.0],
-        "trials": 3,
-        "iterations": 40,
-        "k_trace": 2,
-    }
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config))
-    out = tmp_path / "run"
-    code = main(["phase-alpha", "--config", str(cfg_path), "--out", str(out), "--seed", "5"])
-    assert code == 0
+    config = {"sparsity_grid": [0, 2], "alpha_grid": [0.0], "trials": 3, "iterations": 40, "k_trace": 2}
+    assert _cli(tmp_path, "phase-alpha", config, "run", "--seed", "5") == 0
     lines = (tmp_path / "run.csv").read_text().splitlines()
     assert lines[0].startswith("k,alpha,")
     assert len(lines) == 1 + 2 * 1  # header + 2 cells
 
 
 def test_cli_rerun_byte_identical(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"sparsity_grid": [3], "outlier_grid": [0, 5],
-                                    "trials": 3, "iterations": 50}))
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["outliers", "--config", str(cfg_path), "--out", str(a)]) == 0
-    assert main(["outliers", "--config", str(cfg_path), "--out", str(b)]) == 0
+    config = {"sparsity_grid": [3], "outlier_grid": [0, 5], "trials": 3, "iterations": 50}
+    assert _cli(tmp_path, "outliers", config, "a") == _cli(tmp_path, "outliers", config, "b") == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
@@ -979,10 +907,7 @@ def test_cli_k_trace_outside_grid_writes_the_table_only(tmp_path, command, confi
     # A k_trace outside sparsity_grid is not an error: nothing is traced, no
     # _trace.csv is written, and the table is that of the in-grid run.
     for k_trace in (2, 7):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**config, "k_trace": k_trace}))
-        out = tmp_path / f"k{k_trace}"
-        assert main([command, "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 0
+        assert _cli(tmp_path, command, {**config, "k_trace": k_trace}, f"k{k_trace}", "--seed", "3") == 0
     assert (tmp_path / "k2_trace.csv").exists()
     assert not (tmp_path / "k7_trace.csv").exists()
     assert (tmp_path / "k2.csv").read_bytes() == (tmp_path / "k7.csv").read_bytes()
@@ -998,13 +923,9 @@ def test_cli_rerun_without_traces_removes_the_stale_trace(tmp_path, command, con
     # A rerun into the same --out that writes no trace must not leave the
     # earlier run's trace beside its table, unlisted in its meta.json.
     small = {"sparsity_grid": [2], "trials": 1, "iterations": 10}
-    first, second = tmp_path / "first.json", tmp_path / "second.json"
-    first.write_text(json.dumps({**small, "mu_grid": [0.3], "k_trace": 2}))
-    second.write_text(json.dumps({**small, **config}))
-    out = tmp_path / "run"
-    assert main(["stepsize", "--config", str(first), "--out", str(out)]) == 0
+    assert _cli(tmp_path, "stepsize", {**small, "mu_grid": [0.3], "k_trace": 2}, "run") == 0
     assert (tmp_path / "run_trace.csv").exists()
-    assert main([command, "--config", str(second), "--out", str(out)]) == 0
+    assert _cli(tmp_path, command, {**small, **config}, "run") == 0
     assert not (tmp_path / "run_trace.csv").exists()
     meta = json.loads((tmp_path / "run.meta.json").read_text())
     assert meta["outputs"] == [str(tmp_path / "run.csv")]
@@ -1028,32 +949,14 @@ def test_cli_invalid_config_exit_code(tmp_path):
         ("theorem", {"resample_budget": 0}),
         ("theorem", {"sparsity_grid": [1, 2]}),
     ):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        out = tmp_path / "out"
-        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1, config
-        assert not list(tmp_path.glob("out*")), config
-
-
-def test_cli_inconclusive_exit_code(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"m": 8, "n_ambient": 12, "trials": 1, "resample_budget": 10}))
-    code = main(["theorem", "--config", str(cfg), "--out", str(tmp_path / "t")])
-    assert code == 3
-    # No variant found a seed, so the table is its header alone.
-    assert (tmp_path / "t.csv").read_text() == (
-        "variant,attempt,mu,delta,delta_beta,noise_term,model_error,eta,"
-        "margin_projection,margin_truth,verified\n")
+        _exits_1_and_writes_nothing(tmp_path, command, config)
 
 
 @pytest.mark.parametrize("m", [64, 8])
 def test_cli_theorem_at_zero_sparsity(tmp_path, m):
     # k = 0: the model set is {0}, delta is 0 at every mu, and the tuner
     # returns the first grid value, so every seed qualifies.
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"m": m, "sparsity_grid": [0], "trials": 2, "resample_budget": 4}))
-    code = main(["theorem", "--config", str(cfg), "--out", str(tmp_path / "t")])
-    assert code == 0
+    assert _cli(tmp_path, "theorem", {"m": m, "sparsity_grid": [0], "trials": 2, "resample_budget": 4}, "t") == 0
     lines = (tmp_path / "t.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 2 * 4
     assert all(line.endswith(",1") for line in lines[1:])
@@ -1068,16 +971,11 @@ def test_cli_theorem_rejects_supports_past_the_enumeration_guard(tmp_path):
 def test_cli_component_error_exit_code(tmp_path, monkeypatch):
     # A valid spec whose run fails inside a component exits 2.  Validation
     # rejects every config known to fail late, so the failure is injected.
-    import gpgd.experiments as ex
-
     def failing_train(prior0, dataset, cfg):
         raise FloatingPointError("training failed")
 
-    monkeypatch.setattr(ex, "train", failing_train)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"m": 3, "n_ambient": 7, "trials": 1}))
-    code = main(["nipr", "--config", str(cfg), "--out", str(tmp_path / "n")])
-    assert code == 2
+    monkeypatch.setattr(experiments, "train", failing_train)
+    assert _cli(tmp_path, "nipr", {"m": 3, "n_ambient": 7, "trials": 1}, "n") == 2
     assert not list(tmp_path.glob("n*"))
 
 
@@ -1105,17 +1003,6 @@ def _unread_pairs():
             if f.name not in ("experiment", "seed", "output_path")]
     return [(experiment, key) for experiment in EXPERIMENTS for key in keys
             if key not in _DEFAULTS[experiment]]
-
-
-def _cli(tmp_path, command, config, out="out"):
-    cfg = tmp_path / f"cfg_{out}.json"
-    cfg.write_text(json.dumps(config))
-    return main([command, "--config", str(cfg), "--out", str(tmp_path / out)])
-
-
-def _exits_1_and_writes_nothing(tmp_path, command, config):
-    assert _cli(tmp_path, command, config) == 1, config
-    assert not list(tmp_path.glob("out*")), config
 
 
 @pytest.mark.parametrize("experiment, key", _unread_pairs())

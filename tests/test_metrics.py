@@ -103,16 +103,18 @@ def test_sm2_zero_norm_iterate():
         sm2(_trace(errors=errors, iterates=xs), n=2)
 
 
+@pytest.mark.filterwarnings("error")
 def test_metrics_scale_invariant():
+    # At 1e300 the iterates are finite, but their sums of squares overflow.
     rng = np.random.default_rng(2)
     xs = [rng.standard_normal(5) + 2.0 for _ in range(25)]
     errors = [4.0] + list(np.abs(rng.standard_normal(24)) + 0.5)
     t1 = _trace(errors=errors, iterates=xs)
-    c = 37.5
-    t2 = _trace(errors=[c * e for e in errors], iterates=[c * x for x in xs])
-    for n in (3, 7):
-        assert abs(sm1(t1, n=n) - sm1(t2, n=n)) < 1e-12
-        assert abs(sm2(t1, n=n) - sm2(t2, n=n)) < 1e-12
+    for c in (37.5, 1e300):
+        t2 = _trace(errors=[c * e for e in errors], iterates=[c * x for x in xs])
+        for n in (3, 7):
+            assert abs(sm1(t1, n=n) - sm1(t2, n=n)) < 1e-12
+            assert abs(sm2(t1, n=n) - sm2(t2, n=n)) < 1e-12
 
 
 def test_centile_all_zero():

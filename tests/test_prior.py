@@ -322,7 +322,8 @@ def test_learned_projection_wraps_prior():
 
 # The training loop as first written: norms by np.linalg.norm, gradients
 # accumulated into zero-filled arrays, a copy of the weights every epoch and
-# an entry-wise finiteness check after every step.
+# an entry-wise finiteness check after every step.  train and loss_gradient
+# must match it byte for byte.
 def _textbook_forward(enc, dec, kind, X):
     H = X @ enc.T
     A = np.tanh(H) if kind == "tanh" else H
@@ -676,65 +677,6 @@ def test_random_prior_rejects_without_a_warning(args, kwargs, match):
             random_prior(*args, **kwargs)
 
 
-# The minibatch gradient in layers, which loss_gradient must match byte for
-# byte: one forward helper, one backward helper that each pass calls, and
-# the penalty's part accumulated into the data term's arrays.
-def _layered_forward_batch(prior, X):
-    A = np.dot(X, prior.encoder_weights.T)
-    if prior.nonlinearity == "tanh":
-        A = np.tanh(A, out=A)
-    return A, np.dot(A, prior.decoder_weights.T)
-
-
-def _layered_row_norms(M):
-    return np.sqrt(np.add.reduce(M * M, axis=1))
-
-
-def _layered_backprop(prior, X, A, D):
-    d_H = np.dot(D, prior.decoder_weights)
-    if prior.nonlinearity == "tanh":
-        d_H *= 1.0 - A * A
-    return np.dot(d_H.T, X), np.dot(D.T, A), d_H
-
-
-def _layered_backprop_nipr(prior, X, nipr_weight, g_enc, g_dec):
-    A1, Q = _layered_forward_batch(prior, X)
-    qn = _layered_row_norms(Q)
-    used = qn > PROJECTED_NORM_FLOOR
-    n_used = int(np.count_nonzero(used))
-    if not n_used:
-        raise ValueError("all batch elements had ||P(x)|| below the norm floor")
-    A2, PQ = _layered_forward_batch(prior, Q)
-    G = PQ - Q
-    gn = _layered_row_norms(G)
-    weight = nipr_weight / n_used
-    active = used & (gn > 0.0)
-    if not active.any():
-        return
-    U = np.divide(weight, gn * qn, out=np.zeros(len(qn)), where=active)[:, None] * G
-    enc, dec, T2 = _layered_backprop(prior, Q, A2, U)
-    g_enc += enc
-    g_dec += dec
-    norm_pull = np.divide(weight * gn, qn**3, out=np.zeros(len(qn)), where=active)
-    DQ = np.dot(T2, prior.encoder_weights) - U - norm_pull[:, None] * Q
-    enc, dec, _ = _layered_backprop(prior, X, A1, DQ)
-    g_enc += enc
-    g_dec += dec
-
-
-def _layered_gradient(prior, batch, cfg, noise):
-    batch = np.atleast_2d(np.asarray(batch, dtype=float))
-    if cfg.loss_kind == "ae":
-        inputs, count = batch, 1
-    else:
-        inputs, count = batch + (0.0 if noise is None else noise), len(batch)
-    A, out = _layered_forward_batch(prior, inputs)
-    g_enc, g_dec, _ = _layered_backprop(prior, inputs, A, 2.0 / count * (out - batch))
-    if cfg.nipr_weight > 0:
-        _layered_backprop_nipr(prior, batch, cfg.nipr_weight, g_enc, g_dec)
-    return g_enc, g_dec
-
-
 def _gradient_case(name):
     rng = np.random.default_rng(40)
     data = make_manifold_dataset(32, 32, 3, seed=41, curvature="tanh")
@@ -766,7 +708,8 @@ def test_loss_gradient_matches_the_layered_passes_byte_for_byte(case):
     noise = noise if cfg.loss_kind == "pnp" else None
     before = p.encoder_weights.tobytes(), p.decoder_weights.tobytes()
     g_enc, g_dec = loss_gradient(p, batch, cfg, noise=noise)
-    l_enc, l_dec = _layered_gradient(p, batch, cfg, noise)
+    l_enc, l_dec = _textbook_gradient(p.encoder_weights, p.decoder_weights, p.nonlinearity, batch,
+                                      cfg, noise)
     assert (p.encoder_weights.tobytes(), p.decoder_weights.tobytes()) == before
     assert g_enc.tobytes() == l_enc.tobytes() and g_dec.tobytes() == l_dec.tobytes()
     if case == "below_floor":

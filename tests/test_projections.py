@@ -3,9 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpgd.constants import mc_beta
 from gpgd.projections import (
-    HARD_THRESHOLD_BETA,
     HardThreshold,
     PAlpha,
     ProductProjection,
@@ -195,22 +193,6 @@ def test_model_distance_nonnegative():
     rng = np.random.default_rng(4)
     for _ in range(20):
         assert model_distance(rng.standard_normal(8), HardThreshold(2)) >= 0.0
-
-
-def test_hard_threshold_empirical_beta_within_analytic_bound():
-    # Restricted Lipschitz ratio never exceeds sqrt((3+sqrt(5))/2) ~ 1.618.
-    beta_hat = mc_beta(HardThreshold(3), k=3, n=20, trials=10_000, seed=5)
-    assert 1.0 <= beta_hat <= HARD_THRESHOLD_BETA
-
-
-def test_p_alpha_empirical_beta_within_inflated_bound():
-    # Pointwise, ||P_a(z) - x|| <= ||P(z) - x|| + a*||z - P(z)|| and the
-    # residual is no larger than ||z - x||, so on shared draws the
-    # empirical constant inflates by at most alpha.
-    for alpha in (0.25, 0.5):
-        base = mc_beta(HardThreshold(3), k=3, n=20, trials=4000, seed=6)
-        inflated = mc_beta(PAlpha(3, alpha), k=3, n=20, trials=4000, seed=6)
-        assert inflated <= base + alpha + 1e-9
 
 
 def test_product_empirical_beta_at_most_max_component():

@@ -281,7 +281,10 @@ _SMALL = dict(m=40, n_ambient=80)
     # whose last one the budget cuts short.
     ("theorem", dict(m=11, trials=2, resample_budget=60)),
 ])
-def test_the_share_count_never_moves_a_byte(shares, experiment, overrides):
+def test_the_share_count_never_moves_a_byte(shares, monkeypatch, experiment, overrides):
+    # 40 epochs keep a nipr pair's trainings quick; the byte oracle deals the
+    # shipped 1000-epoch ones.
+    monkeypatch.setattr(experiments, "NIPR_TRAIN", dict(experiments.NIPR_TRAIN, epochs=40))
     spec = default_spec(experiment, **overrides)
     results = []
     # The theorem check also runs at 2 shares, where its variant groups split
