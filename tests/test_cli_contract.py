@@ -141,7 +141,9 @@ def test_cli_nipr_exits_1_without_files_on_any_fault(case):
     {"iterations": 1, "trials": 1},
     {"n_ambient": NIPR_PRIOR_LATENT + 1, "trials": 1},
 ])
-def test_cli_nipr_valid_edges_run_to_completion(tmp_path, config):
+def test_cli_nipr_valid_edges_run_to_completion(tmp_path, monkeypatch, config):
+    # The edges are in the descent's shapes, not in the training's length.
+    monkeypatch.setattr("gpgd.experiments.NIPR_TRAIN", dict(NIPR_TRAIN, epochs=40))
     assert _run("nipr", config, tmp_path) == 0
     assert (tmp_path / "out.csv").exists()
 

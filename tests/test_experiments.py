@@ -205,6 +205,7 @@ def _arm_runs(spec, k, rng, t):
 @example(seed=0, n=12, extra=0, k=12, iterations=12, t=0, tol=0.0, mus=[1e100, 0.3, 0.6])
 @example(seed=1, n=12, extra=-3, k=0, iterations=12, t=0, tol=1e-4, mus=[0.6, 1e100])
 @example(seed=2, n=300, extra=-150, k=4, iterations=30, t=0, tol=0.0, mus=[0.3, 1e100, 0.6])
+@example(seed=3, n=12, extra=12, k=2, iterations=30, t=1, tol=1e-2, mus=[0.6, 1e100])
 def test_stepsize_arms_are_each_arms_gpgd_run(seed, n, extra, k, iterations, t, tol, mus):
     # The step-size arms, solved as one stack on their shared operator, must
     # each give the estimate bits and the trace rows of the arm's own
@@ -787,10 +788,10 @@ def test_tuner_passes_over_the_mu_whose_blocks_overflow():
         assert _tuned_mu(scale * B, 1, grid) == _full_eigvalsh_scan(scale * B, 1, finite)
 
 
-def _textbook_search(spec, vi):
-    # _theorem_search one attempt at a time, with the unscreened references
-    # for each attempt's floor and delta, and for an accepted one the truth
-    # its own stream draws next.
+def _textbook_search(spec, vi, tune=_full_eigvalsh_scan):
+    # _theorem_search one attempt at a time, with the unscreened references:
+    # each attempt's floor, tuned mu (from `tune`) and delta, and for an
+    # accepted one the truth its own stream draws next.
     k, n = spec.sparsity_grid[0], spec.n_ambient
     accepted, floors, deltas = [], [], []
     for attempt in range(spec.resample_budget):
@@ -803,7 +804,7 @@ def _textbook_search(spec, vi):
             floors.append(floor_beta)
             continue
         B = A.T @ A
-        mu = constants._tuned_mu(B, k, THEOREM_MU_GRID)
+        mu = tune(B, k, THEOREM_MU_GRID)
         delta = _full_ric_sparse(mu * B, k)
         if delta * HARD_THRESHOLD_BETA >= 1.0:
             deltas.append(delta * HARD_THRESHOLD_BETA)
@@ -833,20 +834,23 @@ def _textbook_search(spec, vi):
     (64, 1, 1, 60), (64, 1, 3, 60), (64, 1, 3, 4), (64, 2, 2, 13), (64, 2, 3, 5),
 ])
 def test_theorem_search_is_the_textbook_acceptance_loop(monkeypatch, m, k, trials, budget):
-    # Each attempt's tuning, which the tests above hold to the full scan, is
-    # computed once and shared by both loops.
-    tuned, tuner = {}, constants._tuned_mu
+    tune = _full_eigvalsh_scan
+    if 2 * k == 4:
+        # At support size 4 the tuner has no screen and is itself the full
+        # scan (the tuner tests hold it to _full_eigvalsh_scan), so each
+        # attempt's scan is computed once and shared by both loops.
+        tuned, tuner = {}, constants._tuned_mu
 
-    def shared(B, k, mu_grid):
-        if B.tobytes() not in tuned:
-            tuned[B.tobytes()] = tuner(B, k, mu_grid)
-        return tuned[B.tobytes()]
+        def tune(B, k, mu_grid):
+            if B.tobytes() not in tuned:
+                tuned[B.tobytes()] = tuner(B, k, mu_grid)
+            return tuned[B.tobytes()]
 
-    monkeypatch.setattr(constants, "_tuned_mu", shared)
+        monkeypatch.setattr(constants, "_tuned_mu", tune)
     spec = default_spec("theorem", m=m, sparsity_grid=[k], trials=trials,
                         resample_budget=budget)
     for vi in range(len(THEOREM_VARIANTS)):
-        accepted, report = _textbook_search(spec, vi)
+        accepted, report = _textbook_search(spec, vi, tune)
         rows, _, stack, found = _theorem_search(spec, vi)
         assert found == report
         assert ([(row["attempt"], row["mu"], row["delta"], row["delta_beta"]) for row in rows]

@@ -21,3 +21,9 @@ def test_a_stale_snippet_and_an_unmutated_module_are_reported():
         "gone: its snippet occurs 0 times in b.py, not once",
         "c.py: no row mutates it",
     ]
+
+
+def test_only_failed_tests_count_as_a_kill():
+    assert [mutants.verdict(code) for code in (1, 0)] == ["killed", "SURVIVED"]
+    for code in (None, mutants.MASKED, 2, 3, 4, 5, -9):
+        assert mutants.verdict(code) not in ("killed", "SURVIVED"), code

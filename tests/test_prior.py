@@ -703,6 +703,8 @@ def _gradient_case(name):
     "tail", "below_floor", "idempotent",
 ])
 def test_loss_gradient_matches_the_layered_passes_byte_for_byte(case):
+    # The layered passes: _textbook_gradient's forward and backward pass
+    # through each layer, once per term of the loss.
     p, batch, noise, cfg = _gradient_case(case)
     cfg = TrainConfig(**cfg)
     noise = noise if cfg.loss_kind == "pnp" else None

@@ -7,11 +7,13 @@ the named tests must pass on the unmutated copy; then each row's tests run,
 `pytest -q -x -p no:cacheprovider`, on the copy with that row's one
 replacement, and must fail.  Every run checks that each gpgd module it
 imported came from the copy, so an editable install cannot mask a mutant.
-Prints `killed  name  seconds`, tab-separated, per row.  Each surviving
-mutant, stale snippet, module of src/gpgd without a row, failing unmutated
-run or leftover process goes to stderr and makes it exit 1.  It writes
-nothing to the repository: pytest runs from the temporary directory, with
-no bytecode and no cache written.
+Prints `killed  name  seconds`, tab-separated, per row; a row counts as
+killed only when pytest exits 1 (tests failed).  Each surviving mutant,
+mutated run that timed out or exited otherwise, stale snippet, module of
+src/gpgd without a row, failing unmutated run or process left after its run
+goes to stderr and makes it exit 1.  It writes nothing to the repository:
+pytest runs from the temporary directory, with no bytecode and no cache
+written.
 """
 
 import os
@@ -234,9 +236,18 @@ def stale(mutants, sources):
     return problems + [f"{file}: no row mutates it" for file in unmutated]
 
 
+def verdict(code):
+    """What a mutated run's exit code (None past TIMEOUT_S) says: "killed"
+    only when its tests failed (pytest's 1), "SURVIVED" when they passed,
+    and otherwise why the run counts neither way."""
+    return {0: "SURVIVED", 1: "killed", None: f"timed out after {TIMEOUT_S} s",
+            MASKED: "gpgd came from outside the copy"}.get(code, f"pytest exited {code}")
+
+
 def pytest_run(scratch, ids):
-    """Exit code and seconds of pytest on `ids` against scratch/src, from scratch;
-    a run past TIMEOUT_S is killed with every process of its session."""
+    """pytest's exit code on `ids` against scratch/src, run from scratch (None
+    past TIMEOUT_S), its seconds, and whether a process of its session
+    outlived it.  Every process of the session is killed at the end."""
     env = {**os.environ, "PYTHONPATH": str(scratch / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     args = [sys.executable, "-c", CHILD, str(scratch / "src"), "-q", "-x", "-p", "no:cacheprovider",
             "--rootdir", str(REPO), *(str(REPO / i) for i in ids)]
@@ -247,9 +258,13 @@ def pytest_run(scratch, ids):
         try:
             code = child.wait(timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
+            code = None
+        try:
             os.killpg(child.pid, signal.SIGKILL)
-            code = child.wait()
-    return code, time.perf_counter() - start
+            left = code is not None
+        except ProcessLookupError:
+            left = False
+    return code, time.perf_counter() - start, left
 
 
 def main():
@@ -260,27 +275,27 @@ def main():
         shutil.copytree(REPO / "src", scratch / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         package = scratch / "src/gpgd"
         ids = sorted({i for *_, row_ids in MUTANTS.values() for i in row_ids})
-        code, seconds = pytest_run(scratch, ids)
+        code, seconds, left = pytest_run(scratch, ids)
         print(f"{'passed' if code == 0 else 'FAILED'}\tunmutated\t{seconds:.1f}", flush=True)
-        if code:
-            problems.append(f"unmutated: pytest exited {code}, not 0:\n{(scratch / 'log').read_text()}")
+        if code != 0:
+            failure = f"timed out after {TIMEOUT_S} s" if code is None else f"pytest exited {code}"
+            problems.append(f"unmutated: {failure}, not 0:\n{(scratch / 'log').read_text()}")
+        if left:
+            problems.append("unmutated: a process outlived its run")
         for name, (file, snippet, replacement, row_ids) in MUTANTS.items():
-            if code or sources.get(file, "").count(snippet) != 1:
+            if code != 0 or sources.get(file, "").count(snippet) != 1:
                 continue
             (package / file).write_text(sources[file].replace(snippet, replacement))
-            row_code, seconds = pytest_run(scratch, row_ids)
+            row_code, seconds, left = pytest_run(scratch, row_ids)
             (package / file).write_text(sources[file])
-            print(f"{'SURVIVED' if row_code == 0 else 'killed'}\t{name}\t{seconds:.1f}", flush=True)
+            outcome = verdict(row_code)
+            print(f"{outcome if row_code in (0, 1) else 'ERROR'}\t{name}\t{seconds:.1f}", flush=True)
             if row_code == 0:
                 problems.append(f"{name}: survived {', '.join(row_ids)}")
-            elif row_code in (MASKED, 5):
-                problems.append(f"{name}: pytest exited {row_code}, so gpgd came from outside the copy "
-                                f"or no test ran:\n{(scratch / 'log').read_text()}")
-        # Every process of a run carries the copy's path in its command line.
-        left = subprocess.run(["pgrep", "-f", str(scratch)], capture_output=True, text=True).stdout
-        for pid in left.split():
-            os.kill(int(pid), signal.SIGKILL)
-            problems.append(f"process {pid} outlived its run")
+            elif row_code != 1:
+                problems.append(f"{name}: {outcome}:\n{(scratch / 'log').read_text()}")
+            if left:
+                problems.append(f"{name}: a process outlived its run")
     sys.stderr.writelines(f"{problem}\n" for problem in problems)
     return 1 if problems else 0
 
