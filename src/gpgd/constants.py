@@ -208,15 +208,15 @@ def _tuned_mu(B, k, mu_grid):
     constant term, so their values at a few grid mu at a time are one
     matmul of the per-support coefficients of mu^2 and mu.  Only grid values
     within _SCREEN_TOL (relative, floor 1) of the screen's minimum go on to
-    eigvalsh, in grid order and by the same strict-< first-minimum rule;
-    every value goes on when the screen is not finite.  The two computations
-    of one lambda_max agree to about 1e-14, far inside the screen's
-    tolerance, so the eigvalsh winner always passes the screen, every value
-    ahead of it that passes is strictly worse, and the chosen mu is the one
-    the full eigvalsh scan chooses, bit for bit.  At each of those mu the
-    closed form screens the supports: eigvalsh sees only the blocks
-    _near_max keeps, whose max is the max over every support.  At other
-    support sizes every mu and every support goes on.
+    eigvalsh, in grid order and by the same strict-< first-minimum rule; the
+    screen overflows at the larger mu only, and a screen inf at every mu
+    passes them all.  The two computations of one lambda_max agree to about
+    1e-14, far inside the screen's tolerance, so the eigvalsh winner always
+    passes the screen, every value ahead of it that passes is strictly
+    worse, and the chosen mu is the full eigvalsh scan's, bit for bit.  At
+    each of those mu the closed form screens the supports: eigvalsh sees
+    only the blocks _near_max keeps, whose max is the max over every
+    support.  At other support sizes every mu and every support goes on.
     """
     n = B.shape[0]
     t = min(2 * _count("k", k), n)
@@ -256,9 +256,8 @@ def _tuned_mu(B, k, mu_grid):
                 q += p
                 screen.append(q.max(axis=0))
             screen = 1.0 + np.concatenate(screen)
-            if np.isfinite(screen).all():
-                least = screen.min()
-                candidates = np.flatnonzero(screen <= least + _SCREEN_TOL * max(abs(least), 1.0))
+            least = screen.min()
+            candidates = np.flatnonzero(screen <= least + _SCREEN_TOL * max(abs(least), 1.0))
         best = (np.inf, None)
         for i in candidates:
             mu = mu_grid[i]

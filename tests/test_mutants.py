@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -11,6 +12,18 @@ def test_every_snippet_occurs_once_and_every_module_has_a_row():
     # A refactor that moves a snippet fails here, before the table is run.
     sources = {path.name: path.read_text() for path in sorted((mutants.REPO / "src/gpgd").glob("*.py"))}
     assert mutants.stale(mutants.MUTANTS, sources) == []
+
+
+def test_every_row_names_test_functions_that_exist():
+    # A deletion that orphans a row fails here, before the table is run.
+    defined = {}
+    for *_, ids in mutants.MUTANTS.values():
+        for node_id in ids:
+            path, name = node_id.split("::")
+            if path not in defined:
+                tree = ast.parse((mutants.REPO / path).read_text())
+                defined[path] = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+            assert name.split("[")[0] in defined[path], node_id
 
 
 def test_a_stale_snippet_and_an_unmutated_module_are_reported():

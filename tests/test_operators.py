@@ -6,20 +6,6 @@ from hypothesis import strategies as st
 from gpgd.operators import BackProjection, JointOperator, MeasurementOperator, gaussian_operator
 
 
-def test_gaussian_deterministic_given_seed():
-    a = gaussian_operator(4, 8, 7)
-    b = gaussian_operator(4, 8, 7)
-    assert np.array_equal(a.matrix, b.matrix)
-    # A Generator gives the seed's matrix and is drawn from in place, so a
-    # caller's later draws continue the same stream.
-    rng = np.random.default_rng(7)
-    c = gaussian_operator(4, 8, rng)
-    assert np.array_equal(c.matrix, a.matrix)
-    follow = np.random.default_rng(7)
-    follow.standard_normal((4, 8))
-    assert rng.standard_normal() == follow.standard_normal()
-
-
 def test_gaussian_paper_dimensions():
     op = gaussian_operator(150, 300, 3)
     assert op.m == 150 and op.n_ambient == 300
@@ -52,22 +38,6 @@ def test_operator_rejects_nonfinite_entries():
         MeasurementOperator([[1.0, np.inf], [0.0, 1.0]])
 
 
-def test_apply_identity():
-    op = MeasurementOperator(np.eye(3))
-    x = np.array([1.5, -2.0, 0.25])
-    assert np.array_equal(op.apply(x), x)
-
-
-def test_apply_hand_case():
-    op = MeasurementOperator([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(op.apply([1.0, 1.0]), [3.0, 7.0])
-
-
-def test_apply_zero_vector():
-    op = gaussian_operator(5, 9, 0)
-    assert np.array_equal(op.apply(np.zeros(9)), np.zeros(5))
-
-
 def test_apply_dimension_mismatch():
     op = gaussian_operator(5, 9, 0)
     with pytest.raises(ValueError):
@@ -76,25 +46,6 @@ def test_apply_dimension_mismatch():
     for bp in (BackProjection.adjoint(op), BackProjection.residual_threshold(op, 1)):
         with pytest.raises(ValueError, match="length 5"):
             bp.apply(np.zeros((5, 1)))
-
-
-def test_adjoint_matches_inner_product():
-    # <A u, v> == <u, A^T v> on random pairs.
-    rng = np.random.default_rng(11)
-    op = gaussian_operator(12, 30, 5)
-    for _ in range(25):
-        u = rng.standard_normal(30)
-        v = rng.standard_normal(12)
-        lhs = float(op.apply(u) @ v)
-        rhs = float(u @ op.adjoint(v))
-        assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
-
-
-def test_back_project_adjoint_is_exact_transpose():
-    rng = np.random.default_rng(2)
-    op = gaussian_operator(7, 13, 9)
-    r = rng.standard_normal(7)
-    assert np.array_equal(BackProjection.adjoint(op).apply(r), op.matrix.T @ r)
 
 
 def test_residual_threshold_keep_all_equals_adjoint():
@@ -157,31 +108,6 @@ def test_residual_threshold_keep_bounds():
     for keep in (2.5, True):
         with pytest.raises(ValueError, match="keep must be an integer"):
             BackProjection.residual_threshold(op, keep=keep)
-
-
-def test_fixed_mask_kinds_are_linear():
-    rng = np.random.default_rng(14)
-    op = gaussian_operator(9, 15, 2)
-    bp = BackProjection.adjoint(op)
-    for _ in range(10):
-        r1 = rng.standard_normal(9)
-        r2 = rng.standard_normal(9)
-        a = rng.standard_normal()
-        lhs = bp.apply(a * r1 + r2)
-        rhs = a * bp.apply(r1) + bp.apply(r2)
-        assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(np.linalg.norm(rhs), 1.0)
-
-
-def test_residual_threshold_positive_scale_equivariant():
-    rng = np.random.default_rng(21)
-    op = gaussian_operator(8, 12, 6)
-    bp = BackProjection.residual_threshold(op, keep=5)
-    for _ in range(10):
-        r = rng.standard_normal(8)
-        a = float(rng.uniform(0.1, 10.0))
-        lhs = bp.apply(a * r)
-        rhs = a * bp.apply(r)
-        assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(np.linalg.norm(rhs), 1.0)
 
 
 def test_joint_operator_on_pure_blocks():
@@ -260,6 +186,7 @@ def test_apply_and_adjoint_are_the_matmul_bytes(order, m, n):
             x, r = rng.standard_normal(op.n_ambient), rng.standard_normal(op.m)
             assert op.apply(x).tobytes() == (A @ x).tobytes()
             assert op.adjoint(r).tobytes() == (A.T @ r).tobytes()
+            assert BackProjection.adjoint(op).apply(r).tobytes() == (A.T @ r).tobytes()
             # A strided vector gets its contiguous copy's bytes, which BLAS
             # need not give it, with @ as with np.dot.
             xs, rs = np.repeat(x, 2)[::2], np.repeat(r, 2)[::2]

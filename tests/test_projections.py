@@ -195,27 +195,3 @@ def test_model_distance_nonnegative():
         assert model_distance(rng.standard_normal(8), HardThreshold(2)) >= 0.0
 
 
-def test_product_empirical_beta_at_most_max_component():
-    # On shared draws the product ratio is dominated by the worse block
-    # ratio (mediant inequality), so the estimate cannot exceed the max of
-    # the block estimates.
-    rng = np.random.default_rng(7)
-    n1, k1, n2, k2 = 12, 2, 8, 1
-    p1, p2 = HardThreshold(k1), HardThreshold(k2)
-    prod = ProductProjection([(p1, n1), (p2, n2)])
-    best_block, best_prod = 0.0, 0.0
-    for _ in range(4000):
-        x = np.concatenate([_sparse(rng, n1, k1), _sparse(rng, n2, k2)])
-        z = rng.standard_normal(n1 + n2)
-        r1 = np.linalg.norm(p1(z[:n1]) - x[:n1]) / max(np.linalg.norm(z[:n1] - x[:n1]), 1e-300)
-        r2 = np.linalg.norm(p2(z[n1:]) - x[n1:]) / max(np.linalg.norm(z[n1:] - x[n1:]), 1e-300)
-        rp = np.linalg.norm(prod(z) - x) / np.linalg.norm(z - x)
-        best_block = max(best_block, r1, r2)
-        best_prod = max(best_prod, rp)
-    assert best_prod <= best_block + 1e-9
-
-
-def _sparse(rng, n, k):
-    x = np.zeros(n)
-    x[rng.choice(n, k, replace=False)] = rng.standard_normal(k)
-    return x

@@ -88,7 +88,7 @@ MUTANTS = {
     "no early stop": (
         "descent.py", "if iterations_run == max_iters or (tol > 0 and rel_changes[-1] < tol):",
         "if iterations_run == max_iters:",
-        [DESCENT + "test_rel_change_stopping"]),
+        [DESCENT + "test_stop_reason_names_why_the_run_ended"]),
     "no replay": (
         "descent.py", "            if period:\n", "            if False:\n",
         [DESCENT + "test_replayed_orbit_matches_textbook_loop_bit_for_bit"]),
