@@ -602,7 +602,6 @@ def test_support_screens_match_the_full_enumeration(m, k):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 16), n=st.integers(2, 12),
        log_scale=st.sampled_from([-3, 0, 3]))
-@example(seed=0, m=1, n=2, log_scale=0)  # one support of size 2
 def test_support_screens_match_the_full_enumeration_on_drawn_instances(seed, m, n, log_scale):
     A = 10.0**log_scale * gaussian_operator(m, n, trial_rng(seed)).matrix
     _assert_screens_match_the_full_enumeration(A, 1, THEOREM_MU_GRID[::15])
@@ -635,6 +634,14 @@ def test_support_screens_break_ties_of_rotated_blocks_like_the_full_enumeration(
             B[start:start + 2, start:start + 2] = R @ np.diag([0.3, 1.9]) @ R.T
         assert exact_ric_sparse(B, 1) == _full_ric_sparse(B, 1), trial
         assert _tuned_mu(B, 1, THEOREM_MU_GRID) == _full_eigvalsh_scan(B, 1, THEOREM_MU_GRID)
+
+
+def test_support_screens_on_a_single_support():
+    # n = 2 holds one support of size 2.
+    A = gaussian_operator(1, 2, trial_rng(0, 2)).matrix
+    _assert_screens_match_the_full_enumeration(A, 1)
+    B = A.T @ A
+    assert _tuned_mu(B, 1, THEOREM_MU_GRID) == _full_eigvalsh_scan(B, 1, THEOREM_MU_GRID)
 
 
 def test_support_screen_sends_every_support_to_lapack_when_the_closed_form_overflows():

@@ -48,6 +48,13 @@ def test_apply_dimension_mismatch():
             bp.apply(np.zeros((5, 1)))
 
 
+def test_back_project_adjoint_is_exact_transpose():
+    rng = np.random.default_rng(2)
+    op = gaussian_operator(7, 13, 9)
+    r = rng.standard_normal(7)
+    assert np.array_equal(BackProjection.adjoint(op).apply(r), op.matrix.T @ r)
+
+
 def test_residual_threshold_keep_all_equals_adjoint():
     rng = np.random.default_rng(8)
     op = gaussian_operator(6, 10, 3)
