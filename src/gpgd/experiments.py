@@ -466,14 +466,10 @@ def _descent_cfg(spec):
     return GpgdConfig(mu=spec.mu, max_iters=spec.iterations, rel_change_tol=spec.rel_change_tol)
 
 
-def _trace_rows(trace, label):
-    return [{
-        **label,
-        "iter": i,
-        "error_to_truth": trace.errors_to_truth[i],
-        "residual_norm": trace.residual_norms[i],
-        "rel_change": trace.rel_changes[i],
-    } for i in range(trace.iterations_run + 1)]
+def _trace_rows(label, errors, residuals, rel_changes):
+    """One trace row per iterate: the label, the iterate's index and its three columns."""
+    return [{**label, "iter": i, "error_to_truth": e, "residual_norm": r, "rel_change": c}
+            for i, (e, r, c) in enumerate(zip(errors, residuals, rel_changes))]
 
 
 def _stats(spec, errs, name="error"):
@@ -540,7 +536,8 @@ def _alpha_solve(spec, k, rng, t):
             cfg = replace(_descent_cfg(spec), rel_change_tol=0.0, record_iterates=True)
             trace = gpgd_run(x0, proj, bp, op, y, cfg, truth=x)
             estimate = trace.iterates[_tol_stop(trace.rel_changes, spec.rel_change_tol, -1)]
-            traces.extend(_trace_rows(trace, {"alpha": float(alpha), "k": k}))
+            traces.extend(_trace_rows({"alpha": float(alpha), "k": k}, trace.errors_to_truth,
+                                      trace.residual_norms, trace.rel_changes))
         else:
             estimate = gpgd_run(x0, proj, bp, op, y, _descent_cfg(spec)).final
         errors.append(normalized_error(hard_threshold(estimate, k), x))
@@ -607,25 +604,25 @@ def _stepsize_solve(spec, k, rng, t):
     """One instance, solved from zero with HardThreshold and the adjoint
     back-projection for every mu as one _stacked_run on its operator: each
     arm's (error of the k-sparse estimate, error of the raw iterate).  On
-    the trial-0 instance at k_trace each arm is also traced by its own
-    gpgd_run, run to the end with the truth, which gives its trace rows."""
+    the trial-0 instance at k_trace the same iterates give each arm's trace
+    rows up to its last finite iterate, with its own gpgd_run's bits."""
     op, x, y, _ = _draw_instance(spec, rng, k)
     iterates, stops = _stacked_run(op.matrix, y, np.array(spec.mu_grid, dtype=float),
                                    lambda Z, _: _threshold_rows(Z, k), spec.iterations)
-    stops = stops.tolist()
-    if spec.rel_change_tol > 0:
-        stops = [_tol_stop(rels[: stop + 1], spec.rel_change_tol, stop)
-                 for rels, stop in zip(_rel_changes(iterates).T.tolist(), stops)]
-    estimates = [iterates[stop, arm] for arm, stop in enumerate(stops)]
+    stops, traced = stops.tolist(), k == spec.k_trace and not t
+    rels = _rel_changes(iterates).T.tolist() if traced or spec.rel_change_tol > 0 else None
+    ends = stops if spec.rel_change_tol <= 0 else [
+        _tol_stop(arm_rels[: stop + 1], spec.rel_change_tol, stop) for arm_rels, stop in zip(rels, stops)]
+    estimates = [iterates[end, arm] for arm, end in enumerate(ends)]
     pairs = [(normalized_error(hard_threshold(e, k), x), normalized_error(e, x)) for e in estimates]
-    if k != spec.k_trace or t:
+    if not traced:
         return pairs, []
-    bp, rows = BackProjection.adjoint(op), []
-    for mu in spec.mu_grid:
-        cfg = GpgdConfig(mu=mu, max_iters=spec.iterations)
-        trace = gpgd_run(np.zeros(spec.n_ambient), HardThreshold(k), bp, op, y, cfg, truth=x)
-        rows.extend(_trace_rows(trace, {"mu": float(mu), "k": k}))
-    return pairs, rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        PX = _threshold_rows(iterates.reshape(-1, spec.n_ambient), k).reshape(iterates.shape)
+        errors = _norms(iterates - x).T.tolist()
+        residuals = _norms((op.matrix @ PX[..., None])[..., 0] - y).T.tolist()
+    return pairs, [row for mu, stop, *columns in zip(spec.mu_grid, stops, errors, residuals, rels)
+                   for row in _trace_rows({"mu": float(mu), "k": k}, *(c[: stop + 1] for c in columns))]
 
 
 def run_stepsize_study(spec):
@@ -903,11 +900,14 @@ def _theorem_search(spec, vi):
             # Each norm multiplies one error term; where that term is 0 the
             # norm stays at 0.0, which leaves the bound's bits unchanged.
             model_error = model_distance(truth, HardThreshold(k))
+            # A sum of squares that overflows gives inf, which TheoremBound rejects.
+            with np.errstate(over="ignore"):
+                noise_term = float(np.linalg.norm(mu * op.adjoint(e)))
             tb = TheoremBound(
                 delta=delta,
                 beta=HARD_THRESHOLD_BETA,
                 mu=mu,
-                noise_term=float(np.linalg.norm(mu * op.adjoint(e))),
+                noise_term=noise_term,
                 model_error=model_error,
                 proj_error_eta=eta_used,
                 op_norm_muLA=operator_norm(mu * B, seed=attempt) if model_error > 0 else 0.0,

@@ -181,7 +181,8 @@ def _arm_runs(spec, k, rng, t):
         if k == spec.k_trace and t == 0:
             cfg = dataclasses.replace(cfg, rel_change_tol=0.0)
             trace = gpgd_run(np.zeros(spec.n_ambient), HardThreshold(k), bp, op, y, cfg, truth=x)
-            rows.extend(_trace_rows(trace, {"mu": float(mu), "k": k}))
+            rows.extend(_trace_rows({"mu": float(mu), "k": k}, trace.errors_to_truth,
+                                    trace.residual_norms, trace.rel_changes))
     return runs, rows
 
 
@@ -222,18 +223,17 @@ def test_trace_reuses_the_main_solve(one_share, monkeypatch, experiment, key, ar
     # The k_trace solve on trial 0 runs without early stopping and records
     # the truth.  In phase_alpha it is also the arms' main solve, so a cell
     # solves each trial once and no more: one gpgd_run per arm.  In stepsize
-    # each trial is one _stacked_run of every arm, which records only the
-    # iterates, so the traced trial adds one gpgd_run per arm for its trace
-    # rows.
+    # each trial is one _stacked_run of every arm, and the traced trial's
+    # rows come from that stack's iterates, so no gpgd_run runs at all.
     runs = _spy(monkeypatch, experiments, "gpgd_run")
     stacks = _spy(monkeypatch, experiments, "_stacked_run")
     spec = default_spec(experiment, sparsity_grid=[3], trials=3, iterations=iterations,
                         k_trace=3, **{f"{key}_grid": arms})
     r = RUNNERS[experiment](spec)
     stacked = [len(args[2]) for args, _, _ in stacks]
-    assert (stacked, len(runs)) == (([2] * 3, 2) if experiment == "stepsize" else ([], 3 * 2))
+    assert (stacked, len(runs)) == (([2] * 3, 0) if experiment == "stepsize" else ([], 3 * 2))
     traced = [(args, trace) for args, kwargs, trace in runs if kwargs.get("truth") is not None]
-    assert len(traced) == 2
+    assert len(traced) == (0 if experiment == "stepsize" else 2)
     assert sorted({row[key] for row in r["traces"]}) == arms
     assert len(r["traces"]) == 2 * (iterations + 1)
     if experiment == "phase_alpha":
@@ -883,6 +883,21 @@ def test_cli_theorem_at_zero_sparsity(tmp_path, m):
     lines = (tmp_path / "t.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 2 * 4
     assert all(line.endswith(",1") for line in lines[1:])
+
+
+def test_cli_theorem_at_a_huge_noise_level_fails_on_the_noise_term(tmp_path, capsys):
+    # At sigma 1e300 the noise term is finite, about 3.5e300, but its sum of
+    # squares overflows, so its norm is inf, which TheoremBound rejects: exit
+    # 2 with that message and no overflow warning, whether warnings are
+    # errors or are shown.
+    config = {"gaussian_sigma": 1e300, "trials": 1, "resample_budget": 20}
+    for action in ("error", "always"):
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter(action)
+            assert _cli(tmp_path, "theorem", config) == 2, action
+        assert [str(w.message) for w in shown] == [], action
+        assert capsys.readouterr().err == "experiment failed: noise_term must be a finite number >= 0, got inf\n"
+        assert not list(tmp_path.glob("out*"))
 
 
 def test_cli_theorem_rejects_supports_past_the_enumeration_guard(tmp_path):

@@ -189,40 +189,6 @@ def test_train_config_accepts_zero_epochs_and_numpy_integers():
     assert np.array_equal(result.prior.encoder_weights, p0.encoder_weights)
 
 
-def _fd_gradient(p, batch, cfg, noise, step=1e-5):
-    g_enc = np.zeros_like(p.encoder_weights)
-    g_dec = np.zeros_like(p.decoder_weights)
-    for target, grad in ((p.encoder_weights, g_enc), (p.decoder_weights, g_dec)):
-        it = np.nditer(target, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = target[idx]
-            target[idx] = orig + step
-            hi = training_loss(p, batch, cfg, noise=noise)
-            target[idx] = orig - step
-            lo = training_loss(p, batch, cfg, noise=noise)
-            target[idx] = orig
-            grad[idx] = (hi - lo) / (2 * step)
-            it.iternext()
-    return g_enc, g_dec
-
-
-@pytest.mark.parametrize("loss_kind", ["ae", "pnp"])
-@pytest.mark.parametrize("weight", [0.0, 0.005, 0.1])
-def test_gradient_matches_finite_differences(loss_kind, weight):
-    for seed in range(5):
-        rng = np.random.default_rng(200 + seed)
-        p = random_prior(6, 3, seed=300 + seed, nonlinearity="tanh", scale=0.6)
-        batch = rng.standard_normal((4, 6))
-        noise = 0.1 * rng.standard_normal(batch.shape) if loss_kind == "pnp" else None
-        cfg = TrainConfig(nipr_weight=weight, loss_kind=loss_kind, noise_sigma=0.1)
-        g_enc, g_dec = loss_gradient(p, batch, cfg, noise=noise)
-        f_enc, f_dec = _fd_gradient(p, batch, cfg, noise)
-        scale = max(np.linalg.norm(f_enc), np.linalg.norm(f_dec), 1e-12)
-        assert np.linalg.norm(g_enc - f_enc) / scale < 1e-4
-        assert np.linalg.norm(g_dec - f_dec) / scale < 1e-4
-
-
 def test_gradient_zero_batch_zero_weight():
     p = random_prior(5, 2, seed=13)
     batch = np.zeros((3, 5))

@@ -168,7 +168,16 @@ MUTANTS = {
         "experiments.py", "_bound_constant(tb, variant) for tb in tbs", '_bound_constant(tb, "projection") for tb in tbs',
         [EXPERIMENTS + "test_bound_margins_are_each_rows_textbook_margins"]),
     "a dropped tolerance stop": (
-        "experiments.py", "    if spec.rel_change_tol > 0:\n", "    if False:\n",
+        "experiments.py", "ends = stops if spec.rel_change_tol <= 0 else [", "ends = stops if True else [",
+        [EXPERIMENTS + "test_stepsize_arms_are_each_arms_gpgd_run"]),
+    "trace residuals of the unthresholded iterates": (
+        "experiments.py", "(op.matrix @ PX[..., None])", "(op.matrix @ iterates[..., None])",
+        [EXPERIMENTS + "test_stepsize_arms_are_each_arms_gpgd_run"]),
+    "trace errors of the thresholded iterates": (
+        "experiments.py", "errors = _norms(iterates - x)", "errors = _norms(PX - x)",
+        [EXPERIMENTS + "test_stepsize_arms_are_each_arms_gpgd_run"]),
+    "trace rows cut at the tolerance stop": (
+        "experiments.py", "zip(spec.mu_grid, stops, errors,", "zip(spec.mu_grid, ends, errors,",
         [EXPERIMENTS + "test_stepsize_arms_are_each_arms_gpgd_run"]),
     "a shifted perturbation slice": (
         "experiments.py", "PX[rows] += noise[:, t]", "PX[rows] += noise[:, t - 1]",
