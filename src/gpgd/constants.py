@@ -288,7 +288,7 @@ def mc_beta(projection, k, n, trials, seed):
     """
     # n = 0 would redraw its empty z forever; k > n fails in sparse_signal.
     trials, k, n = _count("trials", trials, 1), _count("k", k), _count("n", n, 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count("seed", seed))
     best = 0.0
     for trial in range(trials):
         x = sparse_signal(n, k, rng)
@@ -328,7 +328,7 @@ def operator_norm(M, iters=200, seed=0, tol=1e-10):
     if not np.isfinite(M).all():
         raise ValueError("M must be finite")
     iters, tol = _count("iters", iters, 1), _real("tol", tol)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count("seed", seed))
     v = rng.standard_normal(M.shape[1])
     v /= _norm(v)
     Mt, Mv = M.T, np.dot(M, v)

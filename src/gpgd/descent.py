@@ -32,9 +32,10 @@ REL_CHANGE_FLOOR = float(np.finfo(float).tiny)
 class GpgdConfig:
     """Iteration controls.
 
-    rel_change_tol = 0 disables early stopping (fixed iteration count),
-    which is what the reproduction experiments use so post-optimum behavior
-    stays observable.
+    rel_change_tol = 0 disables early stopping (fixed iteration count), so
+    post-optimum behavior stays observable.  The step-size study (at its
+    default), nipr's windowed solves and the theorem check's stacked descent
+    run a fixed count; phase-alpha, outliers and joint default to 1e-12.
     """
 
     mu: float = 1.0
@@ -75,9 +76,9 @@ def gpgd_run(x0, projection, back_projection, op, y, cfg, truth=None):
     """Iterate P(x) - mu * L(A P(x) - y) from x0, recording diagnostics.
 
     Inputs are validated here, once: x0 (and truth, if given) must have
-    shape (op.n_ambient,) and y shape (op.m,), and x0 and y must be finite,
-    else ValueError.  Stops at cfg.max_iters, or earlier when the relative
-    iterate change drops below cfg.rel_change_tol (if positive).  A
+    shape (op.n_ambient,) and y shape (op.m,), and x0, y and truth must be
+    finite, else ValueError.  Stops at cfg.max_iters, or earlier when the
+    relative iterate change drops below cfg.rel_change_tol (if positive).  A
     non-finite iterate truncates the trace at the last finite one and sets
     the diverged flag; post-divergence behavior is a measured phenomenon for
     unstable learned priors, so this is not an error.
@@ -106,6 +107,8 @@ def gpgd_run(x0, projection, back_projection, op, y, cfg, truth=None):
     truth_arr = None if truth is None else np.asarray(truth, dtype=float)
     if truth_arr is not None and truth_arr.shape != x.shape:
         raise ValueError(f"truth must have length {op.n_ambient}, got shape {truth_arr.shape}")
+    if truth_arr is not None and not np.all(np.isfinite(truth_arr)):
+        raise ValueError("truth must be finite")
     mu, tol, max_iters = cfg.mu, cfg.rel_change_tol, cfg.max_iters
     residual_norms = []
     rel_changes = [float("nan")]

@@ -15,7 +15,6 @@ arms are compared on identical data.
 import atexit
 import copy
 import functools
-import itertools
 import json
 import math
 import os
@@ -286,8 +285,9 @@ def default_spec(experiment, **overrides):
 
 
 def trial_rng(seed, *key):
-    """Independent per-trial stream: SeedSequence(seed, spawn_key=key)."""
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=tuple(int(i) for i in key)))
+    """Independent per-trial stream: SeedSequence(seed, spawn_key=key); seed and keys are counts."""
+    key = tuple(_count("key", i) for i in key)
+    return np.random.default_rng(np.random.SeedSequence(_count("seed", seed), spawn_key=key))
 
 
 def _processes():
@@ -803,7 +803,7 @@ class PerturbedProjection:
     def __init__(self, k, eta, seed):
         self.k = _count("k", k)
         self.eta = _real("eta", eta)
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(_count("seed", seed))
 
     def __call__(self, z):
         base = hard_threshold(z, self.k)
@@ -823,15 +823,12 @@ class PerturbedProjection:
         return self.eta * directions / norms[:, None]
 
 
-def _row_projection(projs, k, rows, iterations, n):
-    """project(Z, t) for _stacked_run: row i of Z, at iteration t, gets the bits
-    that projs[i] gives it alone on its call t, where every projs[i] is a
-    HardThreshold(k) but projs[rows], one run of PerturbedProjections of count
-    k (same stream): a theorem cell's proj_error rows.  Each of those draws
-    the iterations perturbations of length n that _stacked_run reads up
-    front, as one block, bound once with the count and the slice."""
-    noise = np.array([proj._perturbations(iterations, n) for proj in projs[rows]])
-    noise = noise.reshape(len(noise), iterations, n)
+def _row_projection(k, rows, noise):
+    """project(Z, t) for _stacked_run: hard_threshold(z, k) on each row z of Z,
+    plus noise[j, t] on row rows[j].  noise[j] is the (iterations, n) block
+    of a PerturbedProjection's _perturbations, so that row gets the bits of
+    the projection's own call t."""
+    rows = np.asarray(rows, dtype=np.intp)
 
     def project(Z, t):
         PX = _threshold_rows(Z, k)
@@ -849,8 +846,10 @@ def _min_median(name, values):
 
 
 def _theorem_search(spec, vi):
-    """Variant vi's acceptance loop: its rows, with each row's bound and
-    stack entry, and its report.
+    """Variant vi's acceptance loop: (accepted, report), one record (row, tb,
+    A, y, mu, truth, noise) per accepted attempt: its CSV row before the
+    margins, its TheoremBound, its instance, and for proj_error the (iterations,
+    n) block its PerturbedProjection adds, drawn at acceptance (else None).
 
     The attempts are walked in order, each rejected on its null-space floor,
     rejected by the tuner or accepted, as one attempt at a time would: each
@@ -861,11 +860,11 @@ def _theorem_search(spec, vi):
     after one.  The attempts of a block past the one that completes
     spec.trials are discarded and never counted.
     """
-    k, n, eta = int(spec.sparsity_grid[0]), spec.n_ambient, 0.02
     variant = THEOREM_VARIANTS[vi]
-    rows, bounds, stack, floors, deltas = [], [], [], [], []
+    k, n, eta = int(spec.sparsity_grid[0]), spec.n_ambient, 0.02 if variant == "proj_error" else 0.0
+    accepted, floors, deltas = [], [], []
     start, size = 0, 1
-    while start < spec.resample_budget and len(rows) < spec.trials:
+    while start < spec.resample_budget and len(accepted) < spec.trials:
         block = range(start, min(start + size, spec.resample_budget))
         rngs = [trial_rng(spec.seed, _TAGS["theorem"], vi, attempt) for attempt in block]
         ops = [gaussian_operator(spec.m, n, rng) for rng in rngs]
@@ -873,7 +872,7 @@ def _theorem_search(spec, vi):
                        * HARD_THRESHOLD_BETA)
         start, size = block.stop, min(2 * size, THEOREM_BLOCK_CAP)
         for attempt, rng, op, floor_beta in zip(block, rngs, ops, floor_betas.tolist()):
-            if len(rows) >= spec.trials:
+            if len(accepted) >= spec.trials:
                 break
             if floor_beta >= 1.0 + FLOOR_REJECT_MARGIN:
                 floors.append(floor_beta)
@@ -891,12 +890,8 @@ def _theorem_search(spec, vi):
             e = np.zeros(spec.m)
             if variant == "noisy":
                 e = _effective_sigma(spec, y_clean) * rng.standard_normal(spec.m)
-            if variant == "proj_error":
-                proj = PerturbedProjection(k, eta, seed=int(rng.integers(2**31)))
-                eta_used = eta
-            else:
-                proj = HardThreshold(k)
-                eta_used = 0.0
+            noise = (PerturbedProjection(k, eta, int(rng.integers(2**31)))
+                     ._perturbations(spec.iterations, n) if eta > 0 else None)
             # Each norm multiplies one error term; where that term is 0 the
             # norm stays at 0.0, which leaves the bound's bits unchanged.
             model_error = model_distance(truth, HardThreshold(k))
@@ -909,44 +904,41 @@ def _theorem_search(spec, vi):
                 mu=mu,
                 noise_term=noise_term,
                 model_error=model_error,
-                proj_error_eta=eta_used,
+                proj_error_eta=eta,
                 op_norm_muLA=operator_norm(mu * B, seed=attempt) if model_error > 0 else 0.0,
                 op_norm_I_minus_muLA=(operator_norm(np.eye(n) - mu * B, seed=attempt)
-                                      if eta_used > 0 else 0.0),
+                                      if eta > 0 else 0.0),
             )
-            rows.append({"variant": variant, "attempt": attempt, "mu": mu, "delta": delta,
-                         "delta_beta": delta * HARD_THRESHOLD_BETA, "noise_term": tb.noise_term,
-                         "model_error": tb.model_error, "eta": eta_used})
-            bounds.append((tb, hard_threshold(truth, k)))
-            stack.append((op.matrix, y_clean + e, mu, proj, truth))
+            row = {"variant": variant, "attempt": attempt, "mu": mu, "delta": delta,
+                   "delta_beta": delta * HARD_THRESHOLD_BETA, "noise_term": tb.noise_term,
+                   "model_error": tb.model_error, "eta": eta}
+            accepted.append((row, tb, op.matrix, y_clean + e, mu, truth, noise))
             size = 1
     # Each attempt made was rejected on the floor or by the tuner, or accepted.
-    report = {"attempts": len(floors) + len(deltas) + len(rows),
+    report = {"attempts": len(floors) + len(deltas) + len(accepted),
               "floor_rejected": len(floors), "tuner_rejected": len(deltas),
-              "accepted": len(rows),
+              "accepted": len(accepted),
               **_min_median("floor_beta", floors), **_min_median("delta_beta", deltas)}
-    return rows, bounds, stack, report
+    return accepted, report
 
 
 def _theorem_check(spec, group):
-    """(rows, report) of each variant of the group, its accepted
-    instances solved together in one descent."""
-    searches = [_theorem_search(spec, vi) for vi in group]
-    rows, bounds, stack = ([x for found in searches for x in found[part]] for part in range(3))
-    if stack:
-        matrices, ys, mus, projs, truths = zip(*stack)
-        # proj_error, the last variant, holds the perturbed rows: the last ones.
-        perturbed = slice(sum(not isinstance(proj, PerturbedProjection) for proj in projs), None)
-        project = _row_projection(projs, int(spec.sparsity_grid[0]), perturbed, spec.iterations,
-                                  spec.n_ambient)
-        iterates, stops = _stacked_run(np.array(matrices), np.array(ys), np.array(mus), project,
-                                       spec.iterations)
-        tbs, projected_truths = zip(*bounds)
-        margins = _bound_margins(tbs, projected_truths, truths, iterates, stops)
+    """{vi: (rows, report)} for each variant vi of the group, its accepted
+    instances solved together in one descent; no row depends on the order."""
+    searches = {vi: _theorem_search(spec, vi) for vi in group}
+    records = [record for accepted, _ in searches.values() for record in accepted]
+    if records:
+        k, n = int(spec.sparsity_grid[0]), spec.n_ambient
+        rows, tbs, matrices, ys, mus, truths, noises = zip(*records)
+        perturbed = [i for i, block in enumerate(noises) if block is not None]
+        noise = np.reshape([noises[i] for i in perturbed], (len(perturbed), spec.iterations, n))
+        iterates, stops = _stacked_run(np.array(matrices), np.array(ys), np.array(mus),
+                                       _row_projection(k, perturbed, noise), spec.iterations)
+        margins = _bound_margins(tbs, _threshold_rows(np.array(truths), k), truths, iterates, stops)
         for row, margin_proj, margin_truth in zip(rows, *margins):
             row.update(margin_projection=margin_proj, margin_truth=margin_truth,
                        verified=int(margin_proj <= 1e-9 and margin_truth <= 1e-9))
-    return [(found[0], found[3]) for found in searches]
+    return {vi: ([row for row, *_ in accepted], report) for vi, (accepted, report) in searches.items()}
 
 
 def _bound_margins(tbs, projected_truths, truths, iterates, stops):
@@ -1001,7 +993,7 @@ def run_theorem_check(spec):
     shares = min(_processes(), len(THEOREM_VARIANTS))
     groups = [range(len(THEOREM_VARIANTS))[::-1][s::shares][::-1] for s in range(shares)]
     mapped = _trial_map(functools.partial(_theorem_check, spec), groups)
-    found = dict(zip(itertools.chain(*groups), itertools.chain(*mapped)))
+    found = {vi: result for part in mapped for vi, result in part.items()}
     rows = [row for vi in range(len(THEOREM_VARIANTS)) for row in found[vi][0]]
     reports = {variant: found[vi][1] for vi, variant in enumerate(THEOREM_VARIANTS)}
     inconclusive = [v for v in THEOREM_VARIANTS if reports[v]["accepted"] < spec.trials]

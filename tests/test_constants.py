@@ -10,6 +10,7 @@ from gpgd.constants import (
     operator_norm,
     theorem_bound_eval,
 )
+from gpgd.experiments import PerturbedProjection
 from gpgd.projections import HARD_THRESHOLD_BETA, HardThreshold, PAlpha, hard_threshold
 
 
@@ -49,9 +50,23 @@ def test_cached_supports_are_read_only():
     (lambda: operator_norm(np.eye(3), iters=2.5), "iters"),
     (lambda: operator_norm(np.eye(3), iters=0), "iters"),
     (lambda: operator_norm(np.eye(3), tol=float("nan")), "tol"),
+    # Each seed is a count, as in random_prior and TrainConfig: no None
+    # (a fresh value each call), no bool, no float.
+    (lambda: mc_beta(HardThreshold(1), 1, 4, 10, None), "seed"),
+    (lambda: mc_beta(HardThreshold(1), 1, 4, 10, True), "seed"),
+    (lambda: mc_beta(HardThreshold(1), 1, 4, 10, 2.5), "seed"),
+    (lambda: operator_norm(np.eye(3), seed=None), "seed"),
+    (lambda: operator_norm(np.eye(3), seed=True), "seed"),
+    (lambda: operator_norm(np.eye(3), seed=2.5), "seed"),
+    (lambda: PerturbedProjection(1, 0.02, seed=None), "seed"),
+    (lambda: PerturbedProjection(1, 0.02, seed=True), "seed"),
+    (lambda: PerturbedProjection(1, 0.02, seed=2.5), "seed"),
 ], ids=["exact_ric_sparse", "null_space_ric_floor", "mc_beta-trials", "mc_beta-k",
         "mc_beta-n", "mc_beta-n0", "mc_beta-k-above-n",
-        "operator_norm-iters", "operator_norm-iters0", "operator_norm-tol"])
+        "operator_norm-iters", "operator_norm-iters0", "operator_norm-tol",
+        "mc_beta-seed-none", "mc_beta-seed-bool", "mc_beta-seed-float",
+        "operator_norm-seed-none", "operator_norm-seed-bool", "operator_norm-seed-float",
+        "perturbed-seed-none", "perturbed-seed-bool", "perturbed-seed-float"])
 def test_constants_reject_non_integer_counts_and_non_finite_reals(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call()

@@ -118,6 +118,10 @@ def test_run_rejects_bad_input_at_entry():
             gpgd_run(x0, HardThreshold(2), bp, op, y, cfg)
     with pytest.raises(ValueError):
         gpgd_run(np.zeros(10), HardThreshold(2), bp, op, y, cfg, truth=np.zeros((10, 1)))
+    # A truth that is not finite would make every error NaN, and i_min_oracle 0.
+    for truth in (np.r_[np.zeros(9), np.nan], np.r_[np.zeros(9), np.inf]):
+        with pytest.raises(ValueError, match="^truth must be finite$"):
+            gpgd_run(np.zeros(10), HardThreshold(2), bp, op, y, cfg, truth=truth)
 
 
 # Textbook reference: the GPGD loop and its projections written plainly, with
@@ -269,18 +273,20 @@ def _each_row(projections):
 
 
 @pytest.mark.parametrize("k", [0, 1, 12])
-@pytest.mark.parametrize("rows", [slice(0), slice(2, 4), slice(3, 5)], ids=["none", "inner", "last"])
+@pytest.mark.parametrize("rows", [[], [2, 3], [3, 4], [0, 3]], ids=["none", "inner", "last", "apart"])
 def test_row_projection_is_each_rows_projection(k, rows):
-    # A theorem cell's rows share one sparsity and their perturbed rows, the
-    # proj_error variant's, are one run, which the row projection binds as a
-    # count and a slice.  Each row must get, at every iteration, the bits of
-    # that row's own projection.  The iterates hold ties, NaN, inf and -0.0.
+    # A theorem cell's rows share one sparsity, and its perturbed rows, the
+    # proj_error variant's, each hold the block of perturbations of their
+    # PerturbedProjection, wherever they sit in the stack.  Each row must
+    # get, at every iteration, the bits of that row's own projection.  The
+    # iterates hold ties, NaN, inf and -0.0.
     def projections():
-        return [PerturbedProjection(k, 0.02, seed=i) if i in range(5)[rows] else HardThreshold(k)
-                for i in range(5)]
+        return [PerturbedProjection(k, 0.02, seed=i) if i in rows else HardThreshold(k) for i in range(5)]
 
+    noise = np.reshape([PerturbedProjection(k, 0.02, seed=i)._perturbations(6, 12) for i in rows],
+                       (len(rows), 6, 12))
     rng = np.random.default_rng(k)
-    project, reference = _row_projection(projections(), k, rows, 6, 12), _each_row(projections())
+    project, reference = _row_projection(k, rows, noise), _each_row(projections())
     for t in range(6):
         Z = rng.integers(-3, 4, (5, 12)).astype(float)
         Z[rng.random((5, 12)) < 0.1] = rng.choice([np.nan, np.inf, -np.inf, -0.0])

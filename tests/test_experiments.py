@@ -38,6 +38,7 @@ from gpgd.experiments import (
     _draw_instance,
     _row_projection,
     _stepsize_solve,
+    _theorem_check,
     _theorem_search,
     _trace_rows,
     default_spec,
@@ -114,6 +115,18 @@ def test_trial_rng_streams_are_independent_and_stable():
     b = trial_rng(7, 1, 0, 1).standard_normal(4)
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
+
+
+def test_trial_rng_takes_its_seed_and_keys_as_counts():
+    # A numpy integer is a count with its value; a float, a bool or a
+    # negative number is no count, and is never truncated into another
+    # trial's stream.
+    assert np.array_equal(trial_rng(np.int64(7), np.uint8(1), 0).standard_normal(4),
+                          trial_rng(7, 1, 0).standard_normal(4))
+    for seed, key, name in ((1.7, (2, 0), "seed"), (True, (2, 0), "seed"), (-1, (), "seed"),
+                            (1, (2, 0.9), "key"), (1, (False,), "key"), (1, (2, -1), "key")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0"):
+            trial_rng(seed, *key)
 
 
 def test_sparse_signal_scaling_and_support():
@@ -381,46 +394,41 @@ def test_theorem_check_solves_the_cell_in_one_stacked_descent(one_share, monkeyp
     assert runs == [] and [len(args[0]) for args, _, _ in stacks] == [8]
 
 
-def test_bound_margins_are_each_rows_textbook_margins(monkeypatch):
+def test_bound_margins_are_each_rows_textbook_margins():
     # Two seeds of each variant at the default spec: the noiseless rows'
     # margin_projection is exactly 0.0 (err_0 = bound_0), model_error and
     # eta are not zero on their variants' rows.  A noiseless seed rerun at
     # mu = 1e30 diverges, so its run, and its margins, stop short.  Each
     # margin must have the bits of the per-row computation with
     # theorem_bound_eval on the row's own gpgd_run, whose perturbed
-    # projection is a fresh one with the row's seed.
-    class Seeded(PerturbedProjection):
-        def __init__(self, k, eta, seed):
-            super().__init__(k, eta, seed)
-            self.seed = seed
-
-    monkeypatch.setattr(experiments, "PerturbedProjection", Seeded)
+    # projection adds the next row of its record's block on each call, as
+    # the PerturbedProjection it was drawn from does.
     spec = default_spec("theorem", trials=2)
-    searches = [_theorem_search(spec, vi) for vi in range(len(THEOREM_VARIANTS))]
-    bounds, stack = ([x for found in searches for x in found[part]] for part in (1, 2))
-    matrix, y, _, _, truth = stack[0]
-    stack.append((matrix, y, 1e30, HardThreshold(1), truth))
-    bounds.append(bounds[0])
-    matrices, ys, mus, projs, truths = zip(*stack)
-    refs = [PerturbedProjection(proj.k, proj.eta, proj.seed) if isinstance(proj, Seeded)
-            else HardThreshold(1) for proj in projs]
-    assert [isinstance(proj, PerturbedProjection) for proj in refs] == [False] * 6 + [True] * 2 + [False]
+    records = [record for vi in range(len(THEOREM_VARIANTS)) for record in _theorem_search(spec, vi)[0]]
+    records.append(records[0][:4] + (1e30,) + records[0][5:])
+    _, tbs, matrices, ys, mus, truths, noises = zip(*records)
+    assert [noise is not None for noise in noises] == [False] * 6 + [True] * 2 + [False]
     iterates, stops = _stacked_run(np.array(matrices), np.array(ys), np.array(mus),
-                                   _row_projection(projs, 1, slice(6, 8), spec.iterations,
-                                                   spec.n_ambient), spec.iterations)
-    tbs, projected_truths = zip(*bounds)
+                                   _row_projection(1, [6, 7], np.array(noises[6:8])), spec.iterations)
+    projected_truths = [hard_threshold(x, 1) for x in truths]
     margins = _bound_margins(tbs, projected_truths, truths, iterates, stops)
     traces = []
-    for A, y, mu, proj, x in zip(matrices, ys, mus, refs, truths):
+    for A, y, mu, x, noise in zip(matrices, ys, mus, truths, noises):
         op = MeasurementOperator(A)
         cfg = GpgdConfig(mu=mu, max_iters=spec.iterations, record_iterates=True)
+        # gpgd_run projects x_T once more, for a residual norm that no margin
+        # reads; that call gets no perturbation.
+        calls = iter(() if noise is None else noise)
+        proj = (HardThreshold(1) if noise is None
+                else lambda z, calls=calls: hard_threshold(z, 1) + next(calls, 0.0))
         traces.append(gpgd_run(np.zeros(spec.n_ambient), proj, BackProjection.adjoint(op), op, y, cfg,
                                truth=x))
+        assert next(calls, None) is None
     assert stops.tolist() == [trace.iterations_run for trace in traces]
     assert traces[-1].diverged and traces[-1].iterations_run < spec.iterations
     assert not any(trace.diverged for trace in traces[:-1])
     assert any(tb.model_error > 0 for tb in tbs) and any(tb.proj_error_eta > 0 for tb in tbs)
-    for i, (trace, (tb, projected_truth)) in enumerate(zip(traces, bounds)):
+    for i, (trace, tb, projected_truth) in enumerate(zip(traces, tbs, projected_truths)):
         initial_error = float(np.linalg.norm(projected_truth))
         with np.errstate(over="ignore"):
             to_projection = np.array([np.linalg.norm(x - projected_truth) for x in trace.iterates])
@@ -431,6 +439,18 @@ def test_bound_margins_are_each_rows_textbook_margins(monkeypatch):
             assert type(margin) is float and np.float64(margin).tobytes() == np.float64(expected).tobytes()
     assert THEOREM_VARIANTS[0] == "noiseless" and margins[0][:2] == [0.0, 0.0]
     assert margins[0][-1] > 1e9
+
+
+def test_group_order_moves_no_theorem_row():
+    # A group stacks its variants' records in the order it is given and
+    # finds the perturbed rows in them, so proj_error ahead of noisy or
+    # behind it gives each variant the same rows and report.
+    spec = default_spec("theorem", trials=2)
+    noisy, proj_error = THEOREM_VARIANTS.index("noisy"), THEOREM_VARIANTS.index("proj_error")
+    ahead, behind = _theorem_check(spec, (proj_error, noisy)), _theorem_check(spec, (noisy, proj_error))
+    assert [len(ahead[vi][0]) for vi in (noisy, proj_error)] == [2, 2]
+    assert all(row["eta"] > 0 and "verified" in row for row in ahead[proj_error][0])
+    assert {vi: repr(found) for vi, found in ahead.items()} == {vi: repr(found) for vi, found in behind.items()}
 
 
 def test_theorem_check_reports_why_it_rejected_each_attempt():
@@ -738,7 +758,8 @@ def test_tuner_passes_over_the_mu_whose_blocks_overflow():
 def _textbook_search(spec, vi, tune=_full_eigvalsh_scan):
     # _theorem_search one attempt at a time, with the unscreened references:
     # each attempt's floor, tuned mu (from `tune`) and delta, and for an
-    # accepted one the truth its own stream draws next.
+    # accepted one the truth its own stream draws next and, for proj_error,
+    # the perturbations of the PerturbedProjection seeded by the draw after.
     k, n = spec.sparsity_grid[0], spec.n_ambient
     accepted, floors, deltas = [], [], []
     for attempt in range(spec.resample_budget):
@@ -759,7 +780,11 @@ def _textbook_search(spec, vi, tune=_full_eigvalsh_scan):
         truth = sparse_signal(n, k, rng)
         if THEOREM_VARIANTS[vi] == "model_error":
             truth = truth + 0.05 * rng.standard_normal(n)
-        accepted.append((attempt, mu, delta, delta * HARD_THRESHOLD_BETA, A, truth))
+        noise = None
+        if THEOREM_VARIANTS[vi] == "proj_error":
+            proj = PerturbedProjection(k, 0.02, int(rng.integers(2**31)))
+            noise = [proj._perturbations(1, n)[0] for _ in range(spec.iterations)]
+        accepted.append((attempt, mu, delta, delta * HARD_THRESHOLD_BETA, A, truth, noise))
     report = {"attempts": len(floors) + len(deltas) + len(accepted),
               "floor_rejected": len(floors), "tuner_rejected": len(deltas),
               "accepted": len(accepted)}
@@ -798,12 +823,13 @@ def test_theorem_search_is_the_textbook_acceptance_loop(monkeypatch, m, k, trial
                         resample_budget=budget)
     for vi in range(len(THEOREM_VARIANTS)):
         accepted, report = _textbook_search(spec, vi, tune)
-        rows, _, stack, found = _theorem_search(spec, vi)
+        records, found = _theorem_search(spec, vi)
         assert found == report
-        assert ([(row["attempt"], row["mu"], row["delta"], row["delta_beta"]) for row in rows]
+        assert ([(row["attempt"], row["mu"], row["delta"], row["delta_beta"]) for row, *_ in records]
                 == [entry[:4] for entry in accepted])
-        for (matrix, _, _, _, truth), entry in zip(stack, accepted):
+        for (_, _, matrix, _, _, truth, noise), entry in zip(records, accepted):
             assert np.array_equal(matrix, entry[4]) and np.array_equal(truth, entry[5])
+            assert (noise is None) == (entry[6] is None) and np.array_equal(noise, entry[6])
 
 
 def test_cli_diverging_study_writes_inf_without_a_warning(tmp_path):

@@ -107,6 +107,9 @@ MUTANTS = {
     "a repeat table without the norm's first iterate": (
         "descent.py", "{earlier.tobytes(): j}", "{}",
         [DESCENT + "test_replayed_orbit_matches_textbook_loop_bit_for_bit"]),
+    "a truth that is not finite accepted": (
+        "descent.py", "if truth_arr is not None and not np.all(np.isfinite(truth_arr)):", "if False:",
+        [DESCENT + "test_run_rejects_bad_input_at_entry"]),
     "a stacked stop without its - 1": (
         "descent.py", "finite.argmin(axis=0) - 1)", "finite.argmin(axis=0))",
         [DESCENT + "test_stacked_run_is_gpgd_run_on_every_row"]),
@@ -179,9 +182,16 @@ MUTANTS = {
     "trace rows cut at the tolerance stop": (
         "experiments.py", "zip(spec.mu_grid, stops, errors,", "zip(spec.mu_grid, ends, errors,",
         [EXPERIMENTS + "test_stepsize_arms_are_each_arms_gpgd_run"]),
-    "a shifted perturbation slice": (
+    "a shifted perturbation block": (
         "experiments.py", "PX[rows] += noise[:, t]", "PX[rows] += noise[:, t - 1]",
         [DESCENT + "test_row_projection_is_each_rows_projection"]),
+    "the perturbed rows taken as the last ones": (
+        "experiments.py", "_row_projection(k, perturbed, noise)",
+        "_row_projection(k, range(len(noises) - len(perturbed), len(noises)), noise)",
+        [EXPERIMENTS + "test_group_order_moves_no_theorem_row"]),
+    "a float seed truncated into another trial's stream": (
+        "experiments.py", 'SeedSequence(_count("seed", seed), spawn_key=key)', "SeedSequence(int(seed), spawn_key=key)",
+        [EXPERIMENTS + "test_trial_rng_takes_its_seed_and_keys_as_counts"]),
     "the old variant deal": (
         "experiments.py", "[::-1][s::shares][::-1] for s in range(shares)]", "[s::shares] for s in range(shares)]",
         ["tests/test_trial_map.py::test_theorem_check_deals_its_variants_in_turn"]),
