@@ -52,11 +52,10 @@ from .projections import (
     PAlpha,
     ProductProjection,
     _count,
+    _norm,
     _norms,
-    _real,
     _threshold_rows,
     hard_threshold,
-    model_distance,
     sparse_signal,
 )
 
@@ -793,41 +792,24 @@ def run_nipr_stability(spec):
 # ---------------------------------------------------------------------------
 
 
-class PerturbedProjection:
-    """Hard threshold plus a seeded perturbation of fixed magnitude eta.
-
-    Models an approximate projection whose deviation from a true one is
-    bounded: every call adds eta times a fresh random unit vector.
-    """
-
-    def __init__(self, k, eta, seed):
-        self.k = _count("k", k)
-        self.eta = _real("eta", eta)
-        self._rng = np.random.default_rng(_count("seed", seed))
-
-    def __call__(self, z):
-        base = hard_threshold(z, self.k)
-        return base + self._perturbations(1, base.size)[0]
-
-    def _perturbations(self, count, size):
-        """eta times `count` fresh random unit vectors of length `size`, as the
-        rows of one block: the values of `count` successive draws, since
-        standard_normal((count, size)) fills its rows in stream order.  A
-        row of zeros is drawn again."""
-        directions = self._rng.standard_normal((count, size))
+def _perturbation_block(eta, seed, iterations, n):
+    """The (iterations, n) block of an approximate projection's deviations
+    from hard_threshold: row t is eta times the t-th fresh random unit vector
+    of the stream `seed`, added on call t.  standard_normal((iterations, n))
+    fills its rows in stream order; a row of zeros is drawn again."""
+    rng = np.random.default_rng(_count("seed", seed))
+    directions = rng.standard_normal((iterations, n))
+    norms = _norms(directions)
+    while not norms.all():
+        zero = norms == 0.0
+        directions[zero] = rng.standard_normal((int(zero.sum()), n))
         norms = _norms(directions)
-        while not norms.all():
-            zero = norms == 0.0
-            directions[zero] = self._rng.standard_normal((int(zero.sum()), size))
-            norms = _norms(directions)
-        return self.eta * directions / norms[:, None]
+    return eta * directions / norms[:, None]
 
 
 def _row_projection(k, rows, noise):
     """project(Z, t) for _stacked_run: hard_threshold(z, k) on each row z of Z,
-    plus noise[j, t] on row rows[j].  noise[j] is the (iterations, n) block
-    of a PerturbedProjection's _perturbations, so that row gets the bits of
-    the projection's own call t."""
+    plus noise[j, t] on row rows[j], whose _perturbation_block is noise[j]."""
     rows = np.asarray(rows, dtype=np.intp)
 
     def project(Z, t):
@@ -846,10 +828,10 @@ def _min_median(name, values):
 
 
 def _theorem_search(spec, vi):
-    """Variant vi's acceptance loop: (accepted, report), one record (row, tb,
-    A, y, mu, truth, noise) per accepted attempt: its CSV row before the
-    margins, its TheoremBound, its instance, and for proj_error the (iterations,
-    n) block its PerturbedProjection adds, drawn at acceptance (else None).
+    """Variant vi's acceptance loop: (accepted, report), one record (attempt,
+    tb, A, y, projected, truth, noise) per accepted attempt: its TheoremBound,
+    its instance, hard_threshold of its truth, and for proj_error the
+    _perturbation_block its projection adds, drawn at acceptance (else None).
 
     The attempts are walked in order, each rejected on its null-space floor,
     rejected by the tuner or accepted, as one attempt at a time would: each
@@ -879,7 +861,8 @@ def _theorem_search(spec, vi):
                 continue
             B = op.matrix.T @ op.matrix
             mu = constants._tuned_mu(B, k, THEOREM_MU_GRID)
-            delta = exact_ric_sparse(mu * B, k)
+            muB = mu * B
+            delta = exact_ric_sparse(muB, k)
             if delta * HARD_THRESHOLD_BETA >= 1.0:
                 deltas.append(delta * HARD_THRESHOLD_BETA)
                 continue
@@ -890,11 +873,12 @@ def _theorem_search(spec, vi):
             e = np.zeros(spec.m)
             if variant == "noisy":
                 e = _effective_sigma(spec, y_clean) * rng.standard_normal(spec.m)
-            noise = (PerturbedProjection(k, eta, int(rng.integers(2**31)))
-                     ._perturbations(spec.iterations, n) if eta > 0 else None)
+            noise = (_perturbation_block(eta, int(rng.integers(2**31)), spec.iterations, n)
+                     if eta > 0 else None)
+            projected = hard_threshold(truth, k)
             # Each norm multiplies one error term; where that term is 0 the
             # norm stays at 0.0, which leaves the bound's bits unchanged.
-            model_error = model_distance(truth, HardThreshold(k))
+            model_error = _norm(projected - truth)
             # A sum of squares that overflows gives inf, which TheoremBound rejects.
             with np.errstate(over="ignore"):
                 noise_term = float(np.linalg.norm(mu * op.adjoint(e)))
@@ -905,14 +889,10 @@ def _theorem_search(spec, vi):
                 noise_term=noise_term,
                 model_error=model_error,
                 proj_error_eta=eta,
-                op_norm_muLA=operator_norm(mu * B, seed=attempt) if model_error > 0 else 0.0,
-                op_norm_I_minus_muLA=(operator_norm(np.eye(n) - mu * B, seed=attempt)
-                                      if eta > 0 else 0.0),
+                op_norm_muLA=operator_norm(muB, seed=attempt) if model_error > 0 else 0.0,
+                op_norm_I_minus_muLA=operator_norm(np.eye(n) - muB, seed=attempt) if eta > 0 else 0.0,
             )
-            row = {"variant": variant, "attempt": attempt, "mu": mu, "delta": delta,
-                   "delta_beta": delta * HARD_THRESHOLD_BETA, "noise_term": tb.noise_term,
-                   "model_error": tb.model_error, "eta": eta}
-            accepted.append((row, tb, op.matrix, y_clean + e, mu, truth, noise))
+            accepted.append((attempt, tb, op.matrix, y_clean + e, projected, truth, noise))
             size = 1
     # Each attempt made was rejected on the floor or by the tuner, or accepted.
     report = {"attempts": len(floors) + len(deltas) + len(accepted),
@@ -926,19 +906,23 @@ def _theorem_check(spec, group):
     """{vi: (rows, report)} for each variant vi of the group, its accepted
     instances solved together in one descent; no row depends on the order."""
     searches = {vi: _theorem_search(spec, vi) for vi in group}
-    records = [record for accepted, _ in searches.values() for record in accepted]
+    found = {vi: ([], report) for vi, (_, report) in searches.items()}
+    records = [(vi, *record) for vi, (accepted, _) in searches.items() for record in accepted]
     if records:
-        k, n = int(spec.sparsity_grid[0]), spec.n_ambient
-        rows, tbs, matrices, ys, mus, truths, noises = zip(*records)
+        vis, attempts, tbs, matrices, ys, projected, truths, noises = zip(*records)
         perturbed = [i for i, block in enumerate(noises) if block is not None]
-        noise = np.reshape([noises[i] for i in perturbed], (len(perturbed), spec.iterations, n))
-        iterates, stops = _stacked_run(np.array(matrices), np.array(ys), np.array(mus),
-                                       _row_projection(k, perturbed, noise), spec.iterations)
-        margins = _bound_margins(tbs, _threshold_rows(np.array(truths), k), truths, iterates, stops)
-        for row, margin_proj, margin_truth in zip(rows, *margins):
-            row.update(margin_projection=margin_proj, margin_truth=margin_truth,
-                       verified=int(margin_proj <= 1e-9 and margin_truth <= 1e-9))
-    return {vi: ([row for row, *_ in accepted], report) for vi, (accepted, report) in searches.items()}
+        noise = np.reshape([noises[i] for i in perturbed], (len(perturbed), spec.iterations, spec.n_ambient))
+        iterates, stops = _stacked_run(np.array(matrices), np.array(ys), np.array([tb.mu for tb in tbs]),
+                                       _row_projection(int(spec.sparsity_grid[0]), perturbed, noise),
+                                       spec.iterations)
+        margins = _bound_margins(tbs, projected, truths, iterates, stops)
+        for vi, attempt, tb, margin_proj, margin_truth in zip(vis, attempts, tbs, *margins):
+            found[vi][0].append({
+                "variant": THEOREM_VARIANTS[vi], "attempt": attempt, "mu": tb.mu, "delta": tb.delta,
+                "delta_beta": tb.contraction, "noise_term": tb.noise_term, "model_error": tb.model_error,
+                "eta": tb.proj_error_eta, "margin_projection": margin_proj, "margin_truth": margin_truth,
+                "verified": int(margin_proj <= 1e-9 and margin_truth <= 1e-9)})
+    return found
 
 
 def _bound_margins(tbs, projected_truths, truths, iterates, stops):

@@ -24,13 +24,24 @@ __all__ = [
 ]
 
 
+def _scaled(largest, *vectors):
+    """The vectors times the power of two at `largest`, which is exact: finite
+    vectors past about 1e154 in norm, whose sums of squares overflow, scaled
+    by their largest |entry| do not (Blue, ACM TOMS 1978)."""
+    return [np.ldexp(v, -math.frexp(largest)[1]) for v in vectors]
+
+
 def normalized_error(x, truth):
-    """||x - truth|| / ||truth||, with 0/0 = 0 for the zero-truth case."""
+    """||x - truth|| / ||truth||, with 0/0 = 0 for the zero-truth case.  A truth
+    whose norm overflows is _scaled with x; an error still overflowing is inf."""
     x = np.asarray(x, dtype=float)
     truth = np.asarray(truth, dtype=float)
     with np.errstate(over="ignore"):  # a diverged estimate's norm is inf
         err = float(np.linalg.norm(x - truth))
         denom = float(np.linalg.norm(truth))
+        if math.isinf(denom):
+            x, truth = _scaled(np.abs(truth).max(), x, truth)
+            err, denom = float(np.linalg.norm(x - truth)), float(np.linalg.norm(truth))
     if denom == 0.0:
         return 0.0 if err == 0.0 else float("inf")
     return err / denom
@@ -45,6 +56,8 @@ def centile_curve(errors, centile):
     errors = list(errors)
     if not errors:
         raise ValueError("errors must be nonempty")
+    if any(math.isnan(e) for e in errors):
+        raise ValueError("errors must hold no nan")
     if _real("centile", centile, positive=True) > 1.0:
         raise ValueError(f"centile must lie in (0, 1], got {centile}")
     rank = math.ceil(centile * len(errors))
@@ -96,11 +109,7 @@ def sm2(trace, n=10):
             x, x_next = trace.iterates[i], trace.iterates[i + 1]
             denom, motion = _norm(x), _norm(x_next - x)
             if not (math.isfinite(denom) and math.isfinite(motion)):
-                # Finite iterates past about 1e154 in norm overflow the sum of
-                # squares.  Scaled by the power of two above their largest
-                # entry, which is exact, they do not (Blue, ACM TOMS 1978).
-                largest = max(np.abs(x).max(), np.abs(x_next).max())
-                x, x_next = (np.ldexp(v, -math.frexp(largest)[1]) for v in (x, x_next))
+                x, x_next = _scaled(max(np.abs(x).max(), np.abs(x_next).max()), x, x_next)
                 denom, motion = _norm(x), _norm(x_next - x)
             if denom == 0.0:
                 raise ValueError(f"zero-norm iterate at index {i}; sm2 is undefined")

@@ -10,7 +10,7 @@ from gpgd.constants import (
     operator_norm,
     theorem_bound_eval,
 )
-from gpgd.experiments import PerturbedProjection
+from gpgd.experiments import _perturbation_block
 from gpgd.projections import HARD_THRESHOLD_BETA, HardThreshold, PAlpha, hard_threshold
 
 
@@ -58,9 +58,9 @@ def test_cached_supports_are_read_only():
     (lambda: operator_norm(np.eye(3), seed=None), "seed"),
     (lambda: operator_norm(np.eye(3), seed=True), "seed"),
     (lambda: operator_norm(np.eye(3), seed=2.5), "seed"),
-    (lambda: PerturbedProjection(1, 0.02, seed=None), "seed"),
-    (lambda: PerturbedProjection(1, 0.02, seed=True), "seed"),
-    (lambda: PerturbedProjection(1, 0.02, seed=2.5), "seed"),
+    (lambda: _perturbation_block(0.02, None, 2, 3), "seed"),
+    (lambda: _perturbation_block(0.02, True, 2, 3), "seed"),
+    (lambda: _perturbation_block(0.02, 2.5, 2, 3), "seed"),
 ], ids=["exact_ric_sparse", "null_space_ric_floor", "mc_beta-trials", "mc_beta-k",
         "mc_beta-n", "mc_beta-n0", "mc_beta-k-above-n",
         "operator_norm-iters", "operator_norm-iters0", "operator_norm-tol",

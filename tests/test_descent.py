@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpgd.descent import GpgdConfig, _rel_changes, _stacked_run, gpgd_run, i_min_oracle
-from gpgd.experiments import PerturbedProjection, _row_projection
+from gpgd.experiments import _perturbation_block, _row_projection
 from gpgd.operators import BackProjection, JointOperator, MeasurementOperator, gaussian_operator
 from gpgd.projections import (
     HardThreshold,
@@ -234,23 +234,17 @@ def test_run_matches_textbook_loop_bit_for_bit(case):
 
 
 def test_perturbation_block_is_successive_single_draws():
-    # One block of `count` perturbations is `count` single draws, in order,
-    # each eta times a standard-normal draw over its norm.
-    block = PerturbedProjection(1, 0.02, seed=5)._perturbations(7, 12)
-    singles = PerturbedProjection(1, 0.02, seed=5)
+    # Row t of a block is the t-th draw of its seed's stream, eta times a
+    # standard-normal draw over its norm, so a shorter block is a prefix.
+    block = _perturbation_block(0.02, 5, 7, 12)
     rng = np.random.default_rng(5)
     for row in block:
         direction = rng.standard_normal(12)
         assert _bits(row) == _bits(0.02 * direction / np.linalg.norm(direction))
-        assert _bits(row) == _bits(singles._perturbations(1, 12)[0])
-    # A call adds its one perturbation to the hard threshold.
-    z = np.random.default_rng(6).standard_normal(12)
-    calls = PerturbedProjection(2, 0.02, seed=5)
-    for row in block[:3]:
-        assert _bits(calls(z)) == _bits(hard_threshold(z, 2) + row)
+    assert _bits(_perturbation_block(0.02, 5, 3, 12)) == _bits(block[:3])
 
 
-def test_perturbation_redraws_a_row_of_zeros():
+def test_perturbation_redraws_a_row_of_zeros(monkeypatch):
     class Stream:
         def __init__(self):
             self.draws = [np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), np.ones((1, 3))]
@@ -260,10 +254,22 @@ def test_perturbation_redraws_a_row_of_zeros():
             assert draw.shape == shape
             return draw
 
-    proj = PerturbedProjection(1, 3.0, seed=0)
-    proj._rng = Stream()
-    assert _bits(proj._perturbations(2, 3)) == _bits(3.0 * np.ones((2, 3)) / np.sqrt(3.0))
-    assert proj._rng.draws == []
+    stream = Stream()
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: stream)
+    assert _bits(_perturbation_block(3.0, 0, 2, 3)) == _bits(3.0 * np.ones((2, 3)) / np.sqrt(3.0))
+    assert stream.draws == []
+
+
+class _Perturbed:
+    """A per-call perturbed projection: hard_threshold(z, k) plus, on call t,
+    row t of the _perturbation_block of `seed`; counts its calls."""
+
+    def __init__(self, k, seed, calls, n, eta=0.02):
+        self.k, self.block, self.calls = k, _perturbation_block(eta, seed, calls, n), 0
+
+    def __call__(self, z):
+        self.calls += 1
+        return hard_threshold(z, self.k) + self.block[self.calls - 1]
 
 
 def _each_row(projections):
@@ -276,15 +282,14 @@ def _each_row(projections):
 @pytest.mark.parametrize("rows", [[], [2, 3], [3, 4], [0, 3]], ids=["none", "inner", "last", "apart"])
 def test_row_projection_is_each_rows_projection(k, rows):
     # A theorem cell's rows share one sparsity, and its perturbed rows, the
-    # proj_error variant's, each hold the block of perturbations of their
-    # PerturbedProjection, wherever they sit in the stack.  Each row must
-    # get, at every iteration, the bits of that row's own projection.  The
-    # iterates hold ties, NaN, inf and -0.0.
+    # proj_error variant's, each hold their _perturbation_block, wherever
+    # they sit in the stack.  Each row must get, at every iteration, the
+    # bits of that row's own projection.  The iterates hold ties, NaN, inf
+    # and -0.0.
     def projections():
-        return [PerturbedProjection(k, 0.02, seed=i) if i in rows else HardThreshold(k) for i in range(5)]
+        return [_Perturbed(k, i, 6, 12) if i in rows else HardThreshold(k) for i in range(5)]
 
-    noise = np.reshape([PerturbedProjection(k, 0.02, seed=i)._perturbations(6, 12) for i in rows],
-                       (len(rows), 6, 12))
+    noise = np.reshape([_perturbation_block(0.02, i, 6, 12) for i in rows], (len(rows), 6, 12))
     rng = np.random.default_rng(k)
     project, reference = _row_projection(k, rows, noise), _each_row(projections())
     for t in range(6):
@@ -326,7 +331,7 @@ def test_stacked_run_is_gpgd_run_on_every_row():
     # past the last.
     def projections():
         return [HardThreshold(1), HardThreshold(2), HardThreshold(0),
-                PerturbedProjection(1, 0.02, seed=5), HardThreshold(2)]
+                _Perturbed(1, 5, 61, 12), HardThreshold(2)]
 
     rng = np.random.default_rng(8)
     ops = [gaussian_operator(64, 12, rng) for _ in range(5)]
@@ -349,7 +354,7 @@ def test_stacked_run_is_gpgd_run_on_every_row():
 def _stack_row(kind, rng, m, n, max_iters):
     """(matrix, y, mu, projection factory) of one stack row of `kind`:
     "gaussian" or "perturbed" (a drawn instance, HardThreshold or
-    PerturbedProjection, with a step size that may diverge), "overflow" (an
+    _Perturbed, with a step size that may diverge), "overflow" (an
     iterate whose squared norm overflows while its entries stay finite) or
     "last" (a run that diverges at its last iteration).  The last two use
     A = eye(m, n), on which one step from x is (1 - mu) x + mu y[:n]."""
@@ -368,7 +373,7 @@ def _stack_row(kind, rng, m, n, max_iters):
     mu = float(10.0 ** rng.uniform(-1, 40)) if rng.random() < 0.3 else float(rng.uniform(0.1, 1.2))
     if kind == "perturbed":
         proj_seed = int(rng.integers(2**31))
-        return A, y, mu, lambda: PerturbedProjection(k, 0.02, seed=proj_seed)
+        return A, y, mu, lambda: _Perturbed(k, proj_seed, max_iters + 1, n)
     return A, y, mu, lambda: HardThreshold(k)
 
 
@@ -498,14 +503,6 @@ class _CountingThreshold(HardThreshold):
         return super().__call__(z)
 
 
-class _CountingPerturbed(PerturbedProjection):
-    calls = 0
-
-    def __call__(self, z):
-        self.calls += 1
-        return super().__call__(z)
-
-
 def test_only_marked_projections_replay_a_cycle():
     proj, _, bp, _, op, y, mu, iters, tol, truth = _reference_cases()["residual_threshold_cycle"]
     cfg = GpgdConfig(mu=mu, max_iters=iters, rel_change_tol=tol)
@@ -520,12 +517,12 @@ def test_only_marked_projections_replay_a_cycle():
                      bp, op, y, cfg, truth=truth)
     assert len(plain_calls) == plain.iterations_run + 1 == iters + 1
     assert _bits(plain.errors_to_truth) == _bits(trace.errors_to_truth)
-    perturbed = _CountingPerturbed(4, 0.0, seed=1)
+    perturbed = _Perturbed(4, 1, iters + 1, op.n_ambient, eta=0.0)
     gpgd_run(np.zeros(op.n_ambient), perturbed, bp, op, y, cfg)
     assert perturbed.calls == iters + 1
 
 
 def test_product_projection_is_marked_only_when_every_block_is():
     assert ProductProjection([(HardThreshold(2), 3), (PAlpha(1, 0.5), 2)])._deterministic
-    assert not ProductProjection([(HardThreshold(2), 3), (PerturbedProjection(1, 0.1, 0), 2)])._deterministic
+    assert not ProductProjection([(HardThreshold(2), 3), (_Perturbed(1, 0, 1, 2, eta=0.1), 2)])._deterministic
     assert not ProductProjection([(HardThreshold(2), 3), (lambda z: z, 2)])._deterministic

@@ -33,7 +33,6 @@ from gpgd.experiments import (
     THEOREM_MU_GRID,
     THEOREM_VARIANTS,
     ExperimentSpec,
-    PerturbedProjection,
     _bound_margins,
     _draw_instance,
     _row_projection,
@@ -401,16 +400,17 @@ def test_bound_margins_are_each_rows_textbook_margins():
     # mu = 1e30 diverges, so its run, and its margins, stop short.  Each
     # margin must have the bits of the per-row computation with
     # theorem_bound_eval on the row's own gpgd_run, whose perturbed
-    # projection adds the next row of its record's block on each call, as
-    # the PerturbedProjection it was drawn from does.
+    # projection adds the next row of its record's block on each call.
     spec = default_spec("theorem", trials=2)
     records = [record for vi in range(len(THEOREM_VARIANTS)) for record in _theorem_search(spec, vi)[0]]
-    records.append(records[0][:4] + (1e30,) + records[0][5:])
-    _, tbs, matrices, ys, mus, truths, noises = zip(*records)
+    attempt, tb, *instance = records[0]
+    records.append((attempt, dataclasses.replace(tb, mu=1e30), *instance))
+    _, tbs, matrices, ys, projected_truths, truths, noises = zip(*records)
+    mus = [tb.mu for tb in tbs]
+    assert all(np.array_equal(p, hard_threshold(x, 1)) for p, x in zip(projected_truths, truths))
     assert [noise is not None for noise in noises] == [False] * 6 + [True] * 2 + [False]
     iterates, stops = _stacked_run(np.array(matrices), np.array(ys), np.array(mus),
                                    _row_projection(1, [6, 7], np.array(noises[6:8])), spec.iterations)
-    projected_truths = [hard_threshold(x, 1) for x in truths]
     margins = _bound_margins(tbs, projected_truths, truths, iterates, stops)
     traces = []
     for A, y, mu, x, noise in zip(matrices, ys, mus, truths, noises):
@@ -439,6 +439,10 @@ def test_bound_margins_are_each_rows_textbook_margins():
             assert type(margin) is float and np.float64(margin).tobytes() == np.float64(expected).tobytes()
     assert THEOREM_VARIANTS[0] == "noiseless" and margins[0][:2] == [0.0, 0.0]
     assert margins[0][-1] > 1e9
+    # The check's own rows carry the first eight rows' margins.
+    found = _theorem_check(spec, range(len(THEOREM_VARIANTS)))
+    rows = [row for vi in range(len(THEOREM_VARIANTS)) for row in found[vi][0]]
+    assert [(row["margin_projection"], row["margin_truth"]) for row in rows] == list(zip(*margins))[:-1]
 
 
 def test_group_order_moves_no_theorem_row():
@@ -759,7 +763,8 @@ def _textbook_search(spec, vi, tune=_full_eigvalsh_scan):
     # _theorem_search one attempt at a time, with the unscreened references:
     # each attempt's floor, tuned mu (from `tune`) and delta, and for an
     # accepted one the truth its own stream draws next and, for proj_error,
-    # the perturbations of the PerturbedProjection seeded by the draw after.
+    # one perturbation per iteration, each direction drawn in turn from the
+    # stream seeded by the draw after.
     k, n = spec.sparsity_grid[0], spec.n_ambient
     accepted, floors, deltas = [], [], []
     for attempt in range(spec.resample_budget):
@@ -782,8 +787,10 @@ def _textbook_search(spec, vi, tune=_full_eigvalsh_scan):
             truth = truth + 0.05 * rng.standard_normal(n)
         noise = None
         if THEOREM_VARIANTS[vi] == "proj_error":
-            proj = PerturbedProjection(k, 0.02, int(rng.integers(2**31)))
-            noise = [proj._perturbations(1, n)[0] for _ in range(spec.iterations)]
+            directions, noise = np.random.default_rng(int(rng.integers(2**31))), []
+            for _ in range(spec.iterations):
+                direction = directions.standard_normal(n)
+                noise.append(0.02 * direction / np.linalg.norm(direction))
         accepted.append((attempt, mu, delta, delta * HARD_THRESHOLD_BETA, A, truth, noise))
     report = {"attempts": len(floors) + len(deltas) + len(accepted),
               "floor_rejected": len(floors), "tuner_rejected": len(deltas),
@@ -825,10 +832,11 @@ def test_theorem_search_is_the_textbook_acceptance_loop(monkeypatch, m, k, trial
         accepted, report = _textbook_search(spec, vi, tune)
         records, found = _theorem_search(spec, vi)
         assert found == report
-        assert ([(row["attempt"], row["mu"], row["delta"], row["delta_beta"]) for row, *_ in records]
+        assert ([(attempt, tb.mu, tb.delta, tb.contraction) for attempt, tb, *_ in records]
                 == [entry[:4] for entry in accepted])
-        for (_, _, matrix, _, _, truth, noise), entry in zip(records, accepted):
+        for (_, _, matrix, _, projected, truth, noise), entry in zip(records, accepted):
             assert np.array_equal(matrix, entry[4]) and np.array_equal(truth, entry[5])
+            assert np.array_equal(projected, hard_threshold(entry[5], k))
             assert (noise is None) == (entry[6] is None) and np.array_equal(noise, entry[6])
 
 
@@ -844,6 +852,19 @@ def test_cli_diverging_study_writes_inf_without_a_warning(tmp_path):
     header, row = (tmp_path / "run.csv").read_text().splitlines()
     row = dict(zip(header.split(","), row.split(",")))
     assert (row["centile_error"], row["mean_error"]) == ("1.0", "inf")
+
+
+def test_cli_joint_at_an_overflowing_outlier_amplitude_writes_no_nan(tmp_path):
+    # Outliers of amplitude 1e300 give corruptions whose norm overflows while
+    # every entry is finite; their errors are ratios, finite or inf, not nan.
+    config = {"m": 10, "n_ambient": 20, "sparsity_grid": [2], "outlier_grid": [3],
+              "outlier_amplitude": 1e300, "trials": 2, "iterations": 40}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _cli(tmp_path, "joint", config, "run") == 0
+    header, row = (tmp_path / "run.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), row.split(",")))
+    assert "nan" not in row.values() and row["centile_e_error"] == "1.0"
 
 
 @pytest.mark.parametrize("command, config", [

@@ -138,6 +138,19 @@ def test_centile_validation():
     for centile in (True, float("nan")):
         with pytest.raises(ValueError, match="centile"):
             centile_curve([0.1], centile)
+    # A nan error has no rank: wherever it sits, the centile refuses it.
+    for errors in ([np.nan, 0.5, 0.2], [0.5, np.nan, 0.2], [0.2, 0.5, np.nan]):
+        with pytest.raises(ValueError, match="nan"):
+            centile_curve(errors, 0.5)
+
+
+def test_normalized_error_of_a_truth_whose_norm_overflows():
+    # Finite vectors at the 1e300 scale, whose sums of squares overflow, give
+    # the ratio of their norms; an error that overflows even scaled is inf.
+    assert normalized_error(np.full(4, 1e300), np.full(4, 2e300)) == 0.5
+    assert normalized_error(np.full(4, 2e300), np.full(4, 2e300)) == 0.0
+    assert normalized_error(np.full(4, -1.5e308), np.full(4, 1.5e308)) == 2.0
+    assert normalized_error(np.full(4, np.inf), np.full(4, 1e300)) == np.inf
 
 
 def test_normalized_error_zero_truth():

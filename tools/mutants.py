@@ -115,8 +115,14 @@ MUTANTS = {
         [DESCENT + "test_stacked_run_is_gpgd_run_on_every_row"]),
     # metrics.py
     "SM2 without the rescale": (
-        "metrics.py", "                x, x_next = (np.ldexp(v, -math.frexp(largest)[1]) for v in (x, x_next))\n",
+        "metrics.py", "                x, x_next = _scaled(max(np.abs(x).max(), np.abs(x_next).max()), x, x_next)\n",
         "", ["tests/test_metrics.py::test_metrics_scale_invariant"]),
+    "normalized_error without its scaled branch": (
+        "metrics.py", "        if math.isinf(denom):\n", "        if False:\n",
+        ["tests/test_metrics.py::test_normalized_error_of_a_truth_whose_norm_overflows"]),
+    "a nan error given a rank": (
+        "metrics.py", "if any(math.isnan(e) for e in errors):", "if False:",
+        ["tests/test_metrics.py::test_centile_validation"]),
     "SM1 window one short": (
         "metrics.py", "window = errors[i_min + 1 : i_min + n + 1]", "window = errors[i_min + 1 : i_min + n]",
         ["tests/test_metrics.py::test_sm1_monotone_increase_attained_at_window_end"]),
@@ -162,7 +168,7 @@ MUTANTS = {
         "experiments.py", "status = 3 if inconclusive else 0", "status = 0",
         [EXPERIMENTS + "test_cli_inconclusive_theorem_check_reports_its_near_misses"]),
     "no row verified": (
-        "experiments.py", "verified=int(margin_proj <= 1e-9 and margin_truth <= 1e-9)", "verified=0",
+        "experiments.py", "int(margin_proj <= 1e-9 and margin_truth <= 1e-9)", "0",
         [EXPERIMENTS + "test_cli_theorem_at_zero_sparsity"]),
     "a dropped past-stop mask": (
         "experiments.py", "        gaps[past_stop] = -np.inf\n", "",
@@ -185,9 +191,15 @@ MUTANTS = {
     "a shifted perturbation block": (
         "experiments.py", "PX[rows] += noise[:, t]", "PX[rows] += noise[:, t - 1]",
         [DESCENT + "test_row_projection_is_each_rows_projection"]),
+    "a block without its zero-row redraw": (
+        "experiments.py", "    while not norms.all():\n", "    while False:\n",
+        [DESCENT + "test_perturbation_redraws_a_row_of_zeros"]),
+    "the margins fed the raw truths": (
+        "experiments.py", "_bound_margins(tbs, projected, truths,", "_bound_margins(tbs, truths, truths,",
+        [EXPERIMENTS + "test_bound_margins_are_each_rows_textbook_margins"]),
     "the perturbed rows taken as the last ones": (
-        "experiments.py", "_row_projection(k, perturbed, noise)",
-        "_row_projection(k, range(len(noises) - len(perturbed), len(noises)), noise)",
+        "experiments.py", "_row_projection(int(spec.sparsity_grid[0]), perturbed, noise)",
+        "_row_projection(int(spec.sparsity_grid[0]), range(len(noises) - len(perturbed), len(noises)), noise)",
         [EXPERIMENTS + "test_group_order_moves_no_theorem_row"]),
     "a float seed truncated into another trial's stream": (
         "experiments.py", 'SeedSequence(_count("seed", seed), spawn_key=key)', "SeedSequence(int(seed), spawn_key=key)",
