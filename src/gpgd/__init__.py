@@ -16,7 +16,6 @@ from .projections import (
     PAlpha,
     ProductProjection,
     hard_threshold,
-    model_distance,
 )
 from .descent import GpgdConfig, RecoveryTrace, gpgd_run, i_min_oracle
 from .constants import (

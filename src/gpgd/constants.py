@@ -191,64 +191,44 @@ def _null_space_ric_floors(As, k):
 
 
 def _tuned_mu(B, k, mu_grid):
-    """The mu of mu_grid minimizing the exact restricted isometry constant of
-    mu*B, exact_ric_sparse(mu * B, k).
+    """(mu, delta): the first mu of mu_grid with the smallest exact restricted
+    isometry constant delta = exact_ric_sparse(mu * B, k), and that delta.
 
-    Uses ||(mu B - I)[:, T]||^2 = lambda_max(mu^2 B_T' B_T - 2 mu sym(B_TT) + I)
-    per support T, with the Gram blocks precomputed once, and keeps the
-    first grid mu of smallest sqrt(max_T lambda_max) as computed by eigvalsh.
-    At k = 0 there is no support: delta is 0 at every mu, and the first grid
-    value wins as the first minimum.  A mu at which some block is not
-    finite gives no finite delta and is passed over; ValueError when no
-    grid mu gives one.
-
-    At support size 2 a screen over the whole grid comes first.  The block
-    [[a, b], [b, c]] at mu has lambda_max = 1 + p + sqrt(q^2 + b^2), where
-    p = (a+c)/2 - 1, q = (a-c)/2 and b are quadratics in mu with no
-    constant term, so their values at a few grid mu at a time are one
-    matmul of the per-support coefficients of mu^2 and mu.  Only grid values
-    within _SCREEN_TOL (relative, floor 1) of the screen's minimum go on to
-    eigvalsh, in grid order and by the same strict-< first-minimum rule; the
-    screen overflows at the larger mu only, and a screen inf at every mu
-    passes them all.  The two computations of one lambda_max agree to about
-    1e-14, far inside the screen's tolerance, so the eigvalsh winner always
-    passes the screen, every value ahead of it that passes is strictly
-    worse, and the chosen mu is the full eigvalsh scan's, bit for bit.  At
-    each of those mu the closed form screens the supports: eigvalsh sees
-    only the blocks _near_max keeps, whose max is the max over every
-    support.  At other support sizes every mu and every support goes on.
+    A mu at which mu * B is not finite is passed over; ValueError when no
+    grid mu is left.  At support size 2 a screen over the whole grid comes
+    first.  On a support T, ||(mu B - I)[:, T]||^2 is lambda_max of the
+    block [[a, b], [b, c]] of mu^2 G - 2 mu S + I, with G = B'B and S =
+    (B + B')/2, which is 1 + p + sqrt(q^2 + b^2), where p = (a+c)/2 - 1,
+    q = (a-c)/2 and b are quadratics in mu with no constant term, so their
+    values at a few grid mu at a time are one matmul of the per-support
+    coefficients of mu^2 and mu.  Only grid values within _SCREEN_TOL
+    (relative, floor 1) of the screen's minimum go on to exact_ric_sparse,
+    in grid order: the closed form and the SVD agree far inside that
+    tolerance.  The screen overflows at the larger mu only, and one whose
+    minimum is not finite (inf everywhere, or NaN from a G that overflowed)
+    passes them all.  At other support sizes every grid value goes on.
     """
     n = B.shape[0]
-    t = min(2 * _count("k", k), n)
-    if t == 0:
-        return float(mu_grid[0])
-    # Overflow and inf - inf are passed over below, not warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        grams, blocks = [], []
-        for supports in _support_chunks(n, t):
-            columns = np.moveaxis(B[:, supports], 1, 0)
-            grams.append(np.swapaxes(columns, 1, 2) @ columns)
-            block = B[supports[:, :, None], supports[:, None, :]]
-            blocks.append((block + np.swapaxes(block, 1, 2)) / 2.0)
-        grams, blocks = np.concatenate(grams), np.concatenate(blocks)
-        eye = np.eye(t)
-        candidates = range(len(mu_grid))
-        if t == 2:
-            g00, g11, g01 = grams[:, 0, 0], grams[:, 1, 1], grams[:, 0, 1]
-            s00, s11, s01 = blocks[:, 0, 0], blocks[:, 1, 1], blocks[:, 0, 1]
-            # (3, S, 2): the mu^2 and mu coefficients of p, q and b.
-            coefficients = np.empty((3, len(grams), 2))
-            coefficients[..., 0] = (g00 + g11) / 2.0, (g00 - g11) / 2.0, g01
-            coefficients[..., 1] = -(s00 + s11), -(s00 - s11), -2.0 * s01
+    candidates = range(len(mu_grid))
+    if min(2 * _count("k", k), n) == 2:
+        i, j = np.concatenate(_support_chunks(n, 2)).T
+        # Overflow and inf - inf leave the screen not finite, not warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            G, S = B.T @ B, (B + B.T) / 2.0
+            g, s = np.diag(G), np.diag(S)
+            # (3, supports, 2): the mu^2 and mu coefficients of p, q and b.
+            coefficients = np.empty((3, len(i), 2))
+            coefficients[..., 0] = (g[i] + g[j]) / 2.0, (g[i] - g[j]) / 2.0, G[i, j]
+            coefficients[..., 1] = -(s[i] + s[j]), -(s[i] - s[j]), -2.0 * S[i, j]
             # A few grid values at a time, so the (support, mu) values held
             # at once stay near len(mu_grid) * SUPPORT_CHUNK.
             mus = np.asarray(mu_grid, dtype=float)
-            step = max(1, len(mus) * SUPPORT_CHUNK // len(grams))
+            step = max(1, len(mus) * SUPPORT_CHUNK // len(i))
             screen = []
             for lo in range(0, len(mus), step):
                 mu = mus[lo:lo + step]
                 p, q, b = coefficients @ np.vstack([mu * mu, mu])
-                # In place: these passes over (S, grid) are the screen's cost.
+                # In place: these passes over (supports, grid) are the screen's cost.
                 q *= q
                 b *= b
                 q += b
@@ -257,21 +237,20 @@ def _tuned_mu(B, k, mu_grid):
                 screen.append(q.max(axis=0))
             screen = 1.0 + np.concatenate(screen)
             least = screen.min()
-            candidates = np.flatnonzero(screen <= least + _SCREEN_TOL * max(abs(least), 1.0))
-        best = (np.inf, None)
-        for i in candidates:
-            mu = mu_grid[i]
-            quad = mu * mu * grams - 2.0 * mu * blocks + eye
-            if not np.isfinite(quad).all():
-                continue
-            if t == 2:
-                quad = quad[_near_max(quad[:, 0, 0], quad[:, 1, 0], quad[:, 1, 1])]
-            delta = np.sqrt(max(float(np.linalg.eigvalsh(quad)[:, -1].max()), 0.0))
-            if delta < best[0]:
-                best = (delta, float(mu))
+            if np.isfinite(least):
+                candidates = np.flatnonzero(screen <= least + _SCREEN_TOL * max(abs(least), 1.0))
+    best = (np.inf, None)
+    for index in candidates:
+        with np.errstate(over="ignore"):
+            muB = mu_grid[index] * B
+        if not np.isfinite(muB).all():
+            continue
+        delta = exact_ric_sparse(muB, k)
+        if delta < best[0]:
+            best = (delta, float(mu_grid[index]))
     if best[1] is None:
         raise ValueError("no mu of the grid gives a finite restricted isometry constant")
-    return best[1]
+    return best[1], best[0]
 
 
 def mc_beta(projection, k, n, trials, seed):

@@ -32,7 +32,6 @@ from .constants import (
     TheoremBound,
     _bound_constant,
     _null_space_ric_floors,
-    exact_ric_sparse,
     operator_norm,
 )
 from .descent import GpgdConfig, _rel_changes, _stacked_run, gpgd_run, i_min_oracle
@@ -860,9 +859,7 @@ def _theorem_search(spec, vi):
                 floors.append(floor_beta)
                 continue
             B = op.matrix.T @ op.matrix
-            mu = constants._tuned_mu(B, k, THEOREM_MU_GRID)
-            muB = mu * B
-            delta = exact_ric_sparse(muB, k)
+            mu, delta = constants._tuned_mu(B, k, THEOREM_MU_GRID)
             if delta * HARD_THRESHOLD_BETA >= 1.0:
                 deltas.append(delta * HARD_THRESHOLD_BETA)
                 continue
@@ -870,18 +867,18 @@ def _theorem_search(spec, vi):
             if variant == "model_error":
                 truth = truth + 0.05 * rng.standard_normal(n)
             y_clean = op.apply(truth)
-            e = np.zeros(spec.m)
+            e, noise_term = np.zeros(spec.m), 0.0
             if variant == "noisy":
                 e = _effective_sigma(spec, y_clean) * rng.standard_normal(spec.m)
+                # A sum of squares that overflows gives inf, which TheoremBound rejects.
+                with np.errstate(over="ignore"):
+                    noise_term = float(np.linalg.norm(mu * op.adjoint(e)))
             noise = (_perturbation_block(eta, int(rng.integers(2**31)), spec.iterations, n)
                      if eta > 0 else None)
             projected = hard_threshold(truth, k)
             # Each norm multiplies one error term; where that term is 0 the
             # norm stays at 0.0, which leaves the bound's bits unchanged.
             model_error = _norm(projected - truth)
-            # A sum of squares that overflows gives inf, which TheoremBound rejects.
-            with np.errstate(over="ignore"):
-                noise_term = float(np.linalg.norm(mu * op.adjoint(e)))
             tb = TheoremBound(
                 delta=delta,
                 beta=HARD_THRESHOLD_BETA,
@@ -889,8 +886,8 @@ def _theorem_search(spec, vi):
                 noise_term=noise_term,
                 model_error=model_error,
                 proj_error_eta=eta,
-                op_norm_muLA=operator_norm(muB, seed=attempt) if model_error > 0 else 0.0,
-                op_norm_I_minus_muLA=operator_norm(np.eye(n) - muB, seed=attempt) if eta > 0 else 0.0,
+                op_norm_muLA=operator_norm(mu * B, seed=attempt) if model_error > 0 else 0.0,
+                op_norm_I_minus_muLA=operator_norm(np.eye(n) - mu * B, seed=attempt) if eta > 0 else 0.0,
             )
             accepted.append((attempt, tb, op.matrix, y_clean + e, projected, truth, noise))
             size = 1
@@ -953,8 +950,9 @@ def run_theorem_check(spec):
     Per variant, resamples instances until spec.trials seeds with
     delta*beta < 1 are found (or the resample budget is exhausted, which
     makes the whole check inconclusive, status 3).  mu is tuned per seed
-    (constants._tuned_mu) to minimize the exact enumerated delta, which is
-    exact_ric_sparse at that mu; beta is the analytic hard-threshold bound.
+    (constants._tuned_mu) to minimize the exact enumerated delta,
+    exact_ric_sparse at that mu, which the tuner returns with it; beta is
+    the analytic hard-threshold bound.
     A seed whose null-space floor (null_space_ric_floor, a lower bound on
     delta at every mu) already forces delta*beta >= 1 is rejected before
     tuning; that skips work and never changes which seeds qualify.

@@ -2,8 +2,7 @@
 
 Hard thresholding onto k-sparse vectors and random points of that set, a
 rescaled variant that inflates its restricted Lipschitz constant by a
-tunable amount, block-wise product projections, and the projection-induced
-distance to the model set.
+tunable amount, and block-wise product projections.
 """
 
 import math
@@ -15,7 +14,6 @@ __all__ = [
     "HARD_THRESHOLD_BETA",
     "hard_threshold",
     "sparse_signal",
-    "model_distance",
     "HardThreshold",
     "PAlpha",
     "ProductProjection",
@@ -133,12 +131,6 @@ def sparse_signal(n, k, rng):
         vals = rng.standard_normal(k)
     x[support] = vals * (np.sqrt(k) / np.linalg.norm(vals))
     return x
-
-
-def model_distance(x, projection):
-    """Projection-induced distance to the model set: ||P(x) - x||_2."""
-    x = np.asarray(x, dtype=float)
-    return float(np.linalg.norm(np.asarray(projection(x), dtype=float) - x))
 
 
 class HardThreshold:

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+from gpgd.experiments import _TRACE_COLUMNS
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "byte_oracle.py"
 _SPEC = importlib.util.spec_from_file_location("byte_oracle", _PATH)
 byte_oracle = importlib.util.module_from_spec(_SPEC)
@@ -44,3 +46,25 @@ def test_every_run_is_held_to_its_expected_exit_code():
     results = _results()
     assert byte_oracle.verdict(results, {"phase_alpha": 3}) == [
         f"phase_alpha under {setting}: exit code 0, not 3" for setting in ("one", "two", "three")]
+
+
+def test_each_csv_unlike_the_committed_digests_is_named_once():
+    # trace differs under one setting, phase_alpha.csv is missing from the
+    # committed file and theorem.csv from the results.
+    committed = {"phase_alpha_trace.csv": "b2", "theorem.csv": "c3"}
+    results = _results(two=(0, {**_CSVS, "phase_alpha_trace.csv": "b0"}, _SUMMARY))
+    assert (byte_oracle.unlike(results, committed)
+            == ["phase_alpha.csv", "phase_alpha_trace.csv", "theorem.csv"])
+    assert byte_oracle.unlike(_results(), _CSVS) == []
+
+
+def test_the_committed_digests_name_exactly_the_csvs_of_the_runs():
+    # Run `name` writes name.csv, and name_trace.csv for an experiment with a trace.
+    committed = byte_oracle.read_digests(byte_oracle.DIGESTS.read_text())
+    expected = set()
+    for name, (command, *_) in byte_oracle.RUNS.items():
+        expected.add(f"{name}.csv")
+        if command.replace("-", "_") in _TRACE_COLUMNS:
+            expected.add(f"{name}_trace.csv")
+    assert sorted(committed) == sorted(expected) and len(expected) == 12
+    assert all(len(digest) == 64 for digest in committed.values())

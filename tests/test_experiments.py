@@ -371,18 +371,35 @@ def test_theorem_check_computes_each_op_norm_only_for_a_nonzero_error(one_share,
     assert len(calls) == sum(row["model_error"] > 0 for row in rows) + sum(row["eta"] > 0 for row in rows) == 4
 
 
+def test_theorem_check_computes_the_noise_term_only_for_the_noisy_variant(one_share, monkeypatch):
+    # The other variants' e is zero, so their noise_term is 0.0 with no
+    # adjoint call.
+    calls = _spy(monkeypatch, MeasurementOperator, "adjoint")
+    rows = run_theorem_check(default_spec("theorem", trials=2))["rows"]
+    noisy = [row for row in rows if row["variant"] == "noisy"]
+    assert len(calls) == len(noisy) == 2
+    assert all(row["noise_term"] > 0.0 for row in noisy)
+    assert all(row["noise_term"] == 0.0 for row in rows if row["variant"] != "noisy")
+
+
 def test_theorem_check_takes_each_delta_from_exact_ric_sparse_at_the_tuned_mu(one_share, monkeypatch):
-    # The benchmark times the enumeration through experiments.exact_ric_sparse,
-    # so the check must call it once per tuned attempt, at the tuner's mu;
-    # an accepted attempt's row holds that mu and that call's delta.
-    tuned = _spy(monkeypatch, constants, "_tuned_mu")
-    rics = _spy(monkeypatch, experiments, "exact_ric_sparse")
+    # The tuner returns each tuned attempt's delta, exact_ric_sparse at its
+    # mu bit for bit, and the check computes no second one: every
+    # exact_ric_sparse call is made inside a tuner call.  An accepted
+    # attempt's row holds that mu and that delta.
+    rics, tuned, real = _spy(monkeypatch, constants, "exact_ric_sparse"), [], constants._tuned_mu
+
+    def tuner(B, k, mu_grid):
+        before = len(rics)
+        tuned.append(((B, k), real(B, k, mu_grid), len(rics) - before))
+        return tuned[-1][1]
+
+    monkeypatch.setattr(constants, "_tuned_mu", tuner)
     rows = run_theorem_check(default_spec("theorem"))["rows"]
-    assert len(rics) == len(tuned) > len(rows) == 20
-    for ((B, _, _), _, mu), ((scaled, _), _, _) in zip(tuned, rics):
-        assert np.array_equal(scaled, mu * B)
-    accepted = [(mu, delta) for (_, _, mu), (_, _, delta) in zip(tuned, rics)
-                if delta * HARD_THRESHOLD_BETA < 1.0]
+    assert sum(inside for *_, inside in tuned) == len(rics) and len(tuned) > len(rows) == 20
+    for (B, k), (mu, delta), _ in tuned:
+        assert delta == exact_ric_sparse(mu * B, k)
+    accepted = [pair for _, pair, _ in tuned if pair[1] * HARD_THRESHOLD_BETA < 1.0]
     assert accepted == [(row["mu"], row["delta"]) for row in rows]
 
 
@@ -539,25 +556,15 @@ def _full_floor(A, k):
     return float(np.sqrt(lam))
 
 
-def _full_eigvalsh_scan(B, k, mu_grid):
-    # The tuner without its screens: one stacked eigvalsh over every support
-    # per grid mu, and the first mu of smallest delta wins.
-    n = B.shape[0]
-    t = min(2 * k, n)
-    if t == 0:
-        return float(mu_grid[0])
-    supports = _all_supports(n, t)
-    columns = np.moveaxis(B[:, supports], 1, 0)
-    grams = np.swapaxes(columns, 1, 2) @ columns
-    block = B[supports[:, :, None], supports[:, None, :]]
-    blocks = (block + np.swapaxes(block, 1, 2)) / 2.0
+def _full_ric_scan(B, k, mu_grid):
+    # The tuner without its screens: (mu, delta) for the first grid mu of
+    # smallest delta = _full_ric_sparse(mu * B, k).
     best = (np.inf, None)
     for mu in mu_grid:
-        quad = mu * mu * grams - 2.0 * mu * blocks + np.eye(t)
-        delta = np.sqrt(max(float(np.linalg.eigvalsh(quad)[:, -1].max()), 0.0))
+        delta = _full_ric_sparse(mu * B, k)
         if delta < best[0]:
             best = (delta, float(mu))
-    return best[1]
+    return best[1], best[0]
 
 
 @pytest.mark.parametrize("m", [8, 16, 32, 64, 128])
@@ -566,14 +573,14 @@ def test_tuner_matches_the_full_eigvalsh_scan(m, k):
     for seed in range(6 if k < 2 else 2):
         A = gaussian_operator(m, 12, trial_rng(seed, m, k)).matrix
         B = A.T @ A
-        assert _tuned_mu(B, k, THEOREM_MU_GRID) == _full_eigvalsh_scan(B, k, THEOREM_MU_GRID)
+        assert _tuned_mu(B, k, THEOREM_MU_GRID) == _full_ric_scan(B, k, THEOREM_MU_GRID)
 
 
 def test_tuner_screens_many_supports_in_blocks():
     # C(100, 2) = 4950 supports: the screen takes the grid in two blocks.
     A = gaussian_operator(80, 100, trial_rng(0, 80)).matrix
     B = A.T @ A
-    assert _tuned_mu(B, 1, THEOREM_MU_GRID) == _full_eigvalsh_scan(B, 1, THEOREM_MU_GRID)
+    assert _tuned_mu(B, 1, THEOREM_MU_GRID) == _full_ric_scan(B, 1, THEOREM_MU_GRID)
 
 
 @pytest.mark.parametrize("k, n", [(1, 12), (2, 6)])
@@ -584,14 +591,14 @@ def test_tuner_breaks_exact_ties_like_the_full_scan(k, n):
     grid = THEOREM_MU_GRID
     for i in range(len(grid) - 1):
         B = 2.0 / (grid[i] + grid[i + 1]) * np.eye(n)
-        assert _tuned_mu(B, k, grid) == _full_eigvalsh_scan(B, k, grid), i
+        assert _tuned_mu(B, k, grid) == _full_ric_scan(B, k, grid), i
 
 
 def test_tuner_breaks_ties_of_rotated_blocks_like_the_full_scan():
     # Two 2x2 diagonal blocks with eigenvalues (lo, mid) and (hi, mid): near
     # its minimum delta(mu) is max(1 - mu lo, mu hi - 1), and hi is chosen so
     # that delta ties at mu_i and mu_{i+1}.  Random rotations of the blocks
-    # give them off-diagonal entries, so the closed form and eigvalsh round
+    # give them off-diagonal entries, so the closed form and the SVD round
     # the two tied values differently: a screen without its tolerance picks
     # the other neighbour on a few of these.
     grid = THEOREM_MU_GRID
@@ -604,7 +611,7 @@ def test_tuner_breaks_ties_of_rotated_blocks_like_the_full_scan():
             for start, s in ((0, lo), (2, hi)):
                 R = np.linalg.qr(rng.standard_normal((2, 2)))[0]
                 B[start:start + 2, start:start + 2] = R @ np.diag([s, (lo + hi) / 2]) @ R.T
-            assert _tuned_mu(B, 1, grid) == _full_eigvalsh_scan(B, 1, grid), i
+            assert _tuned_mu(B, 1, grid) == _full_ric_scan(B, 1, grid), i
 
 
 def _assert_screens_match_the_full_enumeration(A, k, mus=THEOREM_MU_GRID[::7]):
@@ -630,7 +637,7 @@ def test_support_screens_match_the_full_enumeration_on_drawn_instances(seed, m, 
     A = 10.0**log_scale * gaussian_operator(m, n, trial_rng(seed)).matrix
     _assert_screens_match_the_full_enumeration(A, 1, THEOREM_MU_GRID[::15])
     B = A.T @ A
-    assert _tuned_mu(B, 1, THEOREM_MU_GRID) == _full_eigvalsh_scan(B, 1, THEOREM_MU_GRID)
+    assert _tuned_mu(B, 1, THEOREM_MU_GRID) == _full_ric_scan(B, 1, THEOREM_MU_GRID)
     # exact_ric_sparse takes any square B, not only mu A'A.
     M = np.eye(n) + 0.3 * trial_rng(seed, 1).standard_normal((n, n))
     assert exact_ric_sparse(M, 1) == _full_ric_sparse(M, 1)
@@ -657,7 +664,7 @@ def test_support_screens_break_ties_of_rotated_blocks_like_the_full_enumeration(
             R = np.linalg.qr(rng.standard_normal((2, 2)))[0]
             B[start:start + 2, start:start + 2] = R @ np.diag([0.3, 1.9]) @ R.T
         assert exact_ric_sparse(B, 1) == _full_ric_sparse(B, 1), trial
-        assert _tuned_mu(B, 1, THEOREM_MU_GRID) == _full_eigvalsh_scan(B, 1, THEOREM_MU_GRID)
+        assert _tuned_mu(B, 1, THEOREM_MU_GRID) == _full_ric_scan(B, 1, THEOREM_MU_GRID)
 
 
 def test_support_screens_on_a_single_support():
@@ -665,7 +672,7 @@ def test_support_screens_on_a_single_support():
     A = gaussian_operator(1, 2, trial_rng(0, 2)).matrix
     _assert_screens_match_the_full_enumeration(A, 1)
     B = A.T @ A
-    assert _tuned_mu(B, 1, THEOREM_MU_GRID) == _full_eigvalsh_scan(B, 1, THEOREM_MU_GRID)
+    assert _tuned_mu(B, 1, THEOREM_MU_GRID) == _full_ric_scan(B, 1, THEOREM_MU_GRID)
 
 
 def test_support_screen_sends_every_support_to_lapack_when_the_closed_form_overflows():
@@ -729,37 +736,44 @@ def test_stacked_floors_span_several_eigvalsh_calls(monkeypatch, m, n, k, count,
 
 
 @pytest.mark.parametrize("k", [1, 2])
-@pytest.mark.parametrize("B", [
-    lambda B: np.where(np.eye(12) > 0, np.nan, B),
-    lambda B: np.where(np.arange(12) == 5, np.inf, B),
-    lambda B: np.where(np.arange(12)[:, None] == 3, -np.inf, B),
-    lambda B: 1e200 * B,  # finite, but every Gram block overflows
+@pytest.mark.parametrize("B, grid", [
+    (lambda B: np.where(np.eye(12) > 0, np.nan, B), THEOREM_MU_GRID),
+    (lambda B: np.where(np.arange(12) == 5, np.inf, B), THEOREM_MU_GRID),
+    (lambda B: np.where(np.arange(12)[:, None] == 3, -np.inf, B), THEOREM_MU_GRID),
+    # Finite, with its largest entry half the float range, so mu * B
+    # overflows at every grid mu above 2.
+    (lambda B: np.finfo(float).max / 2.0 / np.abs(B).max() * B, THEOREM_MU_GRID[THEOREM_MU_GRID > 2.0]),
 ], ids=["nan-diagonal", "inf-column", "-inf-row", "overflow"])
-def test_tuner_raises_when_no_grid_mu_gives_a_finite_delta(B, k):
+def test_tuner_raises_when_no_grid_mu_gives_a_finite_delta(B, grid, k):
     A = gaussian_operator(64, 12, trial_rng(0, 64)).matrix
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="finite"):
-            _tuned_mu(B(A.T @ A), k, THEOREM_MU_GRID)
+        with pytest.raises(ValueError, match="no mu of the grid gives a finite"):
+            _tuned_mu(B(A.T @ A), k, grid)
 
 
 def test_tuner_passes_over_the_mu_whose_blocks_overflow():
-    # Scaled so that the largest Gram entry is a quarter of the float range,
-    # mu^2 B_T'B_T overflows above mu = 2 only, and the screen at every mu;
-    # the tuner keeps the best of the grid values below 2.  Scaled to 1e154,
-    # every block stays finite, but the screen, which squares its terms, is
-    # inf above mu = 1.5 only; the tuner keeps the full scan's mu.
+    # Scaled so that B's largest entry is half the float range, mu * B
+    # overflows above mu = 2 only: the tuner passes those values over and
+    # keeps the best of the others.  There and at 1e200, B'B overflows, and
+    # the screen, NaN at every mu, passes every grid value; at 1e200 the
+    # exact constant is finite at each.  Scaled so that the largest entry of
+    # B'B is 1e154, the screen, which squares its terms, is inf above
+    # mu = 1.5 only.
     A = gaussian_operator(64, 12, trial_rng(0, 64)).matrix
     B = A.T @ A
     grid = np.linspace(0.3, 3.9, 13)
-    for largest, finite in ((np.finfo(float).max / 4.0, grid[grid < 2.0]), (1e154, grid)):
-        scaled = np.sqrt(largest / np.abs(B.T @ B).max()) * B
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _tuned_mu(scaled, 1, grid) == _full_eigvalsh_scan(scaled, 1, finite)
+    half = np.finfo(float).max / 2.0 / np.abs(B).max() * B
+    gram = np.sqrt(1e154 / np.abs(B.T @ B).max()) * B
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (1, 2):
+            assert _tuned_mu(half, k, grid) == _full_ric_scan(half, k, grid[grid < 2.0])
+            assert _tuned_mu(1e200 * B, k, grid) == _full_ric_scan(1e200 * B, k, grid)
+        assert _tuned_mu(gram, 1, grid) == _full_ric_scan(gram, 1, grid)
 
 
-def _textbook_search(spec, vi, tune=_full_eigvalsh_scan):
+def _textbook_search(spec, vi, tune=_full_ric_scan):
     # _theorem_search one attempt at a time, with the unscreened references:
     # each attempt's floor, tuned mu (from `tune`) and delta, and for an
     # accepted one the truth its own stream draws next and, for proj_error,
@@ -777,8 +791,7 @@ def _textbook_search(spec, vi, tune=_full_eigvalsh_scan):
             floors.append(floor_beta)
             continue
         B = A.T @ A
-        mu = tune(B, k, THEOREM_MU_GRID)
-        delta = _full_ric_sparse(mu * B, k)
+        mu, delta = tune(B, k, THEOREM_MU_GRID)
         if delta * HARD_THRESHOLD_BETA >= 1.0:
             deltas.append(delta * HARD_THRESHOLD_BETA)
             continue
@@ -813,10 +826,10 @@ def _textbook_search(spec, vi, tune=_full_eigvalsh_scan):
     (64, 1, 1, 60), (64, 1, 3, 60), (64, 1, 3, 4), (64, 2, 2, 13), (64, 2, 3, 5),
 ])
 def test_theorem_search_is_the_textbook_acceptance_loop(monkeypatch, m, k, trials, budget):
-    tune = _full_eigvalsh_scan
+    tune = _full_ric_scan
     if 2 * k == 4:
         # At support size 4 the tuner has no screen and is itself the full
-        # scan (the tuner tests hold it to _full_eigvalsh_scan), so each
+        # scan (the tuner tests hold it to _full_ric_scan), so each
         # attempt's scan is computed once and shared by both loops.
         tuned, tuner = {}, constants._tuned_mu
 

@@ -9,7 +9,6 @@ from gpgd.projections import (
     ProductProjection,
     _threshold_rows,
     hard_threshold,
-    model_distance,
     sparse_signal,
 )
 
@@ -178,20 +177,3 @@ def test_product_dimension_mismatch():
     for dim in (2.5, True, -1):
         with pytest.raises(ValueError, match="block dim"):
             ProductProjection([(lambda v: v, 2), (lambda v: v, dim)])
-
-
-def test_model_distance_on_model_point_is_zero():
-    x = np.array([0.0, 2.0, 0.0, -1.0])
-    assert model_distance(x, HardThreshold(2)) == 0.0
-
-
-def test_model_distance_hand_case():
-    assert model_distance(np.array([4.0, 3.0]), HardThreshold(1)) == 3.0
-
-
-def test_model_distance_nonnegative():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        assert model_distance(rng.standard_normal(8), HardThreshold(2)) >= 0.0
-
-

@@ -1,10 +1,13 @@
-"""The byte oracle, run as `python tools/byte_oracle.py`.
+"""The byte oracle, run as `python tools/byte_oracle.py [--write]`.
 
 Each run in RUNS must give the same exit code, CSV set, CSV bytes and summary
 line under every setting, a command prefix on a pinned base environment, and no
-process of the runs may outlive them.  Prints `sha256  csv  setting  seconds`,
-tab-separated, per CSV, so a byte claim is a diff of its `cut -f1-3` at the
-parent and at the change.  Each disagreement goes to stderr and makes it exit 1.
+process of the runs may outlive them, and each CSV must have the sha256
+committed in tools/bytes.sha256 (`sha256  csv` per line, one per run and CSV).
+Prints `sha256  csv  setting  seconds`, tab-separated, per CSV.  Each
+disagreement goes to stderr and makes it exit 1.  A change that moves bytes on
+purpose runs it with --write instead: it holds the runs to each other only,
+and when they agree it rewrites tools/bytes.sha256.
 """
 
 import hashlib
@@ -36,6 +39,7 @@ BASE = {"OPENBLAS_NUM_THREADS": "1", "PYTHONHASHSEED": "0", "PYTHONPATH": str(RE
 # On one CPU the runners solve every item in one process, on two across forked shares.
 SETTINGS = ("env PYTHONHASHSEED=1", "env PYTHONHASHSEED=2", "env OPENBLAS_NUM_THREADS=2",
             "taskset -c 0", "taskset -c 0,1")
+DIGESTS = REPO / "tools/bytes.sha256"
 
 
 def verdict(results, expected):
@@ -53,7 +57,25 @@ def verdict(results, expected):
     return problems
 
 
+def read_digests(text):
+    """{csv: sha256} of a bytes.sha256 text."""
+    return {csv: digest for digest, csv in (line.split("  ", 1) for line in text.splitlines())}
+
+
+def unlike(results, committed):
+    """Each CSV of `results` (as in verdict) whose sha256 under some setting
+    is not the one `committed`, {csv: sha256}, holds, and each CSV that only
+    `committed` names."""
+    seen = {(csv, digest) for by_setting in results.values() for _, csvs, _ in by_setting.values()
+            for csv, digest in csvs.items()}
+    return sorted({csv for csv, digest in seen if committed.get(csv) != digest}
+                  | (committed.keys() - {csv for csv, _ in seen}))
+
+
 def main():
+    write = sys.argv[1:] == ["--write"]
+    if sys.argv[1:] not in ([], ["--write"]):
+        sys.exit(f"usage: {sys.argv[0]} [--write]")
     results = {name: {} for name in RUNS}
     with tempfile.TemporaryDirectory(prefix="byte_oracle_") as scratch:
         for (name, (command, config, extra, _)), (i, setting) in itertools.product(
@@ -84,6 +106,13 @@ def main():
             os.kill(int(pid), signal.SIGKILL)
             i, name = Path(out).relative_to(scratch).parts[:2]
             problems.append(f"{name} under {SETTINGS[int(i)]}: process {pid} outlived the runs")
+    if not write:
+        committed = read_digests(DIGESTS.read_text())
+        problems += [f"{csv} differs from {DIGESTS.name}" for csv in unlike(results, committed)]
+    elif not problems:
+        first = {csv: digest for by_setting in results.values()
+                 for csv, digest in next(iter(by_setting.values()))[1].items()}
+        DIGESTS.write_text("".join(f"{first[csv]}  {csv}\n" for csv in sorted(first)))
     sys.stderr.writelines(f"{problem}\n" for problem in problems)
     return 1 if problems else 0
 

@@ -140,8 +140,14 @@ MUTANTS = {
         "constants.py", "return keep | ~np.isfinite(lam).all(axis=-1, keepdims=True)", "return keep",
         [EXPERIMENTS + "test_support_screen_sends_every_support_to_lapack_when_the_closed_form_overflows"]),
     "a non-finite mu not passed over": (
-        "constants.py", "            if not np.isfinite(quad).all():\n                continue\n", "",
-        [EXPERIMENTS + "test_tuner_raises_when_no_grid_mu_gives_a_finite_delta[nan-diagonal-2]"]),
+        "constants.py", "        if not np.isfinite(muB).all():\n            continue\n", "",
+        [EXPERIMENTS + "test_tuner_passes_over_the_mu_whose_blocks_overflow"]),
+    "a NaN mu screen passing nothing": (
+        "constants.py", "if np.isfinite(least):", "if True:",
+        [EXPERIMENTS + "test_tuner_passes_over_the_mu_whose_blocks_overflow"]),
+    "the last minimum instead of the first": (
+        "constants.py", "if delta < best[0]:", "if delta <= best[0]:",
+        [EXPERIMENTS + "test_tuner_breaks_exact_ties_like_the_full_scan[1-12]"]),
     "a row-space direction in the floor": (
         "constants.py", "null_basis = np.linalg.svd(As)[2][:, m:]", "null_basis = np.linalg.svd(As)[2][:, m - 1:]",
         [EXPERIMENTS + "test_null_space_floor_never_exceeds_delta_on_mu_grid"]),
