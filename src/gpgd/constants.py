@@ -30,8 +30,8 @@ __all__ = [
 # Refuse to enumerate more supports than this.
 ENUMERATION_GUARD = 10**6
 
-# Supports are enumerated in blocks of at most this many, which bounds the
-# stacked submatrices held at once.
+# LAPACK sees at most this many supports per call, which bounds the stacked
+# submatrices held at once.
 SUPPORT_CHUNK = 4096
 
 # The closed-form 2x2 screens (support axis here, mu axis in the theorem
@@ -41,56 +41,43 @@ _SCREEN_TOL = 1e-9
 
 
 @functools.lru_cache(maxsize=8)
-def _support_chunks(n, t):
-    """Every size-t support of range(n), in lexicographic order, as read-only
-    integer arrays of shape (<= SUPPORT_CHUNK, t).  Needs t >= 1.
+def _supports(n, t):
+    """Every size-t support of range(n), in lexicographic order, as one
+    read-only integer array of shape (C(n, t), t).  Needs t >= 1.
 
     Cached, because the theorem check enumerates the same (n, t) on every
     attempt; the guard raises before anything is cached, and the last 8
     enumerations are kept.
     """
-    if math.comb(n, t) > ENUMERATION_GUARD:
+    count = math.comb(n, t)
+    if count > ENUMERATION_GUARD:
         raise ValueError(
-            f"C({n}, {t}) = {math.comb(n, t)} supports exceed the enumeration "
-            f"guard ({ENUMERATION_GUARD})"
+            f"C({n}, {t}) = {count} supports exceed the enumeration guard ({ENUMERATION_GUARD})"
         )
-    combos = itertools.combinations(range(n), t)
-    chunks = []
-    while True:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, SUPPORT_CHUNK)), dtype=np.intp
-        )
-        if flat.size == 0:
-            return tuple(chunks)
-        flat.flags.writeable = False
-        chunks.append(flat.reshape(-1, t))
+    flat = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), t)),
+                       dtype=np.intp, count=count * t)
+    flat.flags.writeable = False
+    return flat.reshape(count, t)
 
 
-def _near_max(a, b, c):
-    """Mask of the symmetric 2x2 blocks [[a, b], [b, c]] whose closed-form
-    lambda_max (a+c)/2 + sqrt(((a-c)/2)^2 + b^2) lies within _SCREEN_TOL
-    (relative, floor 1) of the largest along the last axis; every block of
-    a row holding a closed-form value that is not finite.
+def _near_max(M, supports):
+    """Mask of the size-2 supports T whose 2x2 blocks M[..., T, T] have a
+    closed-form lambda_max within _SCREEN_TOL (relative, floor 1) of the
+    largest along the last axis; every support of a row holding a
+    closed-form value that is not finite.  M is (n, n) or a stack of them.
 
     On the positive semidefinite blocks screened here the closed form and
     LAPACK agree to about 1e-14, far inside the tolerance, so the block that
     LAPACK ranks first in a row is always kept and LAPACK's max over the
     kept blocks is its max over the whole row, bit for bit.
     """
+    i, j = supports.T
+    a, b, c = M[..., i, i], M[..., j, i], M[..., j, j]
     with np.errstate(over="ignore", invalid="ignore"):
         lam = (a + c) / 2.0 + np.sqrt(((a - c) / 2.0) ** 2 + b * b)
         top = lam.max(axis=-1, keepdims=True)
         keep = lam >= top - _SCREEN_TOL * np.maximum(abs(top), 1.0)
     return keep | ~np.isfinite(lam).all(axis=-1, keepdims=True)
-
-
-def _near_max_supports(M, chunks):
-    """The size-2 supports T of `chunks` whose blocks M[T, T] _near_max keeps,
-    in chunks of at most SUPPORT_CHUNK."""
-    supports = np.concatenate(chunks)
-    i, j = supports.T
-    supports = supports[_near_max(M[i, i], M[j, i], M[j, j])]
-    return [supports[lo:lo + SUPPORT_CHUNK] for lo in range(0, len(supports), SUPPORT_CHUNK)]
 
 
 def exact_ric_sparse(B, k):
@@ -118,14 +105,14 @@ def exact_ric_sparse(B, k):
     if t == 0:
         return 0.0
     D = B - np.eye(n)
-    chunks = _support_chunks(n, t)
+    supports = _supports(n, t)
     if t == 2:
         with np.errstate(over="ignore", invalid="ignore"):
             gram = D.T @ D
-        chunks = _near_max_supports(gram, chunks)
+        supports = supports[_near_max(gram, supports)]
     best = 0.0
-    for supports in chunks:
-        columns = np.moveaxis(D[:, supports], 1, 0)
+    for lo in range(0, len(supports), SUPPORT_CHUNK):
+        columns = np.moveaxis(D[:, supports[lo:lo + SUPPORT_CHUNK]], 1, 0)
         best = max(best, float(np.linalg.svd(columns, compute_uv=False)[:, 0].max()))
     return best
 
@@ -159,11 +146,13 @@ def _null_space_ric_floors(As, k):
     bits of its own.  Zeros, with no SVD, at m >= n or support size 0.
 
     At support size 2 one _near_max call, a row per operator, keeps each
-    operator's blocks near its largest closed-form lambda_max, and eigvalsh
-    sees the kept blocks of every operator together, SUPPORT_CHUNK at most
-    per call, each operator's floor being the max over its own.  At other
-    sizes eigvalsh sees every support, whole operators at a time, about
-    SUPPORT_CHUNK blocks per call.
+    operator's supports near its largest closed-form lambda_max, and
+    eigvalsh sees the kept (operator, support) pairs of every operator
+    together, SUPPORT_CHUNK at most per call, each operator's floor being
+    the max over its own.  At other sizes eigvalsh sees every support, in
+    slices of at most SUPPORT_CHUNK supports of the one enumeration, each
+    slice for as many operators at once as keep a call within SUPPORT_CHUNK
+    blocks (one operator where a slice is full).
     """
     count, m, n = As.shape
     t = min(2 * k, n)
@@ -172,21 +161,20 @@ def _null_space_ric_floors(As, k):
         return lam
     null_basis = np.linalg.svd(As)[2][:, m:]
     P = np.swapaxes(null_basis, 1, 2) @ null_basis
-    chunks = _support_chunks(n, t)
+    supports = _supports(n, t)
     if t == 2:
-        supports = np.concatenate(chunks)
-        i, j = supports.T
-        owners, kept = np.nonzero(_near_max(P[:, i, i], P[:, j, i], P[:, j, j]))
-        pieces = [(owners[lo:lo + SUPPORT_CHUNK], supports[kept[lo:lo + SUPPORT_CHUNK]])
-                  for lo in range(0, len(owners), SUPPORT_CHUNK)]
+        owners, kept = np.nonzero(_near_max(P, supports))
+        pieces = ((owners[lo:lo + SUPPORT_CHUNK], supports[kept[lo:lo + SUPPORT_CHUNK]])
+                  for lo in range(0, len(owners), SUPPORT_CHUNK))
     else:
-        step = max(1, SUPPORT_CHUNK // len(chunks[0]))
-        pieces = ((np.arange(lo, min(lo + step, count)).repeat(len(supports)),
-                   np.tile(supports, (min(step, count - lo), 1)))
-                  for supports in chunks for lo in range(0, count, step))
-    for owners, supports in pieces:
-        blocks = P[owners[:, None, None], supports[:, :, None], supports[:, None, :]]
-        np.maximum.at(lam, owners, np.linalg.eigvalsh(blocks)[:, -1])
+        step = max(1, SUPPORT_CHUNK // len(supports))
+        pieces = ((np.arange(lo, min(lo + step, count)).repeat(len(chunk)),
+                   np.tile(chunk, (min(step, count - lo), 1)))
+                  for chunk in np.split(supports, range(SUPPORT_CHUNK, len(supports), SUPPORT_CHUNK))
+                  for lo in range(0, count, step))
+    for owned_by, rows in pieces:
+        blocks = P[owned_by[:, None, None], rows[:, :, None], rows[:, None, :]]
+        np.maximum.at(lam, owned_by, np.linalg.eigvalsh(blocks)[:, -1])
     return np.sqrt(lam)
 
 
@@ -211,7 +199,7 @@ def _tuned_mu(B, k, mu_grid):
     n = B.shape[0]
     candidates = range(len(mu_grid))
     if min(2 * _count("k", k), n) == 2:
-        i, j = np.concatenate(_support_chunks(n, 2)).T
+        i, j = _supports(n, 2).T
         # Overflow and inf - inf leave the screen not finite, not warned about.
         with np.errstate(over="ignore", invalid="ignore"):
             G, S = B.T @ B, (B + B.T) / 2.0

@@ -92,8 +92,8 @@ THEOREM_MU_GRID = np.linspace(0.05, 2.5, 80)
 # in the floor never decides a seed.
 FLOOR_REJECT_MARGIN = 1e-9
 
-# Most attempts the theorem check draws, and takes the null-space floors of,
-# at once (_theorem_search).
+# Attempts the theorem check draws, and takes the null-space floors of, at
+# once where those floors need an SVD (_theorem_search).
 THEOREM_BLOCK_CAP = 32
 
 # Hidden units of the nipr prior, which must be fewer than n_ambient.
@@ -704,20 +704,6 @@ NIPR_MAX_ITERS = 4000
 SM1_NUMERICAL_FLOOR = 1e-12
 
 
-def _run_with_window(x0, proj, bp, op, y, mu, start_iters, window, truth):
-    """Run long enough that the oracle-best index leaves room for the
-    post-optimum window; doubles the budget (from scratch, deterministic)
-    until it fits or the cap is reached."""
-    iters = start_iters
-    while True:
-        cfg = GpgdConfig(mu=mu, max_iters=iters, rel_change_tol=0.0, record_iterates=True)
-        trace = gpgd_run(x0, proj, bp, op, y, cfg, truth=truth)
-        i_min = i_min_oracle(trace)
-        if trace.diverged or i_min + window + 1 <= trace.iterations_run or iters >= NIPR_MAX_ITERS:
-            return trace
-        iters = min(2 * iters, NIPR_MAX_ITERS)
-
-
 def _nipr_solve(spec, weight, rng, pair):
     """Pair `pair`'s training at `weight`, then the learned-projection
     descent on the pair's instance: its row."""
@@ -745,13 +731,22 @@ def _nipr_solve(spec, weight, rng, pair):
                     **dict.fromkeys(_NIPR_SM_CELLS, float("nan"))})
         return row
     proj, bp = LearnedProjection(result.prior), BackProjection.adjoint(op)
-    trace = _run_with_window(np.zeros(spec.n_ambient), proj, bp, op, y,
-                             spec.mu, spec.iterations, window, truth)
-    i_min = i_min_oracle(trace)
+    # Run long enough that the oracle-best index leaves room for the
+    # post-optimum window: the budget doubles (from scratch, deterministic)
+    # until the window fits, the run diverges or the cap is reached.
+    iters = spec.iterations
+    while True:
+        cfg = GpgdConfig(mu=spec.mu, max_iters=iters, rel_change_tol=0.0, record_iterates=True)
+        trace = gpgd_run(np.zeros(spec.n_ambient), proj, bp, op, y, cfg, truth=truth)
+        i_min = i_min_oracle(trace)
+        fits = i_min + window + 1 <= trace.iterations_run
+        if fits or trace.diverged or iters >= NIPR_MAX_ITERS:
+            break
+        iters = min(2 * iters, NIPR_MAX_ITERS)
     row["i_min"] = i_min
     row["best_error"] = normalized_error(trace.iterates[i_min], truth)
     row["final_error"] = normalized_error(trace.final, truth)
-    if i_min + window + 1 <= trace.iterations_run:
+    if fits:
         report = stability_report(trace, offsets=NIPR_OFFSETS)
         for n in NIPR_OFFSETS:
             row[f"sm1_{n}"] = report.sm1_at[n]
@@ -836,22 +831,24 @@ def _theorem_search(spec, vi):
     rejected by the tuner or accepted, as one attempt at a time would: each
     has its own trial stream and operator, and an accepted one draws its
     instance on from its own stream.  They are drawn in blocks, whose
-    floors come from one _null_space_ric_floors call.  A block is twice the
-    last after a block with no acceptance, up to THEOREM_BLOCK_CAP, and 1
-    after one.  The attempts of a block past the one that completes
-    spec.trials are discarded and never counted.
+    floors come from one _null_space_ric_floors call: THEOREM_BLOCK_CAP
+    attempts where that call computes anything (m < n and k >= 1), and 1
+    where the floors are zeros with no SVD, so that a block saves nothing.
+    The attempts of a block past the one that completes spec.trials are
+    discarded and never counted.
     """
     variant = THEOREM_VARIANTS[vi]
     k, n, eta = int(spec.sparsity_grid[0]), spec.n_ambient, 0.02 if variant == "proj_error" else 0.0
+    size = THEOREM_BLOCK_CAP if spec.m < n and k >= 1 else 1
     accepted, floors, deltas = [], [], []
-    start, size = 0, 1
-    while start < spec.resample_budget and len(accepted) < spec.trials:
+    for start in range(0, spec.resample_budget, size):
+        if len(accepted) >= spec.trials:
+            break
         block = range(start, min(start + size, spec.resample_budget))
         rngs = [trial_rng(spec.seed, _TAGS["theorem"], vi, attempt) for attempt in block]
         ops = [gaussian_operator(spec.m, n, rng) for rng in rngs]
         floor_betas = (_null_space_ric_floors(np.array([op.matrix for op in ops]), k)
                        * HARD_THRESHOLD_BETA)
-        start, size = block.stop, min(2 * size, THEOREM_BLOCK_CAP)
         for attempt, rng, op, floor_beta in zip(block, rngs, ops, floor_betas.tolist()):
             if len(accepted) >= spec.trials:
                 break
@@ -890,7 +887,6 @@ def _theorem_search(spec, vi):
                 op_norm_I_minus_muLA=operator_norm(np.eye(n) - mu * B, seed=attempt) if eta > 0 else 0.0,
             )
             accepted.append((attempt, tb, op.matrix, y_clean + e, projected, truth, noise))
-            size = 1
     # Each attempt made was rejected on the floor or by the tuner, or accepted.
     report = {"attempts": len(floors) + len(deltas) + len(accepted),
               "floor_rejected": len(floors), "tuner_rejected": len(deltas),

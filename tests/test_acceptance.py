@@ -5,8 +5,8 @@ see them on success) and asserts the criterion at its stated tolerance.
 Runtime budgets are asserted on the core computation of each criterion.
 """
 
-import json
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -14,6 +14,7 @@ from gpgd.cli import main
 from gpgd.constants import mc_beta
 from gpgd.descent import GpgdConfig, gpgd_run
 from gpgd.experiments import (
+    EXPERIMENTS,
     SM1_NUMERICAL_FLOOR,
     default_spec,
     run_nipr_stability,
@@ -28,6 +29,8 @@ from gpgd.metrics import normalized_error
 from gpgd.operators import BackProjection, MeasurementOperator, gaussian_operator
 from gpgd.prior import TrainConfig, loss_gradient, random_prior, training_loss
 from gpgd.projections import HARD_THRESHOLD_BETA, HardThreshold, PAlpha
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _report(num, name, ok, detail=""):
@@ -299,23 +302,12 @@ def test_criterion_10_stepsize_tradeoff():
 
 def test_criterion_11_cli_determinism(tmp_path):
     t0 = time.perf_counter()
-    configs = {
-        "phase-alpha": {"sparsity_grid": [0, 2, 4], "alpha_grid": [0.0, 0.3], "trials": 3,
-                        "iterations": 50, "k_trace": 2},
-        "outliers": {"sparsity_grid": [3], "outlier_grid": [0, 5], "trials": 3,
-                     "iterations": 50},
-        "stepsize": {"sparsity_grid": [1, 2], "mu_grid": [0.3, 0.6], "trials": 3,
-                     "iterations": 25, "k_trace": 2},
-        "joint": {"sparsity_grid": [4], "outlier_grid": [5], "trials": 2,
-                  "iterations": 150},
-        "nipr": {"trials": 2},
-        "theorem": {"trials": 1, "resample_budget": 20},
-    }
+    # The golden configs (tests/golden/<command>.json), one per experiment.
+    configs = {path.stem: path for path in sorted(GOLDEN.glob("*.json"))}
+    assert sorted(configs) == sorted(e.replace("_", "-") for e in EXPERIMENTS)
     identical = True
     details = []
-    for command, config in configs.items():
-        cfg_path = tmp_path / f"{command}.json"
-        cfg_path.write_text(json.dumps(config))
+    for command, cfg_path in configs.items():
         outs = []
         for tag in ("x", "y"):
             out = tmp_path / f"{command}-{tag}"
@@ -330,7 +322,7 @@ def test_criterion_11_cli_determinism(tmp_path):
     import subprocess
     import sys
 
-    cfg_path = tmp_path / "phase-alpha.json"
+    cfg_path = configs["phase-alpha"]
     for tag in ("p1", "p2"):
         subprocess.run(
             [sys.executable, "-m", "gpgd.cli", "phase-alpha", "--config", str(cfg_path),

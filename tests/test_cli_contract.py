@@ -167,3 +167,20 @@ def test_cli_nipr_sm2_holds_where_the_iterate_norms_overflow(tmp_path, monkeypat
         header, *rows = (line.split(",") for line in (tmp_path / "out.csv").read_text().splitlines())
         cells.append([float(v) for row in rows for col, v in zip(header, row) if col.startswith("sm2_")])
     assert len(cells[1]) == 6 and cells[1] == pytest.approx(cells[0], rel=1e-12)
+
+
+def test_cli_nipr_descent_that_diverges_before_its_window_fits_is_maximally_unstable(
+        tmp_path, monkeypatch):
+    # At mu 1.5e308 the learned descent diverges before the 100 iterations
+    # after its best iterate, the start, have run: both rows read i_min 0
+    # and inf in all six SM cells.
+    monkeypatch.setattr("gpgd.experiments.NIPR_TRAIN", dict(NIPR_TRAIN, epochs=40))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run("nipr", {"trials": 1, "iterations": 50, "mu": 1.5e308}, tmp_path) == 0
+    header, *rows = (line.split(",") for line in (tmp_path / "out.csv").read_text().splitlines())
+    assert len(rows) == 2
+    for row in rows:
+        row = dict(zip(header, row))
+        assert row["i_min"] == "0"
+        assert [v for col, v in row.items() if col.startswith("sm")] == ["inf"] * 6

@@ -3,7 +3,7 @@ import pytest
 
 from gpgd.constants import (
     TheoremBound,
-    _support_chunks,
+    _supports,
     exact_ric_sparse,
     mc_beta,
     null_space_ric_floor,
@@ -30,13 +30,12 @@ def test_exact_ric_enumeration_guard():
 
 
 def test_cached_supports_are_read_only():
-    chunks = _support_chunks(9, 2)
-    assert _support_chunks(9, 2) is chunks
-    for chunk in chunks:
-        with pytest.raises(ValueError, match="read-only"):
-            chunk[0, 0] = 1
-        with pytest.raises(ValueError, match="read-only"):
-            chunk.base[0] = 1
+    supports = _supports(9, 2)
+    assert _supports(9, 2) is supports and supports.shape == (36, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        supports[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        supports.base[0] = 1
 
 
 @pytest.mark.parametrize("call, name", [
@@ -61,12 +60,19 @@ def test_cached_supports_are_read_only():
     (lambda: _perturbation_block(0.02, None, 2, 3), "seed"),
     (lambda: _perturbation_block(0.02, True, 2, 3), "seed"),
     (lambda: _perturbation_block(0.02, 2.5, 2, 3), "seed"),
+    # Shapes and names are checked at the same boundary.
+    (lambda: exact_ric_sparse(np.ones((2, 3)), 1), "B"),
+    (lambda: null_space_ric_floor(np.ones(4), 1), "A"),
+    (lambda: operator_norm(np.ones((2, 2, 2))), "M"),
+    (lambda: theorem_bound_eval(TheoremBound(delta=0.1, beta=1.0, mu=1.0), 3, 1.0, "model"), "variant"),
 ], ids=["exact_ric_sparse", "null_space_ric_floor", "mc_beta-trials", "mc_beta-k",
         "mc_beta-n", "mc_beta-n0", "mc_beta-k-above-n",
         "operator_norm-iters", "operator_norm-iters0", "operator_norm-tol",
         "mc_beta-seed-none", "mc_beta-seed-bool", "mc_beta-seed-float",
         "operator_norm-seed-none", "operator_norm-seed-bool", "operator_norm-seed-float",
-        "perturbed-seed-none", "perturbed-seed-bool", "perturbed-seed-float"])
+        "perturbed-seed-none", "perturbed-seed-bool", "perturbed-seed-float",
+        "exact_ric_sparse-not-square", "null_space_ric_floor-1d", "operator_norm-3d",
+        "theorem_bound_eval-variant"])
 def test_constants_reject_non_integer_counts_and_non_finite_reals(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call()

@@ -814,10 +814,24 @@ def _textbook_search(spec, vi, tune=_full_ric_scan):
     return accepted, report
 
 
-# Blocks of 1, 2, 4, 8, 16 and 32 attempts end after attempts 1, 3, 7, 15,
-# 31 and 63, so budgets of 4, 5, 13 and 60 end inside a block.  At m=64 the
-# noisy variant at one trial, and model_error at k=2 and two trials, reach
-# their trials inside a block and discard the rest of it.
+def _assert_search_is_textbook(spec, tune):
+    k = spec.sparsity_grid[0]
+    for vi in range(len(THEOREM_VARIANTS)):
+        accepted, report = _textbook_search(spec, vi, tune)
+        records, found = _theorem_search(spec, vi)
+        assert found == report
+        assert ([(attempt, tb.mu, tb.delta, tb.contraction) for attempt, tb, *_ in records]
+                == [entry[:4] for entry in accepted])
+        for (_, _, matrix, _, projected, truth, noise), entry in zip(records, accepted):
+            assert np.array_equal(matrix, entry[4]) and np.array_equal(truth, entry[5])
+            assert np.array_equal(projected, hard_threshold(entry[5], k))
+            assert (noise is None) == (entry[6] is None) and np.array_equal(noise, entry[6])
+
+
+# At n=12 and m < 12 a block holds 32 attempts, the first two ending after
+# attempts 31 and 63, so budgets of 5, 13 and 60 end inside a block; at
+# m >= 12 a block holds one attempt.  The next test reaches its trials
+# inside a block.
 @pytest.mark.parametrize("m, k, trials, budget", [
     (8, 1, 2, 60), (8, 2, 1, 13),
     (10, 1, 2, 60), (10, 2, 1, 5),
@@ -839,18 +853,42 @@ def test_theorem_search_is_the_textbook_acceptance_loop(monkeypatch, m, k, trial
             return tuned[B.tobytes()]
 
         monkeypatch.setattr(constants, "_tuned_mu", tune)
-    spec = default_spec("theorem", m=m, sparsity_grid=[k], trials=trials,
-                        resample_budget=budget)
+    _assert_search_is_textbook(default_spec("theorem", m=m, sparsity_grid=[k], trials=trials,
+                                            resample_budget=budget), tune)
+
+
+def test_theorem_search_discards_the_rest_of_the_block_that_completes_its_trials(monkeypatch):
+    # No attempt at n=12 and m < 12 is accepted at the real delta (its
+    # delta*beta stays above 1.3), so a tuner that reports half the full
+    # scan's delta accepts each attempt that passes the floor.  At m=11,
+    # seed 0 and budget 60, noiseless and noisy accept one attempt each,
+    # model_error reaches its two trials at the budget's last attempt, and
+    # proj_error at attempt 10, inside the first block, whose other 21
+    # attempts it discards.
+    def tune(B, k, mu_grid):
+        mu, delta = _full_ric_scan(B, k, mu_grid)
+        return mu, delta / 2.0
+
+    monkeypatch.setattr(constants, "_tuned_mu", tune)
+    spec = default_spec("theorem", m=11, trials=2, resample_budget=60)
+    _assert_search_is_textbook(spec, tune)
+    records, report = _theorem_search(spec, THEOREM_VARIANTS.index("proj_error"))
+    assert [record[0] for record in records] == [9, 10] and report["attempts"] == 11
+
+
+def test_theorem_blocks_hold_32_attempts_only_where_the_floors_need_an_svd(monkeypatch):
+    # At m=8 all 400 attempts are rejected on the floor, in 13 calls of up
+    # to 32 operators; at m=64 >= n the floors are zeros, and each call
+    # holds one operator.
+    calls = _spy(monkeypatch, experiments, "_null_space_ric_floors")
     for vi in range(len(THEOREM_VARIANTS)):
-        accepted, report = _textbook_search(spec, vi, tune)
-        records, found = _theorem_search(spec, vi)
-        assert found == report
-        assert ([(attempt, tb.mu, tb.delta, tb.contraction) for attempt, tb, *_ in records]
-                == [entry[:4] for entry in accepted])
-        for (_, _, matrix, _, projected, truth, noise), entry in zip(records, accepted):
-            assert np.array_equal(matrix, entry[4]) and np.array_equal(truth, entry[5])
-            assert np.array_equal(projected, hard_threshold(entry[5], k))
-            assert (noise is None) == (entry[6] is None) and np.array_equal(noise, entry[6])
+        calls.clear()
+        _, report = _theorem_search(default_spec("theorem", m=8), vi)
+        assert report["floor_rejected"] == 400
+        assert [len(args[0]) for args, _, _ in calls] == [32] * 12 + [16]
+        calls.clear()
+        _, report = _theorem_search(default_spec("theorem"), vi)
+        assert [len(args[0]) for args, _, _ in calls] == [1] * report["attempts"]
 
 
 def test_cli_diverging_study_writes_inf_without_a_warning(tmp_path):
@@ -920,6 +958,9 @@ def test_cli_invalid_config_exit_code(tmp_path):
     assert main(["phase-alpha", "--config", str(bad)]) == 1
     bad.write_text("not json")
     assert main(["phase-alpha", "--config", str(bad)]) == 1
+    bad.write_text(json.dumps([{"trials": 2}]))
+    assert main(["phase-alpha", "--config", str(bad)]) == 1
+    assert main(["phase-alpha", "--trials", "0", "--out", str(tmp_path / "t0")]) == 1
     assert main(["phase-alpha", "--config", str(tmp_path / "missing.json")]) == 1
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"experiment": "outliers"}))

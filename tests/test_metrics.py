@@ -94,6 +94,9 @@ def test_sm2_additive_over_windows():
 def test_sm2_requires_iterates():
     with pytest.raises(ValueError, match="iterates"):
         sm2(_trace(errors=[2.0, 1.0, 1.5]), n=1)
+    # The best iterate is index 1, so n=1 needs iterates through index 3.
+    with pytest.raises(ValueError, match="too short for sm2"):
+        sm2(_trace(errors=[2.0, 1.0, 1.5], iterates=[np.ones(2)] * 3), n=1)
 
 
 def test_sm2_zero_norm_iterate():
@@ -135,7 +138,7 @@ def test_centile_validation():
         centile_curve([], 0.9)
     with pytest.raises(ValueError):
         centile_curve([0.1], 0.0)
-    for centile in (True, float("nan")):
+    for centile in (True, float("nan"), 1.5):
         with pytest.raises(ValueError, match="centile"):
             centile_curve([0.1], centile)
     # A nan error has no rank: wherever it sits, the centile refuses it.

@@ -36,6 +36,13 @@ def test_gaussian_rejects_zero_dimensions():
 def test_operator_rejects_nonfinite_entries():
     with pytest.raises(ValueError):
         MeasurementOperator([[1.0, np.inf], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="must be 2-d"):
+        MeasurementOperator([1.0, 2.0])
+    for empty in (np.zeros((0, 3)), np.zeros((3, 0))):
+        with pytest.raises(ValueError, match="dimensions must be >= 1"):
+            MeasurementOperator(empty)
+    with pytest.raises(ValueError, match="kind must be one of"):
+        BackProjection(gaussian_operator(3, 4, 0), "masked")
 
 
 def test_apply_dimension_mismatch():

@@ -58,6 +58,12 @@ def test_prior_validates_shapes():
     # A latent dimension of 0 maps every input to 0, which no training can fix.
     with pytest.raises(ValueError, match=r"1 <= d_latent < n, got d_latent=0"):
         ToyPrior(np.zeros((0, 5)), np.zeros((5, 0)), "tanh")
+    with pytest.raises(ValueError, match="nonlinearity must be one of"):
+        ToyPrior(np.zeros((2, 5)), np.zeros((5, 2)), "relu")
+    with pytest.raises(ValueError, match="weights must be finite"):
+        ToyPrior(np.full((2, 5), np.nan), np.zeros((5, 2)), "linear")
+    with pytest.raises(ValueError, match="expected vector of length 5"):
+        prior_apply(ToyPrior(np.zeros((2, 5)), np.zeros((5, 2)), "linear"), np.ones(4))
 
 
 def test_nipr_penalty_zero_for_projector():
@@ -174,6 +180,7 @@ def test_default_penalty_weight():
     ("seed", -1),
     ("seed", 1.5),
     ("seed", True),
+    ("loss_kind", "mse"),
 ])
 def test_train_config_rejects(field, value):
     with pytest.raises(ValueError, match=field):
@@ -568,6 +575,7 @@ def test_loss_and_gradient_reject_an_empty_batch(loss_kind):
     ((10, 4, 2, 1.5), "seed"),
     ((10, 4, 2, True), "seed"),
     ((10, 4, 2, None), "seed"),
+    ((10, 4, 2, 0, "sine"), "curvature"),
 ])
 def test_make_manifold_dataset_rejects(args, match):
     with pytest.raises(ValueError, match=match):

@@ -32,6 +32,8 @@ def test_hard_threshold_k_zero_and_bounds():
         hard_threshold([1.0, 2.0], 3)
     with pytest.raises(ValueError):
         hard_threshold([1.0, 2.0], -1)
+    with pytest.raises(ValueError, match="expected a vector"):
+        hard_threshold(np.ones((2, 2)), 1)
     # A sparsity level is an integer: never truncated, never a bool.
     for k in (2.5, True):
         with pytest.raises(ValueError, match="k must be an integer"):

@@ -226,6 +226,18 @@ MUTANTS = {
     "repeated grid entries accepted": (
         "experiments.py", "and len(set(value)) == len(value)):", "):",
         [EXPERIMENTS + "test_cli_rejects_repeated_grid_entries"]),
+    "theorem blocks sized the other way round": (
+        "experiments.py", "size = THEOREM_BLOCK_CAP if spec.m < n and k >= 1 else 1",
+        "size = 1 if spec.m < n and k >= 1 else THEOREM_BLOCK_CAP",
+        [EXPERIMENTS + "test_theorem_blocks_hold_32_attempts_only_where_the_floors_need_an_svd"]),
+    "a block's attempts past the last trial kept": (
+        "experiments.py", "            if len(accepted) >= spec.trials:\n                break\n", "",
+        [EXPERIMENTS + "test_theorem_search_discards_the_rest_of_the_block_that_completes_its_trials"]),
+    "a descent diverged before its window read as nan": (
+        "experiments.py", 'row.update(dict.fromkeys(_NIPR_SM_CELLS, float("inf")))',
+        'row.update(dict.fromkeys(_NIPR_SM_CELLS, float("nan")))',
+        ["tests/test_cli_contract.py::"
+         "test_cli_nipr_descent_that_diverges_before_its_window_fits_is_maximally_unstable"]),
     # prior.py
     "no entry-wise fallback in training": (
         "prior.py", "if not math.isfinite(s) and not (np.isfinite(enc).all() and np.isfinite(dec).all()):",
