@@ -183,22 +183,28 @@ def _tuned_mu(B, k, mu_grid):
     isometry constant delta = exact_ric_sparse(mu * B, k), and that delta.
 
     A mu at which mu * B is not finite is passed over; ValueError when no
-    grid mu is left.  At support size 2 a screen over the whole grid comes
-    first.  On a support T, ||(mu B - I)[:, T]||^2 is lambda_max of the
-    block [[a, b], [b, c]] of mu^2 G - 2 mu S + I, with G = B'B and S =
-    (B + B')/2, which is 1 + p + sqrt(q^2 + b^2), where p = (a+c)/2 - 1,
-    q = (a-c)/2 and b are quadratics in mu with no constant term, so their
-    values at a few grid mu at a time are one matmul of the per-support
-    coefficients of mu^2 and mu.  Only grid values within _SCREEN_TOL
-    (relative, floor 1) of the screen's minimum go on to exact_ric_sparse,
-    in grid order: the closed form and the SVD agree far inside that
-    tolerance.  The screen overflows at the larger mu only, and one whose
-    minimum is not finite (inf everywhere, or NaN from a G that overflowed)
-    passes them all.  At other support sizes every grid value goes on.
+    grid mu is left.  At support sizes of 2 and more a screen over the whole
+    grid comes first.  On a 2-support T, ||(mu B - I)[:, T]||^2 is
+    lambda_max of the block [[a, b], [b, c]] of mu^2 G - 2 mu S + I, with G
+    = B'B and S = (B + B')/2, which is 1 + p + sqrt(q^2 + b^2), where p =
+    (a+c)/2 - 1, q = (a-c)/2 and b are quadratics in mu with no constant
+    term, so their values at a few grid mu at a time are one matmul of the
+    per-support coefficients of mu^2 and mu.  The screen at a mu is the max
+    of that over the 2-supports.
+
+    Every 2-support's columns lie inside some enumerated support, so the
+    screen's square root is a lower bound on delta (at support size 2 it is
+    delta, up to rounding far inside _SCREEN_TOL): exact_ric_sparse runs in
+    ascending order of that bound and stops once the bound exceeds the best
+    delta found by _SCREEN_TOL (relative, floor 1), since no grid value
+    left can then reach it; equal deltas go to the first grid index.  The
+    screen overflows at the larger mu only, and one whose minimum is not
+    finite (inf everywhere, or NaN from a G that overflowed) bounds nothing:
+    every grid value goes on, in grid order.
     """
     n = B.shape[0]
-    candidates = range(len(mu_grid))
-    if min(2 * _count("k", k), n) == 2:
+    order, bound = range(len(mu_grid)), None
+    if min(2 * _count("k", k), n) >= 2:
         i, j = _supports(n, 2).T
         # Overflow and inf - inf leave the screen not finite, not warned about.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -225,20 +231,23 @@ def _tuned_mu(B, k, mu_grid):
                 screen.append(q.max(axis=0))
             screen = 1.0 + np.concatenate(screen)
             least = screen.min()
-            if np.isfinite(least):
-                candidates = np.flatnonzero(screen <= least + _SCREEN_TOL * max(abs(least), 1.0))
-    best = (np.inf, None)
-    for index in candidates:
+        if np.isfinite(least):
+            bound = np.sqrt(np.maximum(screen, 0.0))
+            order = np.argsort(bound)
+    best, best_index = np.inf, len(mu_grid)
+    for index in order:
+        if bound is not None and bound[index] > best + _SCREEN_TOL * max(best, 1.0):
+            break
         with np.errstate(over="ignore"):
             muB = mu_grid[index] * B
         if not np.isfinite(muB).all():
             continue
         delta = exact_ric_sparse(muB, k)
-        if delta < best[0]:
-            best = (delta, float(mu_grid[index]))
-    if best[1] is None:
+        if delta < best or delta == best and index < best_index:
+            best, best_index = delta, index
+    if best == np.inf:
         raise ValueError("no mu of the grid gives a finite restricted isometry constant")
-    return best[1], best[0]
+    return float(mu_grid[best_index]), best
 
 
 def mc_beta(projection, k, n, trials, seed):

@@ -215,7 +215,10 @@ def _stacked_run(A, Y, mu, project, max_iters):
     iterate; entries past it are not part of its run.  The loop runs only
     what the next iterate needs, with no residual norm: every matvec is a
     per-row matmul (a gemv on each row's matrix), so each row has its own
-    gpgd_run's bits.  A diverged row stays in the stack to the end."""
+    gpgd_run's bits; einsum, or one gemm over the rows' columns, gives other
+    bits.  A shared operator is broadcast over the rows, so each row's
+    matvec is a gemv on the one matrix, with the bits of np.dot(A, x) and
+    np.dot(A.T, r).  A diverged row stays in the stack to the end."""
     At, Y, mu = np.swapaxes(A, -1, -2), Y[..., None], mu[:, None, None]
     iterates = np.zeros((max_iters + 1, len(mu), A.shape[-1]))
     columns = iterates[..., None]

@@ -767,7 +767,10 @@ def run_nipr_stability(spec):
     # One cell per weight, with pair t as trial t, so a pair's two trainings
     # redraw its instance from one stream (far cheaper than training).  A
     # regularized training costs about 2.4 plain ones, so its cell comes
-    # first and every share is dealt an even count of each kind.
+    # first and every share is dealt an even count of each kind.  One item
+    # per pair would leave a CPU idle on a one-pair study, and a pair's two
+    # items side by side would put both regularized trainings of a two-pair
+    # study on one CPU.
     regularized, plain = _cell_trials(spec, [((), spec.nipr_weight), ((), 0.0)],
                                       functools.partial(_nipr_solve, spec))
     rows, wins = [], 0
@@ -923,8 +926,9 @@ def _bound_margins(tbs, projected_truths, truths, iterates, stops):
     iterates block, all at once: row i's largest error minus bound tbs[i]
     over its iterates 0 .. stops[i], to projected_truths[i] and to
     truths[i].  Each has the bits of max(errors - theorem_bound_eval(tb,
-    stop, initial_error, variant)) on its row alone; delta*beta < 1 is not
-    checked again."""
+    stop, initial_error, variant)) on its row alone: the powers are laid out
+    one row per bound, as theorem_bound_eval lays them out, and the constant
+    term comes from the _bound_constant it shares.  delta*beta < 1 is not checked again."""
     t = np.arange(len(iterates))
     with np.errstate(over="ignore", invalid="ignore"):
         to_projection = _norms(iterates - np.array(projected_truths))

@@ -232,6 +232,7 @@ def loss_gradient(prior, batch, cfg, noise=None):
     A = np.dot(inputs, enc.T)
     if tanh:
         np.tanh(A, out=A)
+    # The output gradient, in place: the bits of 2.0 / count * (out - batch).
     D = np.dot(A, dec.T)
     D -= batch
     D *= 2.0 / count
@@ -319,6 +320,8 @@ def train(prior0, dataset, cfg):
         # Diverging parameters overflow before the non-finite check catches
         # them; those float warnings are expected.
         with np.errstate(over="ignore", invalid="ignore"):
+            # loss_gradient and training_loss are looked up in the module at
+            # each call, so a wrapper set on the module sees every call.
             for lo in range(0, len(dataset), size):
                 g_enc, g_dec = loss_gradient(prior, shuffled[lo:lo + size], cfg,
                                              noise=noise[lo:lo + size] if pnp else None)

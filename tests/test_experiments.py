@@ -759,18 +759,22 @@ def test_tuner_passes_over_the_mu_whose_blocks_overflow():
     # the screen, NaN at every mu, passes every grid value; at 1e200 the
     # exact constant is finite at each.  Scaled so that the largest entry of
     # B'B is 1e154, the screen, which squares its terms, is inf above
-    # mu = 1.5 only.
+    # mu = 1.5 only, and those grid values come last in the prune.  At
+    # 1e160 it is inf at every mu and bounds nothing: on the grid taken
+    # from its largest mu down, the prune would stop after the first.
     A = gaussian_operator(64, 12, trial_rng(0, 64)).matrix
     B = A.T @ A
     grid = np.linspace(0.3, 3.9, 13)
     half = np.finfo(float).max / 2.0 / np.abs(B).max() * B
     gram = np.sqrt(1e154 / np.abs(B.T @ B).max()) * B
+    huge = np.sqrt(1e160 / np.abs(B.T @ B).max()) * B
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for k in (1, 2):
             assert _tuned_mu(half, k, grid) == _full_ric_scan(half, k, grid[grid < 2.0])
             assert _tuned_mu(1e200 * B, k, grid) == _full_ric_scan(1e200 * B, k, grid)
-        assert _tuned_mu(gram, 1, grid) == _full_ric_scan(gram, 1, grid)
+            assert _tuned_mu(gram, k, grid) == _full_ric_scan(gram, k, grid)
+            assert _tuned_mu(huge, k, grid[::-1]) == _full_ric_scan(huge, k, grid[::-1])
 
 
 def _textbook_search(spec, vi, tune=_full_ric_scan):
@@ -842,9 +846,10 @@ def _assert_search_is_textbook(spec, tune):
 def test_theorem_search_is_the_textbook_acceptance_loop(monkeypatch, m, k, trials, budget):
     tune = _full_ric_scan
     if 2 * k == 4:
-        # At support size 4 the tuner has no screen and is itself the full
-        # scan (the tuner tests hold it to _full_ric_scan), so each
-        # attempt's scan is computed once and shared by both loops.
+        # At support size 4 the tuner still runs exact_ric_sparse on every
+        # grid mu its 2-support bound cannot rule out, and the tuner tests
+        # hold it to _full_ric_scan, so each attempt's tuned mu is computed
+        # once and shared by both loops.
         tuned, tuner = {}, constants._tuned_mu
 
         def tune(B, k, mu_grid):

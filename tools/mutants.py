@@ -133,21 +133,22 @@ MUTANTS = {
     "the support screen without its tolerance": (
         "constants.py", "keep = lam >= top - _SCREEN_TOL * np.maximum(abs(top), 1.0)", "keep = lam >= top",
         [EXPERIMENTS + "test_support_screens_break_ties_of_rotated_blocks_like_the_full_enumeration"]),
-    "the mu screen without its tolerance": (
-        "constants.py", "screen <= least + _SCREEN_TOL * max(abs(least), 1.0)", "screen <= least",
-        [EXPERIMENTS + "test_tuner_breaks_ties_of_rotated_blocks_like_the_full_scan"]),
     "no non-finite fallback in the support screen": (
         "constants.py", "return keep | ~np.isfinite(lam).all(axis=-1, keepdims=True)", "return keep",
         [EXPERIMENTS + "test_support_screen_sends_every_support_to_lapack_when_the_closed_form_overflows"]),
     "a non-finite mu not passed over": (
         "constants.py", "        if not np.isfinite(muB).all():\n            continue\n", "",
         [EXPERIMENTS + "test_tuner_passes_over_the_mu_whose_blocks_overflow"]),
-    "a NaN mu screen passing nothing": (
+    "an overflowed mu screen used as a bound": (
         "constants.py", "if np.isfinite(least):", "if True:",
         [EXPERIMENTS + "test_tuner_passes_over_the_mu_whose_blocks_overflow"]),
     "the last minimum instead of the first": (
-        "constants.py", "if delta < best[0]:", "if delta <= best[0]:",
+        "constants.py", "if delta < best or", "if delta <= best or",
         [EXPERIMENTS + "test_tuner_breaks_exact_ties_like_the_full_scan[1-12]"]),
+    "the mu prune without its tolerance": (
+        "constants.py", "bound[index] > best + _SCREEN_TOL * max(best, 1.0)", "bound[index] > best",
+        [EXPERIMENTS + "test_tuner_breaks_ties_of_rotated_blocks_like_the_full_scan",
+         EXPERIMENTS + "test_tuner_breaks_exact_ties_like_the_full_scan[2-6]"]),
     "a row-space direction in the floor": (
         "constants.py", "null_basis = np.linalg.svd(As)[2][:, m:]", "null_basis = np.linalg.svd(As)[2][:, m - 1:]",
         [EXPERIMENTS + "test_null_space_floor_never_exceeds_delta_on_mu_grid"]),
